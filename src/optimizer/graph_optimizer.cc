@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <vector>
 
 namespace relgo {
 namespace optimizer {
@@ -52,34 +52,45 @@ class PlanSearch {
         mapping_(mapping),
         gstats_(gstats),
         estimator_(&p, glogue, gstats, mapping, catalog, tstats,
-                   {options.use_high_order, 1024}, feedback) {}
+                   CardinalityOptions{options.use_high_order}, feedback) {}
 
+  /// Optimize has already checked that the pattern is connected and small.
   Result<GraphPlanResult> Run() {
     VSet all = p_.AllVertices();
-    RELGO_RETURN_NOT_OK(Solve(all));
+    RELGO_RETURN_NOT_OK(Solve());
     GraphPlanResult result;
-    result.estimated_cardinality = estimator_.Estimate(all);
+    result.estimated_cardinality = card_[all];
     result.estimated_cost = dp_[all].cost;
     RELGO_ASSIGN_OR_RETURN(result.root, Emit(all, {}));
     return result;
   }
 
  private:
-  std::vector<Link> LinksOf(int v, VSet rest) const {
-    std::vector<Link> links;
+  /// Fills `links` (cleared first) with the edges joining `v` to `rest`.
+  void LinksOf(int v, VSet rest, std::vector<Link>* links) const {
+    links->clear();
     for (int e : p_.IncidentEdges(v)) {
       const auto& pe = p_.edge(e);
       int other = pe.src == v ? pe.dst : pe.src;
       if (other == v || !(rest & Bit(other))) continue;
-      links.push_back(
+      links->push_back(
           {e, other, pe.src == v ? Direction::kIn : Direction::kOut});
     }
-    return links;
   }
 
   double AvgDegree(const Link& link) const {
     return std::max(1e-3,
                     gstats_->AverageDegree(p_.edge(link.edge).label, link.dir));
+  }
+
+  /// Independence probability that an extra link closes onto an already
+  /// bound vertex: avg degree / |V| of the vertex the link reaches.
+  double ClosingProbability(const Link& link) const {
+    const auto& pe = p_.edge(link.edge);
+    int reached = pe.src == link.rest_vertex ? pe.dst : pe.src;
+    double nv = std::max(1.0, static_cast<double>(gstats_->NumVertices(
+                                  p_.vertex(reached).label)));
+    return std::min(1.0, AvgDegree(link) / nv);
   }
 
   /// Descriptor of pattern edge `e` for composite feedback keys: the
@@ -97,8 +108,8 @@ class PlanSearch {
   /// Cost of implementing the star/EI/join transition (Sec 4.2.1).
   double TransitionCost(VSet mask, VSet rest,
                         const std::vector<Link>& links) const {
-    double card_rest = estimator_.Estimate(rest);
-    double card_mask = estimator_.Estimate(mask);
+    double card_rest = card_[rest];
+    double card_mask = card_[mask];
     if (!options_.use_index) {
       // Hash joins throughout: probe/build the edge relation per link.
       double cost = 0.0;
@@ -109,14 +120,7 @@ class PlanSearch {
         if (i == 0) {
           intermediate = card_rest * AvgDegree(links[0]);
         } else {
-          double nv = std::max(
-              1.0, static_cast<double>(gstats_->NumVertices(
-                       p_.vertex(p_.edge(links[i].edge).src ==
-                                         links[i].rest_vertex
-                                     ? p_.edge(links[i].edge).dst
-                                     : p_.edge(links[i].edge).src)
-                           .label)));
-          intermediate *= std::min(1.0, AvgDegree(links[i]) / nv);
+          intermediate *= ClosingProbability(links[i]);
         }
         cost += edges + intermediate;
       }
@@ -137,71 +141,76 @@ class PlanSearch {
     double intermediate = card_rest * AvgDegree(links[0]);
     for (size_t i = 1; i < links.size(); ++i) {
       cost += intermediate;  // probing every intermediate row
-      double nv = std::max(
-          1.0,
-          static_cast<double>(gstats_->NumVertices(
-              p_.vertex(p_.edge(links[i].edge).src == links[i].rest_vertex
-                            ? p_.edge(links[i].edge).dst
-                            : p_.edge(links[i].edge).src)
-                  .label)));
-      intermediate *= std::min(1.0, AvgDegree(links[i]) / nv);
+      intermediate *= ClosingProbability(links[i]);
     }
     return cost + card_mask;
   }
 
-  Status Solve(VSet root_mask) {
-    if (p_.num_vertices() > options_.max_pattern_vertices) {
-      return Status::InvalidArgument("pattern too large for plan search");
+  /// Bottom-up DP over every vertex mask in ascending order. Per mask the
+  /// dense tables hold the best decomposition, a connected flag, the
+  /// estimate and nbr_ (the union of its vertices' neighbours). Equal
+  /// costs keep the first decomposition found, so the enumeration order
+  /// and the strict `<` comparisons decide ties and must not change.
+  Status Solve() {
+    const int n = p_.num_vertices();
+    const size_t size = size_t{1} << n;
+    std::vector<VSet> adj(n, 0);
+    for (int e = 0; e < p_.num_edges(); ++e) {
+      adj[p_.edge(e).src] |= Bit(p_.edge(e).dst);
+      adj[p_.edge(e).dst] |= Bit(p_.edge(e).src);
     }
-    // Bottom-up over all masks (only connected induced ones get entries).
-    VSet all = root_mask;
-    for (VSet mask = 1; mask <= all; ++mask) {
-      if ((mask & all) != mask) continue;
-      if (!p_.IsConnectedInduced(mask)) continue;
-      DpEntry entry;
-      int n = PopCount(mask);
-      if (n == 1) {
+    dp_.assign(size, DpEntry{});
+    connected_.assign(size, 0);
+    card_.assign(size, 0.0);
+    nbr_.assign(size, 0);
+    std::vector<Link> links;
+    for (VSet mask = 1; mask < size; ++mask) {
+      nbr_[mask] = nbr_[mask & (mask - 1)] | adj[__builtin_ctz(mask)];
+      // Flood from the lowest vertex; every subset of `mask` precedes it.
+      VSet reach = mask & (~mask + 1);
+      for (VSet next; (next = (reach | nbr_[reach]) & mask) != reach;) {
+        reach = next;
+      }
+      if (reach != mask) continue;
+      connected_[mask] = 1;
+      card_[mask] = estimator_.Estimate(mask);
+      DpEntry& entry = dp_[mask];
+      if (PopCount(mask) == 1) {
         int v = __builtin_ctz(mask);
         entry.cost = static_cast<double>(
             gstats_->NumVertices(p_.vertex(v).label));
         entry.choice.kind = Choice::Kind::kScan;
-        dp_[mask] = entry;
         continue;
       }
       // Star removals.
-      for (int v = 0; v < p_.num_vertices(); ++v) {
+      for (int v = 0; v < n; ++v) {
         if (!(mask & Bit(v))) continue;
         VSet rest = mask & ~Bit(v);
-        if (rest == 0 || !p_.IsConnectedInduced(rest)) continue;
-        auto it = dp_.find(rest);
-        if (it == dp_.end()) continue;
-        std::vector<Link> links = LinksOf(v, rest);
+        if (!connected_[rest]) continue;
+        LinksOf(v, rest, &links);
         if (links.empty()) continue;
-        double cost = it->second.cost + TransitionCost(mask, rest, links);
+        double cost = dp_[rest].cost + TransitionCost(mask, rest, links);
         if (cost < entry.cost) {
           entry.cost = cost;
           entry.choice.kind = Choice::Kind::kStar;
           entry.choice.removed_vertex = v;
         }
       }
-      // Binary joins: overlapping connected induced covers.
-      if (n >= 3) {
-        double card_mask = estimator_.Estimate(mask);
+      // Binary joins: overlapping connected induced covers s1 | s2 = mask.
+      // Every edge is covered unless it joins s1 - s2 to s2 - s1 = rest,
+      // so the cover test is one lookup in the neighbour table.
+      if (PopCount(mask) >= 3) {
+        double card_mask = card_[mask];
         for (VSet s1 = (mask - 1) & mask; s1 != 0; s1 = (s1 - 1) & mask) {
-          auto it1 = dp_.find(s1);
-          if (it1 == dp_.end()) continue;
+          if (!connected_[s1]) continue;
           VSet rest = mask & ~s1;
-          if (rest == 0) continue;
+          double cost1 = dp_[s1].cost;
+          double c1 = card_[s1];
           for (VSet t = s1; t != 0; t = (t - 1) & s1) {
             VSet s2 = rest | t;
-            if (s2 == mask) continue;
-            auto it2 = dp_.find(s2);
-            if (it2 == dp_.end()) continue;
-            if (!EdgesCovered(mask, s1, s2)) continue;
-            double c1 = estimator_.Estimate(s1);
-            double c2 = estimator_.Estimate(s2);
-            double cost =
-                it1->second.cost + it2->second.cost + c1 * c2 + card_mask;
+            if (s2 == mask || !connected_[s2]) continue;
+            if (nbr_[s1 & ~t] & rest) continue;
+            double cost = cost1 + dp_[s2].cost + c1 * card_[s2] + card_mask;
             if (cost < entry.cost) {
               entry.cost = cost;
               entry.choice.kind = Choice::Kind::kJoin;
@@ -214,17 +223,8 @@ class PlanSearch {
       if (!std::isfinite(entry.cost)) {
         return Status::Internal("no decomposition found for sub-pattern");
       }
-      dp_[mask] = entry;
     }
     return Status::OK();
-  }
-
-  bool EdgesCovered(VSet mask, VSet s1, VSet s2) const {
-    for (int e : p_.InducedEdges(mask)) {
-      VSet ends = Bit(p_.edge(e).src) | Bit(p_.edge(e).dst);
-      if ((ends & s1) != ends && (ends & s2) != ends) return false;
-    }
-    return true;
   }
 
   /// True when the binding of pattern edge `e` must exist in the output of
@@ -261,12 +261,30 @@ class PlanSearch {
     return op;
   }
 
+  /// Wraps `op` with a filter on pattern edge `e`'s predicate, if it has
+  /// one, inside the node for `mask`.
+  PhysicalOpPtr FilterEdge(PhysicalOpPtr op, int e, VSet mask,
+                           double card) const {
+    if (!p_.edge(e).predicate) return op;
+    auto vf = std::make_unique<plan::PhysVertexFilter>();
+    vf->var = p_.EdgeVarName(e);
+    vf->is_edge = true;
+    vf->label = p_.edge(e).label;
+    vf->predicate = p_.edge(e).predicate;
+    vf->feedback_key =
+        "vf|" + estimator_.MaskKey(mask) + "|e" + EdgeKeyPart(e);
+    vf->estimated_cardinality =
+        card * estimator_.CorrectionFactor(vf->feedback_key);
+    vf->children.push_back(std::move(op));
+    return vf;
+  }
+
   /// Recursively materializes the physical plan for `mask`.
   /// `required_edges` are edges whose bindings a parent join consumes.
   Result<PhysicalOpPtr> Emit(VSet mask,
                              const std::set<int>& required_edges) const {
-    const DpEntry& entry = dp_.at(mask);
-    double card = estimator_.Estimate(mask);
+    const DpEntry& entry = dp_[mask];
+    double card = card_[mask];
 
     switch (entry.choice.kind) {
       case Choice::Kind::kScan: {
@@ -283,7 +301,8 @@ class PlanSearch {
       case Choice::Kind::kStar: {
         int v = entry.choice.removed_vertex;
         VSet rest = mask & ~Bit(v);
-        std::vector<Link> links = LinksOf(v, rest);
+        std::vector<Link> links;
+        LinksOf(v, rest, &links);
         // Pass down edge requirements that live inside `rest`.
         std::set<int> child_required;
         for (int e : required_edges) {
@@ -291,7 +310,7 @@ class PlanSearch {
           if ((ends & rest) == ends) child_required.insert(e);
         }
         RELGO_ASSIGN_OR_RETURN(auto child, Emit(rest, child_required));
-        double card_rest = estimator_.Estimate(rest);
+        double card_rest = card_[rest];
         PhysicalOpPtr op;
         std::string to_var = p_.VertexVarName(v);
 
@@ -341,19 +360,7 @@ class PlanSearch {
             ex->children.push_back(std::move(child));
             ex->estimated_cardinality = card;
             op = std::move(ex);
-            if (pe.predicate) {
-              auto vf = std::make_unique<plan::PhysVertexFilter>();
-              vf->var = p_.EdgeVarName(first.edge);
-              vf->is_edge = true;
-              vf->label = pe.label;
-              vf->predicate = pe.predicate;
-              vf->feedback_key = "vf|" + estimator_.MaskKey(mask) + "|e" +
-                                 EdgeKeyPart(first.edge);
-              vf->estimated_cardinality =
-                  card * estimator_.CorrectionFactor(vf->feedback_key);
-              vf->children.push_back(std::move(op));
-              op = std::move(vf);
-            }
+            op = FilterEdge(std::move(op), first.edge, mask, card);
           }
           for (size_t i = 1; i < links.size(); ++i) {
             const auto& pe_i = p_.edge(links[i].edge);
@@ -377,26 +384,13 @@ class PlanSearch {
                 card * estimator_.CorrectionFactor(ev->feedback_key);
             ev->children.push_back(std::move(op));
             op = std::move(ev);
-            if (pe_i.predicate) {
-              auto vf = std::make_unique<plan::PhysVertexFilter>();
-              vf->var = p_.EdgeVarName(links[i].edge);
-              vf->is_edge = true;
-              vf->label = pe_i.label;
-              vf->predicate = pe_i.predicate;
-              vf->feedback_key = "vf|" + estimator_.MaskKey(mask) + "|e" +
-                                 EdgeKeyPart(links[i].edge);
-              vf->estimated_cardinality =
-                  card * estimator_.CorrectionFactor(vf->feedback_key);
-              vf->children.push_back(std::move(op));
-              op = std::move(vf);
-            }
+            op = FilterEdge(std::move(op), links[i].edge, mask, card);
           }
         } else {
           // EXPAND_INTERSECT over all links.
           auto ei = std::make_unique<plan::PhysExpandIntersect>();
           ei->to_var = to_var;
           ei->vertex_filter = p_.vertex(v).predicate;
-          std::vector<std::pair<int, storage::ExprPtr>> edge_preds;
           for (const Link& l : links) {
             const auto& pe = p_.edge(l.edge);
             ei->edge_labels.push_back(pe.label);
@@ -405,25 +399,12 @@ class PlanSearch {
             bool need_e = EdgeBindingNeeded(l.edge, required_edges) ||
                           pe.predicate != nullptr;
             ei->edge_vars.push_back(need_e ? p_.EdgeVarName(l.edge) : "");
-            if (pe.predicate) {
-              edge_preds.emplace_back(l.edge, pe.predicate);
-            }
           }
           ei->children.push_back(std::move(child));
           ei->estimated_cardinality = card;
           op = std::move(ei);
-          for (auto& [e, pred] : edge_preds) {
-            auto vf = std::make_unique<plan::PhysVertexFilter>();
-            vf->var = p_.EdgeVarName(e);
-            vf->is_edge = true;
-            vf->label = p_.edge(e).label;
-            vf->predicate = pred;
-            vf->feedback_key = "vf|" + estimator_.MaskKey(mask) + "|e" +
-                               EdgeKeyPart(e);
-            vf->estimated_cardinality =
-                card * estimator_.CorrectionFactor(vf->feedback_key);
-            vf->children.push_back(std::move(op));
-            op = std::move(vf);
+          for (const Link& l : links) {
+            op = FilterEdge(std::move(op), l.edge, mask, card);
           }
         }
         op->estimated_cost = entry.cost;
@@ -485,7 +466,11 @@ class PlanSearch {
   const graph::RgMapping* mapping_;
   const graph::GraphStats* gstats_;
   CardinalityEstimator estimator_;
-  std::unordered_map<VSet, DpEntry> dp_;
+  /// Dense tables indexed by vertex mask, 2^n entries each (see Solve).
+  std::vector<DpEntry> dp_;
+  std::vector<char> connected_;
+  std::vector<double> card_;
+  std::vector<VSet> nbr_;
 };
 
 }  // namespace
@@ -495,6 +480,10 @@ Result<GraphPlanResult> GraphOptimizer::Optimize(
     const GraphOptimizerOptions& options) const {
   if (p.num_vertices() == 0) {
     return Status::InvalidArgument("empty pattern");
+  }
+  // First: the DP tables hold 2^n entries and a VSet has 32 bits.
+  if (p.num_vertices() > std::min(options.max_pattern_vertices, 31)) {
+    return Status::InvalidArgument("pattern too large for plan search");
   }
   if (!p.IsConnectedInduced(p.AllVertices())) {
     return Status::InvalidArgument("pattern must be connected");

@@ -23,7 +23,9 @@ struct GraphOptimizerOptions {
   bool fuse_expand = true;
   /// Consult GLogue high-order statistics (else low-order only).
   bool use_high_order = true;
-  /// Safety bound for the decomposition DP.
+  /// Safety bound for the decomposition DP, whose tables hold 2^n
+  /// entries; Optimize rejects larger patterns (and any of 32 or more
+  /// vertices) with InvalidArgument.
   int max_pattern_vertices = 14;
 };
 
