@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     if (wq.cyclic) queries.push_back(std::move(wq));
   }
 
-  workload::Harness harness(db, bench::BenchExecOptions(), args.reps);
+  workload::Harness harness(db, bench::BenchExecOptions(args), args.reps);
   auto runs = harness.RunGrid(
       queries, {OptimizerMode::kRelGo, OptimizerMode::kRelGoLowOrder});
   std::printf("execution time (ms):\n%s\n",

@@ -1,6 +1,6 @@
 // Reproduces Fig 10: join-order efficiency on JOB1..10 — RelGo, GRainDB,
-// RelGoHash (converged ordering without the graph index), DuckDB — under
-// both execution engines, recording BENCH_pipeline.json.
+// RelGoHash (converged ordering without the graph index), DuckDB — on the
+// pipeline engine at --threads workers, recording BENCH_pipeline.json.
 
 #include <cstdio>
 
@@ -8,7 +8,6 @@
 
 int main(int argc, char** argv) {
   using namespace relgo;
-  using exec::EngineKind;
   using optimizer::OptimizerMode;
   auto args = bench::ParseArgs(argc, argv, 0.5);
   bench::Banner("Fig 10", "join order efficiency on JOB1..10");
@@ -22,33 +21,19 @@ int main(int argc, char** argv) {
       OptimizerMode::kRelGo, OptimizerMode::kGRainDB,
       OptimizerMode::kRelGoHash, OptimizerMode::kDuckDB};
 
-  workload::Harness mat_harness(db, bench::BenchExecOptions(), args.reps);
-  auto mat_runs = mat_harness.RunGrid(subset, modes);
-  workload::Harness pipe_harness(
-      db,
-      bench::EngineOptions(bench::BenchExecOptions(), EngineKind::kPipeline,
-                           args.threads),
-      args.reps);
-  auto pipe_runs = pipe_harness.RunGrid(subset, modes);
+  workload::Harness harness(db, bench::BenchExecOptions(args), args.reps);
+  auto runs = harness.RunGrid(subset, modes);
 
-  std::printf("execution time (ms), engine=materialize:\n%s\n",
-              workload::Harness::FormatTable(mat_runs, false).c_str());
   std::printf("execution time (ms), engine=pipeline (%d threads):\n%s\n",
               args.threads,
-              workload::Harness::FormatTable(pipe_runs, false).c_str());
+              workload::Harness::FormatTable(runs, false).c_str());
   std::printf("avg RelGo vs GRainDB:   %.2fx\n",
-              workload::Harness::AverageSpeedup(mat_runs, "GRainDB", "RelGo"));
+              workload::Harness::AverageSpeedup(runs, "GRainDB", "RelGo"));
   std::printf("avg RelGoHash vs DuckDB: %.2fx\n",
-              workload::Harness::AverageSpeedup(mat_runs, "DuckDB",
-                                                "RelGoHash"));
-  std::printf("pipeline-vs-materialize engine speedup: %.2fx\n",
-              bench::EngineSpeedup(mat_runs, pipe_runs));
+              workload::Harness::AverageSpeedup(runs, "DuckDB", "RelGoHash"));
 
   auto& json = bench::BenchJson::Global();
-  json.AddGrid("fig10_join_order", "imdb", args.scale, mat_runs,
-               EngineKind::kMaterialize, 1);
-  json.AddGrid("fig10_join_order", "imdb", args.scale, pipe_runs,
-               EngineKind::kPipeline, args.threads);
+  json.AddGrid("fig10_join_order", "imdb", args.scale, runs, args.threads);
   json.Write();
 
   std::printf(

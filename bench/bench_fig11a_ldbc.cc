@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   bench::Banner("Fig 11a", "speedup vs DuckDB on LDBC IC queries");
 
   Database* db = bench::MakeLdbc(args.scale);
-  workload::Harness harness(db, bench::BenchExecOptions(), args.reps);
+  workload::Harness harness(db, bench::BenchExecOptions(args), args.reps);
   auto runs = harness.RunGrid(
       workload::LdbcInteractiveQueries(*db),
       {OptimizerMode::kDuckDB, OptimizerMode::kRelGo,
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
                 workload::Harness::AverageSpeedup(runs, "DuckDB", mode));
   }
   bench::BenchJson::Global().AddGrid("fig11a_ldbc", "ldbc", args.scale, runs,
-                                     exec::EngineKind::kMaterialize, 1);
+                                     args.threads);
 
   // Adaptive-statistics loop (warm-up -> feedback -> re-plan; runs after
   // the baseline grid so those numbers stay uncontaminated): each record's
@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
   std::printf("adaptive feedback (q-error first run -> after feedback):\n%s\n",
               workload::Harness::FormatAdaptiveQErrors(adaptive).c_str());
   bench::BenchJson::Global().AddGrid("fig11a_ldbc_adaptive", "ldbc",
-                                     args.scale, adaptive,
-                                     exec::EngineKind::kMaterialize, 1);
+                                     args.scale, adaptive, args.threads);
   bench::BenchJson::Global().Write();
   std::printf(
       "\nShape check (paper, LDBC100): RelGo 21.9x, GRainDB ~4x (RelGo 5.4x\n"

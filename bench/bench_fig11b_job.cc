@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   bench::Banner("Fig 11b", "speedup vs DuckDB on JOB1..33");
 
   Database* db = bench::MakeImdb(args.scale);
-  workload::Harness harness(db, bench::BenchExecOptions(), args.reps);
+  workload::Harness harness(db, bench::BenchExecOptions(args), args.reps);
   auto runs = harness.RunGrid(
       workload::JobQueries(*db),
       {OptimizerMode::kDuckDB, OptimizerMode::kRelGo,
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                 workload::Harness::AverageSpeedup(runs, "DuckDB", mode));
   }
   bench::BenchJson::Global().AddGrid("fig11b_job", "imdb", args.scale, runs,
-                                     exec::EngineKind::kMaterialize, 1);
+                                     args.threads);
 
   // Adaptive-statistics loop over the JOB grid (after the baseline grid so
   // its numbers stay uncontaminated): qerror records each cell's own
@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
   std::printf("adaptive feedback (q-error first run -> after feedback):\n%s\n",
               workload::Harness::FormatAdaptiveQErrors(adaptive).c_str());
   bench::BenchJson::Global().AddGrid("fig11b_job_adaptive", "imdb",
-                                     args.scale, adaptive,
-                                     exec::EngineKind::kMaterialize, 1);
+                                     args.scale, adaptive, args.threads);
   bench::BenchJson::Global().Write();
   std::printf(
       "\nShape check (paper): RelGo 8.2x and GRainDB ~2x over DuckDB\n"

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
                 explain->c_str());
   }
 
-  workload::Harness harness(db, bench::BenchExecOptions(), args.reps);
+  workload::Harness harness(db, bench::BenchExecOptions(args), args.reps);
   auto runs = harness.RunGrid(
       {*job17}, {OptimizerMode::kRelGo, OptimizerMode::kGRainDB,
                  OptimizerMode::kUmbraLike});

@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
 
   Database* db = bench::MakeLdbc(args.scale);
   auto mix = workload::LdbcInteractiveQueries(*db);
-  exec::ExecutionOptions options = bench::EngineOptions(
-      bench::BenchExecOptions(), exec::EngineKind::kPipeline, args.threads);
+  exec::ExecutionOptions options = bench::BenchExecOptions(args);
   // This bench measures cache amortization, so it opts back into the
   // scan cache and plan cache that BenchExecOptions disables for the
   // figure benches.
@@ -49,7 +48,7 @@ int main(int argc, char** argv) {
       }
       bench::BenchJson::Global().AddConcurrent(
           warm ? "fig13_concurrency_warm" : "fig13_concurrency_cold", "ldbc",
-          args.scale, m, exec::EngineKind::kPipeline, args.threads);
+          args.scale, m, args.threads);
     }
   }
   // Shed-load sweep: the same storm at 8 clients, but with admission
@@ -84,7 +83,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.queries_timeout), m.qps);
     bench::BenchJson::Global().AddConcurrent(
         std::string("fig13_shed_") + cfg.name, "ldbc", args.scale, m,
-        exec::EngineKind::kPipeline, args.threads);
+        args.threads);
   }
   db->worker_pool().SetAdmission({});  // restore: admission off
 
@@ -114,11 +113,9 @@ int main(int argc, char** argv) {
     }
     const std::string tag = cache_on ? "fig13_plan_cache" : "fig13_reopt";
     bench::BenchJson::Global().AddHotTemplates(
-        tag, "ldbc", args.scale, m, exec::EngineKind::kPipeline,
-        args.threads, "cold");
+        tag, "ldbc", args.scale, m, args.threads, "cold");
     bench::BenchJson::Global().AddHotTemplates(
-        tag, "ldbc", args.scale, m, exec::EngineKind::kPipeline,
-        args.threads, "warm");
+        tag, "ldbc", args.scale, m, args.threads, "warm");
   }
 
   std::printf("\nshared pool threads spawned: %d\n",

@@ -1,16 +1,13 @@
 // Reproduces Fig 7: end-to-end time (optimization + execution), RelGo vs
-// GRainDB, on (a) LDBC queries IC1-3, IC2, IC4, IC7 and (b) JOB1..4 — and
-// additionally compares the two execution engines (materializing oracle vs
-// morsel-driven pipeline) on the same plans, reporting per-query engine
-// speedups and recording everything into BENCH_pipeline.json.
+// GRainDB, on (a) LDBC queries IC1-3, IC2, IC4, IC7 and (b) JOB1..4, run on
+// the pipeline engine at --threads workers and recorded into
+// BENCH_pipeline.json.
 
 #include <cstdio>
 
 #include "bench_util.h"
 
 namespace {
-
-using relgo::exec::EngineKind;
 
 void RunSide(const relgo::Database* db, const char* workload, double scale,
              const std::vector<relgo::workload::WorkloadQuery>& queries,
@@ -19,51 +16,30 @@ void RunSide(const relgo::Database* db, const char* workload, double scale,
   const std::vector<OptimizerMode> modes = {OptimizerMode::kRelGo,
                                             OptimizerMode::kGRainDB};
 
-  // Engine A: the materializing reference executor.
-  relgo::workload::Harness mat_harness(db, relgo::bench::BenchExecOptions(),
-                                       args.reps);
-  auto mat_runs = mat_harness.RunGrid(queries, modes);
-  // Engine B: the pipeline engine at --threads workers.
-  relgo::workload::Harness pipe_harness(
-      db,
-      relgo::bench::EngineOptions(relgo::bench::BenchExecOptions(),
-                                  EngineKind::kPipeline, args.threads),
-      args.reps);
-  auto pipe_runs = pipe_harness.RunGrid(queries, modes);
+  relgo::workload::Harness harness(db, relgo::bench::BenchExecOptions(args),
+                                   args.reps);
+  auto runs = harness.RunGrid(queries, modes);
 
-  std::printf("%-8s %12s %12s %12s %12s %10s\n", "query", "RelGo Opt",
-              "RelGo Exe", "GRainDB Opt", "GRainDB Exe", "engine");
-  for (const auto* runs : {&mat_runs, &pipe_runs}) {
-    const char* engine =
-        runs == &mat_runs
-            ? relgo::bench::EngineLabel(EngineKind::kMaterialize)
-            : relgo::bench::EngineLabel(EngineKind::kPipeline);
-    for (size_t i = 0; i + 1 < runs->size(); i += 2) {
-      const auto& relgo_run = (*runs)[i];
-      const auto& graindb_run = (*runs)[i + 1];
-      std::printf("%-8s %12.2f %12.2f %12.2f %12.2f %10s\n",
-                  relgo_run.query.c_str(), relgo_run.optimization_ms,
-                  relgo_run.execution_ms, graindb_run.optimization_ms,
-                  graindb_run.execution_ms, engine);
-    }
+  std::printf("%-8s %12s %12s %12s %12s\n", "query", "RelGo Opt",
+              "RelGo Exe", "GRainDB Opt", "GRainDB Exe");
+  for (size_t i = 0; i + 1 < runs.size(); i += 2) {
+    const auto& relgo_run = runs[i];
+    const auto& graindb_run = runs[i + 1];
+    std::printf("%-8s %12.2f %12.2f %12.2f %12.2f\n", relgo_run.query.c_str(),
+                relgo_run.optimization_ms, relgo_run.execution_ms,
+                graindb_run.optimization_ms, graindb_run.execution_ms);
   }
 
-  double mode_speedup =
-      relgo::workload::Harness::AverageSpeedup(mat_runs, "GRainDB", "RelGo");
-  double engine_speedup = relgo::bench::EngineSpeedup(mat_runs, pipe_runs);
-  std::printf("average RelGo-vs-GRainDB execution speedup: %.2fx\n",
-              mode_speedup);
   std::printf(
-      "average pipeline-vs-materialize engine speedup (%d threads): %.2fx\n\n",
-      args.threads, engine_speedup);
+      "average RelGo-vs-GRainDB execution speedup (pipeline, %d threads): "
+      "%.2fx\n\n",
+      args.threads,
+      relgo::workload::Harness::AverageSpeedup(runs, "GRainDB", "RelGo"));
   std::printf("estimator accuracy (geomean per-operator q-error):\n%s\n",
-              relgo::workload::Harness::FormatQErrors(mat_runs).c_str());
+              relgo::workload::Harness::FormatQErrors(runs).c_str());
 
-  auto& json = relgo::bench::BenchJson::Global();
-  json.AddGrid("fig7_e2e", workload, scale, mat_runs, EngineKind::kMaterialize,
-               1);
-  json.AddGrid("fig7_e2e", workload, scale, pipe_runs, EngineKind::kPipeline,
-               args.threads);
+  relgo::bench::BenchJson::Global().AddGrid(
+      "fig7_e2e", workload, scale, runs, args.threads);
 }
 
 }  // namespace

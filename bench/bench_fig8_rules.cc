@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
 
   for (double scale : {args.scale, args.scale * 2.0}) {
     Database* db = bench::MakeLdbc(scale);
-    workload::Harness harness(db, bench::BenchExecOptions(), args.reps);
+    workload::Harness harness(db, bench::BenchExecOptions(args), args.reps);
     auto queries = workload::LdbcRuleQueries(*db);
     // QR1/QR2: with vs without FilterIntoMatchRule.
     std::vector<workload::WorkloadQuery> filter_queries(

@@ -1,9 +1,9 @@
 // Reproduces Fig 9: EXPAND_INTERSECT effectiveness on cyclic patterns.
 // QC1 (triangle), QC2 (square), QC3 (4-clique); RelGo vs RelGoNoEI, two
 // scales. A bounded memory budget reproduces the paper's OOM of RelGoNoEI
-// on the 4-clique. Both execution engines run; the wco intersection is the
-// hottest loop in the system, so this is the primary scaling probe for the
-// morsel-driven pipeline.
+// on the 4-clique. Runs on the pipeline engine at --threads workers; the wco
+// intersection is the hottest loop in the system, so this is the primary
+// scaling probe for the morsel-driven pipeline.
 
 #include <cstdio>
 
@@ -11,43 +11,28 @@
 
 int main(int argc, char** argv) {
   using namespace relgo;
-  using exec::EngineKind;
   using optimizer::OptimizerMode;
   auto args = bench::ParseArgs(argc, argv, 0.6);
   bench::Banner("Fig 9", "RelGo vs RelGoNoEI on QC1..3 (cyclic patterns)");
 
   for (double scale : {args.scale, args.scale * 2.0}) {
     Database* db = bench::MakeLdbc(scale);
-    exec::ExecutionOptions exec_options = bench::BenchExecOptions();
+    exec::ExecutionOptions exec_options = bench::BenchExecOptions(args);
     exec_options.max_total_rows = 30'000'000;  // paper-style memory bound
     auto queries = workload::LdbcCyclicQueries(*db);
     const std::vector<OptimizerMode> modes = {OptimizerMode::kRelGo,
                                               OptimizerMode::kRelGoNoEI};
 
-    workload::Harness mat_harness(db, exec_options, args.reps);
-    auto mat_runs = mat_harness.RunGrid(queries, modes);
-    workload::Harness pipe_harness(
-        db,
-        bench::EngineOptions(exec_options, EngineKind::kPipeline,
-                             args.threads),
-        args.reps);
-    auto pipe_runs = pipe_harness.RunGrid(queries, modes);
+    workload::Harness harness(db, exec_options, args.reps);
+    auto runs = harness.RunGrid(queries, modes);
 
-    std::printf("engine=materialize:\n%s",
-                workload::Harness::FormatTable(mat_runs, true).c_str());
     std::printf("engine=pipeline (%d threads):\n%s", args.threads,
-                workload::Harness::FormatTable(pipe_runs, true).c_str());
-    std::printf("speedups (materialize engine):\n%s",
-                workload::Harness::FormatSpeedups(mat_runs, "RelGoNoEI")
-                    .c_str());
-    std::printf("pipeline-vs-materialize engine speedup: %.2fx\n\n",
-                bench::EngineSpeedup(mat_runs, pipe_runs));
+                workload::Harness::FormatTable(runs, true).c_str());
+    std::printf("speedups:\n%s\n",
+                workload::Harness::FormatSpeedups(runs, "RelGoNoEI").c_str());
 
-    auto& json = bench::BenchJson::Global();
-    json.AddGrid("fig9_expand_intersect", "ldbc", scale, mat_runs,
-                 EngineKind::kMaterialize, 1);
-    json.AddGrid("fig9_expand_intersect", "ldbc", scale, pipe_runs,
-                 EngineKind::kPipeline, args.threads);
+    bench::BenchJson::Global().AddGrid("fig9_expand_intersect", "ldbc", scale,
+                                       runs, args.threads);
     delete db;
   }
   bench::BenchJson::Global().Write();

@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks for the physical building blocks:
 // graph index construction, EXPAND (index vs hash), EXPAND_INTERSECT,
-// pattern hash join, and the naive matcher, on a fixed LDBC-like dataset —
+// pattern hash join (each run as a single-threaded pipeline-engine plan),
+// and the naive matcher, on a fixed LDBC-like dataset —
 // plus kernel-vs-row microbenches of the vectorized expression layer
 // (filter selectivity sweep, join-key hashing, group-key build), whose
 // results are also appended to BENCH_pipeline.json so the boxing-removal
@@ -14,9 +15,9 @@
 
 #include "bench_util.h"
 #include "common/hash.h"
-#include "exec/executor.h"
 #include "exec/join_hash_table.h"
 #include "exec/naive_matcher.h"
+#include "exec/pipeline/engine.h"
 #include "exec/vector/compiled_expr.h"
 #include "exec/vector/typed_keys.h"
 #include "storage/expression.h"
@@ -40,6 +41,7 @@ Database* SharedDb() {
 
 exec::ExecutionContext MakeContext(Database* db) {
   exec::ExecutionOptions options;
+  options.num_threads = 1;
   options.max_total_rows = 500'000'000;
   return exec::ExecutionContext(&db->catalog(), &db->mapping(), &db->index(),
                                 options);
@@ -78,7 +80,7 @@ void BM_ExpandIndexed(benchmark::State& state) {
   auto plan = KnowsExpandPlan(db, true);
   for (auto _ : state) {
     auto ctx = MakeContext(db);
-    auto result = exec::Executor::Run(*plan, &ctx);
+    auto result = exec::pipeline::Run(*plan, &ctx);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
     benchmark::DoNotOptimize((*result)->num_rows());
   }
@@ -90,7 +92,7 @@ void BM_ExpandHash(benchmark::State& state) {
   auto plan = KnowsExpandPlan(db, false);
   for (auto _ : state) {
     auto ctx = MakeContext(db);
-    auto result = exec::Executor::Run(*plan, &ctx);
+    auto result = exec::pipeline::Run(*plan, &ctx);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
     benchmark::DoNotOptimize((*result)->num_rows());
   }
@@ -110,7 +112,7 @@ void BM_ExpandIntersectTriangle(benchmark::State& state) {
   ei->children.push_back(std::move(base));
   for (auto _ : state) {
     auto ctx = MakeContext(db);
-    auto result = exec::Executor::Run(*ei, &ctx);
+    auto result = exec::pipeline::Run(*ei, &ctx);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
     benchmark::DoNotOptimize((*result)->num_rows());
   }
@@ -135,7 +137,7 @@ void BM_TriangleViaExpandVerify(benchmark::State& state) {
   verify->children.push_back(std::move(expand));
   for (auto _ : state) {
     auto ctx = MakeContext(db);
-    auto result = exec::Executor::Run(*verify, &ctx);
+    auto result = exec::pipeline::Run(*verify, &ctx);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
     benchmark::DoNotOptimize((*result)->num_rows());
   }
@@ -155,7 +157,7 @@ void BM_PatternHashJoin(benchmark::State& state) {
     join->children.push_back(std::move(left));
     join->children.push_back(std::move(right));
     auto ctx = MakeContext(db);
-    auto result = exec::Executor::Run(*join, &ctx);
+    auto result = exec::pipeline::Run(*join, &ctx);
     if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
     benchmark::DoNotOptimize((*result)->num_rows());
   }
@@ -405,7 +407,8 @@ BENCHMARK(BM_GroupKeyBuildEncoded)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Dictionary-encoding microbenches (bench "operators_dict"): the same
-// operation on the same data, payload bytes vs int32 dictionary codes.
+// operation on the same data, payload bytes (a copy of the table with no
+// dictionary) vs int32 dictionary codes.
 // ---------------------------------------------------------------------------
 
 /// 1M-row table whose string column draws from 64 same-length values
@@ -433,10 +436,28 @@ const storage::Table& DictMicroTable() {
   return *table;
 }
 
+/// A copy of `table` whose columns carry no dictionary: the payload leg of
+/// each dictionary microbench runs over it.
+storage::TablePtr WithoutDictionaries(const storage::Table& table) {
+  auto copy = std::make_shared<storage::Table>(table.name(), table.schema());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    copy->column(c).AppendRange(table.column(c), 0, table.num_rows());
+    copy->column(c).DropDictionary();
+  }
+  copy->FinishBulkAppend();
+  return copy;
+}
+
+/// DictMicroTable() with (`dict`) or without its dictionary.
+const storage::Table& DictMicroTable(bool dict) {
+  static storage::TablePtr plain = WithoutDictionaries(DictMicroTable());
+  return dict ? DictMicroTable() : *plain;
+}
+
 /// String-equality filter: payload byte-compare kernel vs the int32
 /// code-compare kernel (constant translated to a code at compile time).
-void DictFilterStringEq(benchmark::State& state, bool use_dictionaries) {
-  const storage::Table& t = DictMicroTable();
+void DictFilterStringEq(benchmark::State& state, bool dict) {
+  const storage::Table& t = DictMicroTable(dict);
   auto expr = storage::Expr::Compare(
       storage::CompareOp::kEq, storage::Expr::Column("s"),
       storage::Expr::Constant(Value::String("category_value_031")));
@@ -444,8 +465,8 @@ void DictFilterStringEq(benchmark::State& state, bool use_dictionaries) {
     state.SkipWithError("bind failed");
     return;
   }
-  auto compiled = exec::vector::CompiledPredicate::Compile(
-      *expr, t.schema(), &t, use_dictionaries);
+  auto compiled =
+      exec::vector::CompiledPredicate::Compile(*expr, t.schema(), &t);
   if (compiled == nullptr) {
     state.SkipWithError("predicate did not lower");
     return;
@@ -475,6 +496,7 @@ BENCHMARK(BM_DictFilterStringEqDict)->Unit(benchmark::kMillisecond);
 struct DictJoinData {
   storage::TablePtr build;
   storage::TablePtr probe;
+  storage::TablePtr plain_build;  ///< `build` without its dictionary
 };
 
 const DictJoinData& DictJoinTables() {
@@ -503,6 +525,7 @@ const DictJoinData& DictJoinTables() {
       d.probe->column(0).AppendFrom(d.build->column(0), rng() % kBuildRows);
     }
     d.probe->FinishBulkAppend();
+    d.plain_build = WithoutDictionaries(*d.build);
     return d;
   }();
   return data;
@@ -510,10 +533,10 @@ const DictJoinData& DictJoinTables() {
 
 /// String join-key hash probe: byte hashing + memcmp on the payload path
 /// vs int64 code hashing + int32 compare on the dictionary path.
-void DictJoinProbeString(benchmark::State& state, bool use_dictionaries) {
+void DictJoinProbeString(benchmark::State& state, bool dict) {
   const DictJoinData& d = DictJoinTables();
   exec::JoinHashTable ht;
-  Status st = ht.Build(*d.build, {"k"}, use_dictionaries);
+  Status st = ht.Build(dict ? *d.build : *d.plain_build, {"k"});
   if (!st.ok()) {
     state.SkipWithError(st.ToString().c_str());
     return;
@@ -546,10 +569,9 @@ BENCHMARK(BM_DictJoinProbeStringDict)->Unit(benchmark::kMillisecond);
 
 /// GROUP BY key build over a dictionary string column: length-prefixed
 /// byte append + byte hash vs fixed32 code append + int64 hash.
-void DictGroupKeyString(benchmark::State& state, bool use_dictionaries) {
-  const storage::Table& t = DictMicroTable();
-  auto encoder = exec::vector::KeyEncoder::Make({LogicalType::kString},
-                                                use_dictionaries);
+void DictGroupKeyString(benchmark::State& state, bool dict) {
+  const storage::Table& t = DictMicroTable(dict);
+  auto encoder = exec::vector::KeyEncoder::Make({LogicalType::kString});
   if (encoder == nullptr) {
     state.SkipWithError("encoder unavailable");
     return;
@@ -607,7 +629,7 @@ class KernelJsonReporter : public benchmark::ConsoleReporter {
                        ? "row"
                        : "kernel";
       }
-      rec.engine = "materialize";
+      rec.engine = "pipeline";
       rec.threads = 1;
       rec.execution_ms = ms;
       auto rows = run.counters.find("rows");

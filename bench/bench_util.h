@@ -1,7 +1,6 @@
 #ifndef RELGO_BENCH_BENCH_UTIL_H_
 #define RELGO_BENCH_BENCH_UTIL_H_
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -16,25 +15,20 @@ namespace relgo {
 namespace bench {
 
 /// Shared CLI convention for the figure benches:
-///   --scale <f>    dataset scale factor (default per bench)
-///   --reps <n>     timed repetitions per query (default 2)
+///   --scale <f>    dataset scale factor, > 0 (default per bench)
+///   --reps <n>     timed repetitions per query, >= 1 (default 2)
 ///   --threads <n>  pipeline-engine worker threads (default 4)
-///   --dict on|off  string dictionary encoding (default on); the off leg
-///                  of a same-machine A/B pair — its records land in the
-///                  JSON under "<bench>_nodict" so the two legs stay
-///                  separable in the accumulated trajectory
 struct BenchArgs {
   double scale = 1.0;
   int reps = 2;
   int threads = 4;
-  bool dictionary = true;
 };
 
-/// Process-wide mirror of BenchArgs::dictionary, set by ParseArgs; read
-/// by BenchExecOptions (so every harness leg of a bench inherits it) and
-/// by BenchJson::Add (record tagging).
-inline bool g_dictionary_encoding = true;
-
+/// Parses the shared flags. A scale that is not a positive number or a
+/// repetition count below 1 (including non-numbers, which parse as 0)
+/// prints the usage message and exits with status 2: a zero repetition
+/// count would otherwise divide the harness means by zero and write NaN
+/// into BENCH_pipeline.json.
 inline BenchArgs ParseArgs(int argc, char** argv, double default_scale) {
   BenchArgs args;
   args.scale = default_scale;
@@ -46,11 +40,15 @@ inline BenchArgs ParseArgs(int argc, char** argv, double default_scale) {
       args.reps = std::atoi(argv[++i]);
     } else if (a == "--threads" && i + 1 < argc) {
       args.threads = std::atoi(argv[++i]);
-    } else if (a == "--dict" && i + 1 < argc) {
-      args.dictionary = std::string(argv[++i]) != "off";
     }
   }
-  g_dictionary_encoding = args.dictionary;
+  if (!(args.scale > 0.0) || args.reps < 1) {
+    std::fprintf(stderr,
+                 "usage: %s [--scale <f > 0>] [--reps <n >= 1>] "
+                 "[--threads <n>]\n",
+                 argv[0]);
+    std::exit(2);
+  }
   if (args.threads <= 0) {
     // 0 (or garbage) means hardware concurrency, like
     // ExecutionOptions::num_threads; resolve it here so tables and JSON
@@ -62,21 +60,6 @@ inline BenchArgs ParseArgs(int argc, char** argv, double default_scale) {
   return args;
 }
 
-/// Human-readable engine tag used in tables and in the JSON records.
-inline const char* EngineLabel(exec::EngineKind engine) {
-  return engine == exec::EngineKind::kPipeline ? "pipeline" : "materialize";
-}
-
-/// ExecutionOptions for one engine configuration on top of the bench-wide
-/// limits (see BenchExecOptions below).
-inline exec::ExecutionOptions EngineOptions(exec::ExecutionOptions base,
-                                            exec::EngineKind engine,
-                                            int threads) {
-  base.engine = engine;
-  base.num_threads = threads;
-  return base;
-}
-
 /// One measurement tagged with engine + thread count, serialized into
 /// BENCH_pipeline.json so the perf trajectory across PRs is recorded
 /// machine-readably.
@@ -86,7 +69,7 @@ struct BenchRecord {
   double scale = 0.0;
   std::string query;
   std::string mode;    ///< optimizer mode name
-  std::string engine;  ///< "materialize" / "pipeline"
+  std::string engine;  ///< "pipeline" ("none" for optimization-only)
   int threads = 1;
   double optimization_ms = 0.0;
   double execution_ms = 0.0;
@@ -149,17 +132,13 @@ class BenchJson {
     return instance;
   }
 
-  void Add(BenchRecord record) {
-    // The dictionary-off A/B leg gets its own bench tag so on/off pairs
-    // never interleave within one bench name across accumulated runs.
-    if (!g_dictionary_encoding) record.bench += "_nodict";
-    records_.push_back(std::move(record));
-  }
+  void Add(BenchRecord record) { records_.push_back(std::move(record)); }
 
-  /// Tags and records a harness grid run under one engine configuration.
+  /// Tags and records a harness grid run on the pipeline engine at
+  /// `threads` workers.
   void AddGrid(const std::string& bench, const std::string& workload,
                double scale, const std::vector<workload::RunMeasurement>& runs,
-               exec::EngineKind engine, int threads) {
+               int threads) {
     for (const auto& r : runs) {
       BenchRecord rec;
       rec.bench = bench;
@@ -167,8 +146,8 @@ class BenchJson {
       rec.scale = scale;
       rec.query = r.query;
       rec.mode = r.mode;
-      rec.engine = EngineLabel(engine);
-      rec.threads = engine == exec::EngineKind::kPipeline ? threads : 1;
+      rec.engine = "pipeline";
+      rec.threads = threads;
       rec.optimization_ms = r.optimization_ms;
       rec.execution_ms = r.execution_ms;
       rec.rows = r.result_rows;
@@ -189,19 +168,19 @@ class BenchJson {
   }
 
   /// Tags and records one multi-client throughput measurement
-  /// (Harness::RunConcurrent) under one engine configuration.
+  /// (Harness::RunConcurrent) on the pipeline engine at `threads` workers.
   void AddConcurrent(const std::string& bench, const std::string& workload,
                      double scale,
                      const relgo::workload::ConcurrentMeasurement& m,
-                     exec::EngineKind engine, int threads) {
+                     int threads) {
     BenchRecord rec;
     rec.bench = bench;
     rec.workload = workload;
     rec.scale = scale;
     rec.query = "mix";
     rec.mode = m.mode;
-    rec.engine = EngineLabel(engine);
-    rec.threads = engine == exec::EngineKind::kPipeline ? threads : 1;
+    rec.engine = "pipeline";
+    rec.threads = threads;
     rec.execution_ms = m.wall_ms;
     rec.rows = m.queries_ok;
     rec.status = m.queries_failed == 0 ? "ok" : "ERR";
@@ -228,13 +207,13 @@ class BenchJson {
   }
 
   /// Tags and records one hot-template sweep (Harness::RunHotTemplates)
-  /// under one engine configuration. `phase` is "cold" or "warm": the
-  /// cold record carries the cold mean optimization time, the warm record
-  /// the warm means plus the sweep's plan-cache hit counters.
+  /// on the pipeline engine at `threads` workers. `phase` is "cold" or
+  /// "warm": the cold record carries the cold mean optimization time, the
+  /// warm record the warm means plus the sweep's plan-cache hit counters.
   void AddHotTemplates(const std::string& bench, const std::string& workload,
                        double scale,
                        const relgo::workload::HotTemplateMeasurement& m,
-                       exec::EngineKind engine, int threads,
+                       int threads,
                        const std::string& phase) {
     BenchRecord rec;
     rec.bench = bench;
@@ -242,8 +221,8 @@ class BenchJson {
     rec.scale = scale;
     rec.query = "hot_templates_" + phase;
     rec.mode = m.mode;
-    rec.engine = EngineLabel(engine);
-    rec.threads = engine == exec::EngineKind::kPipeline ? threads : 1;
+    rec.engine = "pipeline";
+    rec.threads = threads;
     rec.rows = m.queries_ok;
     rec.status = m.queries_failed == 0 ? "ok" : "ERR";
     rec.qps = m.qps;
@@ -343,25 +322,6 @@ class BenchJson {
   std::vector<BenchRecord> records_;
 };
 
-/// Geometric-mean execution speedup of `b` over `a` for runs matched by
-/// (query, mode); used to report pipeline-vs-materialize engine gains.
-inline double EngineSpeedup(const std::vector<workload::RunMeasurement>& a,
-                            const std::vector<workload::RunMeasurement>& b) {
-  double log_sum = 0.0;
-  int n = 0;
-  for (const auto& ra : a) {
-    for (const auto& rb : b) {
-      if (ra.query != rb.query || ra.mode != rb.mode) continue;
-      if (ra.failed || ra.timed_out || ra.out_of_memory) continue;
-      if (rb.failed || rb.timed_out || rb.out_of_memory) continue;
-      log_sum += std::log(std::max(ra.execution_ms, 1e-3) /
-                          std::max(rb.execution_ms, 1e-3));
-      ++n;
-    }
-  }
-  return n == 0 ? 1.0 : std::exp(log_sum / n);
-}
-
 inline void Banner(const char* figure, const char* what) {
   std::printf("===========================================================\n");
   std::printf("%s — %s\n", figure, what);
@@ -398,20 +358,22 @@ inline Database* MakeImdb(double scale) {
   return db;
 }
 
-/// Bench-wide execution limits: a 30s per-query timeout (the paper used 10
-/// minutes at server scale; timeouts are reported as OT) and the default
-/// row budget. The cross-query scan cache and the plan cache are OFF here
-/// so every figure bench's execution_ms / optimization_ms keeps measuring
-/// real filter evaluation and real optimization — the accumulated
-/// BENCH_pipeline.json trajectory stays comparable across PRs, and cache
-/// amortization is measured by the one bench built for it
-/// (bench_fig13_concurrency, which opts back in).
-inline exec::ExecutionOptions BenchExecOptions() {
+/// Bench-wide execution options: the pipeline engine at --threads
+/// workers, a 30s per-query timeout (the paper used 10 minutes at server
+/// scale; timeouts are reported as OT) and the default row budget. The
+/// cross-query scan cache and the plan cache are OFF here so every figure
+/// bench's execution_ms / optimization_ms keeps measuring real filter
+/// evaluation and real optimization — the accumulated BENCH_pipeline.json
+/// trajectory stays comparable across PRs, and cache amortization is
+/// measured by the one bench built for it (bench_fig13_concurrency, which
+/// opts back in).
+inline exec::ExecutionOptions BenchExecOptions(const BenchArgs& args) {
   exec::ExecutionOptions options;
+  options.engine = exec::EngineKind::kPipeline;
+  options.num_threads = args.threads;
   options.timeout_ms = 30'000.0;
   options.scan_cache = false;
   options.plan_cache = false;
-  options.dictionary_encoding = g_dictionary_encoding;
   return options;
 }
 

@@ -92,10 +92,9 @@ void Database::Shutdown(ShutdownMode mode) const {
 
 Status Database::Finalize(optimizer::GlogueOptions glogue_options) {
   // Dictionary-encode every base-table string column (sorted-unique
-  // dictionary + int32 code vector, storage::StringDictionary). Built
-  // unconditionally: ExecutionOptions::dictionary_encoding gates only
-  // the *use* of codes, so dictionary-on/off A/B runs execute against
-  // identical storage.
+  // dictionary + int32 code vector, storage::StringDictionary). The
+  // pipeline engine uses the codes wherever a column carries one; the
+  // reference interpreter reads only the string payloads.
   for (const std::string& name : catalog_.ListTables()) {
     auto table = catalog_.GetTable(name);
     if (!table.ok()) continue;

@@ -33,30 +33,31 @@ class TaskScheduler;
 
 /// Which runtime interprets the physical plan.
 ///
-///  * kMaterialize — the reference operator-at-a-time interpreter
-///    (exec/executor.*): every operator fully materializes its output.
-///  * kPipeline    — the morsel-driven vectorized engine
-///    (exec/pipeline/*): the plan is decomposed into pipelines split at
-///    breakers and executed batch-at-a-time by a worker pool.
+///  * kPipeline    — the production engine (exec/pipeline/*): the plan is
+///    decomposed into pipelines split at breakers and executed
+///    batch-at-a-time by a worker pool, through the vectorized kernels,
+///    dictionary codes, the shared join hash table and the scan cache.
+///  * kMaterialize — the reference interpreter (exec/executor.*): every
+///    operator fully materializes its output, evaluating filters row at
+///    a time and keying joins, GROUP BY and ORDER BY on boxed Values. It
+///    shares none of the pipeline's accelerated components, which makes
+///    it the oracle of the differential tests (pipeline_parity_test.cc)
+///    and of perfbench's result checks. It is not tuned for speed.
 ///
-/// Both engines produce identical result bags (pipeline_parity_test.cc);
-/// the materializing engine remains the oracle for differential testing.
-/// Pipeline row order is deterministic and thread-count independent
-/// (sinks merge in morsel order, equal to the sequential scan order), so
-/// repeated runs are reproducible; ORDER BY + LIMIT tie-breaking can still
-/// differ *between* the two engines on index-free EXPAND / EDGE_VERIFY
-/// plans, whose materializing implementation picks its hash build side
-/// adaptively and thereby emits rows in a different (but equally valid)
-/// order.
+/// Both engines emit the same rows in the same order: pipeline sinks
+/// merge in morsel order (equal to the sequential scan order, independent
+/// of thread count), and every reference operator streams its input in
+/// row order with hash-join matches in build-row order, as the pipeline
+/// does.
 enum class EngineKind {
   kMaterialize,
   kPipeline,
 };
 
-/// The interrupt-check cadence of the materializing engine's row loops —
-/// the observable-latency contract of cooperative cancellation:
+/// The interrupt-check cadence of the engines' row loops — the
+/// observable-latency contract of cooperative cancellation:
 ///
-///  * The materializing executor calls ExecutionContext::CheckInterrupt()
+///  * The reference interpreter calls ExecutionContext::CheckInterrupt()
 ///    at every operator dispatch and, inside per-row expansion/probe
 ///    loops, every `kInterruptCheckMask + 1` (= 4096) iterations. One
 ///    shared constant for every loop (this used to be an ad-hoc mix of
@@ -82,20 +83,22 @@ struct ExecutionOptions {
   uint64_t max_total_rows = 80'000'000;
   /// Wall-clock limit; kTimeout past this.
   double timeout_ms = 600'000.0;
-  /// Runtime selection; the materializing executor is the default oracle.
-  EngineKind engine = EngineKind::kMaterialize;
+  /// Runtime selection: the pipeline engine serves queries; kMaterialize
+  /// asks for the reference interpreter explicitly.
+  EngineKind engine = EngineKind::kPipeline;
   /// Worker threads for the pipeline engine. 0 = hardware concurrency;
-  /// 1 = single-threaded deterministic mode (used by tests). Ignored by the
-  /// materializing engine.
+  /// 1 = single-threaded mode (used by tests). Ignored by the reference
+  /// interpreter.
   int num_threads = 0;
   /// Consult the owning Database's cross-query scan/filter cache (ROADMAP
-  /// "Shared scan caching"): filtered base-table scans reuse selection
-  /// vectors computed by earlier queries instead of re-evaluating the
-  /// predicate, invalidated by the table's version counter. Results are
-  /// bit-identical either way (the cache stores exactly what the filter
-  /// loop would have produced, and row-budget charges are unchanged), so
-  /// this is on by default; the off switch exists for A/B measurement and
-  /// the parity test suite.
+  /// "Shared scan caching"): the pipeline engine's filtered base-table
+  /// scans reuse selection vectors computed by earlier queries instead of
+  /// re-evaluating the predicate, invalidated by the table's version
+  /// counter. Results are bit-identical either way (the cache stores
+  /// exactly what the filter loop would have produced, and row-budget
+  /// charges are unchanged), so this is on by default; the off switch
+  /// exists for A/B measurement. The reference interpreter never
+  /// consults the cache.
   bool scan_cache = true;
   /// Consult the owning Database's cross-query plan cache (ROADMAP
   /// "Serving tier"): optimized physical plans are cached by template
@@ -138,30 +141,6 @@ struct ExecutionOptions {
   /// wall time reaches this many milliseconds is recorded as one
   /// structured line in the Database's SlowQueryLog. <= 0 disables.
   double slow_query_ms = 0.0;
-  /// Evaluate filters through the vectorized kernel layer
-  /// (src/exec/vector/): bound predicates are lowered once per scan /
-  /// filter into typed kernels over column payload spans and selection
-  /// vectors, and typed key extraction replaces boxed Value rows in
-  /// hash-join build/probe, GROUP BY and TopK. Predicates the lowerer
-  /// cannot cover fall back to row-at-a-time Expr::EvaluateBool, and
-  /// kernel semantics are bit-identical to that path
-  /// (vector_kernel_test pins the parity), so this is on by default;
-  /// the off switch exists for A/B measurement and differential tests.
-  bool vectorized_kernels = true;
-  /// Use the per-column string dictionaries built at Database::Finalize
-  /// (sorted-unique dictionary + int32 code vector, storage/column.h):
-  /// string =, !=, IN and — on sorted dictionaries — range predicates
-  /// lower to int32 code kernels with compile-time constant
-  /// translation, StartsWith/Contains probe a per-distinct-value pass
-  /// bitmap, hash-join string keys and GROUP BY string keys hash codes
-  /// instead of bytes, and ORDER BY / TopK compare codes when both
-  /// slots share a sorted dictionary. Every code path re-checks the
-  /// dictionary pointer per batch and falls back to the string payload
-  /// when a derived column dropped or never had one, and results are
-  /// byte-identical on/off (dictionary_test pins the parity), so this
-  /// is on by default; the off switch exists for A/B measurement and
-  /// differential tests.
-  bool dictionary_encoding = true;
   /// When set, the Database stores the query id it minted for this run
   /// (the same id that keys traces, the slow-query log, and the
   /// cancellation registry) before execution starts — the handle a
@@ -283,14 +262,14 @@ class ExecutionContext {
   /// --- Deferred scan-cache publication -------------------------------
   ///
   /// Failed (cancelled, timed-out, faulted) queries must never publish
-  /// scan-cache entries, so the engines no longer Put into the cache
+  /// scan-cache entries, so the pipeline engine never Puts into the cache
   /// mid-query: completed selections/bitmaps are queued here and the
   /// Database commits the queue only after the whole query succeeded
   /// (dropping it on any failure). Entries are complete and correct at
   /// queue time — deferral only narrows *when* they become visible to
   /// other queries. Queue sites run on the owning thread (scan Prepare,
-  /// pipeline-finished hooks, the materializing interpreter), but a small
-  /// mutex keeps the queue safe if that ever changes.
+  /// pipeline-finished hooks), but a small mutex keeps the queue safe if
+  /// that ever changes.
 
   void QueuePutSelection(
       std::string key, uint64_t version,

@@ -1,13 +1,10 @@
 #ifndef RELGO_EXEC_EXEC_COMMON_H_
 #define RELGO_EXEC_EXEC_COMMON_H_
 
-#include <algorithm>
-#include <numeric>
 #include <string>
 #include <vector>
 
 #include "exec/context.h"
-#include "exec/vector/typed_keys.h"
 #include "plan/spjm_query.h"
 #include "storage/expression.h"
 #include "storage/table.h"
@@ -64,50 +61,11 @@ inline storage::Schema BindingSchema(const std::vector<std::string>& vars) {
   return s;
 }
 
-/// A per-base-row validity bitmap with shared storage: either empty (no
-/// filter — every row passes) or one byte per base-table row (1 == pass).
-/// The payload is shared so a ScanCache hit replays an earlier query's
-/// bitmap without copying it, and the accessors mirror the
-/// std::vector<uint8_t> the expansion loops were written against.
-class SharedBitmap {
- public:
-  using Ptr = std::shared_ptr<const std::vector<uint8_t>>;
-
-  SharedBitmap() = default;
-  explicit SharedBitmap(Ptr data) : data_(std::move(data)) {}
-
-  bool empty() const { return data_ == nullptr || data_->empty(); }
-  uint8_t operator[](uint64_t i) const { return (*data_)[i]; }
-  size_t size() const { return data_ == nullptr ? 0 : data_->size(); }
-  const Ptr& data() const { return data_; }
-
- private:
-  Ptr data_;
-};
-
-/// Evaluates `filter` once per row of `table` into a validity bitmap
-/// (empty when there is no filter). Expansion-style operators consult the
-/// bitmap per adjacency entry, turning per-expansion expression evaluation
-/// into a single table pass. The pipeline engine computes bitmaps during
-/// single-threaded operator Prepare, so workers only do bitmap loads.
-///
-/// Two acceleration layers, both semantics-preserving (exec_common.cc):
-/// the predicate is lowered to vectorized kernels when
-/// ExecutionOptions::vectorized_kernels allows and the tree is lowerable
-/// (row-at-a-time fallback otherwise), and the finished bitmap is
-/// published to the cross-query ScanCache ("bitmap|..." namespace) so
-/// repeated expansions replay it instead of re-evaluating.
-Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
-                                  const storage::ExprPtr& filter,
-                                  ExecutionContext* ctx);
-
-/// Three-way ORDER BY key comparison: the single source of truth for sort
-/// semantics (Value comparison incl. null ordering, per-key direction) in
-/// BOTH engines — SortTableByKeys below (materializing ORDER BY) and the
-/// pipeline engine's TopKSink. `a` / `b` map a key index to that row's
-/// key Value; template accessors so the O(n log n) sort paths inline the
-/// loads. Returns <0 / 0 / >0; ties are the caller's to break (stable
-/// sort order, or the pipeline's (morsel, row) sequence).
+/// Three-way ORDER BY key comparison over boxed Values (null ordering,
+/// per-key direction): the reference interpreter's ORDER BY and the
+/// pipeline TopKSink's boxed heap rows. `a` / `b` map a key index to that
+/// row's key Value. Returns <0 / 0 / >0; ties are the caller's to break
+/// (stable sort order, or the pipeline's (morsel, row) sequence).
 template <typename AValueAt, typename BValueAt>
 int CompareSortKeyValues(const std::vector<plan::SortKey>& keys,
                          const AValueAt& a, const BValueAt& b) {
@@ -116,62 +74,6 @@ int CompareSortKeyValues(const std::vector<plan::SortKey>& keys,
     if (c != 0) return keys[i].ascending ? c : -c;
   }
   return 0;
-}
-
-/// ORDER BY over a materialized table (stable sort; charges the full row
-/// count). Shared by both engines so their comparator semantics — null
-/// ordering, multi-key tie-breaking — can never diverge.
-inline Result<storage::TablePtr> SortTableByKeys(
-    const std::vector<plan::SortKey>& keys, storage::TablePtr child,
-    ExecutionContext* ctx) {
-  std::vector<size_t> key_cols;
-  for (const auto& k : keys) {
-    RELGO_ASSIGN_OR_RETURN(size_t idx,
-                           child->schema().GetColumnIndex(k.column));
-    key_cols.push_back(idx);
-  }
-  std::vector<uint64_t> sel(child->num_rows());
-  std::iota(sel.begin(), sel.end(), 0);
-  if (ctx->options().vectorized_kernels) {
-    // Typed comparator: payload-span reads instead of boxing two Values
-    // per comparison; sign-identical (vector::TypedColumnCompare). With
-    // dictionary encoding on, string keys sharing a sorted dictionary
-    // compare int32 codes instead of bytes.
-    const bool use_dict = ctx->options().dictionary_encoding;
-    std::vector<const storage::Column*> kc;
-    for (size_t idx : key_cols) kc.push_back(&child->column(idx));
-    std::stable_sort(sel.begin(), sel.end(), [&](uint64_t a, uint64_t b) {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        int c = vector::TypedColumnCompare(*kc[i], a, *kc[i], b, use_dict);
-        if (c != 0) return keys[i].ascending ? c < 0 : c > 0;
-      }
-      return false;
-    });
-  } else {
-    std::stable_sort(sel.begin(), sel.end(), [&](uint64_t a, uint64_t b) {
-      return CompareSortKeyValues(
-                 keys,
-                 [&](size_t i) { return child->GetValue(a, key_cols[i]); },
-                 [&](size_t i) { return child->GetValue(b, key_cols[i]); }) <
-             0;
-    });
-  }
-  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
-  return GatherTable(*child, sel, child->name());
-}
-
-/// LIMIT over a materialized table; pass-through (uncharged) when the
-/// limit is absent or not reached. Shared by both engines.
-inline Result<storage::TablePtr> LimitTableRows(int64_t limit,
-                                                storage::TablePtr child,
-                                                ExecutionContext* ctx) {
-  if (limit < 0 || static_cast<uint64_t>(limit) >= child->num_rows()) {
-    return child;
-  }
-  std::vector<uint64_t> sel(static_cast<size_t>(limit));
-  std::iota(sel.begin(), sel.end(), 0);
-  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
-  return GatherTable(*child, sel, child->name());
 }
 
 }  // namespace exec

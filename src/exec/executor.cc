@@ -7,11 +7,7 @@
 #include "common/fault.h"
 #include "common/hash.h"
 #include "exec/exec_common.h"
-#include "exec/join_hash_table.h"
 #include "exec/naive_matcher.h"
-#include "exec/scan_cache.h"
-#include "exec/vector/compiled_expr.h"
-#include "exec/vector/typed_keys.h"
 
 namespace relgo {
 namespace exec {
@@ -33,57 +29,68 @@ Result<size_t> ColumnIndex(const Table& t, const std::string& name) {
   return t.schema().GetColumnIndex(name);
 }
 
-/// The selection vector of a filtered base-table scan, consulting the
-/// cross-query scan cache when one is attached: a hit replays the row ids
-/// an earlier query selected under the same (table, predicate) signature
-/// and table version; a miss evaluates the (already bound) filter and
-/// publishes the result. `cache_kind` is "scan" / "vscan" — it must match
-/// the pipeline engine's keys so both engines share entries. Returns
-/// shared storage (the cache entry itself on a hit — no per-query copy).
-Result<ScanCache::SelectionPtr> FilteredSelection(
-    const storage::TablePtr& table, const storage::ExprPtr& bound_filter,
-    const storage::ExprPtr& plan_filter, const char* cache_kind,
-    ExecutionContext* ctx) {
-  ScanCache* cache =
-      bound_filter != nullptr ? ctx->scan_cache() : nullptr;
-  std::string key;
-  uint64_t version = 0;
-  if (cache != nullptr) {
-    key = ScanCache::Key(cache_kind, table->name(), plan_filter);
-    version = table->version();
-    if (ScanCache::SelectionPtr cached = cache->Get(key, version)) {
-      ctx->CountScanCacheHit();
-      return cached;
+/// Group-by / join key wrapper with Value-based equality.
+struct GroupKey {
+  std::vector<Value> values;
+  bool operator==(const GroupKey& other) const {
+    if (values.size() != other.values.size()) return false;
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (!(values[i] == other.values[i])) return false;
     }
+    return true;
   }
-  auto sel = std::make_shared<std::vector<uint64_t>>();
-  sel->reserve(table->num_rows());
-  // Kernel path: lower the bound predicate once and scan typed payload
-  // spans (bit-identical to EvaluateBool); row-at-a-time fallback for
-  // trees outside the lowerable subset or with the option off.
-  std::unique_ptr<vector::CompiledPredicate> compiled;
-  if (bound_filter != nullptr && ctx->options().vectorized_kernels) {
-    compiled = vector::CompiledPredicate::Compile(
-        *bound_filter, table->schema(), table.get(),
-        ctx->options().dictionary_encoding);
+};
+struct GroupKeyHash {
+  size_t operator()(const GroupKey& k) const {
+    size_t h = 0xcbf29ce484222325ULL;
+    for (const auto& v : k.values) h = HashCombine(h, v.Hash());
+    return h;
   }
-  if (compiled != nullptr) {
-    compiled->FilterTable(*table, 0, table->num_rows(), sel.get());
-  } else {
-    for (uint64_t r = 0; r < table->num_rows(); ++r) {
-      if (!bound_filter || bound_filter->EvaluateBool(*table, r)) {
-        sel->push_back(r);
-      }
-    }
+};
+
+/// The boxed key of row `r` over `cols`.
+GroupKey RowKey(const Table& t, const std::vector<size_t>& cols, uint64_t r) {
+  GroupKey key;
+  key.values.reserve(cols.size());
+  for (size_t c : cols) key.values.push_back(t.GetValue(r, c));
+  return key;
+}
+
+/// Binds a clone of `filter` to `table`: the plan may share the tree with
+/// its query, and concurrent executions must not race on Bind's resolved
+/// indexes.
+Result<storage::ExprPtr> BindClone(const storage::ExprPtr& filter,
+                                   const Table& table) {
+  if (!filter) return storage::ExprPtr();
+  storage::ExprPtr bound = filter->Clone();
+  RELGO_RETURN_NOT_OK(bound->Bind(table.schema()));
+  return bound;
+}
+
+/// Rows of `table` passing `filter` (all rows without one), evaluated row
+/// at a time.
+Result<std::vector<uint64_t>> FilteredSelection(
+    const Table& table, const storage::ExprPtr& filter) {
+  RELGO_ASSIGN_OR_RETURN(auto bound, BindClone(filter, table));
+  std::vector<uint64_t> sel;
+  for (uint64_t r = 0; r < table.num_rows(); ++r) {
+    if (!bound || bound->EvaluateBool(table, r)) sel.push_back(r);
   }
-  if (cache != nullptr) {
-    // Deferred publication (see ExecutionContext): the entry is complete,
-    // but it only becomes visible to other queries if this one succeeds.
-    RELGO_RETURN_NOT_OK(
-        fault::MaybeInject(fault::Site::kScanCachePublish));
-    ctx->QueuePutSelection(std::move(key), version, sel);
+  return sel;
+}
+
+/// One byte per row of `table` (1 == passes `filter`); empty when there is
+/// no filter, meaning every row passes.
+Result<std::vector<uint8_t>> RowBitmap(const Table& table,
+                                       const storage::ExprPtr& filter) {
+  RELGO_ASSIGN_OR_RETURN(auto bound, BindClone(filter, table));
+  std::vector<uint8_t> bitmap;
+  if (!bound) return bitmap;
+  bitmap.resize(table.num_rows());
+  for (uint64_t r = 0; r < table.num_rows(); ++r) {
+    bitmap[r] = bound->EvaluateBool(table, r) ? 1 : 0;
   }
-  return ScanCache::SelectionPtr(std::move(sel));
+  return bitmap;
 }
 
 // ---------------------------------------------------------------------------
@@ -93,20 +100,12 @@ Result<ScanCache::SelectionPtr> FilteredSelection(
 Result<TablePtr> ExecScanTable(const plan::PhysScanTable& op,
                                ExecutionContext* ctx) {
   RELGO_ASSIGN_OR_RETURN(auto table, ctx->catalog().GetTable(op.table));
-  // Bind a clone: the plan may share the filter tree with its query, and
-  // concurrent executions must not race on Bind's resolved indexes.
-  storage::ExprPtr filter = op.filter ? op.filter->Clone() : nullptr;
-  if (filter) RELGO_RETURN_NOT_OK(filter->Bind(table->schema()));
-
   std::vector<int> raw_indexes;
   Schema schema = ScanSchema(*table, op.alias, op.projected_columns,
                              op.emit_rowid, &raw_indexes);
   auto out = std::make_shared<Table>(op.alias, schema);
 
-  RELGO_ASSIGN_OR_RETURN(
-      ScanCache::SelectionPtr sel_ptr,
-      FilteredSelection(table, filter, op.filter, "scan", ctx));
-  const std::vector<uint64_t>& sel = *sel_ptr;
+  RELGO_ASSIGN_OR_RETURN(auto sel, FilteredSelection(*table, op.filter));
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
 
   size_t out_col = 0;
@@ -125,22 +124,7 @@ Result<TablePtr> ExecScanTable(const plan::PhysScanTable& op,
 Result<TablePtr> ExecFilter(const plan::PhysFilter& op, TablePtr child,
                             ExecutionContext* ctx) {
   if (!op.predicate) return child;
-  storage::ExprPtr predicate = op.predicate->Clone();  // see ExecScanTable
-  RELGO_RETURN_NOT_OK(predicate->Bind(child->schema()));
-  std::vector<uint64_t> sel;
-  std::unique_ptr<vector::CompiledPredicate> compiled;
-  if (ctx->options().vectorized_kernels) {
-    compiled = vector::CompiledPredicate::Compile(
-        *predicate, child->schema(), child.get(),
-        ctx->options().dictionary_encoding);
-  }
-  if (compiled != nullptr) {
-    compiled->FilterTable(*child, 0, child->num_rows(), &sel);
-  } else {
-    for (uint64_t r = 0; r < child->num_rows(); ++r) {
-      if (predicate->EvaluateBool(*child, r)) sel.push_back(r);
-    }
-  }
+  RELGO_ASSIGN_OR_RETURN(auto sel, FilteredSelection(*child, op.predicate));
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
   return GatherTable(*child, sel, child->name());
 }
@@ -164,49 +148,40 @@ Result<TablePtr> ExecProject(const plan::PhysProject& op, TablePtr child,
   return out;
 }
 
-}  // namespace
-
+/// Hash-joins two materialized tables on their key columns (names
+/// resolved in each side's schema): the right side is the build side,
+/// keyed by boxed Values; left rows stream in order and emit their matches
+/// in build-row order. Output schema: all left columns followed by all
+/// right columns except `drop_right` (PATTERN_JOIN drops its duplicated
+/// shared variables) and names already present.
 Result<TablePtr> HashJoinTables(const Table& left, const Table& right,
                                 const std::vector<std::string>& left_keys,
                                 const std::vector<std::string>& right_keys,
                                 const std::vector<std::string>& drop_right,
                                 ExecutionContext* ctx) {
-  JoinHashTable ht;
-  RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kHashBuild));
-  RELGO_RETURN_NOT_OK(
-      ht.Build(right, right_keys, ctx->options().dictionary_encoding));
-  std::vector<size_t> probe_cols;
+  std::vector<size_t> build_cols, probe_cols;
+  for (const auto& k : right_keys) {
+    RELGO_ASSIGN_OR_RETURN(size_t idx, ColumnIndex(right, k));
+    build_cols.push_back(idx);
+  }
   for (const auto& k : left_keys) {
     RELGO_ASSIGN_OR_RETURN(size_t idx, ColumnIndex(left, k));
     probe_cols.push_back(idx);
   }
-  // Probe through payload spans hoisted once instead of Column::int_at
-  // per (row, key). The planner's joins are int64 binding columns and
-  // take the typed-span path; string keys (dictionary codes or payload
-  // fallback) go through the bound ProbeView.
-  const bool string_keys = ht.has_string_keys();
-  JoinHashTable::ProbeView view;
-  std::vector<const int64_t*> probe_keys;
-  if (string_keys) {
-    RELGO_RETURN_NOT_OK(ht.BindProbe(left, probe_cols, &view));
-  } else {
-    for (size_t idx : probe_cols) {
-      probe_keys.push_back(left.column(idx).data_int64());
-    }
+  RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kHashBuild));
+  std::unordered_map<GroupKey, std::vector<uint64_t>, GroupKeyHash> build;
+  for (uint64_t r = 0; r < right.num_rows(); ++r) {
+    build[RowKey(right, build_cols, r)].push_back(r);
   }
 
   std::vector<uint64_t> left_sel, right_sel;
-  std::vector<uint64_t> matches;
   for (uint64_t r = 0; r < left.num_rows(); ++r) {
-    matches.clear();
-    if (string_keys) {
-      ht.Probe(view, r, &matches);
-    } else {
-      ht.Probe(probe_keys.data(), r, &matches);
-    }
-    for (uint64_t b : matches) {
-      left_sel.push_back(r);
-      right_sel.push_back(b);
+    auto it = build.find(RowKey(left, probe_cols, r));
+    if (it != build.end()) {
+      for (uint64_t b : it->second) {
+        left_sel.push_back(r);
+        right_sel.push_back(b);
+      }
     }
     if ((r & kInterruptCheckMask) == 0) {
       RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
@@ -241,8 +216,6 @@ Result<TablePtr> HashJoinTables(const Table& left, const Table& right,
   return out;
 }
 
-namespace {
-
 Result<TablePtr> ExecHashJoin(const plan::PhysHashJoin& op, TablePtr left,
                               TablePtr right, ExecutionContext* ctx) {
   return HashJoinTables(*left, *right, op.left_keys, op.right_keys, {}, ctx);
@@ -261,7 +234,7 @@ Result<TablePtr> ExecRidLookupJoin(const plan::PhysRidLookupJoin& op,
                    : ctx->mapping().FindVertexLabel(em.dst_label);
   RELGO_ASSIGN_OR_RETURN(auto vtable, ctx->VertexTable(vlabel));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         FilterBitmap(vtable, op.vertex_filter, ctx));
+                         RowBitmap(*vtable, op.vertex_filter));
 
   std::vector<int> raw_indexes;
   Schema vschema = ScanSchema(*vtable, op.vertex_alias, op.vertex_columns,
@@ -313,7 +286,7 @@ Result<TablePtr> ExecRidExpandJoin(const plan::PhysRidExpandJoin& op,
                          ColumnIndex(*child, op.vertex_rowid_column));
   RELGO_ASSIGN_OR_RETURN(auto etable, ctx->EdgeTable(op.edge_label));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         FilterBitmap(etable, op.edge_filter, ctx));
+                         RowBitmap(*etable, op.edge_filter));
 
   std::vector<int> raw_indexes;
   Schema eschema = ScanSchema(*etable, op.edge_alias, op.edge_columns,
@@ -359,25 +332,6 @@ Result<TablePtr> ExecRidExpandJoin(const plan::PhysRidExpandJoin& op,
   return out;
 }
 
-/// Group-by key wrapper with Value-based equality.
-struct GroupKey {
-  std::vector<Value> values;
-  bool operator==(const GroupKey& other) const {
-    if (values.size() != other.values.size()) return false;
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (!(values[i] == other.values[i])) return false;
-    }
-    return true;
-  }
-};
-struct GroupKeyHash {
-  size_t operator()(const GroupKey& k) const {
-    size_t h = 0xcbf29ce484222325ULL;
-    for (const auto& v : k.values) h = HashCombine(h, v.Hash());
-    return h;
-  }
-};
-
 Result<TablePtr> ExecHashAggregate(const plan::PhysHashAggregate& op,
                                    TablePtr child, ExecutionContext* ctx) {
   std::vector<size_t> group_cols;
@@ -403,72 +357,24 @@ Result<TablePtr> ExecHashAggregate(const plan::PhysHashAggregate& op,
   };
   std::unordered_map<GroupKey, std::vector<AggState>, GroupKeyHash> groups;
   std::vector<GroupKey> order;  // first-seen order for determinism
-  // Typed fast path (exec/vector/typed_keys.h): byte-encoded keys and
-  // span-read aggregate inputs, no Value boxing per row. Falls back to
-  // the boxed maps when disabled or when a key type is not
-  // byte-encodable (doubles).
-  std::unordered_map<vector::EncodedGroupKey, std::vector<AggState>,
-                     vector::EncodedGroupKeyHash>
-      egroups;
-  std::vector<const vector::EncodedGroupKey*> eorder;  // first-seen order
-  std::unique_ptr<vector::KeyEncoder> encoder;
-  if (ctx->options().vectorized_kernels) {
-    std::vector<LogicalType> key_types;
-    for (size_t c : group_cols) {
-      key_types.push_back(child->schema().column(c).type);
+  for (uint64_t r = 0; r < child->num_rows(); ++r) {
+    GroupKey key = RowKey(*child, group_cols, r);
+    auto it = groups.find(key);
+    if (it == groups.end()) {
+      it = groups.emplace(key, std::vector<AggState>(op.aggregates.size()))
+               .first;
+      order.push_back(std::move(key));
     }
-    encoder = vector::KeyEncoder::Make(key_types,
-                                       ctx->options().dictionary_encoding);
-  }
-
-  if (encoder != nullptr) {
-    std::vector<const Column*> key_cols;
-    for (size_t c : group_cols) key_cols.push_back(&child->column(c));
-    std::vector<vector::AggColumnView> views(op.aggregates.size());
     for (size_t a = 0; a < op.aggregates.size(); ++a) {
+      AggState& st = it->second[a];
+      st.count += 1;
       if (agg_cols[a] >= 0) {
-        views[a] = vector::AggColumnView(
-            &child->column(static_cast<size_t>(agg_cols[a])));
-      }
-    }
-    vector::EncodedGroupKey key;
-    for (uint64_t r = 0; r < child->num_rows(); ++r) {
-      encoder->Encode(key_cols.data(), r, &key);
-      auto it = egroups.find(key);
-      if (it == egroups.end()) {
-        it = egroups
-                 .emplace(key, std::vector<AggState>(op.aggregates.size()))
-                 .first;
-        eorder.push_back(&it->first);  // unordered_map keys are node-stable
-      }
-      for (size_t a = 0; a < op.aggregates.size(); ++a) {
-        AggState& st = it->second[a];
-        st.count += 1;
-        if (agg_cols[a] >= 0) views[a].Update(r, &st);
-      }
-    }
-  } else {
-    for (uint64_t r = 0; r < child->num_rows(); ++r) {
-      GroupKey key;
-      key.values.reserve(group_cols.size());
-      for (size_t c : group_cols) key.values.push_back(child->GetValue(r, c));
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        it = groups.emplace(key, std::vector<AggState>(op.aggregates.size()))
-                 .first;
-        order.push_back(key);
-      }
-      for (size_t a = 0; a < op.aggregates.size(); ++a) {
-        AggState& st = it->second[a];
-        st.count += 1;
-        if (agg_cols[a] >= 0) {
-          Value v = child->GetValue(r, static_cast<size_t>(agg_cols[a]));
-          if (!v.is_null()) {
-            if (st.min.is_null() || v < st.min) st.min = v;
-            if (st.max.is_null() || st.max < v) st.max = v;
-            if (v.type() == LogicalType::kInt64) st.isum += v.int_value();
-            if (v.type() == LogicalType::kDouble) st.sum += v.double_value();
-          }
+        Value v = child->GetValue(r, static_cast<size_t>(agg_cols[a]));
+        if (!v.is_null()) {
+          if (st.min.is_null() || v < st.min) st.min = v;
+          if (st.max.is_null() || st.max < v) st.max = v;
+          if (v.type() == LogicalType::kInt64) st.isum += v.int_value();
+          if (v.type() == LogicalType::kDouble) st.sum += v.double_value();
         }
       }
     }
@@ -491,7 +397,7 @@ Result<TablePtr> ExecHashAggregate(const plan::PhysHashAggregate& op,
   auto out = std::make_shared<Table>("aggregate", schema);
   // SQL semantics: a global aggregate (no GROUP BY) over empty input still
   // yields one row (COUNT = 0, MIN/MAX/SUM = NULL).
-  if (op.group_by.empty() && order.empty() && eorder.empty()) {
+  if (op.group_by.empty() && order.empty()) {
     std::vector<Value> row;
     for (const auto& a : op.aggregates) {
       row.push_back(a.func == plan::AggFunc::kCount ? Value::Int(0)
@@ -525,29 +431,44 @@ Result<TablePtr> ExecHashAggregate(const plan::PhysHashAggregate& op,
     }
     return out->AppendRow(row);
   };
-  if (encoder != nullptr) {
-    std::vector<Value> key_vals;
-    for (const auto* ekey : eorder) {
-      encoder->Decode(*ekey, &key_vals);
-      RELGO_RETURN_NOT_OK(emit(key_vals, egroups.at(*ekey)));
-    }
-  } else {
-    for (const auto& key : order) {
-      RELGO_RETURN_NOT_OK(emit(key.values, groups[key]));
-    }
+  for (const auto& key : order) {
+    RELGO_RETURN_NOT_OK(emit(key.values, groups[key]));
   }
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(out->num_rows()));
   return out;
 }
 
+/// Stable sort over boxed key Values; charges the full row count.
 Result<TablePtr> ExecOrderBy(const plan::PhysOrderBy& op, TablePtr child,
                              ExecutionContext* ctx) {
-  return SortTableByKeys(op.keys, std::move(child), ctx);
+  std::vector<size_t> key_cols;
+  for (const auto& k : op.keys) {
+    RELGO_ASSIGN_OR_RETURN(size_t idx, ColumnIndex(*child, k.column));
+    key_cols.push_back(idx);
+  }
+  std::vector<uint64_t> sel(child->num_rows());
+  std::iota(sel.begin(), sel.end(), 0);
+  std::stable_sort(sel.begin(), sel.end(), [&](uint64_t a, uint64_t b) {
+    return CompareSortKeyValues(
+               op.keys,
+               [&](size_t i) { return child->GetValue(a, key_cols[i]); },
+               [&](size_t i) { return child->GetValue(b, key_cols[i]); }) <
+           0;
+  });
+  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
+  return GatherTable(*child, sel, child->name());
 }
 
+/// Pass-through (uncharged) when the limit is absent or not reached.
 Result<TablePtr> ExecLimit(const plan::PhysLimit& op, TablePtr child,
                            ExecutionContext* ctx) {
-  return LimitTableRows(op.limit, std::move(child), ctx);
+  if (op.limit < 0 || static_cast<uint64_t>(op.limit) >= child->num_rows()) {
+    return child;
+  }
+  std::vector<uint64_t> sel(static_cast<size_t>(op.limit));
+  std::iota(sel.begin(), sel.end(), 0);
+  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
+  return GatherTable(*child, sel, child->name());
 }
 
 // ---------------------------------------------------------------------------
@@ -557,15 +478,11 @@ Result<TablePtr> ExecLimit(const plan::PhysLimit& op, TablePtr child,
 Result<TablePtr> ExecScanVertex(const plan::PhysScanVertex& op,
                                 ExecutionContext* ctx) {
   RELGO_ASSIGN_OR_RETURN(auto vtable, ctx->VertexTable(op.vertex_label));
-  storage::ExprPtr filter = op.filter ? op.filter->Clone() : nullptr;
-  if (filter) RELGO_RETURN_NOT_OK(filter->Bind(vtable->schema()));
   auto out = std::make_shared<Table>("match", BindingSchema({op.var}));
-  RELGO_ASSIGN_OR_RETURN(
-      ScanCache::SelectionPtr sel,
-      FilteredSelection(vtable, filter, op.filter, "vscan", ctx));
+  RELGO_ASSIGN_OR_RETURN(auto sel, FilteredSelection(*vtable, op.filter));
   Column& col = out->column(0);
-  col.Reserve(sel->size());
-  for (uint64_t r : *sel) col.AppendInt(static_cast<int64_t>(r));
+  col.Reserve(sel.size());
+  for (uint64_t r : sel) col.AppendInt(static_cast<int64_t>(r));
   out->FinishBulkAppend();
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(out->num_rows()));
   return out;
@@ -607,7 +524,7 @@ Result<TablePtr> ExecExpandEdge(const plan::PhysExpandEdge& op, TablePtr child,
   RELGO_ASSIGN_OR_RETURN(size_t from_col, ColumnIndex(*child, op.from_var));
   RELGO_ASSIGN_OR_RETURN(auto etable, ctx->EdgeTable(op.edge_label));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         FilterBitmap(etable, op.edge_filter, ctx));
+                         RowBitmap(*etable, op.edge_filter));
   std::vector<uint64_t> child_sel;
   std::vector<int64_t> edge_vals;
   for (uint64_t r = 0; r < child->num_rows(); ++r) {
@@ -639,7 +556,7 @@ Result<TablePtr> ExecGetVertex(const plan::PhysGetVertex& op, TablePtr child,
                    : ctx->mapping().FindVertexLabel(em.src_label);
   RELGO_ASSIGN_OR_RETURN(auto vtable, ctx->VertexTable(vlabel));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         FilterBitmap(vtable, op.vertex_filter, ctx));
+                         RowBitmap(*vtable, op.vertex_filter));
   std::vector<uint64_t> child_sel;
   std::vector<int64_t> vertex_vals;
   for (uint64_t r = 0; r < child->num_rows(); ++r) {
@@ -664,7 +581,7 @@ Result<TablePtr> ExecExpand(const plan::PhysExpand& op, TablePtr child,
                      : ctx->mapping().FindVertexLabel(em.src_label);
   RELGO_ASSIGN_OR_RETURN(auto to_table, ctx->VertexTable(to_label));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         FilterBitmap(to_table, op.vertex_filter, ctx));
+                         RowBitmap(*to_table, op.vertex_filter));
 
   std::vector<uint64_t> child_sel;
   std::vector<int64_t> to_vals;
@@ -715,48 +632,28 @@ Result<TablePtr> ExecExpand(const plan::PhysExpand& op, TablePtr child,
     }
     RELGO_ASSIGN_OR_RETURN(const auto* to_key_index,
                            to_table->GetKeyIndex(to_vm.key_column));
-    // Standard hash join with build-side selection: hash the smaller of
-    // (binding table, edge relation) and probe with the other.
-    auto emit = [&](uint64_t r, uint64_t e) {
-      auto to_it = to_key_index->find(to_fk_col->int_at(e));
-      if (to_it == to_key_index->end()) return;
-      uint64_t nbr = to_it->second;
-      if (!bitmap.empty() && !bitmap[nbr]) return;
-      child_sel.push_back(r);
-      to_vals.push_back(static_cast<int64_t>(nbr));
-      if (want_edge) edge_vals.push_back(static_cast<int64_t>(e));
-    };
-    if (child->num_rows() < etable->num_rows()) {
-      // Build on the bindings, stream the edge relation.
-      std::unordered_map<int64_t, std::vector<uint64_t>> build;
-      build.reserve(child->num_rows() * 2);
-      for (uint64_t r = 0; r < child->num_rows(); ++r) {
-        auto v = static_cast<uint64_t>(child->column(from_col).int_at(r));
-        build[from_key_col->int_at(v)].push_back(r);
-      }
-      for (uint64_t e = 0; e < etable->num_rows(); ++e) {
-        auto it = build.find(from_fk_col->int_at(e));
-        if (it == build.end()) continue;
-        for (uint64_t r : it->second) emit(r, e);
-        if ((e & kInterruptCheckMask) == 0) {
-          RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
+    // Build: FK value -> edge rows; stream the bindings.
+    std::unordered_map<int64_t, std::vector<uint64_t>> build;
+    build.reserve(etable->num_rows() * 2);
+    for (uint64_t e = 0; e < etable->num_rows(); ++e) {
+      build[from_fk_col->int_at(e)].push_back(e);
+    }
+    for (uint64_t r = 0; r < child->num_rows(); ++r) {
+      auto v = static_cast<uint64_t>(child->column(from_col).int_at(r));
+      auto it = build.find(from_key_col->int_at(v));
+      if (it != build.end()) {
+        for (uint64_t e : it->second) {
+          auto to_it = to_key_index->find(to_fk_col->int_at(e));
+          if (to_it == to_key_index->end()) continue;
+          uint64_t nbr = to_it->second;
+          if (!bitmap.empty() && !bitmap[nbr]) continue;
+          child_sel.push_back(r);
+          to_vals.push_back(static_cast<int64_t>(nbr));
+          if (want_edge) edge_vals.push_back(static_cast<int64_t>(e));
         }
       }
-    } else {
-      // Build: FK value -> edge rows; stream the bindings.
-      std::unordered_map<int64_t, std::vector<uint64_t>> build;
-      build.reserve(etable->num_rows() * 2);
-      for (uint64_t e = 0; e < etable->num_rows(); ++e) {
-        build[from_fk_col->int_at(e)].push_back(e);
-      }
-      for (uint64_t r = 0; r < child->num_rows(); ++r) {
-        auto v = static_cast<uint64_t>(child->column(from_col).int_at(r));
-        auto it = build.find(from_key_col->int_at(v));
-        if (it == build.end()) continue;
-        for (uint64_t e : it->second) emit(r, e);
-        if ((r & kInterruptCheckMask) == 0) {
-          RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
-        }
+      if ((r & kInterruptCheckMask) == 0) {
+        RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
       }
     }
   }
@@ -787,7 +684,7 @@ Result<TablePtr> ExecExpandIntersect(const plan::PhysExpandIntersect& op,
                      : ctx->mapping().FindVertexLabel(em0.src_label);
   RELGO_ASSIGN_OR_RETURN(auto to_table, ctx->VertexTable(to_label));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         FilterBitmap(to_table, op.vertex_filter, ctx));
+                         RowBitmap(*to_table, op.vertex_filter));
   bool want_edges = false;
   for (const auto& ev : op.edge_vars) want_edges |= !ev.empty();
 
@@ -928,42 +825,26 @@ Result<TablePtr> ExecEdgeVerify(const plan::PhysEdgeVerify& op, TablePtr child,
     const storage::Column* dfk = etable->FindColumn(
         op.dir == graph::Direction::kOut ? em.dst_key_column
                                          : em.src_key_column);
-    if (child->num_rows() < etable->num_rows()) {
-      // Build on the bindings, stream the edge relation.
-      std::unordered_map<std::pair<int64_t, int64_t>, std::vector<uint64_t>,
-                         PairHash>
-          build;
-      build.reserve(child->num_rows() * 2);
-      for (uint64_t r = 0; r < child->num_rows(); ++r) {
-        auto s = static_cast<uint64_t>(child->column(src_col).int_at(r));
-        auto d = static_cast<uint64_t>(child->column(dst_col).int_at(r));
-        build[{skey->int_at(s), dkey->int_at(d)}].push_back(r);
-      }
-      for (uint64_t e = 0; e < etable->num_rows(); ++e) {
-        auto it = build.find({sfk->int_at(e), dfk->int_at(e)});
-        if (it == build.end()) continue;
-        for (uint64_t r : it->second) {
-          child_sel.push_back(r);
-          if (want_edge) edge_vals.push_back(static_cast<int64_t>(e));
-        }
-      }
-    } else {
-      std::unordered_map<std::pair<int64_t, int64_t>, std::vector<uint64_t>,
-                         PairHash>
-          build;
-      build.reserve(etable->num_rows() * 2);
-      for (uint64_t e = 0; e < etable->num_rows(); ++e) {
-        build[{sfk->int_at(e), dfk->int_at(e)}].push_back(e);
-      }
-      for (uint64_t r = 0; r < child->num_rows(); ++r) {
-        auto s = static_cast<uint64_t>(child->column(src_col).int_at(r));
-        auto d = static_cast<uint64_t>(child->column(dst_col).int_at(r));
-        auto it = build.find({skey->int_at(s), dkey->int_at(d)});
-        if (it == build.end()) continue;
+    // Build: (src key, dst key) -> edge rows; stream the bindings.
+    std::unordered_map<std::pair<int64_t, int64_t>, std::vector<uint64_t>,
+                       PairHash>
+        build;
+    build.reserve(etable->num_rows() * 2);
+    for (uint64_t e = 0; e < etable->num_rows(); ++e) {
+      build[{sfk->int_at(e), dfk->int_at(e)}].push_back(e);
+    }
+    for (uint64_t r = 0; r < child->num_rows(); ++r) {
+      auto s = static_cast<uint64_t>(child->column(src_col).int_at(r));
+      auto d = static_cast<uint64_t>(child->column(dst_col).int_at(r));
+      auto it = build.find({skey->int_at(s), dkey->int_at(d)});
+      if (it != build.end()) {
         for (uint64_t e : it->second) {
           child_sel.push_back(r);
           if (want_edge) edge_vals.push_back(static_cast<int64_t>(e));
         }
+      }
+      if ((r & kInterruptCheckMask) == 0) {
+        RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
       }
     }
   }
@@ -989,7 +870,7 @@ Result<TablePtr> ExecVertexFilter(const plan::PhysVertexFilter& op,
   } else {
     RELGO_ASSIGN_OR_RETURN(base, ctx->VertexTable(op.label));
   }
-  RELGO_ASSIGN_OR_RETURN(auto bitmap, FilterBitmap(base, op.predicate, ctx));
+  RELGO_ASSIGN_OR_RETURN(auto bitmap, RowBitmap(*base, op.predicate));
   std::vector<uint64_t> sel;
   for (uint64_t r = 0; r < child->num_rows(); ++r) {
     auto rid = static_cast<uint64_t>(child->column(var_col).int_at(r));
@@ -1094,10 +975,6 @@ Result<TablePtr> ExecScanGraphTable(const plan::PhysScanGraphTable& op,
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(out->num_rows()));
   return out;
 }
-
-}  // namespace
-
-namespace {
 
 Result<TablePtr> RunImpl(const PhysicalOp& op, ExecutionContext* ctx);
 

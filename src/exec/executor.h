@@ -16,6 +16,15 @@ namespace exec {
 /// columns are row ids keyed by pattern variable; relational operators
 /// produce ordinary attribute tables.
 ///
+/// This is the reference interpreter (EngineKind::kMaterialize), not a
+/// production runtime: filters evaluate row at a time through
+/// Expr::EvaluateBool, joins and GROUP BY key on boxed Values, ORDER BY is
+/// a stable sort over Value comparisons, and the scan cache is never
+/// consulted. It shares none of the pipeline engine's accelerated
+/// components (CompiledPredicate, JoinHashTable, KeyEncoder,
+/// TypedColumnCompare, ScanCache), so differential tests against it can
+/// see bugs in any of them.
+///
 /// Execution enforces the context's row budget and timeout, returning
 /// kOutOfMemory / kTimeout errors that benchmark harnesses report as
 /// OOM / OT, exactly as the paper's evaluation does.
@@ -25,16 +34,6 @@ class Executor {
   static Result<storage::TablePtr> Run(const plan::PhysicalOp& op,
                                        ExecutionContext* ctx);
 };
-
-/// Hash-joins two materialized tables on int64 key columns (names resolved
-/// in each side's schema). Output schema: all left columns followed by all
-/// right columns except `drop_right` (used by PATTERN_JOIN to drop
-/// duplicated shared variables).
-Result<storage::TablePtr> HashJoinTables(
-    const storage::Table& left, const storage::Table& right,
-    const std::vector<std::string>& left_keys,
-    const std::vector<std::string>& right_keys,
-    const std::vector<std::string>& drop_right, ExecutionContext* ctx);
 
 }  // namespace exec
 }  // namespace relgo

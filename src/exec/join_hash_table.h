@@ -12,9 +12,9 @@
 namespace relgo {
 namespace exec {
 
-/// Composite int64 join-key hash table: hash -> row buckets with exact
-/// re-check on probe (collision-safe). Shared by the materializing executor
-/// and the pipeline engine's hash-join probe operator.
+/// Composite join-key hash table: hash -> row buckets with exact re-check
+/// on probe (collision-safe). Backs the pipeline engine's hash-join build
+/// sink and probe operator.
 ///
 /// Construction is two-phase so the pipeline engine can build in parallel
 /// (partition -> finalize), while Probe stays const and safe to call
@@ -34,8 +34,7 @@ namespace exec {
 ///     sequential 0..n build regardless of how rows were partitioned
 ///     across workers.
 ///
-/// Build() wraps the three phases into the serial convenience the
-/// materializing engine uses.
+/// Build() wraps the three phases into a serial convenience.
 class JoinHashTable {
  public:
   /// Shard count of the partition directory. Power of two; large enough to
@@ -57,9 +56,8 @@ class JoinHashTable {
 
   /// One resolved build-side key column. int64 keys read the payload
   /// span directly. String keys prefer dictionary codes — one int32
-  /// hash/compare per row — when `use_dictionaries` was set at
-  /// BeginBuild and the column carries a dictionary; otherwise they
-  /// hash and compare the payload bytes (the documented fallback). The
+  /// hash/compare per row — when the column carries a dictionary;
+  /// otherwise they hash and compare the payload bytes. The
   /// probe side resolves against the build mode, translating through
   /// the build dictionary when its column carries a different or no
   /// dictionary (see BindProbe).
@@ -74,12 +72,11 @@ class JoinHashTable {
   /// Phase 1 of 3: resolves `keys` against the build table and preallocates
   /// the partition directory. The table must outlive the hash table.
   /// Keys must be int64 or string columns; string keys use dictionary
-  /// codes when `use_dictionaries` is set and the column has one. Like
+  /// codes when the column has one. Like
   /// the int64 path's null => payload-0 convention, string nulls hash
   /// and compare as their "" payload placeholder.
   Status BeginBuild(const storage::Table& table,
-                    const std::vector<std::string>& keys,
-                    bool use_dictionaries = true) {
+                    const std::vector<std::string>& keys) {
     table_ = &table;
     key_cols_.clear();
     keyspans_.clear();
@@ -95,7 +92,7 @@ class JoinHashTable {
       } else if (bk.type == LogicalType::kString) {
         all_int64 = false;
         bk.strs = col.data_string();
-        if (use_dictionaries && col.dictionary() != nullptr) {
+        if (col.dictionary() != nullptr) {
           bk.codes = col.data_codes();
           bk.dict = col.dictionary();
         }
@@ -106,7 +103,7 @@ class JoinHashTable {
       key_cols_.push_back(idx);
       keyspans_.push_back(bk);
     }
-    // Hoist the int64 payload spans once: the engines' typed-span Probe
+    // Hoist the int64 payload spans once: the typed-span Probe
     // overload and its hash re-check read raw slots instead of going
     // through Column per row. Only populated for all-int64 key sets —
     // the planner's joins (binding columns) are exactly that; string
@@ -155,9 +152,8 @@ class JoinHashTable {
 
   /// Serial convenience: the three phases on the calling thread.
   Status Build(const storage::Table& table,
-               const std::vector<std::string>& keys,
-               bool use_dictionaries = true) {
-    RELGO_RETURN_NOT_OK(BeginBuild(table, keys, use_dictionaries));
+               const std::vector<std::string>& keys) {
+    RELGO_RETURN_NOT_OK(BeginBuild(table, keys));
     std::vector<BuildPartial> partials(1);
     PartitionRows(0, table.num_rows(), &partials[0]);
     for (size_t p = 0; p < kNumPartitions; ++p) {
@@ -181,8 +177,8 @@ class JoinHashTable {
     std::vector<Key> keys;
   };
 
-  /// True when any build key is a string column — the engines then
-  /// probe through BindProbe/ProbeView instead of hoisted int64 spans.
+  /// True when any build key is a string column — the probe side then
+  /// probes through BindProbe/ProbeView instead of hoisted int64 spans.
   bool has_string_keys() const {
     for (const BuildKey& k : keyspans_) {
       if (k.type == LogicalType::kString) return true;
@@ -191,8 +187,8 @@ class JoinHashTable {
   }
 
   /// Resolves `probe_cols` of `probe` against the build keys (types must
-  /// match pairwise). Templated over the row source: both engines'
-  /// probe sides (storage::Table, pipeline Batch) expose column(i).
+  /// match pairwise). Templated over the row source: storage::Table and
+  /// the pipeline's Batch both expose column(i).
   template <typename Source>
   Status BindProbe(const Source& probe,
                    const std::vector<size_t>& probe_cols,
@@ -276,7 +272,7 @@ class JoinHashTable {
 
   /// Typed-span probe: `keys[i]` is the raw int64 payload of the i-th
   /// probe key column, hoisted once per table / batch by the caller (the
-  /// hot join loops of both engines). Bit-identical to the overloads
+  /// pipeline's hot probe loop). Bit-identical to the overloads
   /// above — int_at reads the same payload the spans expose.
   void Probe(const int64_t* const* keys, uint64_t row,
              std::vector<uint64_t>* out) const {

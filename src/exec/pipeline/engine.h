@@ -23,9 +23,10 @@ namespace pipeline {
 /// ResolveNumThreads(ctx->options()) workers; concurrent queries
 /// interleave their jobs on the same pool threads.
 ///
-/// Semantics match exec::Executor::Run exactly — same result bags, same
-/// row-budget charging, same kOutOfMemory / kTimeout behavior — which
-/// pipeline_parity_test.cc enforces differentially.
+/// Semantics match the reference interpreter exec::Executor::Run exactly —
+/// same rows in the same order, same row-budget charging, same
+/// kOutOfMemory / kTimeout behavior — which pipeline_parity_test.cc
+/// enforces differentially.
 Result<storage::TablePtr> Run(const plan::PhysicalOp& op,
                               ExecutionContext* ctx);
 

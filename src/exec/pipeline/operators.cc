@@ -8,6 +8,7 @@
 #include "common/timer.h"
 #include "exec/exec_common.h"
 #include "exec/pipeline/scheduler.h"
+#include "exec/scan_cache.h"
 
 namespace relgo {
 namespace exec {
@@ -19,6 +20,72 @@ using storage::Table;
 using storage::TablePtr;
 
 namespace {
+
+/// Evaluates `filter` once per row of `table` into a validity bitmap
+/// (empty when there is no filter). The pipeline engine's expansion-style
+/// operators consult the bitmap per adjacency entry, turning
+/// per-expansion expression evaluation into a single table pass computed
+/// during single-threaded operator Prepare, so workers only do bitmap
+/// loads.
+///
+/// Two acceleration layers, both semantics-preserving: the predicate is
+/// lowered to vectorized kernels when the tree is lowerable (row-at-a-time
+/// fallback otherwise), and the finished bitmap is published to the
+/// cross-query ScanCache ("bitmap|..." namespace) so repeated expansions
+/// replay it instead of re-evaluating.
+Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
+                                  const storage::ExprPtr& filter,
+                                  ExecutionContext* ctx) {
+  if (!filter) return SharedBitmap();
+
+  // Replay an earlier query's bitmap for the same (table, predicate)
+  // signature and table version. The "bitmap|" namespace never collides
+  // with the selection-vector namespaces ("scan|", "vscan|").
+  ScanCache* cache = ctx->scan_cache();
+  std::string key;
+  uint64_t version = 0;
+  if (cache != nullptr) {
+    key = ScanCache::Key("bitmap", table->name(), filter);
+    version = table->version();
+    if (ScanCache::BitmapPtr hit = cache->GetBitmap(key, version)) {
+      ctx->CountScanCacheHit();
+      return SharedBitmap(std::move(hit));
+    }
+  }
+
+  // Bind a clone: the plan may share this expression tree with the query
+  // it was optimized from, and concurrent executions of the same query
+  // must not race on the column indexes Bind resolves.
+  storage::ExprPtr bound = filter->Clone();
+  RELGO_RETURN_NOT_OK(bound->Bind(table->schema()));
+
+  auto bitmap = std::make_shared<std::vector<uint8_t>>();
+  std::unique_ptr<vector::CompiledPredicate> compiled =
+      vector::CompiledPredicate::Compile(*bound, table->schema(),
+                                         table.get());
+  if (compiled != nullptr) {
+    std::vector<const storage::Column*> columns;
+    columns.reserve(table->num_columns());
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      columns.push_back(&table->column(c));
+    }
+    compiled->FilterBitmap(columns.data(), table->num_rows(), bitmap.get());
+  } else {
+    bitmap->resize(table->num_rows());
+    for (uint64_t r = 0; r < table->num_rows(); ++r) {
+      (*bitmap)[r] = bound->EvaluateBool(*table, r) ? 1 : 0;
+    }
+  }
+
+  if (cache != nullptr) {
+    // Deferred publication (see ExecutionContext): visible to other
+    // queries only once this query commits successfully.
+    RELGO_RETURN_NOT_OK(
+        fault::MaybeInject(fault::Site::kScanCachePublish));
+    ctx->QueuePutBitmap(std::move(key), version, bitmap);
+  }
+  return SharedBitmap(std::move(bitmap));
+}
 
 /// Shared emit path for expand-style operators: gathers input rows by `sel`
 /// and appends freshly built int64 binding columns (in the order the op's
@@ -45,6 +112,7 @@ Status EmitExpanded(const Batch& in, const std::vector<uint64_t>& sel,
 // ---------------------------------------------------------------------------
 
 Status FilterOp::Prepare(const Schema& input, ExecutionContext* ctx) {
+  (void)ctx;
   output_schema_ = input;
   // Bind a clone: the plan may share the predicate tree with the query it
   // was optimized from, and concurrent executions must not race on the
@@ -58,7 +126,7 @@ Status FilterOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   // (dictionary lowering needs a compile-time column to fold constants
   // against). Scan pushdown compiles against the base table and covers
   // the hot string predicates; see compiled_expr.h.
-  if (predicate_ && ctx->options().vectorized_kernels) {
+  if (predicate_) {
     compiled_ = vector::CompiledPredicate::Compile(*predicate_, input);
   }
   return Status::OK();
@@ -120,7 +188,7 @@ Status HashJoinProbeOp::Prepare(const Schema& input, ExecutionContext* ctx) {
     probe_cols_.push_back(idx);
   }
   // Output schema: probe columns, then build columns minus drop_right minus
-  // duplicate names (matches exec::HashJoinTables).
+  // duplicate names (matches the reference interpreter's hash join).
   output_schema_ = Schema();
   for (const auto& def : input.columns()) {
     RELGO_RETURN_NOT_OK(output_schema_.AddColumn(def));
@@ -380,9 +448,9 @@ Status ExpandOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   use_index_ = op_.use_index && ctx->has_index();
   if (!use_index_) {
     // Index-free reduction (RelGoHash): one FK hash table over the edge
-    // relation built here, probed per streamed binding row. The seed
-    // executor picks the smaller build side adaptively; streaming fixes the
-    // build on the edge relation, which keeps Process() read-only.
+    // relation built here, probed per streamed binding row (the reference
+    // interpreter builds on the same side, so rows emit in the same order);
+    // Process() stays read-only.
     RELGO_ASSIGN_OR_RETURN(etable_, ctx->EdgeTable(op_.edge_label));
     int from_label = op_.dir == graph::Direction::kOut
                          ? ctx->mapping().FindVertexLabel(em.src_label)
@@ -919,8 +987,7 @@ Result<TablePtr> HashBuildSink::Finish(
   Timer timer;
   RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kHashBuild));
   ht_ = std::make_shared<JoinHashTable>();
-  RELGO_RETURN_NOT_OK(ht_->BeginBuild(*table, keys_,
-                                      ctx->options().dictionary_encoding));
+  RELGO_RETURN_NOT_OK(ht_->BeginBuild(*table, keys_));
 
   // Phase 1: morsel-parallel scatter into per-worker partition runs (no
   // ordering assumed; FinalizePartition sorts each partition by row id).
@@ -1034,6 +1101,7 @@ struct AggregatePartial : SinkState {
 }  // namespace
 
 Status AggregateSink::Prepare(const Schema& input, ExecutionContext* ctx) {
+  (void)ctx;
   group_cols_.clear();
   for (const auto& g : op_.group_by) {
     RELGO_ASSIGN_OR_RETURN(size_t idx, input.GetColumnIndex(g));
@@ -1049,13 +1117,9 @@ Status AggregateSink::Prepare(const Schema& input, ExecutionContext* ctx) {
     }
   }
   input_schema_ = input;
-  encoder_.reset();
-  if (ctx->options().vectorized_kernels) {
-    std::vector<LogicalType> key_types;
-    for (size_t c : group_cols_) key_types.push_back(input.column(c).type);
-    encoder_ = vector::KeyEncoder::Make(key_types,
-                                        ctx->options().dictionary_encoding);
-  }
+  std::vector<LogicalType> key_types;
+  for (size_t c : group_cols_) key_types.push_back(input.column(c).type);
+  encoder_ = vector::KeyEncoder::Make(key_types);
   return Status::OK();
 }
 
@@ -1280,8 +1344,6 @@ Status TopKSink::Prepare(const Schema& input, ExecutionContext* ctx) {
   // profiled runs keep it off so per-node actual counts stay
   // engine-invariant (profile_test's parity grids).
   early_exit_ = order_ == nullptr && limit_ >= 0 && ctx->profile() == nullptr;
-  typed_cmp_ = ctx->options().vectorized_kernels;
-  dict_cmp_ = ctx->options().dictionary_encoding;
   frontier_next_ = 0;
   pending_.clear();
   prefix_rows_.store(0, std::memory_order_relaxed);
@@ -1335,16 +1397,10 @@ Status TopKSink::Consume(SinkState* state, const Batch& in, uint64_t morsel,
     if (c != 0) return c < 0;
     return std::make_pair(a.morsel, a.row) < std::make_pair(b.morsel, b.row);
   };
-  // The fence test reads the incoming batch through typed spans when
-  // enabled; retained heap rows stay boxed either way (sign-identical to
-  // the boxed comparison, see vector::TypedColumnValueCompare).
+  // The fence test reads the incoming batch through typed spans;
+  // retained heap rows stay boxed (sign-identical to the boxed
+  // comparison, see vector::TypedColumnValueCompare).
   auto fence_cmp = [&](uint64_t r, const HeapRow& worst) {
-    if (!typed_cmp_) {
-      return CompareSortKeyValues(
-          order_->keys,
-          [&](size_t i) { return in.column(key_cols_[i]).GetValue(r); },
-          [&](size_t i) { return worst.vals[key_cols_[i]]; });
-    }
     for (size_t i = 0; i < order_->keys.size(); ++i) {
       int c = vector::TypedColumnValueCompare(in.column(key_cols_[i]), r,
                                               worst.vals[key_cols_[i]]);
@@ -1430,31 +1486,16 @@ Result<TablePtr> TopKSink::Finish(
     }
     uint64_t n = refs.size();
     // Position in `refs` IS the global sequence number, so index order is
-    // the stable-sort tie-break. With typed_cmp_ the O(n log n)
-    // comparisons read payload spans instead of boxing two Values each.
+    // the stable-sort tie-break. The O(n log n) comparisons read payload
+    // spans (string keys sharing a sorted dictionary compare int32 codes)
+    // instead of boxing two Values each.
     auto before = [&](uint64_t i, uint64_t j) {
-      int c = 0;
-      if (typed_cmp_) {
-        for (size_t k = 0; k < order_->keys.size(); ++k) {
-          c = vector::TypedColumnCompare(
-              refs[i].batch->column(key_cols_[k]), refs[i].row,
-              refs[j].batch->column(key_cols_[k]), refs[j].row, dict_cmp_);
-          if (c != 0) {
-            c = order_->keys[k].ascending ? c : -c;
-            break;
-          }
-        }
-      } else {
-        c = CompareSortKeyValues(
-            order_->keys,
-            [&](size_t k) {
-              return refs[i].batch->column(key_cols_[k]).GetValue(refs[i].row);
-            },
-            [&](size_t k) {
-              return refs[j].batch->column(key_cols_[k]).GetValue(refs[j].row);
-            });
+      for (size_t k = 0; k < order_->keys.size(); ++k) {
+        int c = vector::TypedColumnCompare(
+            refs[i].batch->column(key_cols_[k]), refs[i].row,
+            refs[j].batch->column(key_cols_[k]), refs[j].row);
+        if (c != 0) return order_->keys[k].ascending ? c < 0 : c > 0;
       }
-      if (c != 0) return c < 0;
       return i < j;
     };
     std::vector<uint64_t> order(n);
@@ -1522,8 +1563,8 @@ Result<TablePtr> TopKSink::Finish(
   }
   double finish_ms = timer.ElapsedMillis();
 
-  // Budget parity with the materializing post-ops: SortTableByKeys charges
-  // the full row count, LimitTableRows charges k only when it truncates.
+  // Budget parity with the reference interpreter: its ORDER BY charges the
+  // full row count, its LIMIT charges k only when it truncates.
   if (order_ != nullptr) RELGO_RETURN_NOT_OK(ctx->ChargeRows(total));
   if (limit_ >= 0 && static_cast<uint64_t>(limit_) < total) {
     RELGO_RETURN_NOT_OK(ctx->ChargeRows(static_cast<uint64_t>(limit_)));

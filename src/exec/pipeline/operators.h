@@ -24,6 +24,27 @@ namespace pipeline {
 
 class TaskScheduler;
 
+/// A per-base-row validity bitmap with shared storage: either empty (no
+/// filter — every row passes) or one byte per base-table row (1 == pass).
+/// The payload is shared so a ScanCache hit replays an earlier query's
+/// bitmap without copying it, and the accessors mirror the
+/// std::vector<uint8_t> the expansion loops were written against.
+class SharedBitmap {
+ public:
+  using Ptr = std::shared_ptr<const std::vector<uint8_t>>;
+
+  SharedBitmap() = default;
+  explicit SharedBitmap(Ptr data) : data_(std::move(data)) {}
+
+  bool empty() const { return data_ == nullptr || data_->empty(); }
+  uint8_t operator[](uint64_t i) const { return (*data_)[i]; }
+  size_t size() const { return data_ == nullptr ? 0 : data_->size(); }
+  const Ptr& data() const { return data_; }
+
+ private:
+  Ptr data_;
+};
+
 // ---------------------------------------------------------------------------
 // Streaming operators
 // ---------------------------------------------------------------------------
@@ -68,8 +89,8 @@ class FilterOp : public StreamingOp {
   /// executions each bind their own copy).
   storage::ExprPtr predicate_;
   /// Vectorized lowering of predicate_ (null when the tree is outside
-  /// the lowerable subset or ExecutionOptions::vectorized_kernels is
-  /// off); Process falls back to row-at-a-time EvaluateBool.
+  /// the lowerable subset); Process falls back to row-at-a-time
+  /// EvaluateBool.
   std::unique_ptr<vector::CompiledPredicate> compiled_;
 };
 
@@ -471,16 +492,6 @@ class TopKSink : public Sink {
   storage::Schema schema_;
   std::vector<size_t> key_cols_;
   bool early_exit_ = false;  // plain LIMIT, profiling off
-  /// Compare sort keys through typed column spans (vector::
-  /// TypedColumnCompare) instead of boxing a Value per comparison; same
-  /// ordering, set from ExecutionOptions::vectorized_kernels in Prepare.
-  bool typed_cmp_ = false;
-  /// Let TypedColumnCompare order string keys by int32 dictionary codes
-  /// when both rows share a sorted dictionary (sign-identical to the byte
-  /// comparison); set from ExecutionOptions::dictionary_encoding. The
-  /// heap fence keeps boxed Values (TypedColumnValueCompare) — a per-row
-  /// dictionary Find would cost as much as the one compare it saves.
-  bool dict_cmp_ = false;
 
   // Completed-morsel frontier (early-exit mode only): morsels [0,
   // frontier_next_) have all finished and contributed frontier-counted

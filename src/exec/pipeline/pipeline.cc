@@ -105,11 +105,8 @@ Status ScanTableSource::Prepare(ExecutionContext* ctx) {
     RELGO_RETURN_NOT_OK(filter_->Bind(table_->schema()));
     PrepareCache(ctx, ScanCache::Key("scan", op_.table, op_.filter),
                  table_->version(), table_->num_rows());
-    if (ctx->options().vectorized_kernels) {
-      compiled_ = vector::CompiledPredicate::Compile(
-          *filter_, table_->schema(), table_.get(),
-          ctx->options().dictionary_encoding);
-    }
+    compiled_ = vector::CompiledPredicate::Compile(
+        *filter_, table_->schema(), table_.get());
   }
   raw_indexes_.clear();
   output_schema_ = ScanSchema(*table_, op_.alias, op_.projected_columns,
@@ -170,11 +167,8 @@ Status ScanVertexSource::Prepare(ExecutionContext* ctx) {
     RELGO_RETURN_NOT_OK(filter_->Bind(vtable_->schema()));
     PrepareCache(ctx, ScanCache::Key("vscan", vtable_->name(), op_.filter),
                  vtable_->version(), vtable_->num_rows());
-    if (ctx->options().vectorized_kernels) {
-      compiled_ = vector::CompiledPredicate::Compile(
-          *filter_, vtable_->schema(), vtable_.get(),
-          ctx->options().dictionary_encoding);
-    }
+    compiled_ = vector::CompiledPredicate::Compile(
+        *filter_, vtable_->schema(), vtable_.get());
   }
   output_schema_ = BindingSchema({op_.var});
   return Status::OK();

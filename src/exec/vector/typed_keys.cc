@@ -53,9 +53,8 @@ int32_t ReadFixed32(const char* p) {
 
 }  // namespace
 
-KeyEncoder::KeyEncoder(std::vector<LogicalType> types, bool use_dictionaries)
-    : types_(std::move(types)), use_dict_(use_dictionaries) {
-  if (!use_dict_) return;
+KeyEncoder::KeyEncoder(std::vector<LogicalType> types)
+    : types_(std::move(types)) {
   pinned_.assign(types_.size(), nullptr);
   pin_once_.resize(types_.size());
   for (size_t i = 0; i < types_.size(); ++i) {
@@ -66,7 +65,7 @@ KeyEncoder::KeyEncoder(std::vector<LogicalType> types, bool use_dictionaries)
 }
 
 std::unique_ptr<KeyEncoder> KeyEncoder::Make(
-    const std::vector<LogicalType>& types, bool use_dictionaries) {
+    const std::vector<LogicalType>& types) {
   for (LogicalType t : types) {
     switch (t) {
       case LogicalType::kBool:
@@ -83,8 +82,7 @@ std::unique_ptr<KeyEncoder> KeyEncoder::Make(
         return nullptr;
     }
   }
-  return std::unique_ptr<KeyEncoder>(
-      new KeyEncoder(types, use_dictionaries));
+  return std::unique_ptr<KeyEncoder>(new KeyEncoder(types));
 }
 
 void KeyEncoder::Encode(const storage::Column* const* cols, uint64_t row,
@@ -122,22 +120,20 @@ void KeyEncoder::Encode(const storage::Column* const* cols, uint64_t row,
       }
       case LogicalType::kString: {
         const std::string& s = col.string_at(row);
-        if (use_dict_) {
-          std::call_once(*pin_once_[i],
-                         [&] { pinned_[i] = col.dictionary(); });
-          const storage::StringDictionary* dict = pinned_[i];
-          if (dict != nullptr) {
-            // Same dictionary: read the row's code straight off the
-            // column; foreign/no dictionary: translate through the
-            // pinned one (absent strings keep the byte encoding below).
-            int32_t code = col.dictionary() == dict ? col.code_at(row)
-                                                    : dict->Find(s);
-            if (code >= 0) {
-              key->bytes.back() = kTagCode;
-              AppendFixed32(&key->bytes, code);
-              h = HashCombine(h, TypedHash(static_cast<int64_t>(code)));
-              break;
-            }
+        std::call_once(*pin_once_[i],
+                       [&] { pinned_[i] = col.dictionary(); });
+        const storage::StringDictionary* dict = pinned_[i];
+        if (dict != nullptr) {
+          // Same dictionary: read the row's code straight off the
+          // column; foreign/no dictionary: translate through the
+          // pinned one (absent strings keep the byte encoding below).
+          int32_t code = col.dictionary() == dict ? col.code_at(row)
+                                                  : dict->Find(s);
+          if (code >= 0) {
+            key->bytes.back() = kTagCode;
+            AppendFixed32(&key->bytes, code);
+            h = HashCombine(h, TypedHash(static_cast<int64_t>(code)));
+            break;
           }
         }
         AppendLength(&key->bytes, static_cast<uint32_t>(s.size()));

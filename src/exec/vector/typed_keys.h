@@ -55,8 +55,7 @@ class KeyEncoder {
   /// `types[i]` is the logical type of the i-th key column. Returns
   /// nullptr when some type cannot preserve Value equality byte-for-byte.
   ///
-  /// With `use_dictionaries` (ExecutionOptions::dictionary_encoding) a
-  /// string key column encodes through its dictionary where possible:
+  /// A string key column encodes through its dictionary where possible:
   /// the first row encoded pins the column's dictionary (call_once, so
   /// concurrent pipeline workers agree), and every string present in
   /// the pinned dictionary encodes as a fixed 4-byte code under its own
@@ -67,7 +66,7 @@ class KeyEncoder {
   /// coincides with string equality and Decode reconstructs the exact
   /// GetValue boxing either way.
   static std::unique_ptr<KeyEncoder> Make(
-      const std::vector<LogicalType>& types, bool use_dictionaries = false);
+      const std::vector<LogicalType>& types);
 
   size_t num_cols() const { return types_.size(); }
 
@@ -82,10 +81,9 @@ class KeyEncoder {
   void Decode(const EncodedGroupKey& key, std::vector<Value>* out) const;
 
  private:
-  KeyEncoder(std::vector<LogicalType> types, bool use_dictionaries);
+  explicit KeyEncoder(std::vector<LogicalType> types);
 
   std::vector<LogicalType> types_;
-  bool use_dict_ = false;
   /// Per key column: the dictionary pinned by the first Encode of that
   /// column (nullptr until pinned, or when the column has none).
   /// Encoding is a pure function of (pinned dictionary, string), so
@@ -221,17 +219,15 @@ class AggColumnView {
 /// NULLs order first, numerics promote through double (so NaN is "equal"
 /// to every double and never establishes an order), strings compare
 /// lexicographically.
-/// `use_dictionaries` (ExecutionOptions::dictionary_encoding) enables
-/// the string fast path: when both slots share the same *sorted*
+/// String fast path: when both slots share the same *sorted*
 /// dictionary, code order coincides with lexicographic order, so one
 /// int32 compare replaces the byte compare — sign-identical by
 /// construction. Any other dictionary state falls back to the payload.
 inline int TypedColumnCompare(const storage::Column& a, uint64_t ar,
-                              const storage::Column& b, uint64_t br,
-                              bool use_dictionaries = false) {
+                              const storage::Column& b, uint64_t br) {
   bool an = !a.is_valid(ar), bn = !b.is_valid(br);
   if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
-  if (use_dictionaries && a.type() == LogicalType::kString) {
+  if (a.type() == LogicalType::kString) {
     const storage::StringDictionary* d = a.dictionary();
     if (d != nullptr && d == b.dictionary() && d->sorted) {
       int32_t ac = a.code_at(ar), bc = b.code_at(br);

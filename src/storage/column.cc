@@ -163,16 +163,15 @@ void Column::AppendRange(const Column& other, uint64_t begin,
   AdoptDictionary(other);
   uint64_t end = begin + count;
   // Validity: materialize our vector first if the incoming range carries
-  // nulls and we were in the allocation-free all-valid state.
+  // nulls and we were in the allocation-free all-valid state (on an empty
+  // column that vector is still empty, so test the source, not ours).
   bool other_has_nulls = !other.validity_.empty();
-  if (other_has_nulls && validity_.empty()) validity_.assign(size_, 1);
-  if (!validity_.empty()) {
-    if (other_has_nulls) {
-      validity_.insert(validity_.end(), other.validity_.begin() + begin,
-                       other.validity_.begin() + end);
-    } else {
-      validity_.insert(validity_.end(), count, 1);
-    }
+  if (other_has_nulls) {
+    if (validity_.empty()) validity_.assign(size_, 1);
+    validity_.insert(validity_.end(), other.validity_.begin() + begin,
+                     other.validity_.begin() + end);
+  } else if (!validity_.empty()) {
+    validity_.insert(validity_.end(), count, 1);
   }
   switch (type_) {
     case LogicalType::kDouble:

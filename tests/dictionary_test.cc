@@ -5,23 +5,23 @@
 //    the shared dictionary (sorted-flag maintenance), null placeholders,
 //    propagation through Gather/Slice/AppendRange/AppendFrom, and the
 //    drop-to-payload contract for derived columns fed foreign strings.
-//  * CompiledPredicate: randomized differential dictionary-on vs
-//    dictionary-off vs the EvaluateBool oracle (selection, bitmap and
-//    refinement entry points), compile-time folds for constants absent
-//    from the dictionary, and the per-batch fallback when a batch no
-//    longer carries the compile-time dictionary.
+//  * CompiledPredicate: randomized differential of the dictionary and
+//    payload (dictionary-free copy) lowerings against the EvaluateBool
+//    oracle (selection, bitmap and refinement entry points), compile-time
+//    folds for constants absent from the dictionary, and the per-batch
+//    fallback when a batch no longer carries the compile-time dictionary.
 //  * KeyEncoder dictionary mode: byte equality still coincides with
 //    Value equality across mixed dict/payload batches, Decode still
 //    reproduces Column::GetValue.
 //  * JoinHashTable string keys: dictionary codes vs payload bytes vs a
 //    nested-loop reference, over shared-dict, foreign-dict and
 //    no-dict probe sides.
-//  * TypedColumnCompare with use_dictionaries: sign-identical to
-//    Value::Compare for sorted and unsorted dictionaries.
-//  * Whole-query A/B grids (LDBC x all modes, JOB x representative
-//    modes, BOTH engines): dictionary_encoding on and off must emit
-//    byte-identical rows in identical order.
-//  * The PR 8 chaos storm re-run with dictionary_encoding pinned on.
+//  * TypedColumnCompare: sign-identical to Value::Compare for sorted and
+//    unsorted dictionaries.
+//  * The chaos storm over dictionary-coded string predicates.
+//
+// Whole queries are checked against the reference interpreter, which
+// reads only string payloads, in pipeline_parity_test.
 
 #include <gtest/gtest.h>
 
@@ -42,9 +42,6 @@
 #include "fixtures.h"
 #include "storage/expression.h"
 #include "storage/table.h"
-#include "workload/harness.h"
-#include "workload/imdb.h"
-#include "workload/ldbc.h"
 
 namespace relgo {
 namespace {
@@ -237,6 +234,18 @@ TablePtr MakeDictTable(uint64_t n, int null_pct, std::mt19937* rng) {
   return table;
 }
 
+/// A copy of `table` whose columns carry no dictionary: the payload-only
+/// shape of the same rows.
+TablePtr WithoutDictionaries(const Table& table) {
+  auto copy = std::make_shared<Table>(table.name(), table.schema());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    copy->column(c).AppendRange(table.column(c), 0, table.num_rows());
+    copy->column(c).DropDictionary();
+  }
+  copy->FinishBulkAppend();
+  return copy;
+}
+
 CompareOp RandomCmp(std::mt19937* rng) {
   constexpr CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe,
                                 CompareOp::kLt, CompareOp::kLe,
@@ -316,13 +325,14 @@ ExprPtr RandomDictExpr(int depth, std::mt19937* rng) {
          << (i < expect.size() ? std::to_string(expect[i]) : "<end>");
 }
 
-TEST(DictionaryPredicateTest, RandomizedDictOnOffAgainstOracle) {
+TEST(DictionaryPredicateTest, RandomizedDictAndPayloadAgainstOracle) {
   Schema schema = DictTestSchema();
   int total = 0, dict_lowered = 0;
   for (int null_pct : {0, 10, 60}) {
     for (uint32_t seed = 1; seed <= 6; ++seed) {
       std::mt19937 rng(seed * 104729 + static_cast<uint32_t>(null_pct));
       TablePtr table = MakeDictTable(512, null_pct, &rng);
+      TablePtr plain = WithoutDictionaries(*table);
       std::vector<const Column*> cols;
       for (size_t c = 0; c < table->num_columns(); ++c) {
         cols.push_back(&table->column(c));
@@ -331,12 +341,10 @@ TEST(DictionaryPredicateTest, RandomizedDictOnOffAgainstOracle) {
         ExprPtr expr = RandomDictExpr(3, &rng);
         ASSERT_TRUE(expr->Bind(schema).ok()) << expr->ToString();
         ++total;
-        auto on = CompiledPredicate::Compile(*expr, schema, table.get(),
-                                             /*use_dictionaries=*/true);
-        auto off = CompiledPredicate::Compile(*expr, schema, table.get(),
-                                              /*use_dictionaries=*/false);
+        auto on = CompiledPredicate::Compile(*expr, schema, table.get());
+        auto off = CompiledPredicate::Compile(*expr, schema, plain.get());
         ASSERT_EQ(on == nullptr, off == nullptr)
-            << "dictionary flag must not change lowerability: "
+            << "dictionaries must not change lowerability: "
             << expr->ToString();
         if (on == nullptr) continue;
         ++dict_lowered;
@@ -347,12 +355,12 @@ TEST(DictionaryPredicateTest, RandomizedDictOnOffAgainstOracle) {
         }
         std::vector<uint64_t> got_on, got_off;
         on->FilterTable(*table, 0, table->num_rows(), &got_on);
-        off->FilterTable(*table, 0, table->num_rows(), &got_off);
+        off->FilterTable(*plain, 0, plain->num_rows(), &got_off);
         ASSERT_TRUE(SelectionsEqual(got_on, expect))
             << "dict=on null_pct=" << null_pct << " seed=" << seed
             << " expr=" << expr->ToString();
         ASSERT_TRUE(SelectionsEqual(got_off, expect))
-            << "dict=off expr=" << expr->ToString();
+            << "payload expr=" << expr->ToString();
 
         // Bitmap entry point (the dense auto-vectorized path for
         // single-leaf programs) agrees with the selection.
@@ -403,8 +411,7 @@ TEST(DictionaryPredicateTest, AbsentConstantFoldsAtCompileTime) {
        "in"});
   for (auto& c : cases) {
     ASSERT_TRUE(c.expr->Bind(schema).ok());
-    auto compiled = CompiledPredicate::Compile(*c.expr, schema, table.get(),
-                                               /*use_dictionaries=*/true);
+    auto compiled = CompiledPredicate::Compile(*c.expr, schema, table.get());
     ASSERT_NE(compiled, nullptr) << c.what;
     std::vector<uint64_t> expect, got;
     for (uint64_t r = 0; r < table->num_rows(); ++r) {
@@ -419,7 +426,7 @@ TEST(DictionaryPredicateTest, AbsentConstantFoldsAtCompileTime) {
     std::vector<uint64_t> got;
     auto eq = Expr::Eq("s", Value::String("zzz-absent"));
     ASSERT_TRUE(eq->Bind(schema).ok());
-    CompiledPredicate::Compile(*eq, schema, table.get(), true)
+    CompiledPredicate::Compile(*eq, schema, table.get())
         ->FilterTable(*table, 0, table->num_rows(), &got);
     EXPECT_TRUE(got.empty());
   }
@@ -447,8 +454,7 @@ TEST(DictionaryPredicateTest, BatchWithoutDictionaryFallsBackToPayload) {
     for (int k = 0; k < 30; ++k) {
       ExprPtr expr = RandomDictExpr(2, &erng);
       ASSERT_TRUE(expr->Bind(schema).ok());
-      auto compiled = CompiledPredicate::Compile(*expr, schema, base.get(),
-                                                 /*use_dictionaries=*/true);
+      auto compiled = CompiledPredicate::Compile(*expr, schema, base.get());
       if (compiled == nullptr) continue;
       std::vector<uint64_t> expect, got;
       for (uint64_t r = 0; r < derived->num_rows(); ++r) {
@@ -487,7 +493,7 @@ TEST(DictionaryKeyEncoderTest, DictModePreservesEqualityAndDecode) {
                                     LogicalType::kString};
   std::vector<const Column*> cols = {&table->column(1), &table->column(0),
                                      &table->column(2)};
-  auto encoder = KeyEncoder::Make(types, /*use_dictionaries=*/true);
+  auto encoder = KeyEncoder::Make(types);
   ASSERT_NE(encoder, nullptr);
 
   std::vector<EncodedGroupKey> keys(table->num_rows());
@@ -524,7 +530,7 @@ TEST(DictionaryKeyEncoderTest, MixedDictAndPayloadBatchesStayConsistent) {
   std::mt19937 rng(616);
   TablePtr table = MakeDictTable(128, 20, &rng);
   std::vector<LogicalType> types = {LogicalType::kString};
-  auto encoder = KeyEncoder::Make(types, /*use_dictionaries=*/true);
+  auto encoder = KeyEncoder::Make(types);
   ASSERT_NE(encoder, nullptr);
 
   // First batch pins the base dictionary.
@@ -635,12 +641,12 @@ TEST(DictionaryJoinTest, StringKeysDictAndPayloadMatchNestedLoop) {
 
     // Dictionary build mode.
     JoinHashTable dict_ht;
-    ASSERT_TRUE(dict_ht.Build(*build, {"k"}, /*use_dictionaries=*/true).ok());
+    ASSERT_TRUE(dict_ht.Build(*build, {"k"}).ok());
     EXPECT_TRUE(dict_ht.has_string_keys());
-    // Payload build mode (the A/B off switch).
+    // Payload build mode: the same rows without a dictionary.
+    TablePtr payload_build = WithoutDictionaries(*build);
     JoinHashTable payload_ht;
-    ASSERT_TRUE(
-        payload_ht.Build(*build, {"k"}, /*use_dictionaries=*/false).ok());
+    ASSERT_TRUE(payload_ht.Build(*payload_build, {"k"}).ok());
 
     // Probe side 1: shares the build dictionary (code == code compare).
     auto shared = std::make_shared<Table>("shared", JoinSchema());
@@ -692,9 +698,7 @@ TEST(DictionaryCompareTest, SortedAndUnsortedDictsMatchValueCompare) {
       Value va = c.GetValue(a);
       for (uint64_t b = 0; b < c.size(); b += 3) {
         int expect = Sign(va.Compare(c.GetValue(b)));
-        EXPECT_EQ(
-            Sign(TypedColumnCompare(c, a, c, b, /*use_dictionaries=*/true)),
-            expect)
+        EXPECT_EQ(Sign(TypedColumnCompare(c, a, c, b)), expect)
             << "rows " << a << "," << b;
       }
     }
@@ -708,122 +712,10 @@ TEST(DictionaryCompareTest, SortedAndUnsortedDictsMatchValueCompare) {
   check_all_pairs(col);
 }
 
-// ---------------------------------------------------------------------------
-// Whole-query A/B grids: dictionary on vs off must be byte-identical
-// ---------------------------------------------------------------------------
-
 using optimizer::OptimizerMode;
-using workload::WorkloadQuery;
-
-/// Row strings WITHOUT sorting: dictionary lowering must not even
-/// reorder rows, so the comparison is on the exact emitted sequence.
-std::vector<std::string> ExactRows(const storage::Table& table) {
-  std::vector<std::string> rows;
-  rows.reserve(table.num_rows());
-  for (uint64_t r = 0; r < table.num_rows(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      if (c) row += "|";
-      row += table.GetValue(r, c).ToString();
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-void ExpectDictOnOffIdentical(const Database& db, const WorkloadQuery& wq,
-                              OptimizerMode mode) {
-  for (exec::EngineKind engine :
-       {exec::EngineKind::kMaterialize, exec::EngineKind::kPipeline}) {
-    exec::ExecutionOptions on;
-    on.engine = engine;
-    on.num_threads = 4;
-    on.vectorized_kernels = true;
-    on.dictionary_encoding = true;
-    exec::ExecutionOptions off = on;
-    off.dictionary_encoding = false;
-
-    auto with = db.Run(wq.query, mode, on);
-    ASSERT_TRUE(with.ok()) << wq.query.name << " dict=on: "
-                           << with.status().ToString();
-    auto without = db.Run(wq.query, mode, off);
-    ASSERT_TRUE(without.ok()) << wq.query.name << " dict=off: "
-                              << without.status().ToString();
-    EXPECT_EQ(ExactRows(*with->table), ExactRows(*without->table))
-        << wq.query.name << " under " << optimizer::ModeName(mode)
-        << (engine == exec::EngineKind::kPipeline ? " (pipeline)"
-                                                  : " (materialize)");
-  }
-}
-
-constexpr OptimizerMode kAllModes[] = {
-    OptimizerMode::kDuckDB,       OptimizerMode::kGRainDB,
-    OptimizerMode::kUmbraLike,    OptimizerMode::kRelGo,
-    OptimizerMode::kRelGoHash,    OptimizerMode::kRelGoNoEI,
-    OptimizerMode::kRelGoNoRule,  OptimizerMode::kRelGoNoFuse,
-    OptimizerMode::kRelGoLowOrder, OptimizerMode::kGdbmsSim,
-};
-
-class LdbcDictionaryGridTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database();
-    workload::LdbcOptions options;
-    options.scale_factor = 0.08;  // matches pipeline_parity_test
-    ASSERT_TRUE(workload::GenerateLdbc(db_, options).ok());
-  }
-  static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
-  }
-  static Database* db_;
-};
-Database* LdbcDictionaryGridTest::db_ = nullptr;
-
-TEST_F(LdbcDictionaryGridTest, AllQueriesAllModesBothEngines) {
-  std::vector<WorkloadQuery> all = workload::LdbcInteractiveQueries(*db_);
-  for (auto& wq : workload::LdbcRuleQueries(*db_)) all.push_back(wq);
-  for (auto& wq : workload::LdbcCyclicQueries(*db_)) all.push_back(wq);
-  for (const auto& wq : all) {
-    for (OptimizerMode mode : kAllModes) {
-      ExpectDictOnOffIdentical(*db_, wq, mode);
-    }
-  }
-}
-
-class ImdbDictionaryGridTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database();
-    workload::ImdbOptions options;
-    options.scale_factor = 0.04;  // matches pipeline_parity_test
-    ASSERT_TRUE(workload::GenerateImdb(db_, options).ok());
-  }
-  static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
-  }
-  static Database* db_;
-};
-Database* ImdbDictionaryGridTest::db_ = nullptr;
-
-TEST_F(ImdbDictionaryGridTest, JobQueriesRepresentativeModes) {
-  // Dictionary lowering sits below the optimizer, so three structurally
-  // distinct plan families cover it (as vector_kernel_test trims JOB).
-  constexpr OptimizerMode kJobModes[] = {
-      OptimizerMode::kDuckDB,
-      OptimizerMode::kRelGo,
-      OptimizerMode::kRelGoHash,
-  };
-  for (const auto& wq : workload::JobQueries(*db_)) {
-    for (OptimizerMode mode : kJobModes) {
-      ExpectDictOnOffIdentical(*db_, wq, mode);
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
-// The PR 8 chaos storm, re-run with dictionary encoding pinned on
+// The chaos storm over dictionary-coded string predicates
 // ---------------------------------------------------------------------------
 
 class DictionaryStormTest : public ::testing::Test {
@@ -871,12 +763,13 @@ class DictionaryStormTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(DictionaryStormTest, ChaosStormWithDictionaryEncodingOn) {
+TEST_F(DictionaryStormTest, ChaosStormOverDictionaryCodedPredicates) {
   using exec::EngineKind;
   std::vector<plan::SpjmQuery> mix = {FilteredQuery(), VertexPredQuery()};
   std::vector<std::vector<std::string>> reference;
   for (const auto& q : mix) {
-    auto serial = db_.Run(q, OptimizerMode::kRelGo);
+    auto serial =
+        db_.Run(q, OptimizerMode::kRelGo, testing::OracleOptions());
     ASSERT_TRUE(serial.ok());
     reference.push_back(testing::SortedRows(*serial->table));
   }
@@ -901,7 +794,6 @@ TEST_F(DictionaryStormTest, ChaosStormWithDictionaryEncodingOn) {
         options.engine = (c + i) % 2 == 0 ? EngineKind::kPipeline
                                           : EngineKind::kMaterialize;
         options.num_threads = 2;
-        options.dictionary_encoding = true;  // the storm's pinned config
         if (rng.Chance(0.1)) options.timeout_ms = 0.0;
         std::atomic<uint64_t> query_id{0};
         std::atomic<bool> done{false};
@@ -943,22 +835,19 @@ TEST_F(DictionaryStormTest, ChaosStormWithDictionaryEncodingOn) {
   EXPECT_TRUE(db_.ActiveQueryIds().empty());
   EXPECT_EQ(db_.worker_pool().admitted_queries(), 0);
 
-  // The database serves normally afterwards, and dictionary on/off
-  // agree with the pre-storm reference on both engines.
+  // The database serves normally afterwards, and both engines agree
+  // with the pre-storm reference.
   db_.worker_pool().SetAdmission({});
   fault::Disarm();
   for (size_t qi = 0; qi < mix.size(); ++qi) {
     for (EngineKind engine :
          {EngineKind::kMaterialize, EngineKind::kPipeline}) {
-      for (bool dict : {true, false}) {
-        exec::ExecutionOptions options;
-        options.engine = engine;
-        options.num_threads = 2;
-        options.dictionary_encoding = dict;
-        auto result = db_.Run(mix[qi], OptimizerMode::kRelGo, options);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        EXPECT_EQ(testing::SortedRows(*result->table), reference[qi]);
-      }
+      exec::ExecutionOptions options;
+      options.engine = engine;
+      options.num_threads = 2;
+      auto result = db_.Run(mix[qi], OptimizerMode::kRelGo, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(testing::SortedRows(*result->table), reference[qi]);
     }
   }
 }

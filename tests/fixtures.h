@@ -97,10 +97,9 @@ inline Status BuildFigure2Database(Database* db) {
   return db->Finalize();
 }
 
-/// Renders every row of `table` as a canonical string and sorts them —
-/// bag-semantics comparison across plans that emit rows in different
-/// orders.
-inline std::vector<std::string> SortedRows(const storage::Table& table) {
+/// Renders every row of `table` as a canonical string, in emitted order —
+/// row-for-row comparison of two runs of the same plan.
+inline std::vector<std::string> ExactRows(const storage::Table& table) {
   std::vector<std::string> rows;
   rows.reserve(table.num_rows());
   for (uint64_t r = 0; r < table.num_rows(); ++r) {
@@ -111,6 +110,21 @@ inline std::vector<std::string> SortedRows(const storage::Table& table) {
     }
     rows.push_back(std::move(row));
   }
+  return rows;
+}
+
+/// Selects the reference interpreter: the oracle that pipeline results are
+/// compared against. The default engine is the pipeline.
+inline exec::ExecutionOptions OracleOptions() {
+  exec::ExecutionOptions options;
+  options.engine = exec::EngineKind::kMaterialize;
+  return options;
+}
+
+/// ExactRows sorted — bag-semantics comparison across plans that emit
+/// rows in different orders.
+inline std::vector<std::string> SortedRows(const storage::Table& table) {
+  std::vector<std::string> rows = ExactRows(table);
   std::sort(rows.begin(), rows.end());
   return rows;
 }

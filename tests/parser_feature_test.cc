@@ -148,7 +148,8 @@ TEST_F(TextualQueryTest, ExplainAnalyzeAnnotatesActuals) {
                    .Column("p", "name")
                    .Select("p.name")
                    .Build();
-  auto analyzed = db_.ExplainAnalyze(query, OptimizerMode::kRelGo);
+  auto analyzed = db_.ExplainAnalyze(query, OptimizerMode::kRelGo,
+                                     testing::OracleOptions());
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   // Every operator line carries actual rows and a time.
   EXPECT_NE(analyzed->find("act=4 rows"), std::string::npos) << *analyzed;
@@ -165,7 +166,8 @@ TEST_F(TextualQueryTest, ExplainAnalyzeCoversRelationalOperators) {
                    .Join("Place", "place", "p.place_id", "id")
                    .Select("place.name")
                    .Build();
-  auto analyzed = db_.ExplainAnalyze(query, OptimizerMode::kDuckDB);
+  auto analyzed = db_.ExplainAnalyze(query, OptimizerMode::kDuckDB,
+                                     testing::OracleOptions());
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   EXPECT_NE(analyzed->find("HASH_JOIN"), std::string::npos);
   EXPECT_NE(analyzed->find("act="), std::string::npos);

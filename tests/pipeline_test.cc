@@ -48,6 +48,18 @@ TEST(ColumnSliceTest, AppendRangePreservesNulls) {
   EXPECT_EQ(out.string_at(3), "c");
 }
 
+TEST(ColumnSliceTest, AppendRangeIntoEmptyColumnPreservesNulls) {
+  Column col(LogicalType::kInt64);
+  col.AppendNull();
+  col.AppendInt(5);
+  Column out(LogicalType::kInt64);
+  out.AppendRange(col, 0, 2);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_FALSE(out.is_valid(0));
+  EXPECT_TRUE(out.is_valid(1));
+  EXPECT_EQ(out.int_at(1), 5);
+}
+
 TEST(BatchTest, SliceTableWholeRangeIsZeroCopy) {
   auto table = std::make_shared<storage::Table>(
       "t", storage::Schema({{"x", LogicalType::kInt64}}));
@@ -465,7 +477,8 @@ TEST_F(PipelineEngineTest, DatabaseExecuteDispatchesOnEngineKind) {
                    .Column("p1", "name", "a")
                    .Column("p2", "name", "b")
                    .Build();
-  auto oracle = db_.Run(query, optimizer::OptimizerMode::kRelGo);
+  auto oracle = db_.Run(query, optimizer::OptimizerMode::kRelGo,
+                        testing::OracleOptions());
   ASSERT_TRUE(oracle.ok());
   ExecutionOptions options;
   options.engine = exec::EngineKind::kPipeline;

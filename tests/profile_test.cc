@@ -154,7 +154,8 @@ TEST_F(Figure2ProfileTest, PostOpsInheritChildEstimates) {
 }
 
 TEST_F(Figure2ProfileTest, TreeRenderingCarriesEstimateActualQError) {
-  auto analyzed = db_.ExplainAnalyze(ExampleQuery(), OptimizerMode::kRelGo);
+  auto analyzed = db_.ExplainAnalyze(ExampleQuery(), OptimizerMode::kRelGo,
+                                     testing::OracleOptions());
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   EXPECT_NE(analyzed->find("est="), std::string::npos) << *analyzed;
   EXPECT_NE(analyzed->find("act="), std::string::npos) << *analyzed;
@@ -213,7 +214,8 @@ TEST_F(Figure2ProfileTest, TopKSinkReplacesPostOpBreakers) {
 
 TEST_F(Figure2ProfileTest, EnginesAgreePerNodeOnFigure2) {
   for (OptimizerMode mode : kAllModes) {
-    auto oracle = db_.RunProfiled(ExampleQuery(), mode);
+    auto oracle =
+        db_.RunProfiled(ExampleQuery(), mode, testing::OracleOptions());
     ASSERT_TRUE(oracle.ok()) << optimizer::ModeName(mode);
     auto piped = db_.RunProfiled(ExampleQuery(), mode, PipelineOptions(4));
     ASSERT_TRUE(piped.ok()) << optimizer::ModeName(mode);
@@ -249,7 +251,7 @@ void ExpectProfiledGridAgrees(const Database& db,
     for (OptimizerMode mode : modes) {
       std::string label = wq.query.name + std::string(" under ") +
                           optimizer::ModeName(mode);
-      auto oracle = db.RunProfiled(wq.query, mode);
+      auto oracle = db.RunProfiled(wq.query, mode, testing::OracleOptions());
       ASSERT_TRUE(oracle.ok())
           << label << " (oracle): " << oracle.status().ToString();
       auto piped = db.RunProfiled(wq.query, mode, PipelineOptions(4));

@@ -10,11 +10,11 @@
 //    GroupKeyHash chain, and Decode must reproduce Column::GetValue.
 //  * AggColumnView vs the boxed aggregate update loop.
 //  * TypedColumnCompare / TypedColumnValueCompare vs Value::Compare.
-//  * Whole-query A/B: every workload query under every optimizer mode,
-//    in BOTH engines, must produce byte-identical results (including row
-//    order) with vectorized_kernels on and off.
 //  * ScanCache cost-aware admission and bitmap payloads (the cache layer
 //    the kernel-filter paths publish into).
+//
+// Whole queries are checked against the reference interpreter, which
+// uses none of these components, in pipeline_parity_test.
 
 #include <gtest/gtest.h>
 
@@ -31,9 +31,6 @@
 #include "fixtures.h"
 #include "storage/expression.h"
 #include "storage/table.h"
-#include "workload/harness.h"
-#include "workload/imdb.h"
-#include "workload/ldbc.h"
 
 namespace relgo {
 namespace exec {
@@ -506,124 +503,4 @@ TEST(ScanCacheAdmissionTest, BitmapKeyNamespaceNeverCollides) {
 }  // namespace
 }  // namespace vector
 }  // namespace exec
-
-// ---------------------------------------------------------------------------
-// Whole-query A/B grid: kernels on vs off must be byte-identical
-// ---------------------------------------------------------------------------
-
-namespace workload {
-namespace {
-
-using optimizer::OptimizerMode;
-
-/// Row strings WITHOUT sorting: the kernel layer must not even reorder
-/// rows, so the comparison is on the exact emitted sequence.
-std::vector<std::string> ExactRows(const storage::Table& table) {
-  std::vector<std::string> rows;
-  rows.reserve(table.num_rows());
-  for (uint64_t r = 0; r < table.num_rows(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      if (c) row += "|";
-      row += table.GetValue(r, c).ToString();
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-void ExpectKernelsOnOffIdentical(const Database& db, const WorkloadQuery& wq,
-                                 OptimizerMode mode) {
-  for (exec::EngineKind engine :
-       {exec::EngineKind::kMaterialize, exec::EngineKind::kPipeline}) {
-    exec::ExecutionOptions on;
-    on.engine = engine;
-    on.num_threads = 4;
-    on.vectorized_kernels = true;
-    exec::ExecutionOptions off = on;
-    off.vectorized_kernels = false;
-
-    auto with = db.Run(wq.query, mode, on);
-    ASSERT_TRUE(with.ok()) << wq.query.name << " kernels=on: "
-                           << with.status().ToString();
-    auto without = db.Run(wq.query, mode, off);
-    ASSERT_TRUE(without.ok()) << wq.query.name << " kernels=off: "
-                              << without.status().ToString();
-    EXPECT_EQ(ExactRows(*with->table), ExactRows(*without->table))
-        << wq.query.name << " under " << optimizer::ModeName(mode)
-        << (engine == exec::EngineKind::kPipeline ? " (pipeline)"
-                                                  : " (materialize)");
-  }
-}
-
-/// All optimizer modes of the paper's evaluation (as pipeline_parity).
-constexpr OptimizerMode kAllModes[] = {
-    OptimizerMode::kDuckDB,       OptimizerMode::kGRainDB,
-    OptimizerMode::kUmbraLike,    OptimizerMode::kRelGo,
-    OptimizerMode::kRelGoHash,    OptimizerMode::kRelGoNoEI,
-    OptimizerMode::kRelGoNoRule,  OptimizerMode::kRelGoNoFuse,
-    OptimizerMode::kRelGoLowOrder, OptimizerMode::kGdbmsSim,
-};
-
-class LdbcKernelGridTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database();
-    LdbcOptions options;
-    options.scale_factor = 0.08;  // matches pipeline_parity_test
-    ASSERT_TRUE(GenerateLdbc(db_, options).ok());
-  }
-  static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
-  }
-  static Database* db_;
-};
-Database* LdbcKernelGridTest::db_ = nullptr;
-
-TEST_F(LdbcKernelGridTest, AllQueriesAllModesBothEngines) {
-  std::vector<WorkloadQuery> all = LdbcInteractiveQueries(*db_);
-  for (auto& wq : LdbcRuleQueries(*db_)) all.push_back(wq);
-  for (auto& wq : LdbcCyclicQueries(*db_)) all.push_back(wq);
-  for (const auto& wq : all) {
-    for (OptimizerMode mode : kAllModes) {
-      ExpectKernelsOnOffIdentical(*db_, wq, mode);
-    }
-  }
-}
-
-class ImdbKernelGridTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database();
-    ImdbOptions options;
-    options.scale_factor = 0.04;  // matches pipeline_parity_test
-    ASSERT_TRUE(GenerateImdb(db_, options).ok());
-  }
-  static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
-  }
-  static Database* db_;
-};
-Database* ImdbKernelGridTest::db_ = nullptr;
-
-TEST_F(ImdbKernelGridTest, JobQueriesRepresentativeModes) {
-  // Mode list trimmed for runtime like workload_test trims kRelGoNoRule:
-  // the kernel layer is mode-independent (it sits below the optimizer),
-  // so three structurally distinct plan families cover it.
-  constexpr OptimizerMode kJobModes[] = {
-      OptimizerMode::kDuckDB,
-      OptimizerMode::kRelGo,
-      OptimizerMode::kRelGoHash,
-  };
-  for (const auto& wq : JobQueries(*db_)) {
-    for (OptimizerMode mode : kJobModes) {
-      ExpectKernelsOnOffIdentical(*db_, wq, mode);
-    }
-  }
-}
-
-}  // namespace
-}  // namespace workload
 }  // namespace relgo
