@@ -3,9 +3,9 @@
 // pattern hash join (each run as a single-threaded pipeline-engine plan),
 // and the naive matcher, on a fixed LDBC-like dataset —
 // plus kernel-vs-row microbenches of the vectorized expression layer
-// (filter selectivity sweep, join-key hashing, group-key build), whose
-// results are also appended to BENCH_pipeline.json so the boxing-removal
-// speedup is recorded in the perf trajectory.
+// (filter selectivity sweep, join-key hashing, group-key build) and the
+// two-phase join hash-table build, whose results are also appended to
+// BENCH_pipeline.json so they are recorded in the perf trajectory.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +18,7 @@
 #include "exec/join_hash_table.h"
 #include "exec/naive_matcher.h"
 #include "exec/pipeline/engine.h"
+#include "exec/pipeline/scheduler.h"
 #include "exec/vector/compiled_expr.h"
 #include "exec/vector/typed_keys.h"
 #include "storage/expression.h"
@@ -596,6 +597,64 @@ void BM_DictGroupKeyStringDict(benchmark::State& state) {
 BENCHMARK(BM_DictGroupKeyStringPayload)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DictGroupKeyStringDict)->Unit(benchmark::kMillisecond);
 
+/// Join hash-table build over an int64 FK-like key (uniform in
+/// [0, rows / 4), so keys repeat), through the two phases HashBuildSink
+/// runs: morsel-parallel PartitionRows, then partition-parallel
+/// FinalizePartition on a shared pool. Args: build rows, workers. The 4k
+/// build matches the join tables the end-to-end benchmark rebuilds per
+/// query (it stays on the scheduler's inline path even at 4 workers); the
+/// 1M build is a large parallel build that benchmark never runs.
+void BM_HashBuild(benchmark::State& state) {
+  const auto rows = static_cast<uint64_t>(state.range(0));
+  const int workers = static_cast<int>(state.range(1));
+  static std::map<uint64_t, storage::TablePtr> tables;
+  storage::TablePtr& table = tables[rows];
+  if (table == nullptr) {
+    std::mt19937 rng(11);
+    table = std::make_shared<storage::Table>(
+        "build", storage::Schema({{"k", LogicalType::kInt64}}));
+    table->column(0).Reserve(rows);
+    for (uint64_t r = 0; r < rows; ++r) {
+      table->column(0).AppendInt(static_cast<int64_t>(rng() % (rows / 4)));
+    }
+    table->FinishBulkAppend();
+  }
+  static exec::pipeline::TaskScheduler scheduler;
+  const std::vector<std::string> keys = {"k"};
+  for (auto _ : state) {
+    exec::JoinHashTable ht;
+    Status st = ht.BeginBuild(*table, keys);
+    if (st.ok()) {
+      st = scheduler.Run(ht.num_morsels(), workers, [&](int, uint64_t m) {
+        ht.PartitionRows(m);
+        return Status::OK();
+      });
+    }
+    if (st.ok()) {
+      st = scheduler.Run(exec::JoinHashTable::kNumPartitions, workers,
+                         [&](int, uint64_t p) {
+                           ht.FinalizePartition(static_cast<size_t>(p));
+                           return Status::OK();
+                         });
+    }
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(&ht);
+    benchmark::ClobberMemory();
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["workers"] = workers;
+}
+BENCHMARK(BM_HashBuild)
+    ->Args({4096, 1})
+    ->Args({4096, 4})
+    ->Args({1 << 20, 1})
+    ->Args({1 << 20, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 /// Forwards finished kernel-vs-row runs into BENCH_pipeline.json (bench
 /// "operators_kernel") and remembers per-benchmark timings so main() can
 /// print the row/kernel speedup table the acceptance bar reads.
@@ -606,7 +665,8 @@ class KernelJsonReporter : public benchmark::ConsoleReporter {
     for (const Run& run : runs) {
       std::string name = run.benchmark_name();
       const bool dict_bench = name.rfind("BM_Dict", 0) == 0;
-      if (!dict_bench && name.rfind("BM_Filter", 0) != 0 &&
+      const bool build_bench = name.rfind("BM_HashBuild", 0) == 0;
+      if (!dict_bench && !build_bench && name.rfind("BM_Filter", 0) != 0 &&
           name.rfind("BM_JoinKey", 0) != 0 &&
           name.rfind("BM_GroupKey", 0) != 0) {
         continue;
@@ -616,11 +676,19 @@ class KernelJsonReporter : public benchmark::ConsoleReporter {
           1e3;
       ms_by_name_[name] = ms;
       bench::BenchRecord rec;
-      rec.bench = dict_bench ? "operators_dict" : "operators_kernel";
+      rec.bench = dict_bench    ? "operators_dict"
+                  : build_bench ? "operators_hash_build"
+                                : "operators_kernel";
       rec.workload = "micro";
       rec.scale = 0.0;
       rec.query = name;
-      if (dict_bench) {
+      auto workers = run.counters.find("workers");
+      rec.threads = workers == run.counters.end()
+                        ? 1
+                        : static_cast<int>(workers->second.value);
+      if (build_bench) {
+        rec.mode = "flat";
+      } else if (dict_bench) {
         rec.mode = name.find("Payload") != std::string::npos ? "payload"
                                                              : "dict";
       } else {
@@ -630,7 +698,6 @@ class KernelJsonReporter : public benchmark::ConsoleReporter {
                        : "kernel";
       }
       rec.engine = "pipeline";
-      rec.threads = 1;
       rec.execution_ms = ms;
       auto rows = run.counters.find("rows");
       rec.rows = rows == run.counters.end()

@@ -56,6 +56,14 @@ GroupKey RowKey(const Table& t, const std::vector<size_t>& cols, uint64_t r) {
   return key;
 }
 
+/// True when `key` holds a NULL: under SQL equality it joins no row.
+bool HasNull(const GroupKey& key) {
+  for (const Value& v : key.values) {
+    if (v.is_null()) return true;
+  }
+  return false;
+}
+
 /// Binds a clone of `filter` to `table`: the plan may share the tree with
 /// its query, and concurrent executions must not race on Bind's resolved
 /// indexes.
@@ -151,9 +159,10 @@ Result<TablePtr> ExecProject(const plan::PhysProject& op, TablePtr child,
 /// Hash-joins two materialized tables on their key columns (names
 /// resolved in each side's schema): the right side is the build side,
 /// keyed by boxed Values; left rows stream in order and emit their matches
-/// in build-row order. Output schema: all left columns followed by all
-/// right columns except `drop_right` (PATTERN_JOIN drops its duplicated
-/// shared variables) and names already present.
+/// in build-row order. A row with a NULL key matches nothing. Output
+/// schema: all left columns followed by all right columns except
+/// `drop_right` (PATTERN_JOIN drops its duplicated shared variables) and
+/// names already present.
 Result<TablePtr> HashJoinTables(const Table& left, const Table& right,
                                 const std::vector<std::string>& left_keys,
                                 const std::vector<std::string>& right_keys,
@@ -171,12 +180,14 @@ Result<TablePtr> HashJoinTables(const Table& left, const Table& right,
   RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kHashBuild));
   std::unordered_map<GroupKey, std::vector<uint64_t>, GroupKeyHash> build;
   for (uint64_t r = 0; r < right.num_rows(); ++r) {
-    build[RowKey(right, build_cols, r)].push_back(r);
+    GroupKey key = RowKey(right, build_cols, r);
+    if (!HasNull(key)) build[std::move(key)].push_back(r);
   }
 
   std::vector<uint64_t> left_sel, right_sel;
   for (uint64_t r = 0; r < left.num_rows(); ++r) {
-    auto it = build.find(RowKey(left, probe_cols, r));
+    GroupKey key = RowKey(left, probe_cols, r);
+    auto it = HasNull(key) ? build.end() : build.find(key);
     if (it != build.end()) {
       for (uint64_t b : it->second) {
         left_sel.push_back(r);
@@ -636,11 +647,12 @@ Result<TablePtr> ExecExpand(const plan::PhysExpand& op, TablePtr child,
     std::unordered_map<int64_t, std::vector<uint64_t>> build;
     build.reserve(etable->num_rows() * 2);
     for (uint64_t e = 0; e < etable->num_rows(); ++e) {
-      build[from_fk_col->int_at(e)].push_back(e);
+      if (from_fk_col->is_valid(e)) build[from_fk_col->int_at(e)].push_back(e);
     }
     for (uint64_t r = 0; r < child->num_rows(); ++r) {
       auto v = static_cast<uint64_t>(child->column(from_col).int_at(r));
-      auto it = build.find(from_key_col->int_at(v));
+      auto it = from_key_col->is_valid(v) ? build.find(from_key_col->int_at(v))
+                                          : build.end();
       if (it != build.end()) {
         for (uint64_t e : it->second) {
           auto to_it = to_key_index->find(to_fk_col->int_at(e));
@@ -831,12 +843,16 @@ Result<TablePtr> ExecEdgeVerify(const plan::PhysEdgeVerify& op, TablePtr child,
         build;
     build.reserve(etable->num_rows() * 2);
     for (uint64_t e = 0; e < etable->num_rows(); ++e) {
-      build[{sfk->int_at(e), dfk->int_at(e)}].push_back(e);
+      if (sfk->is_valid(e) && dfk->is_valid(e)) {
+        build[{sfk->int_at(e), dfk->int_at(e)}].push_back(e);
+      }
     }
     for (uint64_t r = 0; r < child->num_rows(); ++r) {
       auto s = static_cast<uint64_t>(child->column(src_col).int_at(r));
       auto d = static_cast<uint64_t>(child->column(dst_col).int_at(r));
-      auto it = build.find({skey->int_at(s), dkey->int_at(d)});
+      auto it = skey->is_valid(s) && dkey->is_valid(d)
+                    ? build.find({skey->int_at(s), dkey->int_at(d)})
+                    : build.end();
       if (it != build.end()) {
         for (uint64_t e : it->second) {
           child_sel.push_back(r);

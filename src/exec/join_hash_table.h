@@ -2,57 +2,58 @@
 #define RELGO_EXEC_JOIN_HASH_TABLE_H_
 
 #include <algorithm>
-#include <array>
-#include <unordered_map>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
+#include "exec/pipeline/batch.h"
 #include "storage/table.h"
 
 namespace relgo {
 namespace exec {
 
-/// Composite join-key hash table: hash -> row buckets with exact re-check
-/// on probe (collision-safe). Backs the pipeline engine's hash-join build
-/// sink and probe operator.
+/// Composite join-key hash table over the rows of one build table, with
+/// an exact key re-check on probe (collision-safe). Backs the pipeline
+/// engine's hash-join build sink and probe operator, and the index-free
+/// EXPAND / EDGE_VERIFY operators.
 ///
-/// Construction is two-phase so the pipeline engine can build in parallel
-/// (partition -> finalize), while Probe stays const and safe to call
-/// concurrently:
+/// Layout: a flat chained table. `hashes_` and `next_` are indexed by
+/// build row, `heads_` by bucket (a power of two). Every chain lists its
+/// build rows in ascending row order, so probe match order equals a
+/// sequential 0..n build however the rows were split across workers
+/// (probe emit order is part of the engine-parity contract). A build
+/// makes a fixed number of allocations, independent of the row count and
+/// the number of distinct keys.
 ///
-///  1. BeginBuild() resolves the key columns and fixes the partition
-///     directory: the bucket space is split into kNumPartitions shards by
-///     high hash bits, each shard an independent hash map.
-///  2. PartitionRows() is const and thread-safe: each worker scatters the
-///     (hash, row) pairs of a disjoint row range into a private
-///     BuildPartial, one append-only run per partition.
-///  3. FinalizePartition() inserts every partial's entries for ONE
-///     partition into that partition's shard. Distinct partitions touch
-///     disjoint state, so all kNumPartitions finalize calls can run
-///     concurrently. Entries are sorted by row id first, which makes the
-///     bucket contents (and therefore probe match order) identical to a
-///     sequential 0..n build regardless of how rows were partitioned
-///     across workers.
+/// Construction is two-phase so the pipeline engine can build in parallel,
+/// while Probe stays const and safe to call concurrently:
 ///
-/// Build() wraps the three phases into a serial convenience.
+///  1. BeginBuild() resolves the key columns and sizes every array.
+///  2. PartitionRows(m) hashes morsel `m` (build rows [m * kBatchRows,
+///     ...)) and counting-sorts its rows by partition into the morsel's
+///     own slice of `order_`, stably, so each partition's rows stay
+///     ascending. Morsels write disjoint slots, so all of them can run
+///     concurrently, in any order.
+///  3. FinalizePartition(p) reads partition `p`'s slices from the last
+///     morsel to the first and each slice back to front, i.e. its rows
+///     from back to front, and pushes each row onto the front of its
+///     bucket's chain — which leaves every chain ascending without a
+///     comparison sort. Partitions own disjoint bucket ranges (the top
+///     bits of the bucket index) and disjoint rows, so all kNumPartitions
+///     calls can run concurrently without locks.
+///
+/// SQL equality: a build row with a NULL in any key column is never linked,
+/// and a probe row with a NULL key matches nothing.
+///
+/// Build() runs the three phases on the calling thread.
 class JoinHashTable {
  public:
-  /// Shard count of the partition directory. Power of two; large enough to
-  /// keep 16 workers busy during finalize, small enough that tiny build
-  /// sides do not pay directory overhead.
+  /// Partition count of the partition-parallel phase. Power of two; large
+  /// enough to keep 16 workers busy, small enough that tiny build sides
+  /// pay only kNumPartitions + 1 slice bounds per morsel.
   static constexpr size_t kNumPartitions = 64;
-
-  struct Entry {
-    size_t hash;
-    uint64_t row;
-  };
-
-  /// One worker's scatter output: an append-only (hash, row) run per
-  /// partition. No ordering is assumed across (or within) runs —
-  /// FinalizePartition sorts by row id before inserting.
-  struct BuildPartial {
-    std::array<std::vector<Entry>, kNumPartitions> runs;
-  };
 
   /// One resolved build-side key column. int64 keys read the payload
   /// span directly. String keys prefer dictionary codes — one int32
@@ -67,30 +68,26 @@ class JoinHashTable {
     const std::string* strs = nullptr;
     const int32_t* codes = nullptr;                   // dict mode only
     const storage::StringDictionary* dict = nullptr;  // dict mode only
+    const uint8_t* valid = nullptr;  // nullptr == no NULLs
   };
 
-  /// Phase 1 of 3: resolves `keys` against the build table and preallocates
-  /// the partition directory. The table must outlive the hash table.
+  /// Phase 1 of 3: resolves `keys` against the build table and sizes the
+  /// row, bucket and slice arrays. The table must outlive the hash table.
   /// Keys must be int64 or string columns; string keys use dictionary
-  /// codes when the column has one. Like
-  /// the int64 path's null => payload-0 convention, string nulls hash
-  /// and compare as their "" payload placeholder.
+  /// codes when the column has one. Fails when the table holds more rows
+  /// than the 32-bit row links can address.
   Status BeginBuild(const storage::Table& table,
                     const std::vector<std::string>& keys) {
-    table_ = &table;
-    key_cols_.clear();
-    keyspans_.clear();
-    build_keys_.clear();
-    bool all_int64 = true;
+    keys_.clear();
     for (const auto& k : keys) {
       RELGO_ASSIGN_OR_RETURN(size_t idx, table.schema().GetColumnIndex(k));
       const storage::Column& col = table.column(idx);
       BuildKey bk;
       bk.type = col.type();
+      bk.valid = col.validity_data();
       if (bk.type == LogicalType::kInt64) {
         bk.ints = col.data_int64();
       } else if (bk.type == LogicalType::kString) {
-        all_int64 = false;
         bk.strs = col.data_string();
         if (col.dictionary() != nullptr) {
           bk.codes = col.data_codes();
@@ -100,65 +97,80 @@ class JoinHashTable {
         return Status::NotImplemented(
             "hash join requires int64 or string keys, got " + k);
       }
-      key_cols_.push_back(idx);
-      keyspans_.push_back(bk);
+      keys_.push_back(bk);
     }
-    // Hoist the int64 payload spans once: the typed-span Probe
-    // overload and its hash re-check read raw slots instead of going
-    // through Column per row. Only populated for all-int64 key sets —
-    // the planner's joins (binding columns) are exactly that; string
-    // keys go through BindProbe/ProbeView.
-    if (all_int64) {
-      for (size_t idx : key_cols_) {
-        build_keys_.push_back(table.column(idx).data_int64());
-      }
+    num_rows_ = table.num_rows();
+    if (num_rows_ > kEnd) {
+      return Status::NotImplemented(
+          "hash join build side exceeds 4294967295 rows");
     }
+    size_t buckets = kNumPartitions;
+    while (buckets < 2 * num_rows_) buckets *= 2;
+    bucket_mask_ = buckets - 1;
+    partition_shift_ = 0;
+    while ((buckets >> partition_shift_) > kNumPartitions) ++partition_shift_;
+    num_morsels_ =
+        (num_rows_ + pipeline::kBatchRows - 1) / pipeline::kBatchRows;
+    hashes_.resize(num_rows_);
+    next_.resize(num_rows_);
+    order_.resize(num_rows_);
+    heads_.assign(buckets, kEnd);
+    bounds_.resize(num_morsels_ * (kNumPartitions + 1));
     return Status::OK();
   }
 
-  /// Phase 2 of 3: scatters rows [begin, begin + count) into `partial`.
-  /// Const and thread-safe over disjoint ranges.
-  void PartitionRows(uint64_t begin, uint64_t count,
-                     BuildPartial* partial) const {
-    for (uint64_t r = begin; r < begin + count; ++r) {
+  /// Morsels of the build table (kBatchRows rows each, the last partial):
+  /// the index range of PartitionRows.
+  uint64_t num_morsels() const { return num_morsels_; }
+
+  /// Phase 2 of 3: hashes morsel `morsel` and groups its rows by
+  /// partition in its slice of `order_`. Safe to call concurrently for
+  /// distinct morsels.
+  void PartitionRows(uint64_t morsel) {
+    uint64_t begin = morsel * pipeline::kBatchRows;
+    uint64_t end = std::min(begin + pipeline::kBatchRows, num_rows_);
+    uint32_t cursor[kNumPartitions] = {};  // row counts, then write slots
+    for (uint64_t r = begin; r < end; ++r) {
+      if (!BuildKeysValid(r)) continue;  // a NULL key never matches
       size_t h = HashRow(r);
-      partial->runs[PartitionOf(h)].push_back(Entry{h, r});
+      hashes_[r] = h;
+      ++cursor[PartitionOf(h)];
+    }
+    uint32_t* bound = &bounds_[morsel * (kNumPartitions + 1)];
+    uint32_t pos = static_cast<uint32_t>(begin);
+    for (size_t p = 0; p < kNumPartitions; ++p) {
+      bound[p] = pos;
+      pos += cursor[p];
+      cursor[p] = bound[p];
+    }
+    bound[kNumPartitions] = pos;
+    for (uint64_t r = begin; r < end; ++r) {
+      if (!BuildKeysValid(r)) continue;
+      order_[cursor[PartitionOf(hashes_[r])]++] = static_cast<uint32_t>(r);
     }
   }
 
-  /// Phase 3 of 3: merges every partial's run for partition `p` into shard
-  /// `p`. Safe to call concurrently for distinct `p`.
-  void FinalizePartition(size_t p, std::vector<BuildPartial>* partials) {
-    size_t total = 0;
-    for (const BuildPartial& partial : *partials) {
-      total += partial.runs[p].size();
+  /// Phase 3 of 3: links partition `p`'s rows into their bucket chains,
+  /// back to front. Safe to call concurrently for distinct `p`, once
+  /// every PartitionRows call has returned.
+  void FinalizePartition(size_t p) {
+    for (uint64_t m = num_morsels_; m-- > 0;) {
+      const uint32_t* bound = &bounds_[m * (kNumPartitions + 1)];
+      for (uint32_t i = bound[p + 1]; i-- > bound[p];) {
+        uint32_t r = order_[i];
+        uint32_t& head = heads_[hashes_[r] & bucket_mask_];
+        next_[r] = head;
+        head = r;
+      }
     }
-    if (total == 0) return;
-    // Restore global row order (rows are unique, so a plain sort suffices)
-    // so bucket vectors equal the sequential build's — probe emit order is
-    // part of the engine-parity contract.
-    std::vector<Entry> entries;
-    entries.reserve(total);
-    for (const BuildPartial& partial : *partials) {
-      entries.insert(entries.end(), partial.runs[p].begin(),
-                     partial.runs[p].end());
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.row < b.row; });
-    auto& shard = shards_[p];
-    shard.reserve(total * 2);
-    for (const Entry& e : entries) shard[e.hash].push_back(e.row);
   }
 
   /// Serial convenience: the three phases on the calling thread.
   Status Build(const storage::Table& table,
                const std::vector<std::string>& keys) {
     RELGO_RETURN_NOT_OK(BeginBuild(table, keys));
-    std::vector<BuildPartial> partials(1);
-    PartitionRows(0, table.num_rows(), &partials[0]);
-    for (size_t p = 0; p < kNumPartitions; ++p) {
-      FinalizePartition(p, &partials);
-    }
+    for (uint64_t m = 0; m < num_morsels_; ++m) PartitionRows(m);
+    for (size_t p = 0; p < kNumPartitions; ++p) FinalizePartition(p);
     return Status::OK();
   }
 
@@ -172,6 +184,7 @@ class JoinHashTable {
       const int64_t* ints = nullptr;
       const std::string* strs = nullptr;
       const int32_t* codes = nullptr;  // valid when shared
+      const uint8_t* valid = nullptr;  // nullptr == no NULLs
       bool shared = false;
     };
     std::vector<Key> keys;
@@ -180,7 +193,7 @@ class JoinHashTable {
   /// True when any build key is a string column — the probe side then
   /// probes through BindProbe/ProbeView instead of hoisted int64 spans.
   bool has_string_keys() const {
-    for (const BuildKey& k : keyspans_) {
+    for (const BuildKey& k : keys_) {
       if (k.type == LogicalType::kString) return true;
     }
     return false;
@@ -196,11 +209,12 @@ class JoinHashTable {
     view->keys.clear();
     for (size_t i = 0; i < probe_cols.size(); ++i) {
       const storage::Column& col = probe.column(probe_cols[i]);
-      const BuildKey& bk = keyspans_[i];
+      const BuildKey& bk = keys_[i];
       if (col.type() != bk.type) {
         return Status::InvalidArgument("probe/build join key type mismatch");
       }
       ProbeView::Key k;
+      k.valid = col.validity_data();
       if (bk.type == LogicalType::kInt64) {
         k.ints = col.data_int64();
       } else {
@@ -216,13 +230,14 @@ class JoinHashTable {
   }
 
   /// Appends matching build-side rows for probe row `row` of a bound
-  /// probe view into `out`.
+  /// probe view into `out`, in ascending build-row order.
   void Probe(const ProbeView& view, uint64_t row,
              std::vector<uint64_t>* out) const {
     size_t h = kHashSeed;
-    for (size_t i = 0; i < keyspans_.size(); ++i) {
-      const BuildKey& bk = keyspans_[i];
+    for (size_t i = 0; i < keys_.size(); ++i) {
+      const BuildKey& bk = keys_[i];
       const ProbeView::Key& pk = view.keys[i];
+      if (pk.valid != nullptr && pk.valid[row] == 0) return;
       if (bk.type == LogicalType::kInt64) {
         h = HashCombine(h, static_cast<size_t>(pk.ints[row]));
       } else if (bk.dict != nullptr) {
@@ -234,85 +249,99 @@ class JoinHashTable {
         h = HashCombine(h, TypedHash(pk.strs[row]));
       }
     }
-    const Shard& shard = shards_[PartitionOf(h)];
-    auto it = shard.find(h);
-    if (it == shard.end()) return;
-    for (uint64_t build_row : it->second) {
-      bool match = true;
-      for (size_t i = 0; i < keyspans_.size(); ++i) {
-        const BuildKey& bk = keyspans_[i];
-        const ProbeView::Key& pk = view.keys[i];
-        if (bk.type == LogicalType::kInt64) {
-          match = bk.ints[build_row] == pk.ints[row];
-        } else if (bk.dict != nullptr && pk.shared) {
-          match = bk.codes[build_row] == pk.codes[row];
-        } else {
-          match = bk.strs[build_row] == pk.strs[row];
-        }
-        if (!match) break;
-      }
-      if (match) out->push_back(build_row);
-    }
+    ProbeHash(
+        h,
+        [&](uint64_t build_row) {
+          for (size_t i = 0; i < keys_.size(); ++i) {
+            const BuildKey& bk = keys_[i];
+            const ProbeView::Key& pk = view.keys[i];
+            bool match;
+            if (bk.type == LogicalType::kInt64) {
+              match = bk.ints[build_row] == pk.ints[row];
+            } else if (bk.dict != nullptr && pk.shared) {
+              match = bk.codes[build_row] == pk.codes[row];
+            } else {
+              match = bk.strs[build_row] == pk.strs[row];
+            }
+            if (!match) return false;
+          }
+          return true;
+        },
+        out);
   }
 
   /// Appends matching build-side rows for probe row (cols `probe_cols` of
-  /// `probe`) into `out`. Per-row convenience over BindProbe for int64
-  /// keys (bit-identical to the typed-span overload below).
+  /// `probe`) into `out`. Per-row convenience for int64 keys
+  /// (bit-identical to the typed-span overload below).
   void Probe(const storage::Table& probe,
              const std::vector<size_t>& probe_cols, uint64_t row,
              std::vector<uint64_t>* out) const {
     size_t h = kHashSeed;
     for (size_t c : probe_cols) {
-      h = HashCombine(h, static_cast<size_t>(probe.column(c).int_at(row)));
+      const storage::Column& col = probe.column(c);
+      if (!col.is_valid(row)) return;
+      h = HashCombine(h, static_cast<size_t>(col.int_at(row)));
     }
-    ProbeHash(h,
-              [&](size_t i) { return probe.column(probe_cols[i]).int_at(row); },
-              out);
+    ProbeInt64(
+        h, [&](size_t i) { return probe.column(probe_cols[i]).int_at(row); },
+        out);
   }
 
   /// Typed-span probe: `keys[i]` is the raw int64 payload of the i-th
   /// probe key column, hoisted once per table / batch by the caller (the
   /// pipeline's hot probe loop). Bit-identical to the overloads
-  /// above — int_at reads the same payload the spans expose.
+  /// above — int_at reads the same payload the spans expose. The spans
+  /// carry no validity: the caller skips probe rows with a NULL key.
   void Probe(const int64_t* const* keys, uint64_t row,
              std::vector<uint64_t>* out) const {
     size_t h = kHashSeed;
-    for (size_t i = 0; i < key_cols_.size(); ++i) {
+    for (size_t i = 0; i < keys_.size(); ++i) {
       h = HashCombine(h, static_cast<size_t>(keys[i][row]));
     }
-    ProbeHash(h, [&](size_t i) { return keys[i][row]; }, out);
+    ProbeInt64(h, [&](size_t i) { return keys[i][row]; }, out);
   }
 
  private:
-  using Shard = std::unordered_map<size_t, std::vector<uint64_t>>;
+  /// End of a chain; also bounds the build side to kEnd rows.
+  static constexpr uint32_t kEnd = std::numeric_limits<uint32_t>::max();
 
-  /// Partition selector. unordered_map consumes the low hash bits for its
-  /// bucket index, so the directory uses higher bits to stay uncorrelated.
-  static size_t PartitionOf(size_t h) {
-    return (h >> 24) & (kNumPartitions - 1);
+  /// Walks the chain of hash `h`, appending rows whose hash and keys match.
+  template <typename KeysEqual>
+  void ProbeHash(size_t h, const KeysEqual& keys_equal,
+                 std::vector<uint64_t>* out) const {
+    for (uint32_t r = heads_[h & bucket_mask_]; r != kEnd; r = next_[r]) {
+      if (hashes_[r] == h && keys_equal(r)) out->push_back(r);
+    }
   }
 
   template <typename KeyAt>
-  void ProbeHash(size_t h, const KeyAt& key_at,
-                 std::vector<uint64_t>* out) const {
-    const Shard& shard = shards_[PartitionOf(h)];
-    auto it = shard.find(h);
-    if (it == shard.end()) return;
-    for (uint64_t build_row : it->second) {
-      bool match = true;
-      for (size_t i = 0; i < key_cols_.size(); ++i) {
-        if (build_keys_[i][build_row] != key_at(i)) {
-          match = false;
-          break;
-        }
-      }
-      if (match) out->push_back(build_row);
+  void ProbeInt64(size_t h, const KeyAt& key_at,
+                  std::vector<uint64_t>* out) const {
+    ProbeHash(
+        h,
+        [&](uint64_t build_row) {
+          for (size_t i = 0; i < keys_.size(); ++i) {
+            if (keys_[i].ints[build_row] != key_at(i)) return false;
+          }
+          return true;
+        },
+        out);
+  }
+
+  bool BuildKeysValid(uint64_t r) const {
+    for (const BuildKey& k : keys_) {
+      if (k.valid != nullptr && k.valid[r] == 0) return false;
     }
+    return true;
+  }
+
+  size_t PartitionOf(size_t h) const {
+    return (h & bucket_mask_) >> partition_shift_;
   }
 
   size_t HashRow(uint64_t r) const {
     size_t h = kHashSeed;
-    for (const BuildKey& k : keyspans_) {
+    for (const BuildKey& k : keys_) {
       if (k.type == LogicalType::kInt64) {
         h = HashCombine(h, static_cast<size_t>(k.ints[r]));
       } else if (k.dict != nullptr) {
@@ -324,13 +353,21 @@ class JoinHashTable {
     return h;
   }
 
-  const storage::Table* table_ = nullptr;
-  std::vector<size_t> key_cols_;
-  std::vector<BuildKey> keyspans_;  ///< resolved key spans, one per key
-  /// int64 payload spans, populated only for all-int64 key sets (the
-  /// planner's joins) — backs the typed-span Probe overload.
-  std::vector<const int64_t*> build_keys_;
-  std::array<Shard, kNumPartitions> shards_;
+  std::vector<BuildKey> keys_;  ///< resolved key spans, one per key
+  uint64_t num_rows_ = 0;
+  uint64_t num_morsels_ = 0;
+  size_t bucket_mask_ = 0;
+  int partition_shift_ = 0;  ///< bucket index >> shift == partition
+  std::vector<size_t> hashes_;  ///< per build row (linked rows only)
+  std::vector<uint32_t> next_;  ///< per build row: next row of its chain
+  std::vector<uint32_t> heads_;  ///< per bucket: first (lowest) row
+  /// Used only while building: rows grouped per morsel by partition.
+  /// Morsel m's slice starts at m * kBatchRows like its rows; NULL-key
+  /// rows are left out.
+  std::vector<uint32_t> order_;
+  /// [m * (kNumPartitions + 1) + p]: where partition p's rows start in
+  /// morsel m's slice of `order_`; entry kNumPartitions ends the slice.
+  std::vector<uint32_t> bounds_;
 };
 
 }  // namespace exec

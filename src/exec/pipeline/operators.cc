@@ -222,12 +222,20 @@ Status HashJoinProbeOp::Process(const Batch& in, Batch* out,
     for (size_t c : probe_cols_) keys.push_back(in.column(c).data_int64());
   }
 
+  // The int64 spans carry no validity: rows with a NULL key are skipped
+  // here (NULL equals nothing). The ProbeView path checks it itself.
+  std::vector<const uint8_t*> valid;
+  for (size_t c : probe_cols_) {
+    if (const uint8_t* v = in.column(c).validity_data()) valid.push_back(v);
+  }
+
   std::vector<uint64_t> left_sel, right_sel, matches;
   for (uint64_t r = 0; r < in.num_rows(); ++r) {
     matches.clear();
     if (string_keys) {
       ht_->Probe(view, r, &matches);
-    } else {
+    } else if (std::all_of(valid.begin(), valid.end(),
+                           [r](const uint8_t* v) { return v[r] != 0; })) {
       ht_->Probe(keys.data(), r, &matches);
     }
     for (uint64_t b : matches) {
@@ -466,21 +474,16 @@ Status ExpandOp::Prepare(const Schema& input, ExecutionContext* ctx) {
     const std::string& to_fk = op_.dir == graph::Direction::kOut
                                    ? em.dst_key_column
                                    : em.src_key_column;
-    const Column* from_fk_col = etable_->FindColumn(from_fk);
     to_fk_col_ = etable_->FindColumn(to_fk);
     from_key_col_ = from_table_->FindColumn(from_vm.key_column);
-    if (from_fk_col == nullptr || to_fk_col_ == nullptr ||
+    if (etable_->FindColumn(from_fk) == nullptr || to_fk_col_ == nullptr ||
         from_key_col_ == nullptr) {
       return Status::Internal("bad RGMapping columns in EXPAND(hash)");
     }
     RELGO_ASSIGN_OR_RETURN(to_key_index_,
                            to_table->GetKeyIndex(to_vm.key_column));
     to_table_ = to_table;
-    fk_to_edges_.clear();
-    fk_to_edges_.reserve(etable_->num_rows() * 2);
-    for (uint64_t e = 0; e < etable_->num_rows(); ++e) {
-      fk_to_edges_[from_fk_col->int_at(e)].push_back(e);
-    }
+    RELGO_RETURN_NOT_OK(fk_edges_.Build(*etable_, {from_fk}));
   }
 
   output_schema_ = input;
@@ -514,11 +517,14 @@ Status ExpandOp::Process(const Batch& in, Batch* out,
       }
     }
   } else {
+    const int64_t* from_keys = from_key_col_->data_int64();
+    std::vector<uint64_t> edges;
     for (uint64_t r = 0; r < in.num_rows(); ++r) {
       auto v = static_cast<uint64_t>(from.int_at(r));
-      auto it = fk_to_edges_.find(from_key_col_->int_at(v));
-      if (it == fk_to_edges_.end()) continue;
-      for (uint64_t e : it->second) {
+      if (!from_key_col_->is_valid(v)) continue;  // NULL matches no FK
+      edges.clear();
+      fk_edges_.Probe(&from_keys, v, &edges);
+      for (uint64_t e : edges) {
         auto to_it = to_key_index_->find(to_fk_col_->int_at(e));
         if (to_it == to_key_index_->end()) continue;
         uint64_t nbr = to_it->second;
@@ -679,28 +685,25 @@ Status EdgeVerifyOp::Prepare(const Schema& input, ExecutionContext* ctx) {
         op_.dir == graph::Direction::kOut ? em.src_label : em.dst_label);
     int dst_label = ctx->mapping().FindVertexLabel(
         op_.dir == graph::Direction::kOut ? em.dst_label : em.src_label);
-    RELGO_ASSIGN_OR_RETURN(auto etable, ctx->EdgeTable(op_.edge_label));
+    RELGO_ASSIGN_OR_RETURN(etable_, ctx->EdgeTable(op_.edge_label));
     RELGO_ASSIGN_OR_RETURN(stable_, ctx->VertexTable(src_label));
     RELGO_ASSIGN_OR_RETURN(dtable_, ctx->VertexTable(dst_label));
     skey_ = stable_->FindColumn(
         ctx->mapping().vertex_mapping(src_label).key_column);
     dkey_ = dtable_->FindColumn(
         ctx->mapping().vertex_mapping(dst_label).key_column);
-    const Column* sfk = etable->FindColumn(
-        op_.dir == graph::Direction::kOut ? em.src_key_column
-                                          : em.dst_key_column);
-    const Column* dfk = etable->FindColumn(
-        op_.dir == graph::Direction::kOut ? em.dst_key_column
-                                          : em.src_key_column);
-    if (skey_ == nullptr || dkey_ == nullptr || sfk == nullptr ||
-        dfk == nullptr) {
+    const std::string& sfk = op_.dir == graph::Direction::kOut
+                                 ? em.src_key_column
+                                 : em.dst_key_column;
+    const std::string& dfk = op_.dir == graph::Direction::kOut
+                                 ? em.dst_key_column
+                                 : em.src_key_column;
+    if (skey_ == nullptr || dkey_ == nullptr ||
+        etable_->FindColumn(sfk) == nullptr ||
+        etable_->FindColumn(dfk) == nullptr) {
       return Status::Internal("bad RGMapping columns in EDGE_VERIFY(hash)");
     }
-    key_to_edges_.clear();
-    key_to_edges_.reserve(etable->num_rows() * 2);
-    for (uint64_t e = 0; e < etable->num_rows(); ++e) {
-      key_to_edges_[{sfk->int_at(e), dfk->int_at(e)}].push_back(e);
-    }
+    RELGO_RETURN_NOT_OK(key_edges_.Build(*etable_, {sfk, dfk}));
   }
   output_schema_ = input;
   if (!op_.edge_var.empty()) {
@@ -738,12 +741,18 @@ Status EdgeVerifyOp::Process(const Batch& in, Batch* out,
       }
     }
   } else {
+    std::vector<uint64_t> edges;
     for (uint64_t r = 0; r < in.num_rows(); ++r) {
       auto s = static_cast<uint64_t>(src.int_at(r));
       auto d = static_cast<uint64_t>(dst.int_at(r));
-      auto it = key_to_edges_.find({skey_->int_at(s), dkey_->int_at(d)});
-      if (it == key_to_edges_.end()) continue;
-      for (uint64_t e : it->second) {
+      if (!skey_->is_valid(s) || !dkey_->is_valid(d)) continue;
+      // The two keys live in different vertex tables: point each span at
+      // its own row and probe row 0.
+      const int64_t* keys[2] = {skey_->data_int64() + s,
+                                dkey_->data_int64() + d};
+      edges.clear();
+      key_edges_.Probe(keys, 0, &edges);
+      for (uint64_t e : edges) {
         sel.push_back(r);
         if (want_edge) edge_vals.push_back(static_cast<int64_t>(e));
       }
@@ -989,29 +998,23 @@ Result<TablePtr> HashBuildSink::Finish(
   ht_ = std::make_shared<JoinHashTable>();
   RELGO_RETURN_NOT_OK(ht_->BeginBuild(*table, keys_));
 
-  // Phase 1: morsel-parallel scatter into per-worker partition runs (no
-  // ordering assumed; FinalizePartition sorts each partition by row id).
+  // Phase 1: morsel-parallel hashing into per-morsel partition slices.
   uint64_t total_rows = table->num_rows();
-  uint64_t morsels = (total_rows + kBatchRows - 1) / kBatchRows;
   int max_workers = ResolveNumThreads(ctx->options());
-  std::vector<JoinHashTable::BuildPartial> partials(
-      static_cast<size_t>(max_workers));
   JoinHashTable* ht = ht_.get();
   RELGO_RETURN_NOT_OK(scheduler->Run(
-      morsels, max_workers, [&](int worker, uint64_t morsel) -> Status {
+      ht->num_morsels(), max_workers, [&](int, uint64_t morsel) -> Status {
         RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
-        uint64_t begin = morsel * kBatchRows;
-        uint64_t count = std::min(kBatchRows, total_rows - begin);
-        ht->PartitionRows(begin, count, &partials[worker]);
+        ht->PartitionRows(morsel);
         return Status::OK();
       }));
 
-  // Phase 2: partition-parallel finalize into the preallocated directory.
+  // Phase 2: partition-parallel linking of the bucket chains.
   RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kHashFinalize));
   RELGO_RETURN_NOT_OK(scheduler->Run(
       JoinHashTable::kNumPartitions, max_workers,
       [&](int, uint64_t p) -> Status {
-        ht->FinalizePartition(static_cast<size_t>(p), &partials);
+        ht->FinalizePartition(static_cast<size_t>(p));
         return Status::OK();
       }));
 

@@ -216,7 +216,7 @@ class ExpandOp : public StreamingOp {
   const storage::Column* from_key_col_ = nullptr;
   const storage::Column* to_fk_col_ = nullptr;
   const std::unordered_map<int64_t, uint64_t>* to_key_index_ = nullptr;
-  std::unordered_map<int64_t, std::vector<uint64_t>> fk_to_edges_;
+  JoinHashTable fk_edges_;  ///< edge rows by from-FK
 };
 
 /// EXPAND_INTERSECT (PhysExpandIntersect): k-way sorted adjacency
@@ -249,12 +249,10 @@ class EdgeVerifyOp : public StreamingOp {
   const plan::PhysEdgeVerify& op_;
   size_t src_col_ = 0, dst_col_ = 0;
   bool use_index_ = false;
-  storage::TablePtr stable_, dtable_;
+  storage::TablePtr etable_, stable_, dtable_;
   const storage::Column* skey_ = nullptr;
   const storage::Column* dkey_ = nullptr;
-  std::unordered_map<std::pair<int64_t, int64_t>, std::vector<uint64_t>,
-                     PairHash>
-      key_to_edges_;
+  JoinHashTable key_edges_;  ///< edge rows by (src FK, dst FK)
 };
 
 /// VERTEX_FILTER (PhysVertexFilter): bitmap membership of the bound row id.
@@ -386,9 +384,9 @@ class MaterializeSink : public Sink {
 /// partition-parallel (PhysHashJoin / PhysPatternJoin build sides):
 /// Consume collects per-worker (morsel, batch) lists like MaterializeSink;
 /// Finish concatenates them in morsel order, then builds the hash table in
-/// two parallel phases on the query's scheduler — morsel-parallel scatter
-/// into per-worker partition runs, then partition-parallel finalize into
-/// the preallocated shard directory (JoinHashTable's two-phase API). The
+/// two parallel phases on the query's scheduler — morsel-parallel hashing
+/// into per-morsel partition slices, then partition-parallel linking of the
+/// bucket chains (JoinHashTable's two-phase API). The
 /// build wall time is recorded as breaker build time on the owning join
 /// node, and the finished table plus hash table are handed to
 /// HashJoinProbeOp, whose probe path is unchanged.
