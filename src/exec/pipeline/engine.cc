@@ -1,7 +1,11 @@
 #include "exec/pipeline/engine.h"
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "common/timer.h"
 #include "exec/naive_matcher.h"
 #include "exec/pipeline/pipeline.h"
 
@@ -177,6 +181,138 @@ Result<Pipeline> BuildPipeline(const PhysicalOp& op, ExecutionContext* ctx,
   return pipeline;
 }
 
+// ---------------------------------------------------------------------------
+// Late materialization at the graph->relational bridge
+// ---------------------------------------------------------------------------
+//
+// A pipeline ending in a TopKSink keeps at most k of its rows (or only
+// reorders them), so a property that nothing reads before the sink is
+// wasted work for every row the sink drops. DeferBridgeColumns has pi-hat
+// stream the binding row id for each such property; GatherDeferred reads
+// the properties from the base tables for the kept rows after Finish. Both
+// act on this execution's operator instances only: the plan, the plan
+// cache and the reference interpreter never see the deferral.
+
+/// Defers every projected property of the pipeline's SCAN_GRAPH_TABLE that
+/// neither the sink's sort keys nor an operator between pi-hat and the
+/// sink reads (filter inputs, followed through PhysProject renames). Only
+/// Project and Filter may sit between the two; any other operator, or no
+/// pi-hat at all, defers nothing. Returns the pi-hat's index in
+/// pipeline->ops, or -1 when nothing was deferred.
+int DeferBridgeColumns(Pipeline* pipeline, const plan::PhysOrderBy* order) {
+  std::set<std::string> read;  // names read above the current operator
+  if (order != nullptr) {
+    for (const auto& key : order->keys) read.insert(key.column);
+  }
+  for (size_t i = pipeline->ops.size(); i-- > 0;) {
+    const PhysicalOp& node = *pipeline->op_nodes[i];
+    switch (node.kind) {
+      case OpKind::kFilter: {
+        const auto& filter = static_cast<const plan::PhysFilter&>(node);
+        std::vector<std::string> cols;
+        if (filter.predicate) filter.predicate->CollectColumns(&cols);
+        read.insert(cols.begin(), cols.end());
+        break;
+      }
+      case OpKind::kProject: {
+        std::set<std::string> below;
+        for (const auto& [from, to] :
+             static_cast<const plan::PhysProject&>(node).columns) {
+          if (read.count(to) > 0) below.insert(from);
+        }
+        read = std::move(below);
+        break;
+      }
+      case OpKind::kScanGraphTable: {
+        std::set<std::string> deferred;
+        for (const auto& proj :
+             static_cast<const plan::PhysScanGraphTable&>(node).projections) {
+          if (proj.column != "$rid" && read.count(proj.output_name) == 0) {
+            deferred.insert(proj.output_name);
+          }
+        }
+        if (deferred.empty()) return -1;
+        static_cast<ScanGraphTableOp*>(pipeline->ops[i].get())
+            ->Defer(std::move(deferred));
+        return static_cast<int>(i);
+      }
+      default:
+        return -1;
+    }
+  }
+  return -1;
+}
+
+/// Replaces the row-id columns that the deferred pi-hat at
+/// pipeline.ops[bridge] left in the sink's result with the properties they
+/// stand for, gathered for the kept rows only. The wall time is charged to
+/// the SCAN_GRAPH_TABLE node's self time (its row counts stay as the
+/// pipeline recorded them) and reported as the "late gather" footer.
+TablePtr GatherDeferred(const Pipeline& pipeline, size_t bridge,
+                        TablePtr kept, ExecutionContext* ctx) {
+  Timer timer;
+  const auto& pi_hat =
+      static_cast<const ScanGraphTableOp&>(*pipeline.ops[bridge]);
+  // Per result column, the base column its row ids stand for (null when
+  // the column streamed eagerly).
+  std::vector<const storage::Column*> bases;
+  for (const storage::ColumnDef& def : kept->schema().columns()) {
+    // The column's name at pi-hat's output: undo the renames top-down.
+    std::string name = def.name;
+    for (size_t i = pipeline.ops.size() - 1; i > bridge; --i) {
+      const PhysicalOp& node = *pipeline.op_nodes[i];
+      if (node.kind != OpKind::kProject) continue;
+      for (const auto& [from, to] :
+           static_cast<const plan::PhysProject&>(node).columns) {
+        if (to == name) {
+          name = from;
+          break;
+        }
+      }
+    }
+    bases.push_back(pi_hat.DeferredColumn(name));
+  }
+  uint64_t gathered = static_cast<uint64_t>(
+      bases.size() - std::count(bases.begin(), bases.end(), nullptr));
+  TablePtr out = kept;
+  if (gathered > 0) {
+    storage::Schema schema;
+    for (size_t c = 0; c < bases.size(); ++c) {
+      storage::ColumnDef def = kept->schema().column(c);
+      if (bases[c] != nullptr) def.type = bases[c]->type();
+      (void)schema.AddColumn(std::move(def));
+    }
+    out = std::make_shared<storage::Table>(kept->name(), std::move(schema));
+    for (size_t c = 0; c < bases.size(); ++c) {
+      out->column(c) = bases[c] != nullptr
+                           ? bases[c]->GatherRowIds(kept->column(c))
+                           : std::move(kept->column(c));
+    }
+    out->FinishBulkAppend();
+  }
+  if (QueryProfile* qp = ctx->profile()) {
+    double ms = timer.ElapsedMillis();
+    OperatorProfile self;
+    self.wall_ms = ms;
+    qp->Accumulate(pipeline.op_nodes[bridge], self);
+    qp->AddLateGather(gathered, out->num_rows(), ms);
+  }
+  return out;
+}
+
+/// Runs a pipeline into a TopKSink (ORDER BY + LIMIT, plain LIMIT or plain
+/// ORDER BY) with late materialization at the bridge.
+Result<TablePtr> RunTopK(Pipeline* pipeline, TopKSink* sink,
+                         const plan::PhysOrderBy* order,
+                         ExecutionContext* ctx, TaskScheduler* scheduler) {
+  int bridge = DeferBridgeColumns(pipeline, order);
+  RELGO_ASSIGN_OR_RETURN(auto kept,
+                         RunPipeline(pipeline, sink, scheduler, ctx));
+  if (bridge < 0) return kept;
+  return GatherDeferred(*pipeline, static_cast<size_t>(bridge),
+                        std::move(kept), ctx);
+}
+
 /// Runs the streaming chain ending at `op` into a fresh materialize sink.
 Result<TablePtr> RunToTable(const PhysicalOp& op, const char* name,
                             ExecutionContext* ctx, TaskScheduler* scheduler) {
@@ -227,7 +363,7 @@ Result<TablePtr> ExecNode(const PhysicalOp& op, ExecutionContext* ctx,
       RELGO_ASSIGN_OR_RETURN(auto pipeline,
                              BuildPipeline(*op.children[0], ctx, scheduler));
       TopKSink sink(&order, nullptr, /*limit=*/-1);
-      return RunPipeline(&pipeline, &sink, scheduler, ctx);
+      return RunTopK(&pipeline, &sink, &order, ctx, scheduler);
     }
     case OpKind::kLimit: {
       const auto& limit = static_cast<const plan::PhysLimit&>(op);
@@ -240,13 +376,13 @@ Result<TablePtr> ExecNode(const PhysicalOp& op, ExecutionContext* ctx,
             auto pipeline,
             BuildPipeline(*child->children[0], ctx, scheduler));
         TopKSink sink(&order, &limit, limit.limit);
-        return RunPipeline(&pipeline, &sink, scheduler, ctx);
+        return RunTopK(&pipeline, &sink, &order, ctx, scheduler);
       }
       // Plain LIMIT: first-k in morsel order, with exact early-exit.
       RELGO_ASSIGN_OR_RETURN(auto pipeline,
                              BuildPipeline(*child, ctx, scheduler));
       TopKSink sink(nullptr, &limit, limit.limit);
-      return RunPipeline(&pipeline, &sink, scheduler, ctx);
+      return RunTopK(&pipeline, &sink, nullptr, ctx, scheduler);
     }
     case OpKind::kNaiveMatch: {
       // The backtracking matcher is inherently sequential; it runs as its

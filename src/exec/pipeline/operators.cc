@@ -98,8 +98,7 @@ Status EmitExpanded(const Batch& in, const std::vector<uint64_t>& sel,
   *out = in.Gather(sel);
   for (const auto& vals : new_cols) {
     Column col(LogicalType::kInt64);
-    col.Reserve(vals.size());
-    for (int64_t v : vals) col.AppendInt(v);
+    col.AppendInts(vals.data(), vals.size());
     out->AddOwned(std::move(col));
   }
   return Status::OK();
@@ -869,9 +868,11 @@ Status ScanGraphTableOp::Prepare(const Schema& input, ExecutionContext* ctx) {
     } else {
       RELGO_ASSIGN_OR_RETURN(size_t raw,
                              base->schema().GetColumnIndex(proj.column));
+      bool deferred = deferred_.count(proj.output_name) > 0;
       RELGO_RETURN_NOT_OK(output_schema_.AddColumn(
-          {proj.output_name, base->schema().column(raw).type}));
-      sources_.push_back({base, static_cast<int>(raw), bcol});
+          {proj.output_name, deferred ? LogicalType::kInt64
+                                      : base->schema().column(raw).type}));
+      sources_.push_back({base, static_cast<int>(raw), bcol, deferred});
     }
   }
   return Status::OK();
@@ -880,22 +881,28 @@ Status ScanGraphTableOp::Prepare(const Schema& input, ExecutionContext* ctx) {
 Status ScanGraphTableOp::Process(const Batch& in, Batch* out,
                                  ExecutionContext* ctx) const {
   for (const Source& src : sources_) {
-    const Column& bind = in.column(src.binding_col);
-    if (src.raw_col < 0) {
+    if (src.raw_col < 0 || src.deferred) {
       // The row id itself: the binding column already holds it.
       out->AddColumn(in.column_ref(src.binding_col));
     } else {
       const Column& raw = src.base->column(static_cast<size_t>(src.raw_col));
-      Column col(raw.type());
-      col.Reserve(in.num_rows());
-      for (uint64_t r = 0; r < in.num_rows(); ++r) {
-        col.AppendFrom(raw, static_cast<uint64_t>(bind.int_at(r)));
-      }
-      out->AddOwned(std::move(col));
+      out->AddOwned(raw.GatherRowIds(in.column(src.binding_col)));
     }
   }
   out->SetNumRows(in.num_rows());
   return ctx->ChargeRows(in.num_rows());
+}
+
+const Column* ScanGraphTableOp::DeferredColumn(
+    const std::string& output) const {
+  for (size_t i = 0; i < sources_.size(); ++i) {
+    if (sources_[i].deferred &&
+        output_schema_.column(i).name == output) {
+      return &sources_[i].base->column(
+          static_cast<size_t>(sources_[i].raw_col));
+    }
+  }
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------

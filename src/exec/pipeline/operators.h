@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -286,20 +287,36 @@ class NotEqualOp : public StreamingOp {
 /// streamed binding table into relational columns. The graph sub-plan below
 /// it is part of the same pipeline — binding tuples flow through the bridge
 /// without materializing.
+///
+/// Late materialization: a projection named in Defer() streams its binding
+/// row-id column (int64, zero-copy) under its output name instead of the
+/// property; whoever deferred it gathers the property afterwards, for the
+/// rows that survive, through DeferredColumn(). The deferral belongs to
+/// this operator instance — one execution — never to the plan.
 class ScanGraphTableOp : public StreamingOp {
  public:
   explicit ScanGraphTableOp(const plan::PhysScanGraphTable& op) : op_(op) {}
+  /// Output names of the projections to defer; call before Prepare.
+  void Defer(std::set<std::string> outputs) {
+    deferred_ = std::move(outputs);
+  }
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
   Status Process(const Batch& in, Batch* out,
                  ExecutionContext* ctx) const override;
+
+  /// The base-table column a deferred output reads, or null when `output`
+  /// is not deferred. Valid after Prepare, for this operator's lifetime.
+  const storage::Column* DeferredColumn(const std::string& output) const;
 
  private:
   struct Source {
     storage::TablePtr base;
     int raw_col = -1;  // -1 == the row id itself
     size_t binding_col = 0;
+    bool deferred = false;  // streams the row id; property gathered later
   };
   const plan::PhysScanGraphTable& op_;
+  std::set<std::string> deferred_;
   std::vector<Source> sources_;
 };
 

@@ -193,6 +193,14 @@ std::string RenderAnalyzedPipelines(const plan::PhysicalOp& root,
                   profile.build_ms(), profile.sort_ms());
     out += buf;
   }
+  if (profile.late_gathers() > 0) {
+    std::snprintf(buf, sizeof(buf),
+                  "late gather: cols=%llu rows=%llu %.2f ms\n",
+                  static_cast<unsigned long long>(profile.late_gather_cols()),
+                  static_cast<unsigned long long>(profile.late_gather_rows()),
+                  profile.late_gather_ms());
+    out += buf;
+  }
   out += ScanCacheFooter(profile);
   out += PlanCacheFooter(profile);
   out += RenderQErrorFooter(root, profile);

@@ -94,6 +94,22 @@ class QueryProfile {
   double build_ms() const { return build_ms_; }
   double sort_ms() const { return sort_ms_; }
 
+  /// Late materialization at the graph->relational bridge: after a top-k /
+  /// sort / limit sink finished, `cols` deferred property columns were
+  /// gathered for the `rows` rows it kept, in `ms`. Rendered as the
+  /// "late gather:" footer; the time is also charged to the
+  /// SCAN_GRAPH_TABLE node's self time by the engine.
+  void AddLateGather(uint64_t cols, uint64_t rows, double ms) {
+    ++late_gathers_;
+    late_gather_cols_ += cols;
+    late_gather_rows_ += rows;
+    late_gather_ms_ += ms;
+  }
+  uint64_t late_gathers() const { return late_gathers_; }
+  uint64_t late_gather_cols() const { return late_gather_cols_; }
+  uint64_t late_gather_rows() const { return late_gather_rows_; }
+  double late_gather_ms() const { return late_gather_ms_; }
+
   /// Cross-query scan-cache hits of this execution (filtered scans whose
   /// selection vector was replayed instead of re-evaluated). Set once by
   /// Database::RunProfiled from the execution context's counter; rendered
@@ -117,6 +133,10 @@ class QueryProfile {
   std::vector<PipelineTrace> pipelines_;
   double build_ms_ = 0.0;
   double sort_ms_ = 0.0;
+  uint64_t late_gathers_ = 0;
+  uint64_t late_gather_cols_ = 0;
+  uint64_t late_gather_rows_ = 0;
+  double late_gather_ms_ = 0.0;
   uint64_t scan_cache_hits_ = 0;
   PlanCacheStatus plan_cache_status_ = PlanCacheStatus::kOff;
 };

@@ -117,38 +117,54 @@ Value Column::GetValue(uint64_t i) const {
   return Value::Null();
 }
 
-Column Column::Gather(const std::vector<uint64_t>& indices) const {
+template <typename Index>
+Column Column::GatherAt(const Index* rows, uint64_t count) const {
   Column out(type_);
   out.AdoptDictionary(*this);
-  out.Reserve(indices.size());
-  if (validity_.empty()) {
-    // All-valid fast path: one type dispatch for the whole gather instead
-    // of a per-row switch (this is the hottest loop of both engines).
-    switch (type_) {
-      case LogicalType::kDouble:
-        for (uint64_t idx : indices) out.doubles_.push_back(doubles_[idx]);
-        break;
-      case LogicalType::kString:
-        if (dict_ != nullptr) {
-          // Codes travel with the payload so derived batches keep the
-          // shared dictionary without re-hashing a single string.
-          for (uint64_t idx : indices) {
-            out.strings_.push_back(strings_[idx]);
-            out.codes_.push_back(codes_[idx]);
-          }
-        } else {
-          for (uint64_t idx : indices) out.strings_.push_back(strings_[idx]);
-        }
-        break;
-      default:
-        for (uint64_t idx : indices) out.ints_.push_back(ints_[idx]);
-        break;
-    }
-    out.size_ = indices.size();
-    return out;
+  // One type dispatch for the whole gather instead of a per-row switch
+  // (this is the hottest loop of both engines).
+  switch (type_) {
+    case LogicalType::kDouble:
+      out.doubles_.resize(count);
+      for (uint64_t i = 0; i < count; ++i) out.doubles_[i] = doubles_[rows[i]];
+      break;
+    case LogicalType::kString:
+      out.strings_.reserve(count);
+      for (uint64_t i = 0; i < count; ++i) {
+        out.strings_.push_back(strings_[rows[i]]);
+      }
+      if (dict_ != nullptr) {
+        // Codes travel with the payload so derived batches keep the
+        // shared dictionary without re-hashing a single string. Null rows
+        // carry their placeholder's code, which the dictionary holds.
+        out.codes_.resize(count);
+        for (uint64_t i = 0; i < count; ++i) out.codes_[i] = codes_[rows[i]];
+      }
+      break;
+    default:
+      out.ints_.resize(count);
+      for (uint64_t i = 0; i < count; ++i) out.ints_[i] = ints_[rows[i]];
+      break;
   }
-  for (uint64_t idx : indices) out.AppendFrom(*this, idx);
+  if (!validity_.empty()) {
+    out.validity_.resize(count);
+    bool all_valid = true;
+    for (uint64_t i = 0; i < count; ++i) {
+      out.validity_[i] = validity_[rows[i]];
+      all_valid &= out.validity_[i] != 0;
+    }
+    if (all_valid) out.validity_.clear();
+  }
+  out.size_ = count;
   return out;
+}
+
+Column Column::Gather(const std::vector<uint64_t>& indices) const {
+  return GatherAt(indices.data(), indices.size());
+}
+
+Column Column::GatherRowIds(const Column& row_ids) const {
+  return GatherAt(row_ids.data_int64(), row_ids.size());
 }
 
 Column Column::Slice(uint64_t begin, uint64_t count) const {

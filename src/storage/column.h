@@ -161,8 +161,15 @@ class Column {
   /// Boxed accessor used by expression evaluation and result rendering.
   Value GetValue(uint64_t i) const;
 
-  /// Builds a new column containing rows at `indices`, in order.
+  /// Builds a new column containing rows at `indices`, in order. Typed:
+  /// one type dispatch per call, validity gathered with the payload (an
+  /// all-valid result keeps the empty validity vector), and string codes
+  /// copied so the result shares this column's dictionary.
   Column Gather(const std::vector<uint64_t>& indices) const;
+
+  /// Gather at the row ids held in `row_ids`, an all-valid int64 column
+  /// (a binding column of vertex/edge row ids).
+  Column GatherRowIds(const Column& row_ids) const;
 
   /// Builds a new column containing the contiguous rows
   /// [begin, begin + count); bulk-copies payload vectors (morsel slicing).
@@ -193,6 +200,10 @@ class Column {
     }
     codes_.push_back(code);
   }
+
+  /// The typed gather behind Gather / GatherRowIds.
+  template <typename Index>
+  Column GatherAt(const Index* rows, uint64_t count) const;
 
   /// Shares `src`'s dictionary (read-only) when this column is still
   /// empty and unencoded — the batch-materialization entry point.

@@ -467,6 +467,253 @@ TEST_F(PipelineEngineTest, TimeoutTriggers) {
   EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
 }
 
+// ---------------------------------------------------------------------------
+// Late materialization at the graph->relational bridge
+// ---------------------------------------------------------------------------
+
+/// A social graph large enough for several source morsels: Person rows
+/// with heavy ties on `age`, a unique `name`, and NULLs in `nick` (every
+/// third row) and `score` (every fifth), plus two outgoing Knows edges per
+/// person.
+class LateMaterializationTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kPeople = 3 * exec::pipeline::kBatchRows + 100;
+
+  void SetUp() override {
+    using storage::ColumnDef;
+    using storage::Schema;
+    auto person = db_.CreateTable(
+        "Person", Schema({ColumnDef{"person_id", LogicalType::kInt64},
+                          ColumnDef{"name", LogicalType::kString},
+                          ColumnDef{"nick", LogicalType::kString},
+                          ColumnDef{"age", LogicalType::kInt64},
+                          ColumnDef{"score", LogicalType::kDouble}}));
+    ASSERT_TRUE(person.ok());
+    auto knows = db_.CreateTable(
+        "Knows", Schema({ColumnDef{"knows_id", LogicalType::kInt64},
+                         ColumnDef{"pid1", LogicalType::kInt64},
+                         ColumnDef{"pid2", LogicalType::kInt64}}));
+    ASSERT_TRUE(knows.ok());
+    for (int64_t i = 0; i < kPeople; ++i) {
+      Value nick = i % 3 == 0 ? Value::Null()
+                              : Value::String("nick" + std::to_string(i % 50));
+      Value score = i % 5 == 0 ? Value::Null() : Value::Double(0.5 * i);
+      ASSERT_TRUE((*person)
+                      ->AppendRow({Value::Int(i),
+                                   Value::String("n" + std::to_string(i)),
+                                   nick, Value::Int(i % 10), score})
+                      .ok());
+      for (int64_t step : {1, 7}) {
+        ASSERT_TRUE((*knows)
+                        ->AppendRow({Value::Int(2 * i + (step == 7)),
+                                     Value::Int(i),
+                                     Value::Int((i + step) % kPeople)})
+                        .ok());
+      }
+    }
+    ASSERT_TRUE(db_.AddVertexTable("Person", "person_id").ok());
+    ASSERT_TRUE(
+        db_.AddEdgeTable("Knows", "Person", "pid1", "Person", "pid2").ok());
+    ASSERT_TRUE(db_.Finalize().ok());
+  }
+
+  /// MATCH (p:Person)-[:Knows]->(q:Person) with pi-hat
+  /// COLUMNS(p.age, p.name, q.name, q.nick, q.score).
+  std::unique_ptr<plan::PhysScanGraphTable> Bridge() {
+    int person = db_.mapping().FindVertexLabel("Person");
+    auto scan = std::make_unique<plan::PhysScanVertex>();
+    scan->vertex_label = person;
+    scan->var = "p";
+    auto expand = std::make_unique<plan::PhysExpand>();
+    expand->edge_label = db_.mapping().FindEdgeLabel("Knows");
+    expand->dir = graph::Direction::kOut;
+    expand->from_var = "p";
+    expand->to_var = "q";
+    expand->children.push_back(std::move(scan));
+    auto sgt = std::make_unique<plan::PhysScanGraphTable>();
+    sgt->projections = {{"p", "age", "p.age"},
+                        {"p", "name", "p.name"},
+                        {"q", "name", "q.name"},
+                        {"q", "nick", "q.nick"},
+                        {"q", "score", "q.score"}};
+    sgt->vertex_var_labels = {{"p", person}, {"q", person}};
+    sgt->children.push_back(std::move(expand));
+    return sgt;
+  }
+
+  static std::unique_ptr<plan::PhysicalOp> OrderLimit(
+      std::unique_ptr<plan::PhysicalOp> child,
+      std::vector<plan::SortKey> keys, int64_t limit) {
+    if (!keys.empty()) {
+      auto order = std::make_unique<plan::PhysOrderBy>();
+      order->keys = std::move(keys);
+      order->children.push_back(std::move(child));
+      child = std::move(order);
+    }
+    if (limit < 0) return child;
+    auto node = std::make_unique<plan::PhysLimit>();
+    node->limit = limit;
+    node->children.push_back(std::move(child));
+    return node;
+  }
+
+  /// Runs `op` through the reference interpreter and the pipeline engine
+  /// (1 and 4 threads) and asserts identical rows in identical order, with
+  /// identical column names and types, and the same row-budget charge
+  /// unless a plain LIMIT's early exit skips upstream rows. Returns the
+  /// oracle's result.
+  storage::TablePtr ExpectExactParity(const plan::PhysicalOp& op,
+                                      bool early_exit = false) {
+    ExecutionContext oracle_ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+    auto expected = Executor::Run(op, &oracle_ctx);
+    EXPECT_TRUE(expected.ok()) << expected.status().ToString();
+    if (!expected.ok()) return nullptr;
+    for (int threads : {1, 4}) {
+      ExecutionOptions options;
+      options.num_threads = threads;
+      ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                           options);
+      auto actual = exec::pipeline::Run(op, &ctx);
+      EXPECT_TRUE(actual.ok())
+          << "threads=" << threads << ": " << actual.status().ToString();
+      if (!actual.ok()) continue;
+      EXPECT_EQ(testing::ExactRows(**actual), testing::ExactRows(**expected))
+          << "threads=" << threads;
+      EXPECT_EQ((*actual)->schema().ToString(),
+                (*expected)->schema().ToString())
+          << "threads=" << threads;
+      if (!early_exit) {
+        EXPECT_EQ(ctx.rows_produced(), oracle_ctx.rows_produced())
+            << "threads=" << threads;
+      }
+    }
+    return *expected;
+  }
+
+  /// Runs `op` on the pipeline engine with profiling on and returns the
+  /// profile (late-gather accounting).
+  exec::QueryProfile Profile(const plan::PhysicalOp& op) {
+    exec::QueryProfile profile;
+    ExecutionOptions options;
+    options.num_threads = 1;
+    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                         options);
+    ctx.EnableProfiling(&profile);
+    EXPECT_TRUE(exec::pipeline::Run(op, &ctx).ok());
+    return profile;
+  }
+
+  Database db_;
+};
+
+TEST_F(LateMaterializationTest, TiesAtLimitCutDecidedByDeferredColumns) {
+  // Every tenth person has age 0, so ~1.2k binding rows tie on the sort
+  // key and the LIMIT cut falls inside the tie: which names, nicks and
+  // scores come out depends on gathering the right row ids after the sink.
+  auto plan = OrderLimit(Bridge(), {{"p.age", true}}, 25);
+  auto expected = ExpectExactParity(*plan);
+  ASSERT_NE(expected, nullptr);
+  ASSERT_EQ(expected->num_rows(), 25u);
+  std::set<std::string> names;
+  for (uint64_t r = 0; r < expected->num_rows(); ++r) {
+    EXPECT_EQ(expected->GetValue(r, 0), Value::Int(0));
+    names.insert(expected->GetValue(r, 2).ToString());
+  }
+  EXPECT_GT(names.size(), 1u) << "the tie must be decided by other columns";
+
+  // The deferral actually happens: four properties (all but the sort key)
+  // are gathered for the 25 kept rows only.
+  exec::QueryProfile profile = Profile(*plan);
+  EXPECT_EQ(profile.late_gathers(), 1u);
+  EXPECT_EQ(profile.late_gather_cols(), 4u);
+  EXPECT_EQ(profile.late_gather_rows(), 25u);
+}
+
+TEST_F(LateMaterializationTest, NullsInDeferredProperty) {
+  // ORDER BY p.age DESC, p.name keeps rows whose deferred q.nick and
+  // q.score include NULLs.
+  auto plan = OrderLimit(Bridge(), {{"p.age", false}, {"p.name", true}}, 40);
+  auto expected = ExpectExactParity(*plan);
+  ASSERT_NE(expected, nullptr);
+  uint64_t null_nicks = 0, null_scores = 0;
+  for (uint64_t r = 0; r < expected->num_rows(); ++r) {
+    null_nicks += expected->GetValue(r, 3).is_null();
+    null_scores += expected->GetValue(r, 4).is_null();
+  }
+  EXPECT_GT(null_nicks, 0u);
+  EXPECT_GT(null_scores, 0u);
+  EXPECT_EQ(Profile(*plan).late_gather_cols(), 3u);  // q.name/nick/score
+}
+
+TEST_F(LateMaterializationTest, FilterAboveBridgeKeepsItsInputEager) {
+  // The filter reads q.nick, so q.nick must stream as the property, not as
+  // a row id; the other unread properties are still deferred.
+  auto filter = std::make_unique<plan::PhysFilter>();
+  filter->predicate = Expr::StartsWith(Expr::Column("q.nick"), "nick1");
+  filter->children.push_back(Bridge());
+  auto plan = OrderLimit(std::move(filter), {{"p.age", true}}, 15);
+  auto expected = ExpectExactParity(*plan);
+  ASSERT_NE(expected, nullptr);
+  EXPECT_EQ(expected->num_rows(), 15u);
+  EXPECT_EQ(Profile(*plan).late_gather_cols(), 3u);  // p.name, q.name, q.score
+}
+
+TEST_F(LateMaterializationTest, ProjectRenamesDeferredColumns) {
+  // A filter above the projection reads a renamed column (kept eager
+  // through the rename); the renamed q.name / q.score are deferred and
+  // gathered under their new names; q.nick is projected away.
+  auto project = std::make_unique<plan::PhysProject>();
+  project->columns = {{"q.name", "friend"},
+                      {"p.age", "age"},
+                      {"q.score", "friend_score"},
+                      {"p.name", "who"}};
+  project->children.push_back(Bridge());
+  auto filter = std::make_unique<plan::PhysFilter>();
+  filter->predicate = Expr::StartsWith(Expr::Column("who"), "n1");
+  filter->children.push_back(std::move(project));
+  auto plan = OrderLimit(std::move(filter), {{"age", false}}, 30);
+  auto expected = ExpectExactParity(*plan);
+  ASSERT_NE(expected, nullptr);
+  EXPECT_EQ(expected->schema().column(0).type, LogicalType::kString);
+  EXPECT_EQ(expected->schema().column(2).type, LogicalType::kDouble);
+  EXPECT_EQ(Profile(*plan).late_gather_cols(), 2u);  // friend, friend_score
+}
+
+TEST_F(LateMaterializationTest, PlainLimitAndPlainOrderBy) {
+  // Plain LIMIT (first k in morsel order, early exit when not profiled)
+  // defers every property; plain ORDER BY gathers for all sorted rows.
+  auto limited = OrderLimit(Bridge(), {}, 30);
+  ExpectExactParity(*limited, /*early_exit=*/true);
+  EXPECT_EQ(Profile(*limited).late_gather_cols(), 5u);
+
+  auto filter = std::make_unique<plan::PhysFilter>();
+  filter->predicate = Expr::Compare(storage::CompareOp::kLt,
+                                    Expr::Column("p.age"),
+                                    Expr::Constant(Value::Int(2)));
+  filter->children.push_back(Bridge());
+  auto sorted = OrderLimit(std::move(filter), {{"q.nick", true}}, -1);
+  auto expected = ExpectExactParity(*sorted);
+  ASSERT_NE(expected, nullptr);
+  exec::QueryProfile profile = Profile(*sorted);
+  EXPECT_EQ(profile.late_gather_cols(), 3u);  // p.name, q.name, q.score
+  EXPECT_EQ(profile.late_gather_rows(), expected->num_rows());
+}
+
+TEST_F(LateMaterializationTest, OtherOperatorAboveBridgeDefersNothing) {
+  // A NOT_EQUAL between pi-hat and the sink is neither Project nor
+  // Filter: nothing is deferred.
+  auto sgt = Bridge();
+  sgt->projections.push_back({"p", "$rid", "p_rid"});
+  sgt->projections.push_back({"q", "$rid", "q_rid"});
+  auto ne = std::make_unique<plan::PhysNotEqual>();
+  ne->var_a = "p_rid";
+  ne->var_b = "q_rid";
+  ne->children.push_back(std::move(sgt));
+  auto plan = OrderLimit(std::move(ne), {{"p.age", true}}, 10);
+  ExpectExactParity(*plan);
+  EXPECT_EQ(Profile(*plan).late_gathers(), 0u);
+}
+
 TEST_F(PipelineEngineTest, DatabaseExecuteDispatchesOnEngineKind) {
   auto pattern = db_.ParsePattern(
       "(p1:Person)-[:Likes]->(m:Message), (p2:Person)-[:Likes]->(m), "

@@ -70,6 +70,80 @@ TEST(ColumnTest, GatherReordersAndDuplicates) {
   EXPECT_EQ(g.int_at(3), 0);
 }
 
+// The typed Gather must match per-row AppendFrom on columns with NULLs:
+// same values and validity, and (for dictionary-encoded strings) the
+// source's shared dictionary with codes that resolve to the payload.
+TEST(ColumnTest, GatherWithNullsMatchesAppendFrom) {
+  struct Case {
+    const char* name;
+    LogicalType type;
+    bool dictionary;
+  };
+  const Case cases[] = {{"int64", LogicalType::kInt64, false},
+                        {"double", LogicalType::kDouble, false},
+                        {"string", LogicalType::kString, false},
+                        {"string+dict", LogicalType::kString, true}};
+  const std::vector<std::vector<uint64_t>> index_sets = {
+      {5, 0, 3, 3, 1, 6, 2},  // mixed, duplicates, nulls included
+      {1, 3, 5},              // nulls only
+      {0, 2, 4, 0},           // no null selected: validity stays empty
+      {}};
+  for (const Case& tc : cases) {
+    Column src(tc.type);
+    for (int i = 0; i < 7; ++i) {
+      if (i % 2 == 1) {
+        src.AppendNull();
+        continue;
+      }
+      switch (tc.type) {
+        case LogicalType::kInt64:
+          src.AppendInt(100 + i);
+          break;
+        case LogicalType::kDouble:
+          src.AppendDouble(0.25 * i);
+          break;
+        default:
+          src.AppendString(i >= 4 ? "dup" : "s" + std::to_string(i));
+          break;
+      }
+    }
+    if (tc.dictionary) src.BuildDictionary();
+    ASSERT_EQ(src.dictionary() != nullptr, tc.dictionary) << tc.name;
+
+    for (const auto& indices : index_sets) {
+      Column expected(tc.type);
+      for (uint64_t idx : indices) expected.AppendFrom(src, idx);
+      Column gathered = src.Gather(indices);
+
+      Column rid_col(LogicalType::kInt64);
+      for (uint64_t idx : indices) {
+        rid_col.AppendInt(static_cast<int64_t>(idx));
+      }
+      Column by_rid = src.GatherRowIds(rid_col);
+
+      for (const Column* got : {&gathered, &by_rid}) {
+        ASSERT_EQ(got->size(), indices.size()) << tc.name;
+        EXPECT_EQ(got->validity_data() == nullptr,
+                  expected.validity_data() == nullptr)
+            << tc.name;
+        for (uint64_t r = 0; r < indices.size(); ++r) {
+          EXPECT_EQ(got->is_valid(r), expected.is_valid(r)) << tc.name;
+          EXPECT_EQ(got->GetValue(r), expected.GetValue(r))
+              << tc.name << " row " << r;
+        }
+        EXPECT_EQ(got->dictionary(), src.dictionary()) << tc.name;
+        if (got->dictionary() != nullptr) {
+          for (uint64_t r = 0; r < indices.size(); ++r) {
+            EXPECT_EQ(got->dictionary()->values[got->code_at(r)],
+                      got->string_at(r))
+                << tc.name << " row " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SchemaTest, LookupAndDuplicates) {
   Schema s = PersonSchema();
   EXPECT_EQ(s.num_columns(), 4u);
