@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "workload/harness.h"
@@ -71,8 +72,17 @@ struct BenchRecord {
   std::string mode;    ///< optimizer mode name
   std::string engine;  ///< "pipeline" ("none" for optimization-only)
   int threads = 1;
-  double optimization_ms = 0.0;
-  double execution_ms = 0.0;
+  double optimization_ms = 0.0;  ///< mean over --reps
+  double execution_ms = 0.0;     ///< mean over --reps
+  /// Spread over --reps (Harness grid records; 0 on the rest): median,
+  /// fastest and slowest repetition. Compare commits on the median and
+  /// read min..max as the noise band.
+  double optimization_ms_median = 0.0;
+  double optimization_ms_min = 0.0;
+  double optimization_ms_max = 0.0;
+  double execution_ms_median = 0.0;
+  double execution_ms_min = 0.0;
+  double execution_ms_max = 0.0;
   uint64_t rows = 0;
   std::string status;  ///< "ok" / "OOM" / "OT" / "ERR"
   /// Estimator accuracy of the plan (geomean / max per-operator Q-error
@@ -122,9 +132,33 @@ struct BenchRecord {
   double plan_cache_hit_rate = 0.0;
 };
 
+/// The commit of the checkout the bench was built from
+/// (`git describe --always --dirty --abbrev=12`, so uncommitted edits show
+/// as a "-dirty" suffix), or "unknown" when that is not a git checkout.
+inline std::string GitSha() {
+#ifdef RELGO_SOURCE_DIR
+  const std::string dir = RELGO_SOURCE_DIR;
+#else
+  const std::string dir = ".";
+#endif
+  std::string sha;
+  std::string cmd =
+      "git -C '" + dir + "' describe --always --dirty --abbrev=12 2>/dev/null";
+  if (std::FILE* p = popen(cmd.c_str(), "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) sha += buf;
+    pclose(p);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == ' ')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown" : sha;
+}
+
 /// Process-wide collector; call Write() once at the end of main(). Every
 /// record is stamped with a per-process run id (unix time at startup) so
-/// accumulated files from repeated runs can be ordered and deduplicated.
+/// accumulated files from repeated runs can be ordered and deduplicated,
+/// with the commit it measured and the machine's core count (nproc).
 class BenchJson {
  public:
   static BenchJson& Global() {
@@ -150,6 +184,12 @@ class BenchJson {
       rec.threads = threads;
       rec.optimization_ms = r.optimization_ms;
       rec.execution_ms = r.execution_ms;
+      rec.optimization_ms_median = r.optimization_ms_median;
+      rec.optimization_ms_min = r.optimization_ms_min;
+      rec.optimization_ms_max = r.optimization_ms_max;
+      rec.execution_ms_median = r.execution_ms_median;
+      rec.execution_ms_min = r.execution_ms_min;
+      rec.execution_ms_max = r.execution_ms_max;
       rec.rows = r.result_rows;
       rec.status = r.out_of_memory ? "OOM"
                    : r.timed_out   ? "OT"
@@ -294,7 +334,11 @@ class BenchJson {
           "\"latency_p95_ms\": %.3f, \"latency_p99_ms\": %.3f, "
           "\"queries_cancelled\": %llu, \"queries_rejected\": %llu, "
           "\"queries_timeout\": %llu, \"plan_cache_hits\": %llu, "
-          "\"plan_cache_hit_rate\": %.4f}%s\n",
+          "\"plan_cache_hit_rate\": %.4f, \"optimization_ms_median\": %.3f, "
+          "\"optimization_ms_min\": %.3f, \"optimization_ms_max\": %.3f, "
+          "\"execution_ms_median\": %.3f, \"execution_ms_min\": %.3f, "
+          "\"execution_ms_max\": %.3f, \"git_sha\": \"%s\", "
+          "\"nproc\": %u}%s\n",
           static_cast<long long>(run_ts_), r.bench.c_str(),
           r.workload.c_str(), r.scale, r.query.c_str(), r.mode.c_str(),
           r.engine.c_str(), r.threads, r.optimization_ms, r.execution_ms,
@@ -308,7 +352,10 @@ class BenchJson {
           static_cast<unsigned long long>(r.queries_rejected),
           static_cast<unsigned long long>(r.queries_timeout),
           static_cast<unsigned long long>(r.plan_cache_hits),
-          r.plan_cache_hit_rate, i + 1 < records_.size() ? "," : "");
+          r.plan_cache_hit_rate, r.optimization_ms_median,
+          r.optimization_ms_min, r.optimization_ms_max,
+          r.execution_ms_median, r.execution_ms_min, r.execution_ms_max,
+          git_sha_.c_str(), nproc_, i + 1 < records_.size() ? "," : "");
     }
     std::fprintf(f, "]\n");
     std::fclose(f);
@@ -316,9 +363,14 @@ class BenchJson {
   }
 
  private:
-  BenchJson() : run_ts_(std::time(nullptr)) {}
+  BenchJson()
+      : run_ts_(std::time(nullptr)),
+        git_sha_(GitSha()),
+        nproc_(std::thread::hardware_concurrency()) {}
 
   std::time_t run_ts_;
+  std::string git_sha_;
+  unsigned nproc_;
   std::vector<BenchRecord> records_;
 };
 

@@ -45,10 +45,10 @@ class TaskScheduler;
 ///    and of perfbench's result checks. It is not tuned for speed.
 ///
 /// Both engines emit the same rows in the same order: pipeline sinks
-/// merge in morsel order (equal to the sequential scan order, independent
-/// of thread count), and every reference operator streams its input in
-/// row order with hash-join matches in build-row order, as the pipeline
-/// does.
+/// merge in (morsel, offset) position order (equal to the sequential scan
+/// order, independent of thread count), and every reference operator
+/// streams its input in row order with hash-join matches in build-row
+/// order, as the pipeline does.
 enum class EngineKind {
   kMaterialize,
   kPipeline,
@@ -62,15 +62,19 @@ enum class EngineKind {
 ///    loops, every `kInterruptCheckMask + 1` (= 4096) iterations. One
 ///    shared constant for every loop (this used to be an ad-hoc mix of
 ///    0xFFFF / 0xFFF / 0x3FF masks).
-///  * The pipeline engine checks once per morsel (kBatchRows = 2048 rows)
-///    before any work on the morsel, plus at pipeline/breaker entry.
+///  * The pipeline engine checks once per morsel before any work on it,
+///    plus at pipeline/breaker entry, and once per bounded batch inside
+///    the morsel: every streaming operator call emits at most kBatchRows
+///    (= 2048) rows and charges them through ChargeRows, which routes
+///    through CheckInterrupt. A hub vertex's expansion is cut into such
+///    batches, so even a single-morsel pipeline is checked every
+///    kBatchRows output rows.
 ///
 /// Consequently Database::CancelQuery (and the timeout clock) is observed
-/// within one morsel or one check-interval of row-loop work in BOTH
-/// engines — a few thousand rows of latency, never an unbounded scan.
-/// Row-budget accounting (ChargeRows) also routes through CheckInterrupt,
-/// so any operator that materializes output observes interrupts at least
-/// once per produced batch.
+/// within one bounded batch or one check-interval of row-loop work in
+/// BOTH engines — a few thousand rows of latency, never an unbounded scan
+/// — and a query over its row budget fails with at most one batch of rows
+/// charged past the budget per worker.
 inline constexpr uint64_t kInterruptCheckMask = 0xFFF;
 
 /// Resource limits for one query execution, mirroring the paper's

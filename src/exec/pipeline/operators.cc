@@ -1,6 +1,8 @@
 #include "exec/pipeline/operators.h"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
 #include <numeric>
 #include <queue>
 
@@ -87,21 +89,102 @@ Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
   return SharedBitmap(std::move(bitmap));
 }
 
-/// Shared emit path for expand-style operators: gathers input rows by `sel`
-/// and appends freshly built int64 binding columns (in the order the op's
-/// Prepare added them to its output schema). The batch analog of the seed
-/// executor's BuildExpandedTable.
-Status EmitExpanded(const Batch& in, const std::vector<uint64_t>& sel,
-                    const std::vector<std::vector<int64_t>>& new_cols,
-                    Batch* out, ExecutionContext* ctx) {
-  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
-  *out = in.Gather(sel);
-  for (const auto& vals : new_cols) {
-    Column col(LogicalType::kInt64);
-    col.AppendInts(vals.data(), vals.size());
-    out->AddOwned(std::move(col));
-  }
+/// The physical row of every logical row of `in` (at most kBatchRows
+/// rows): its selection vector, or for a flat batch the shared identity
+/// map 0, 1, ..., kBatchRows - 1. Per-row loops read `rows[r]` either way,
+/// so one loop serves both with no per-row branch.
+const uint64_t* RowMap(const Batch& in) {
+  static const std::vector<uint64_t> kIdentity = [] {
+    std::vector<uint64_t> rows(kBatchRows);
+    std::iota(rows.begin(), rows.end(), 0);
+    return rows;
+  }();
+  assert(in.num_rows() <= kBatchRows);
+  const uint64_t* sel = in.selection();
+  return sel != nullptr ? sel : kIdentity.data();
+}
+
+/// Initial capacity of a resumable operator's output buffers: one row per
+/// remaining input row (the common fan-out), or a full batch when the call
+/// resumes inside a row whose output already overflowed one.
+uint64_t OutputCapacity(const Batch& in, const Cursor& cursor) {
+  if (cursor.inner > 0 || cursor.product > 0) return kBatchRows;
+  return std::min(kBatchRows, in.num_rows() - cursor.row);
+}
+
+/// A narrowing filter's output: `in` itself when every row passed,
+/// otherwise its columns (shared) under the selection `keep` — ascending
+/// physical rows of `in`.
+Status Narrow(const Batch& in, std::vector<uint64_t> keep, Batch* out,
+              ExecutionContext* ctx) {
+  RELGO_RETURN_NOT_OK(ctx->ChargeRows(keep.size()));
+  *out = keep.size() == in.num_rows() ? in : in.Select(std::move(keep));
   return Status::OK();
+}
+
+/// True when every input row produced at most one output row: `rows`,
+/// the physical input row behind each output row, strictly increases.
+/// Such an output (a foreign-key hop or join) keeps the input's columns,
+/// shared, under a selection instead of gathering them: see PassThrough.
+bool AtMostOnePerInputRow(const std::vector<uint64_t>& rows) {
+  return std::adjacent_find(rows.begin(), rows.end(),
+                            std::greater_equal<uint64_t>()) == rows.end();
+}
+
+/// Starts a pass-through output: `in`'s columns, shared, with room for
+/// `extra` more. The caller appends its own columns at `in`'s physical
+/// length (values at their rows' physical positions), then calls
+/// KeepRows.
+void PassThrough(const Batch& in, size_t extra, Batch* out) {
+  out->ReserveColumns(in.num_columns() + extra);
+  for (size_t c = 0; c < in.num_columns(); ++c) {
+    out->AddColumn(in.column_ref(c));
+  }
+}
+
+/// Finishes a pass-through output: views it through `rows`, or leaves it
+/// flat when they are all `physical` rows.
+void KeepRows(std::vector<uint64_t> rows, uint64_t physical, Batch* out) {
+  if (rows.size() == physical) {
+    out->SetNumRows(physical);
+  } else {
+    out->SetSelection(
+        std::make_shared<const std::vector<uint64_t>>(std::move(rows)));
+  }
+}
+
+/// Shared emit path for expand-style operators, after they charged the
+/// rows. `rows` holds the input's physical row behind every output row and
+/// `cols` the `num_cols` freshly built int64 binding columns (moved, in the
+/// order the op's Prepare added them to its output schema).
+///
+/// One output row per input row at most: the input passes through under a
+/// selection and the new values are placed at their rows' physical
+/// positions. Otherwise the input columns are gathered at `rows` (the
+/// input's selection folds in here) and the output is flat — the batch
+/// analog of the reference interpreter's BuildExpandedTable.
+///
+/// Kept to five register arguments: a stack argument would cost the
+/// callers' expansion loops a register.
+void EmitExpanded(const Batch& in, std::vector<uint64_t> rows,
+                  std::vector<int64_t>* const* cols, size_t num_cols,
+                  Batch* out) {
+  if (AtMostOnePerInputRow(rows)) {
+    const uint64_t physical = in.column(0).size();
+    PassThrough(in, num_cols, out);
+    for (size_t c = 0; c < num_cols; ++c) {
+      std::vector<int64_t> placed(physical);
+      const std::vector<int64_t>& vals = *cols[c];
+      for (size_t i = 0; i < rows.size(); ++i) placed[rows[i]] = vals[i];
+      out->AddOwned(Column::OfInts(std::move(placed)));
+    }
+    KeepRows(std::move(rows), physical, out);
+    return;
+  }
+  *out = in.Gather(rows, num_cols);
+  for (size_t c = 0; c < num_cols; ++c) {
+    out->AddOwned(Column::OfInts(std::move(*cols[c])));
+  }
 }
 
 }  // namespace
@@ -131,12 +214,15 @@ Status FilterOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status FilterOp::Process(const Batch& in, Batch* out,
+Status FilterOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                          ExecutionContext* ctx) const {
+  cursor->row = in.num_rows();
   if (!predicate_) {
     *out = in;
     return Status::OK();
   }
+  // The kernels scan contiguous physical ranges: flatten, then narrow.
+  if (in.has_selection()) return Process(in.Flatten(), cursor, out, ctx);
   auto cols = in.ColumnPointers();
   std::vector<uint64_t> sel;
   if (compiled_ != nullptr) {
@@ -146,9 +232,7 @@ Status FilterOp::Process(const Batch& in, Batch* out,
       if (predicate_->EvaluateBool(cols.data(), r)) sel.push_back(r);
     }
   }
-  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
-  *out = in.Gather(sel);
-  return Status::OK();
+  return Narrow(in, std::move(sel), out, ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -168,10 +252,16 @@ Status ProjectOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status ProjectOp::Process(const Batch& in, Batch* out,
+Status ProjectOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                           ExecutionContext* ctx) const {
+  cursor->row = in.num_rows();
+  out->ReserveColumns(src_cols_.size());
   for (size_t src : src_cols_) out->AddColumn(in.column_ref(src));
-  out->SetNumRows(in.num_rows());
+  if (in.has_selection()) {
+    out->SetSelection(in.selection_ref());
+  } else {
+    out->SetNumRows(in.num_rows());
+  }
   return ctx->ChargeRows(in.num_rows());
 }
 
@@ -204,13 +294,13 @@ Status HashJoinProbeOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status HashJoinProbeOp::Process(const Batch& in, Batch* out,
+Status HashJoinProbeOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                                 ExecutionContext* ctx) const {
   // Hoist the probe-key payload spans once per batch; the per-row probe
   // then touches raw int64 slots only (see JoinHashTable's span
   // overload). String keys bind a ProbeView instead: dictionary codes
   // when the batch still carries the build dictionary, payload bytes
-  // (or per-row translation) otherwise.
+  // (or per-row translation) otherwise. Both index physical rows.
   const bool string_keys = ht_->has_string_keys();
   exec::JoinHashTable::ProbeView view;
   std::vector<const int64_t*> keys;
@@ -228,22 +318,46 @@ Status HashJoinProbeOp::Process(const Batch& in, Batch* out,
     if (const uint8_t* v = in.column(c).validity_data()) valid.push_back(v);
   }
 
+  const uint64_t capacity = OutputCapacity(in, *cursor);
   std::vector<uint64_t> left_sel, right_sel, matches;
-  for (uint64_t r = 0; r < in.num_rows(); ++r) {
-    matches.clear();
-    if (string_keys) {
-      ht_->Probe(view, r, &matches);
-    } else if (std::all_of(valid.begin(), valid.end(),
-                           [r](const uint8_t* v) { return v[r] != 0; })) {
-      ht_->Probe(keys.data(), r, &matches);
+  left_sel.reserve(capacity);
+  right_sel.reserve(capacity);
+  *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
+    uint64_t r = cursor->row, j = cursor->inner;
+    for (; r < n; ++r, j = 0) {
+      uint64_t p = rows[r];
+      matches.clear();
+      if (string_keys) {
+        ht_->Probe(view, p, &matches);
+      } else if (std::all_of(valid.begin(), valid.end(),
+                             [p](const uint8_t* v) { return v[p] != 0; })) {
+        ht_->Probe(keys.data(), p, &matches);
+      }
+      // Resumes inside the match list of a key with > kBatchRows matches.
+      for (; j < matches.size(); ++j) {
+        if (left_sel.size() == kBatchRows) return Cursor{r, j, 0};
+        left_sel.push_back(p);
+        right_sel.push_back(matches[j]);
+      }
     }
-    for (uint64_t b : matches) {
-      left_sel.push_back(r);
-      right_sel.push_back(b);
-    }
-  }
+    return Cursor{n, 0, 0};
+  }();
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(left_sel.size()));
-  *out = in.Gather(left_sel);
+  if (!left_sel.empty() && AtMostOnePerInputRow(left_sel)) {
+    // At most one match per probe row (a foreign-key join): only the build
+    // columns are gathered, each row at its probe row's physical position.
+    // Unmatched positions repeat the first match; the selection hides them.
+    const uint64_t physical = in.column(0).size();
+    std::vector<uint64_t> at(physical, right_sel[0]);
+    for (size_t i = 0; i < left_sel.size(); ++i) at[left_sel[i]] = right_sel[i];
+    PassThrough(in, build_out_cols_.size(), out);
+    for (size_t c : build_out_cols_) {
+      out->AddOwned(build_->column(c).Gather(at));
+    }
+    KeepRows(std::move(left_sel), physical, out);
+    return Status::OK();
+  }
+  *out = in.Gather(left_sel, build_out_cols_.size());
   for (size_t c : build_out_cols_) {
     out->AddOwned(build_->column(c).Gather(right_sel));
   }
@@ -280,22 +394,30 @@ Status RidLookupJoinOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status RidLookupJoinOp::Process(const Batch& in, Batch* out,
+Status RidLookupJoinOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                                 ExecutionContext* ctx) const {
+  const uint8_t* pass = bitmap_.bits();
+  const uint64_t n = in.num_rows();
+  cursor->row = n;
   std::vector<uint64_t> in_sel, vertex_sel;
+  in_sel.reserve(n);
+  vertex_sel.reserve(n);
   const Column& rid = in.column(rid_col_);
-  for (uint64_t r = 0; r < in.num_rows(); ++r) {
-    auto edge_row = static_cast<uint64_t>(rid.int_at(r));
-    uint64_t v = op_.dir == graph::Direction::kOut
-                     ? ctx->index().EdgeSource(op_.edge_label, edge_row)
-                     : ctx->index().EdgeTarget(op_.edge_label, edge_row);
-    if (!bitmap_.empty() && !bitmap_[v]) continue;
-    in_sel.push_back(r);
-    vertex_sel.push_back(v);
-  }
+  [&, rows = RowMap(in)]() {
+    for (uint64_t r = 0; r < n; ++r) {
+      uint64_t p = rows[r];
+      auto edge_row = static_cast<uint64_t>(rid.int_at(p));
+      uint64_t v = op_.dir == graph::Direction::kOut
+                       ? ctx->index().EdgeSource(op_.edge_label, edge_row)
+                       : ctx->index().EdgeTarget(op_.edge_label, edge_row);
+      if (pass != nullptr && !pass[v]) continue;
+      in_sel.push_back(p);
+      vertex_sel.push_back(v);
+    }
+  }();
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(in_sel.size()));
 
-  *out = in.Gather(in_sel);
+  *out = in.Gather(in_sel, raw_indexes_.size() + op_.emit_vertex_rowid);
   if (op_.emit_vertex_rowid) {
     Column col(LogicalType::kInt64);
     col.Reserve(vertex_sel.size());
@@ -334,24 +456,34 @@ Status RidExpandJoinOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status RidExpandJoinOp::Process(const Batch& in, Batch* out,
+Status RidExpandJoinOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                                 ExecutionContext* ctx) const {
+  const uint8_t* pass = bitmap_.bits();
+  const uint64_t capacity = OutputCapacity(in, *cursor);
   std::vector<uint64_t> in_sel, edge_sel;
+  in_sel.reserve(capacity);
+  edge_sel.reserve(capacity);
   const Column& rid = in.column(rid_col_);
-  for (uint64_t r = 0; r < in.num_rows(); ++r) {
-    auto v = static_cast<uint64_t>(rid.int_at(r));
-    graph::AdjacencyList adj =
-        ctx->index().Neighbors(op_.edge_label, op_.dir, v);
-    for (size_t i = 0; i < adj.size; ++i) {
-      uint64_t e = adj.edges[i];
-      if (!bitmap_.empty() && !bitmap_[e]) continue;
-      in_sel.push_back(r);
-      edge_sel.push_back(e);
+  *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
+    uint64_t r = cursor->row, i = cursor->inner;
+    for (; r < n; ++r, i = 0) {
+      uint64_t p = rows[r];
+      auto v = static_cast<uint64_t>(rid.int_at(p));
+      graph::AdjacencyList adj =
+          ctx->index().Neighbors(op_.edge_label, op_.dir, v);
+      for (; i < adj.size; ++i) {
+        uint64_t e = adj.edges[i];
+        if (pass != nullptr && !pass[e]) continue;
+        if (in_sel.size() == kBatchRows) return Cursor{r, i, 0};
+        in_sel.push_back(p);
+        edge_sel.push_back(e);
+      }
     }
-  }
+    return Cursor{n, 0, 0};
+  }();
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(in_sel.size()));
 
-  *out = in.Gather(in_sel);
+  *out = in.Gather(in_sel, raw_indexes_.size() + op_.emit_edge_rowid);
   if (op_.emit_edge_rowid) {
     Column col(LogicalType::kInt64);
     col.Reserve(edge_sel.size());
@@ -381,23 +513,36 @@ Status ExpandEdgeOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status ExpandEdgeOp::Process(const Batch& in, Batch* out,
+Status ExpandEdgeOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                              ExecutionContext* ctx) const {
+  const uint8_t* pass = bitmap_.bits();
+  const uint64_t capacity = OutputCapacity(in, *cursor);
   std::vector<uint64_t> sel;
   std::vector<int64_t> edge_vals;
+  sel.reserve(capacity);
+  edge_vals.reserve(capacity);
   const Column& from = in.column(from_col_);
-  for (uint64_t r = 0; r < in.num_rows(); ++r) {
-    auto v = static_cast<uint64_t>(from.int_at(r));
-    graph::AdjacencyList adj =
-        ctx->index().Neighbors(op_.edge_label, op_.dir, v);
-    for (size_t i = 0; i < adj.size; ++i) {
-      uint64_t e = adj.edges[i];
-      if (!bitmap_.empty() && !bitmap_[e]) continue;
-      sel.push_back(r);
-      edge_vals.push_back(static_cast<int64_t>(e));
+  *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
+    uint64_t r = cursor->row, i = cursor->inner;
+    for (; r < n; ++r, i = 0) {
+      uint64_t p = rows[r];
+      auto v = static_cast<uint64_t>(from.int_at(p));
+      graph::AdjacencyList adj =
+          ctx->index().Neighbors(op_.edge_label, op_.dir, v);
+      for (; i < adj.size; ++i) {
+        uint64_t e = adj.edges[i];
+        if (pass != nullptr && !pass[e]) continue;
+        if (sel.size() == kBatchRows) return Cursor{r, i, 0};
+        sel.push_back(p);
+        edge_vals.push_back(static_cast<int64_t>(e));
+      }
     }
-  }
-  return EmitExpanded(in, sel, {std::move(edge_vals)}, out, ctx);
+    return Cursor{n, 0, 0};
+  }();
+  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
+  std::vector<int64_t>* cols[] = {&edge_vals};
+  EmitExpanded(in, std::move(sel), cols, 1, out);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -421,21 +566,32 @@ Status GetVertexOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status GetVertexOp::Process(const Batch& in, Batch* out,
+Status GetVertexOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                             ExecutionContext* ctx) const {
+  const uint8_t* pass = bitmap_.bits();
+  const uint64_t n = in.num_rows();
+  cursor->row = n;
   std::vector<uint64_t> sel;
   std::vector<int64_t> vertex_vals;
+  sel.reserve(n);
+  vertex_vals.reserve(n);
   const Column& edge = in.column(edge_col_);
-  for (uint64_t r = 0; r < in.num_rows(); ++r) {
-    auto e = static_cast<uint64_t>(edge.int_at(r));
-    uint64_t v = op_.dir == graph::Direction::kOut
-                     ? ctx->index().EdgeTarget(op_.edge_label, e)
-                     : ctx->index().EdgeSource(op_.edge_label, e);
-    if (!bitmap_.empty() && !bitmap_[v]) continue;
-    sel.push_back(r);
-    vertex_vals.push_back(static_cast<int64_t>(v));
-  }
-  return EmitExpanded(in, sel, {std::move(vertex_vals)}, out, ctx);
+  [&, rows = RowMap(in)]() {
+    for (uint64_t r = 0; r < n; ++r) {
+      uint64_t p = rows[r];
+      auto e = static_cast<uint64_t>(edge.int_at(p));
+      uint64_t v = op_.dir == graph::Direction::kOut
+                       ? ctx->index().EdgeTarget(op_.edge_label, e)
+                       : ctx->index().EdgeSource(op_.edge_label, e);
+      if (pass != nullptr && !pass[v]) continue;
+      sel.push_back(p);
+      vertex_vals.push_back(static_cast<int64_t>(v));
+    }
+  }();
+  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
+  std::vector<int64_t>* cols[] = {&vertex_vals};
+  EmitExpanded(in, std::move(sel), cols, 1, out);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -495,50 +651,70 @@ Status ExpandOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status ExpandOp::Process(const Batch& in, Batch* out,
+Status ExpandOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                          ExecutionContext* ctx) const {
+  const uint8_t* pass = bitmap_.bits();
+  const bool want_edge = !op_.edge_var.empty();
+  const uint64_t capacity = OutputCapacity(in, *cursor);
   std::vector<uint64_t> sel;
   std::vector<int64_t> to_vals, edge_vals;
-  bool want_edge = !op_.edge_var.empty();
+  sel.reserve(capacity);
+  to_vals.reserve(capacity);
+  if (want_edge) edge_vals.reserve(capacity);
   const Column& from = in.column(from_col_);
 
   if (use_index_) {
-    for (uint64_t r = 0; r < in.num_rows(); ++r) {
-      auto v = static_cast<uint64_t>(from.int_at(r));
-      graph::AdjacencyList adj =
-          ctx->index().Neighbors(op_.edge_label, op_.dir, v);
-      for (size_t i = 0; i < adj.size; ++i) {
-        uint64_t nbr = adj.neighbors[i];
-        if (!bitmap_.empty() && !bitmap_[nbr]) continue;
-        sel.push_back(r);
-        to_vals.push_back(static_cast<int64_t>(nbr));
-        if (want_edge) edge_vals.push_back(static_cast<int64_t>(adj.edges[i]));
+    *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
+      uint64_t r = cursor->row, i = cursor->inner;
+      for (; r < n; ++r, i = 0) {
+        uint64_t p = rows[r];
+        auto v = static_cast<uint64_t>(from.int_at(p));
+        graph::AdjacencyList adj =
+            ctx->index().Neighbors(op_.edge_label, op_.dir, v);
+        for (; i < adj.size; ++i) {
+          uint64_t nbr = adj.neighbors[i];
+          if (pass != nullptr && !pass[nbr]) continue;
+          if (sel.size() == kBatchRows) return Cursor{r, i, 0};
+          sel.push_back(p);
+          to_vals.push_back(static_cast<int64_t>(nbr));
+          if (want_edge) {
+            edge_vals.push_back(static_cast<int64_t>(adj.edges[i]));
+          }
+        }
       }
-    }
+      return Cursor{n, 0, 0};
+    }();
   } else {
     const int64_t* from_keys = from_key_col_->data_int64();
     std::vector<uint64_t> edges;
-    for (uint64_t r = 0; r < in.num_rows(); ++r) {
-      auto v = static_cast<uint64_t>(from.int_at(r));
-      if (!from_key_col_->is_valid(v)) continue;  // NULL matches no FK
-      edges.clear();
-      fk_edges_.Probe(&from_keys, v, &edges);
-      for (uint64_t e : edges) {
-        auto to_it = to_key_index_->find(to_fk_col_->int_at(e));
-        if (to_it == to_key_index_->end()) continue;
-        uint64_t nbr = to_it->second;
-        if (!bitmap_.empty() && !bitmap_[nbr]) continue;
-        sel.push_back(r);
-        to_vals.push_back(static_cast<int64_t>(nbr));
-        if (want_edge) edge_vals.push_back(static_cast<int64_t>(e));
+    *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
+      uint64_t r = cursor->row, i = cursor->inner;
+      for (; r < n; ++r, i = 0) {
+        uint64_t p = rows[r];
+        auto v = static_cast<uint64_t>(from.int_at(p));
+        if (!from_key_col_->is_valid(v)) continue;  // NULL matches no FK
+        edges.clear();
+        fk_edges_.Probe(&from_keys, v, &edges);
+        for (; i < edges.size(); ++i) {
+          uint64_t e = edges[i];
+          auto to_it = to_key_index_->find(to_fk_col_->int_at(e));
+          if (to_it == to_key_index_->end()) continue;
+          uint64_t nbr = to_it->second;
+          if (pass != nullptr && !pass[nbr]) continue;
+          if (sel.size() == kBatchRows) return Cursor{r, i, 0};
+          sel.push_back(p);
+          to_vals.push_back(static_cast<int64_t>(nbr));
+          if (want_edge) edge_vals.push_back(static_cast<int64_t>(e));
+        }
       }
-    }
+      return Cursor{n, 0, 0};
+    }();
   }
 
-  std::vector<std::vector<int64_t>> new_cols;
-  new_cols.push_back(std::move(to_vals));
-  if (want_edge) new_cols.push_back(std::move(edge_vals));
-  return EmitExpanded(in, sel, new_cols, out, ctx);
+  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
+  std::vector<int64_t>* cols[] = {&to_vals, &edge_vals};
+  EmitExpanded(in, std::move(sel), cols, want_edge ? 2 : 1, out);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -580,93 +756,126 @@ Status ExpandIntersectOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status ExpandIntersectOp::Process(const Batch& in, Batch* out,
+Status ExpandIntersectOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                                   ExecutionContext* ctx) const {
+  const uint8_t* pass = bitmap_.bits();
   size_t k = from_cols_.size();
+  const uint64_t capacity = OutputCapacity(in, *cursor);
   std::vector<uint64_t> sel;
   std::vector<int64_t> to_vals;
+  sel.reserve(capacity);
+  to_vals.reserve(capacity);
   // Only bound (non-trimmed) edge vars accumulate values; the others stay
   // empty and are skipped at emit, saving k push_backs per output row on
   // the common fully-trimmed cyclic queries.
   std::vector<std::vector<int64_t>> edge_vals(k);
   std::vector<uint8_t> keep_edge(k, 0);
   if (want_edges_) {
-    for (size_t i = 0; i < k; ++i) keep_edge[i] = !op_.edge_vars[i].empty();
+    for (size_t i = 0; i < k; ++i) {
+      keep_edge[i] = !op_.edge_vars[i].empty();
+      if (keep_edge[i]) edge_vals[i].reserve(capacity);
+    }
   }
 
   std::vector<graph::AdjacencyList> lists(k);
   std::vector<size_t> pos(k);
   std::vector<std::pair<size_t, size_t>> runs(k);  // [begin, end) per list
-  std::vector<size_t> cursor(k);
-  for (uint64_t r = 0; r < in.num_rows(); ++r) {
-    for (size_t i = 0; i < k; ++i) {
-      auto v = static_cast<uint64_t>(in.column(from_cols_[i]).int_at(r));
-      lists[i] = ctx->index().Neighbors(op_.edge_labels[i], op_.dirs[i], v);
-      pos[i] = 0;
-    }
-    // k-way sorted intersection over (possibly duplicated) neighbor runs.
-    while (true) {
-      bool done = false;
-      uint64_t candidate = 0;
+  std::vector<size_t> digit(k);  // mixed-radix position in the runs
+  const bool resumed = cursor->inner > 0 || cursor->product > 0;
+  *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
+    for (uint64_t r = cursor->row; r < n; ++r) {
+      uint64_t p = rows[r];
       for (size_t i = 0; i < k; ++i) {
-        if (pos[i] >= lists[i].size) {
-          done = true;
-          break;
-        }
-        candidate = std::max(candidate, lists[i].neighbors[pos[i]]);
+        auto v = static_cast<uint64_t>(in.column(from_cols_[i]).int_at(p));
+        lists[i] = ctx->index().Neighbors(op_.edge_labels[i], op_.dirs[i], v);
+        pos[i] = 0;
       }
-      if (done) break;
-      bool aligned = true;
-      for (size_t i = 0; i < k; ++i) {
-        while (pos[i] < lists[i].size &&
-               lists[i].neighbors[pos[i]] < candidate) {
-          ++pos[i];
+      // Combinations of the first candidate to step over: a resumed row
+      // restarts at the candidate whose cross product overflowed the last
+      // batch (its run starts at `inner` in list 0; the other lists find
+      // theirs by binary search).
+      uint64_t skip = 0;
+      if (resumed && r == cursor->row) {
+        pos[0] = cursor->inner;
+        uint64_t c = lists[0].neighbors[pos[0]];
+        for (size_t i = 1; i < k; ++i) {
+          pos[i] = static_cast<size_t>(
+              std::lower_bound(lists[i].neighbors,
+                               lists[i].neighbors + lists[i].size, c) -
+              lists[i].neighbors);
         }
-        if (pos[i] >= lists[i].size ||
-            lists[i].neighbors[pos[i]] != candidate) {
-          aligned = false;
-        }
+        skip = cursor->product;
       }
-      if (!aligned) continue;  // some list advanced past; realign on new max
-      // All lists point at `candidate`: collect run lengths (parallel
-      // edges) and emit the cross product of edge bindings.
-      for (size_t i = 0; i < k; ++i) {
-        size_t b = pos[i];
-        while (pos[i] < lists[i].size &&
-               lists[i].neighbors[pos[i]] == candidate) {
-          ++pos[i];
-        }
-        runs[i] = {b, pos[i]};
-      }
-      bool pass = bitmap_.empty() || bitmap_[candidate] != 0;
-      if (pass) {
-        for (size_t i = 0; i < k; ++i) cursor[i] = runs[i].first;
-        while (true) {
-          sel.push_back(r);
-          to_vals.push_back(static_cast<int64_t>(candidate));
-          for (size_t i = 0; i < k; ++i) {
-            if (!keep_edge[i]) continue;
-            edge_vals[i].push_back(
-                static_cast<int64_t>(lists[i].edges[cursor[i]]));
+      // k-way sorted intersection over (possibly duplicated) neighbor runs.
+      while (true) {
+        bool done = false;
+        uint64_t candidate = 0;
+        for (size_t i = 0; i < k; ++i) {
+          if (pos[i] >= lists[i].size) {
+            done = true;
+            break;
           }
-          // Advance the mixed-radix cursor.
+          candidate = std::max(candidate, lists[i].neighbors[pos[i]]);
+        }
+        if (done) break;
+        bool aligned = true;
+        for (size_t i = 0; i < k; ++i) {
+          while (pos[i] < lists[i].size &&
+                 lists[i].neighbors[pos[i]] < candidate) {
+            ++pos[i];
+          }
+          if (pos[i] >= lists[i].size ||
+              lists[i].neighbors[pos[i]] != candidate) {
+            aligned = false;
+          }
+        }
+        if (!aligned) continue;  // some list advanced past; realign
+        // All lists point at `candidate`: collect run lengths (parallel
+        // edges) and emit the cross product of edge bindings.
+        for (size_t i = 0; i < k; ++i) {
+          size_t b = pos[i];
+          while (pos[i] < lists[i].size &&
+                 lists[i].neighbors[pos[i]] == candidate) {
+            ++pos[i];
+          }
+          runs[i] = {b, pos[i]};
+        }
+        if (pass != nullptr && pass[candidate] == 0) continue;
+        for (size_t i = 0; i < k; ++i) digit[i] = runs[i].first;
+        for (uint64_t combo = 0;; ++combo) {
+          if (combo >= skip) {
+            if (sel.size() == kBatchRows) {
+              return Cursor{r, runs[0].first, combo};
+            }
+            sel.push_back(p);
+            to_vals.push_back(static_cast<int64_t>(candidate));
+            for (size_t i = 0; i < k; ++i) {
+              if (!keep_edge[i]) continue;
+              edge_vals[i].push_back(
+                  static_cast<int64_t>(lists[i].edges[digit[i]]));
+            }
+          }
+          // Advance the mixed-radix digits.
           size_t i = 0;
           for (; i < k; ++i) {
-            if (++cursor[i] < runs[i].second) break;
-            cursor[i] = runs[i].first;
+            if (++digit[i] < runs[i].second) break;
+            digit[i] = runs[i].first;
           }
           if (i == k) break;
         }
+        skip = 0;
       }
     }
-  }
+    return Cursor{n, 0, 0};
+  }();
 
-  std::vector<std::vector<int64_t>> new_cols;
-  new_cols.push_back(std::move(to_vals));
+  std::vector<std::vector<int64_t>*> cols = {&to_vals};
   for (size_t i = 0; i < k; ++i) {
-    if (keep_edge[i]) new_cols.push_back(std::move(edge_vals[i]));
+    if (keep_edge[i]) cols.push_back(&edge_vals[i]);
   }
-  return EmitExpanded(in, sel, new_cols, out, ctx);
+  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
+  EmitExpanded(in, std::move(sel), cols.data(), cols.size(), out);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -712,55 +921,72 @@ Status EdgeVerifyOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status EdgeVerifyOp::Process(const Batch& in, Batch* out,
+Status EdgeVerifyOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                              ExecutionContext* ctx) const {
   bool want_edge = !op_.edge_var.empty();
+  const uint64_t capacity = OutputCapacity(in, *cursor);
   std::vector<uint64_t> sel;
   std::vector<int64_t> edge_vals;
+  sel.reserve(capacity);
+  if (want_edge) edge_vals.reserve(capacity);
   const Column& src = in.column(src_col_);
   const Column& dst = in.column(dst_col_);
 
   if (use_index_) {
-    for (uint64_t r = 0; r < in.num_rows(); ++r) {
-      auto s = static_cast<uint64_t>(src.int_at(r));
-      auto d = static_cast<uint64_t>(dst.int_at(r));
-      graph::AdjacencyList adj =
-          ctx->index().Neighbors(op_.edge_label, op_.dir, s);
-      // Sorted by neighbor: binary search the run of `d`. Bag semantics:
-      // each parallel edge contributes one output row even when the edge
-      // binding itself was trimmed.
-      const uint64_t* begin = adj.neighbors;
-      const uint64_t* end = adj.neighbors + adj.size;
-      const uint64_t* lo = std::lower_bound(begin, end, d);
-      for (const uint64_t* p = lo; p != end && *p == d; ++p) {
-        sel.push_back(r);
-        if (want_edge) {
-          edge_vals.push_back(static_cast<int64_t>(adj.edges[p - begin]));
+    *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
+      uint64_t r = cursor->row, j = cursor->inner;
+      for (; r < n; ++r, j = 0) {
+        uint64_t p = rows[r];
+        auto s = static_cast<uint64_t>(src.int_at(p));
+        auto d = static_cast<uint64_t>(dst.int_at(p));
+        graph::AdjacencyList adj =
+            ctx->index().Neighbors(op_.edge_label, op_.dir, s);
+        // Sorted by neighbor: binary search the run of `d`. Bag semantics:
+        // each parallel edge contributes one output row even when the edge
+        // binding itself was trimmed. `j` is the offset into the run.
+        const uint64_t* begin = adj.neighbors;
+        const uint64_t* end = adj.neighbors + adj.size;
+        const uint64_t* lo = std::lower_bound(begin, end, d);
+        for (; lo + j != end && lo[j] == d; ++j) {
+          if (sel.size() == kBatchRows) return Cursor{r, j, 0};
+          sel.push_back(p);
+          if (want_edge) {
+            edge_vals.push_back(
+                static_cast<int64_t>(adj.edges[lo + j - begin]));
+          }
         }
       }
-    }
+      return Cursor{n, 0, 0};
+    }();
   } else {
     std::vector<uint64_t> edges;
-    for (uint64_t r = 0; r < in.num_rows(); ++r) {
-      auto s = static_cast<uint64_t>(src.int_at(r));
-      auto d = static_cast<uint64_t>(dst.int_at(r));
-      if (!skey_->is_valid(s) || !dkey_->is_valid(d)) continue;
-      // The two keys live in different vertex tables: point each span at
-      // its own row and probe row 0.
-      const int64_t* keys[2] = {skey_->data_int64() + s,
-                                dkey_->data_int64() + d};
-      edges.clear();
-      key_edges_.Probe(keys, 0, &edges);
-      for (uint64_t e : edges) {
-        sel.push_back(r);
-        if (want_edge) edge_vals.push_back(static_cast<int64_t>(e));
+    *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
+      uint64_t r = cursor->row, j = cursor->inner;
+      for (; r < n; ++r, j = 0) {
+        uint64_t p = rows[r];
+        auto s = static_cast<uint64_t>(src.int_at(p));
+        auto d = static_cast<uint64_t>(dst.int_at(p));
+        if (!skey_->is_valid(s) || !dkey_->is_valid(d)) continue;
+        // The two keys live in different vertex tables: point each span at
+        // its own row and probe row 0.
+        const int64_t* keys[2] = {skey_->data_int64() + s,
+                                  dkey_->data_int64() + d};
+        edges.clear();
+        key_edges_.Probe(keys, 0, &edges);
+        for (; j < edges.size(); ++j) {
+          if (sel.size() == kBatchRows) return Cursor{r, j, 0};
+          sel.push_back(p);
+          if (want_edge) edge_vals.push_back(static_cast<int64_t>(edges[j]));
+        }
       }
-    }
+      return Cursor{n, 0, 0};
+    }();
   }
 
-  std::vector<std::vector<int64_t>> new_cols;
-  if (want_edge) new_cols.push_back(std::move(edge_vals));
-  return EmitExpanded(in, sel, new_cols, out, ctx);
+  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
+  std::vector<int64_t>* cols[] = {&edge_vals};
+  EmitExpanded(in, std::move(sel), cols, want_edge ? 1 : 0, out);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -780,17 +1006,22 @@ Status VertexFilterOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status VertexFilterOp::Process(const Batch& in, Batch* out,
+Status VertexFilterOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                                ExecutionContext* ctx) const {
-  std::vector<uint64_t> sel;
+  const uint8_t* pass = bitmap_.bits();
+  const uint64_t n = in.num_rows();
+  cursor->row = n;
+  std::vector<uint64_t> keep;
+  keep.reserve(n);
   const Column& var = in.column(var_col_);
-  for (uint64_t r = 0; r < in.num_rows(); ++r) {
-    auto rid = static_cast<uint64_t>(var.int_at(r));
-    if (bitmap_.empty() || bitmap_[rid]) sel.push_back(r);
-  }
-  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
-  *out = in.Gather(sel);
-  return Status::OK();
+  [&, rows = RowMap(in)]() {
+    for (uint64_t r = 0; r < n; ++r) {
+      uint64_t p = rows[r];
+      auto rid = static_cast<uint64_t>(var.int_at(p));
+      if (pass == nullptr || pass[rid]) keep.push_back(p);
+    }
+  }();
+  return Narrow(in, std::move(keep), out, ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -805,17 +1036,21 @@ Status NotEqualOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return Status::OK();
 }
 
-Status NotEqualOp::Process(const Batch& in, Batch* out,
+Status NotEqualOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                            ExecutionContext* ctx) const {
-  std::vector<uint64_t> sel;
+  const uint64_t n = in.num_rows();
+  cursor->row = n;
+  std::vector<uint64_t> keep;
+  keep.reserve(n);
   const Column& a = in.column(a_col_);
   const Column& b = in.column(b_col_);
-  for (uint64_t r = 0; r < in.num_rows(); ++r) {
-    if (a.int_at(r) != b.int_at(r)) sel.push_back(r);
-  }
-  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
-  *out = in.Gather(sel);
-  return Status::OK();
+  [&, rows = RowMap(in)]() {
+    for (uint64_t r = 0; r < n; ++r) {
+      uint64_t p = rows[r];
+      if (a.int_at(p) != b.int_at(p)) keep.push_back(p);
+    }
+  }();
+  return Narrow(in, std::move(keep), out, ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -844,6 +1079,7 @@ Status ScanGraphTableOp::Prepare(const Schema& input, ExecutionContext* ctx) {
 
   output_schema_ = Schema();
   sources_.clear();
+  gathers_ = false;
   for (const auto& rid_var : op_.rowid_passthrough) {
     RELGO_ASSIGN_OR_RETURN(size_t bcol, input.GetColumnIndex(rid_var));
     RELGO_RETURN_NOT_OK(
@@ -873,23 +1109,43 @@ Status ScanGraphTableOp::Prepare(const Schema& input, ExecutionContext* ctx) {
           {proj.output_name, deferred ? LogicalType::kInt64
                                       : base->schema().column(raw).type}));
       sources_.push_back({base, static_cast<int>(raw), bcol, deferred});
+      gathers_ |= !deferred;
     }
   }
   return Status::OK();
 }
 
-Status ScanGraphTableOp::Process(const Batch& in, Batch* out,
+Status ScanGraphTableOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                                  ExecutionContext* ctx) const {
+  cursor->row = in.num_rows();
+  // A selected input stays selected when every output is a row id (all
+  // shared zero-copy). Otherwise the selection folds into the property
+  // gathers: each binding column the output reads is flattened once.
+  const bool fold = in.has_selection() && gathers_;
+  std::vector<ColumnRef> flat(fold ? in.num_columns() : 0);
+  auto binding = [&](size_t c) -> const ColumnRef& {
+    if (!fold) return in.column_ref(c);
+    if (flat[c] == nullptr) {
+      flat[c] = std::make_shared<Column>(
+          in.column(c).Gather(*in.selection_ref()));
+    }
+    return flat[c];
+  };
+  out->ReserveColumns(sources_.size());
   for (const Source& src : sources_) {
     if (src.raw_col < 0 || src.deferred) {
       // The row id itself: the binding column already holds it.
-      out->AddColumn(in.column_ref(src.binding_col));
+      out->AddColumn(binding(src.binding_col));
     } else {
       const Column& raw = src.base->column(static_cast<size_t>(src.raw_col));
-      out->AddOwned(raw.GatherRowIds(in.column(src.binding_col)));
+      out->AddOwned(raw.GatherRowIds(*binding(src.binding_col)));
     }
   }
-  out->SetNumRows(in.num_rows());
+  if (in.has_selection() && !fold) {
+    out->SetSelection(in.selection_ref());
+  } else {
+    out->SetNumRows(in.num_rows());
+  }
   return ctx->ChargeRows(in.num_rows());
 }
 
@@ -911,20 +1167,20 @@ const Column* ScanGraphTableOp::DeferredColumn(
 
 namespace {
 
-/// Per-worker (morsel, batch) collection, the shared state of every
+/// Per-worker (position, batch) collection, the shared state of every
 /// batch-collecting sink (MaterializeSink, HashBuildSink, and TopKSink's
 /// sort/limit modes — which derive from it).
 struct BatchListState : SinkState {
-  std::vector<std::pair<uint64_t, Batch>> batches;  // (morsel, batch)
+  std::vector<std::pair<BatchPosition, Batch>> batches;
 };
 
-/// Per-worker (morsel, batch) lists sorted into global morsel order — the
-/// sequential (num_threads = 1) order, which in turn equals the
-/// materializing executor's, so downstream order-sensitive consumers break
+/// Per-worker (position, batch) lists sorted into global position order —
+/// the sequential (num_threads = 1) order, which in turn equals the
+/// reference interpreter's, so downstream order-sensitive consumers break
 /// ties identically.
-std::vector<const std::pair<uint64_t, Batch>*> OrderedBatches(
+std::vector<const std::pair<BatchPosition, Batch>*> OrderedBatches(
     const std::vector<std::unique_ptr<SinkState>>& states) {
-  std::vector<const std::pair<uint64_t, Batch>*> ordered;
+  std::vector<const std::pair<BatchPosition, Batch>*> ordered;
   for (const auto& state : states) {
     for (const auto& entry :
          static_cast<BatchListState*>(state.get())->batches) {
@@ -936,9 +1192,9 @@ std::vector<const std::pair<uint64_t, Batch>*> OrderedBatches(
   return ordered;
 }
 
-/// Concatenates morsel-ordered batches into one table.
+/// Concatenates position-ordered batches into one table.
 TablePtr ConcatBatches(
-    const std::vector<const std::pair<uint64_t, Batch>*>& ordered,
+    const std::vector<const std::pair<BatchPosition, Batch>*>& ordered,
     const std::string& name, const Schema& schema) {
   auto out = std::make_shared<Table>(name, schema);
   for (const auto* entry : ordered) {
@@ -964,9 +1220,10 @@ std::unique_ptr<SinkState> MaterializeSink::MakeState() const {
 }
 
 Status MaterializeSink::Consume(SinkState* state, const Batch& in,
-                                uint64_t morsel, ExecutionContext* ctx) const {
+                                BatchPosition pos,
+                                ExecutionContext* ctx) const {
   (void)ctx;
-  static_cast<BatchListState*>(state)->batches.emplace_back(morsel, in);
+  static_cast<BatchListState*>(state)->batches.emplace_back(pos, in);
   return Status::OK();
 }
 
@@ -989,9 +1246,9 @@ std::unique_ptr<SinkState> HashBuildSink::MakeState() const {
 }
 
 Status HashBuildSink::Consume(SinkState* state, const Batch& in,
-                              uint64_t morsel, ExecutionContext* ctx) const {
+                              BatchPosition pos, ExecutionContext* ctx) const {
   (void)ctx;
-  static_cast<BatchListState*>(state)->batches.emplace_back(morsel, in);
+  static_cast<BatchListState*>(state)->batches.emplace_back(pos, in);
   return Status::OK();
 }
 
@@ -1089,9 +1346,9 @@ struct AggState {
 };
 
 /// One group's partial aggregate plus where it was first seen. The
-/// (morsel, row) coordinate orders merged groups identically to a
+/// (morsel, offset + row) coordinate orders merged groups identically to a
 /// sequential first-seen scan, making group output order independent of
-/// thread count (and equal to the materializing executor's).
+/// thread count (and equal to the reference interpreter's).
 struct PartialGroup {
   std::vector<AggState> states;
   uint64_t first_morsel = 0;
@@ -1138,7 +1395,7 @@ std::unique_ptr<SinkState> AggregateSink::MakeState() const {
 }
 
 Status AggregateSink::Consume(SinkState* state, const Batch& in,
-                              uint64_t morsel, ExecutionContext* ctx) const {
+                              BatchPosition pos, ExecutionContext* ctx) const {
   (void)ctx;
   auto* partial = static_cast<AggregatePartial*>(state);
   if (encoder_ != nullptr) {
@@ -1155,18 +1412,26 @@ Status AggregateSink::Consume(SinkState* state, const Batch& in,
       }
     }
     vector::EncodedGroupKey key;
-    for (uint64_t r = 0; r < in.num_rows(); ++r) {
+    auto group_of = [&](uint64_t r) {
       encoder_->Encode(key_cols.data(), r, &key);
       auto it = partial->egroups.find(key);
       if (it == partial->egroups.end()) {
         PartialGroup group;
         group.states.resize(op_.aggregates.size());
-        group.first_morsel = morsel;
-        group.first_row = r;
+        group.first_morsel = pos.morsel;
+        group.first_row = pos.offset + r;
         it = partial->egroups.emplace(key, std::move(group)).first;
       }
+      return &it->second.states;
+    };
+    // Without GROUP BY every row lands in the one group: look it up once
+    // per batch instead of once per row.
+    std::vector<AggState>* states =
+        group_cols_.empty() ? group_of(0) : nullptr;
+    for (uint64_t r = 0; r < in.num_rows(); ++r) {
+      if (!group_cols_.empty()) states = group_of(r);
       for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-        AggState& st = it->second.states[a];
+        AggState& st = (*states)[a];
         st.count += 1;
         if (agg_cols_[a] >= 0) views[a].Update(r, &st);
       }
@@ -1181,8 +1446,8 @@ Status AggregateSink::Consume(SinkState* state, const Batch& in,
     if (it == partial->groups.end()) {
       PartialGroup group;
       group.states.resize(op_.aggregates.size());
-      group.first_morsel = morsel;
-      group.first_row = r;
+      group.first_morsel = pos.morsel;
+      group.first_row = pos.offset + r;
       it = partial->groups.emplace(std::move(key), std::move(group)).first;
     }
     for (size_t a = 0; a < op_.aggregates.size(); ++a) {
@@ -1207,10 +1472,10 @@ Result<TablePtr> AggregateSink::Finish(
     ExecutionContext* ctx) {
   (void)scheduler;
   // Merge thread-local partials; a group's position is its globally
-  // earliest first-seen (morsel, row), so the output order matches the
-  // sequential scan regardless of which worker saw which morsel. The
-  // boxed and typed (encoder_) paths share the merge/order logic — a run
-  // only ever populates one of the two partial maps.
+  // earliest first-seen (morsel, offset + row), so the output order
+  // matches the sequential scan regardless of which worker saw which
+  // morsel. The boxed and typed (encoder_) paths share the merge/order
+  // logic — a run only ever populates one of the two partial maps.
   auto merge_one = [](PartialGroup* dst, PartialGroup* src) {
     for (size_t a = 0; a < dst->states.size(); ++a) {
       dst->states[a].MergeFrom(src->states[a]);
@@ -1327,11 +1592,12 @@ Result<TablePtr> AggregateSink::Finish(
 namespace {
 
 /// One kept candidate row in heap mode: the full row as Values plus its
-/// global (morsel, row) sequence coordinate for stable tie-breaking.
+/// global (morsel, offset + row) sequence coordinate for stable
+/// tie-breaking.
 struct HeapRow {
   std::vector<Value> vals;
   uint64_t morsel = 0;
-  uint64_t row = 0;
+  uint64_t row = 0;  ///< offset + row within the morsel's output
 };
 
 struct TopKState : BatchListState {  // batches used by sort / limit modes
@@ -1382,14 +1648,14 @@ std::unique_ptr<SinkState> TopKSink::MakeState() const {
   return std::make_unique<TopKState>();
 }
 
-Status TopKSink::Consume(SinkState* state, const Batch& in, uint64_t morsel,
+Status TopKSink::Consume(SinkState* state, const Batch& in, BatchPosition pos,
                          ExecutionContext* ctx) const {
   (void)ctx;
   auto* s = static_cast<TopKState*>(state);
   s->rows_seen += in.num_rows();
 
   if (!HeapMode()) {
-    if (limit_ != 0) s->batches.emplace_back(morsel, in);
+    if (limit_ != 0) s->batches.emplace_back(pos, in);
     // The early-exit frontier advances in MorselFinished, which the
     // pipeline calls after this batch is safely stored.
     return Status::OK();
@@ -1424,7 +1690,7 @@ Status TopKSink::Consume(SinkState* state, const Batch& in, uint64_t morsel,
       int c = fence_cmp(r, worst);
       bool before_worst =
           c != 0 ? c < 0
-                 : std::make_pair(morsel, r) <
+                 : std::make_pair(pos.morsel, pos.offset + r) <
                        std::make_pair(worst.morsel, worst.row);
       if (!before_worst) continue;
       std::pop_heap(heap.begin(), heap.end(), heap_cmp);
@@ -1435,8 +1701,8 @@ Status TopKSink::Consume(SinkState* state, const Batch& in, uint64_t morsel,
     for (size_t c = 0; c < in.num_columns(); ++c) {
       candidate.vals.push_back(in.column(c).GetValue(r));
     }
-    candidate.morsel = morsel;
-    candidate.row = r;
+    candidate.morsel = pos.morsel;
+    candidate.row = pos.offset + r;
     heap.push_back(std::move(candidate));
     std::push_heap(heap.begin(), heap.end(), heap_cmp);
   }
@@ -1480,7 +1746,7 @@ Result<TablePtr> TopKSink::Finish(
       RELGO_RETURN_NOT_OK(out->AppendRow(row.vals));
     }
   } else if (order_ != nullptr) {
-    // Parallel merge sort over the morsel-ordered row space: chunk-sort on
+    // Parallel merge sort over the position-ordered row space: chunk-sort on
     // the scheduler, then k-way merge the sorted runs.
     auto ordered = OrderedBatches(states);
     struct RowRef {
@@ -1557,7 +1823,7 @@ Result<TablePtr> TopKSink::Finish(
     }
     out->FinishBulkAppend();
   } else {
-    // Plain LIMIT: truncate the morsel-ordered concatenation at k rows.
+    // Plain LIMIT: truncate the position-ordered concatenation at k rows.
     auto ordered = OrderedBatches(states);
     uint64_t remaining = limit_ >= 0 ? static_cast<uint64_t>(limit_) : total;
     for (const auto* entry : ordered) {

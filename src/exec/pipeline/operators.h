@@ -28,8 +28,7 @@ class TaskScheduler;
 /// A per-base-row validity bitmap with shared storage: either empty (no
 /// filter — every row passes) or one byte per base-table row (1 == pass).
 /// The payload is shared so a ScanCache hit replays an earlier query's
-/// bitmap without copying it, and the accessors mirror the
-/// std::vector<uint8_t> the expansion loops were written against.
+/// bitmap without copying it.
 class SharedBitmap {
  public:
   using Ptr = std::shared_ptr<const std::vector<uint8_t>>;
@@ -37,10 +36,12 @@ class SharedBitmap {
   SharedBitmap() = default;
   explicit SharedBitmap(Ptr data) : data_(std::move(data)) {}
 
-  bool empty() const { return data_ == nullptr || data_->empty(); }
-  uint8_t operator[](uint64_t i) const { return (*data_)[i]; }
-  size_t size() const { return data_ == nullptr ? 0 : data_->size(); }
-  const Ptr& data() const { return data_; }
+  /// The pass bytes, or null when there is no filter. Row loops read it
+  /// once per call; through the shared pointer it would be reloaded for
+  /// every adjacency entry.
+  const uint8_t* bits() const {
+    return data_ == nullptr || data_->empty() ? nullptr : data_->data();
+  }
 
  private:
   Ptr data_;
@@ -50,14 +51,40 @@ class SharedBitmap {
 // Streaming operators
 // ---------------------------------------------------------------------------
 
-/// A non-blocking operator of a pipeline: consumes one batch, produces one
-/// batch (possibly larger — expansions — or smaller — filters).
+/// Where a streaming operator resumes over its current input batch.
+/// `row` is the next logical input row; `inner` the position inside that
+/// row's output run (adjacency entry, hash-match index, edge-run offset;
+/// ExpandIntersectOp: the start of the current candidate's run in its
+/// first list), and `product` ExpandIntersectOp's index into that
+/// candidate's cross product of parallel edges. A fresh cursor starts at
+/// the first row; the input is exhausted once row == num_rows().
+struct Cursor {
+  uint64_t row = 0;
+  uint64_t inner = 0;
+  uint64_t product = 0;
+};
+
+/// A non-blocking operator of a pipeline: consumes one batch, produces
+/// bounded output batches (larger per input row — expansions — or smaller
+/// — filters).
+///
+/// Cursor contract: Process() emits output for `in` from `*cursor` on and
+/// returns once the output holds kBatchRows rows or the input runs out,
+/// leaving `*cursor` at the first output row it did not emit. Operators
+/// whose output can outgrow their input (expansions, EDGE_VERIFY, the
+/// hash-join probe) stop mid-adjacency or mid-match-list, so the bound is
+/// exact even for a hub vertex; a call that returns early always has
+/// output pending, so only an exhausted input yields an empty batch.
+/// Operators emitting at most one row per input row finish in one call.
+/// `*out` arrives empty. Inputs hold at most kBatchRows rows and may carry
+/// a selection vector (see Batch).
 ///
 /// Lifecycle: Prepare() runs once, single-threaded, before the pipeline is
 /// scheduled; it resolves column indexes against the input schema, binds
 /// expressions, and precomputes shared read-only state (base-table filter
 /// bitmaps, index-free fallback hash tables). Process() is const and must
-/// be thread-safe: the scheduler calls it concurrently on distinct batches.
+/// be thread-safe: the scheduler calls it concurrently on distinct batches
+/// (each with its own cursor).
 class StreamingOp {
  public:
   virtual ~StreamingOp() = default;
@@ -66,7 +93,7 @@ class StreamingOp {
                          ExecutionContext* ctx) = 0;
   const storage::Schema& output_schema() const { return output_schema_; }
 
-  virtual Status Process(const Batch& in, Batch* out,
+  virtual Status Process(const Batch& in, Cursor* cursor, Batch* out,
                          ExecutionContext* ctx) const = 0;
 
  protected:
@@ -75,12 +102,14 @@ class StreamingOp {
 
 using StreamingOpPtr = std::unique_ptr<StreamingOp>;
 
-/// sigma over the streamed schema (PhysFilter).
+/// sigma over the streamed schema (PhysFilter). Flattens a selected input,
+/// then narrows: the output shares the input's columns under a selection
+/// of the passing rows.
 class FilterOp : public StreamingOp {
  public:
   explicit FilterOp(const plan::PhysFilter& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -95,12 +124,13 @@ class FilterOp : public StreamingOp {
   std::unique_ptr<vector::CompiledPredicate> compiled_;
 };
 
-/// pi with renaming (PhysProject); pure column sharing, zero-copy.
+/// pi with renaming (PhysProject); pure column sharing, zero-copy, the
+/// input's selection included.
 class ProjectOp : public StreamingOp {
  public:
   explicit ProjectOp(const plan::PhysProject& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -113,7 +143,9 @@ class ProjectOp : public StreamingOp {
 /// PhysPatternJoin both lower to this; the pattern join passes its shared
 /// variables as drop_right). The JoinHashTable arrives fully constructed —
 /// partition-parallel, see HashBuildSink — so Prepare only resolves the
-/// probe-side columns and the output schema.
+/// probe-side columns and the output schema. When every probe row of a
+/// call matched at most once, the probe columns pass through under a
+/// selection and only the build columns are gathered.
 class HashJoinProbeOp : public StreamingOp {
  public:
   HashJoinProbeOp(std::vector<std::string> left_keys,
@@ -125,7 +157,7 @@ class HashJoinProbeOp : public StreamingOp {
         build_(std::move(build)),
         ht_(std::move(ht)) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -141,7 +173,7 @@ class RidLookupJoinOp : public StreamingOp {
  public:
   explicit RidLookupJoinOp(const plan::PhysRidLookupJoin& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -157,7 +189,7 @@ class RidExpandJoinOp : public StreamingOp {
  public:
   explicit RidExpandJoinOp(const plan::PhysRidExpandJoin& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -173,7 +205,7 @@ class ExpandEdgeOp : public StreamingOp {
  public:
   explicit ExpandEdgeOp(const plan::PhysExpandEdge& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -187,7 +219,7 @@ class GetVertexOp : public StreamingOp {
  public:
   explicit GetVertexOp(const plan::PhysGetVertex& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -203,7 +235,7 @@ class ExpandOp : public StreamingOp {
  public:
   explicit ExpandOp(const plan::PhysExpand& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -226,7 +258,7 @@ class ExpandIntersectOp : public StreamingOp {
  public:
   explicit ExpandIntersectOp(const plan::PhysExpandIntersect& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -243,7 +275,7 @@ class EdgeVerifyOp : public StreamingOp {
  public:
   explicit EdgeVerifyOp(const plan::PhysEdgeVerify& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -256,12 +288,13 @@ class EdgeVerifyOp : public StreamingOp {
   JoinHashTable key_edges_;  ///< edge rows by (src FK, dst FK)
 };
 
-/// VERTEX_FILTER (PhysVertexFilter): bitmap membership of the bound row id.
+/// VERTEX_FILTER (PhysVertexFilter): bitmap membership of the bound row id;
+/// narrows the selection.
 class VertexFilterOp : public StreamingOp {
  public:
   explicit VertexFilterOp(const plan::PhysVertexFilter& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -270,12 +303,13 @@ class VertexFilterOp : public StreamingOp {
   SharedBitmap bitmap_;
 };
 
-/// NOT_EQUAL (PhysNotEqual): all-distinct constraint between two vars.
+/// NOT_EQUAL (PhysNotEqual): all-distinct constraint between two vars;
+/// narrows the selection.
 class NotEqualOp : public StreamingOp {
  public:
   explicit NotEqualOp(const plan::PhysNotEqual& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
  private:
@@ -293,6 +327,10 @@ class NotEqualOp : public StreamingOp {
 /// property; whoever deferred it gathers the property afterwards, for the
 /// rows that survive, through DeferredColumn(). The deferral belongs to
 /// this operator instance — one execution — never to the plan.
+///
+/// A selected input keeps its selection when every output column is a
+/// row id (all columns shared zero-copy); otherwise the selection folds
+/// into the property gathers and the output is flat.
 class ScanGraphTableOp : public StreamingOp {
  public:
   explicit ScanGraphTableOp(const plan::PhysScanGraphTable& op) : op_(op) {}
@@ -301,7 +339,7 @@ class ScanGraphTableOp : public StreamingOp {
     deferred_ = std::move(outputs);
   }
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Batch* out,
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
   /// The base-table column a deferred output reads, or null when `output`
@@ -318,6 +356,7 @@ class ScanGraphTableOp : public StreamingOp {
   const plan::PhysScanGraphTable& op_;
   std::set<std::string> deferred_;
   std::vector<Source> sources_;
+  bool gathers_ = false;  // some source reads a property eagerly
 };
 
 // ---------------------------------------------------------------------------
@@ -329,25 +368,41 @@ struct SinkState {
   virtual ~SinkState() = default;
 };
 
+/// Where a batch sits in its pipeline's sequential output: `morsel` is the
+/// source morsel it came from, `offset` the number of rows that morsel
+/// handed the sink before it. Row r of the batch is global row
+/// (morsel, offset + r); that order is the sequential (num_threads = 1)
+/// order, which equals the reference interpreter's.
+struct BatchPosition {
+  uint64_t morsel = 0;
+  uint64_t offset = 0;
+
+  bool operator<(const BatchPosition& other) const {
+    return morsel != other.morsel ? morsel < other.morsel
+                                  : offset < other.offset;
+  }
+};
+
 /// Terminal consumer of a pipeline. Consume() runs concurrently, but each
 /// worker owns a private SinkState, so no synchronization is needed until
 /// Finish() merges the partials on the owning thread — with the query's
 /// TaskScheduler in hand, so breaker work that parallelizes (hash-table
 /// finalize, sort-run sorting) can fan back out.
 ///
-/// `morsel` is the source morsel index the batch came from. Sinks merge in
-/// morsel order, which makes the pipeline result *order* deterministic and
-/// equal to the sequential (and materializing-executor) order regardless
-/// of thread count — required so ORDER BY + LIMIT breaks ties identically
-/// across engines.
+/// Consume() receives flat batches of at most kBatchRows rows with their
+/// BatchPosition; a morsel may arrive as several batches. Sinks merge in
+/// (morsel, offset + row) order, which makes the pipeline result *order*
+/// deterministic and equal to the sequential (and reference-interpreter)
+/// order regardless of thread count — required so ORDER BY + LIMIT breaks
+/// ties identically across engines.
 class Sink {
  public:
   virtual ~Sink() = default;
   virtual Status Prepare(const storage::Schema& input,
                          ExecutionContext* ctx) = 0;
   virtual std::unique_ptr<SinkState> MakeState() const = 0;
-  virtual Status Consume(SinkState* state, const Batch& in, uint64_t morsel,
-                         ExecutionContext* ctx) const = 0;
+  virtual Status Consume(SinkState* state, const Batch& in,
+                         BatchPosition pos, ExecutionContext* ctx) const = 0;
   virtual Result<storage::TablePtr> Finish(
       std::vector<std::unique_ptr<SinkState>> states, TaskScheduler* scheduler,
       ExecutionContext* ctx) = 0;
@@ -368,25 +423,26 @@ class Sink {
   /// *contiguous-prefix* completion (see MorselFinished): a morsel being
   /// checked may have been claimed before later morsels completed.
   virtual bool Saturated() const { return false; }
-  /// Called once per morsel after it fully finished — consumed, emitted
-  /// zero rows, or was skipped because Saturated() — with the row count it
-  /// contributed. Thread-safe like Consume. Default no-op; TopKSink uses
-  /// it to advance its completed-morsel frontier.
+  /// Called once per morsel after it fully finished — every batch
+  /// consumed, emitted zero rows, or was skipped because Saturated() —
+  /// with the total row count it contributed. Thread-safe like Consume.
+  /// Default no-op; TopKSink uses it to advance its completed-morsel
+  /// frontier.
   virtual void MorselFinished(uint64_t morsel, uint64_t rows) const {
     (void)morsel;
     (void)rows;
   }
 };
 
-/// Collects (morsel, batch) pairs per worker and concatenates them in
-/// morsel order into one Table (pipeline feeding a breaker, or the query
+/// Collects (position, batch) pairs per worker and concatenates them in
+/// position order into one Table (pipeline feeding a breaker, or the query
 /// result).
 class MaterializeSink : public Sink {
  public:
   explicit MaterializeSink(std::string name) : name_(std::move(name)) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
   std::unique_ptr<SinkState> MakeState() const override;
-  Status Consume(SinkState* state, const Batch& in, uint64_t morsel,
+  Status Consume(SinkState* state, const Batch& in, BatchPosition pos,
                  ExecutionContext* ctx) const override;
   Result<storage::TablePtr> Finish(
       std::vector<std::unique_ptr<SinkState>> states, TaskScheduler* scheduler,
@@ -399,11 +455,12 @@ class MaterializeSink : public Sink {
 
 /// Materializes a join build side AND constructs the shared JoinHashTable,
 /// partition-parallel (PhysHashJoin / PhysPatternJoin build sides):
-/// Consume collects per-worker (morsel, batch) lists like MaterializeSink;
-/// Finish concatenates them in morsel order, then builds the hash table in
-/// two parallel phases on the query's scheduler — morsel-parallel hashing
-/// into per-morsel partition slices, then partition-parallel linking of the
-/// bucket chains (JoinHashTable's two-phase API). The
+/// Consume collects per-worker (position, batch) lists like
+/// MaterializeSink; Finish concatenates them in position order, then
+/// builds the hash table in two parallel phases on the query's scheduler —
+/// morsel-parallel hashing into per-morsel partition slices, then
+/// partition-parallel linking of the bucket chains (JoinHashTable's
+/// two-phase API). The
 /// build wall time is recorded as breaker build time on the owning join
 /// node, and the finished table plus hash table are handed to
 /// HashJoinProbeOp, whose probe path is unchanged.
@@ -414,7 +471,7 @@ class HashBuildSink : public Sink {
       : keys_(std::move(keys)), join_node_(join_node) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
   std::unique_ptr<SinkState> MakeState() const override;
-  Status Consume(SinkState* state, const Batch& in, uint64_t morsel,
+  Status Consume(SinkState* state, const Batch& in, BatchPosition pos,
                  ExecutionContext* ctx) const override;
   Result<storage::TablePtr> Finish(
       std::vector<std::unique_ptr<SinkState>> states, TaskScheduler* scheduler,
@@ -441,7 +498,7 @@ class HashBuildSink : public Sink {
 ///    them once. Rows past a full heap's fence are discarded O(1).
 ///  * ORDER BY without LIMIT: workers collect their batches; Finish sorts
 ///    per-chunk runs in parallel on the scheduler and k-way merges them —
-///    a parallel merge sort over the morsel-ordered row space.
+///    a parallel merge sort over the position-ordered row space.
 ///  * LIMIT without ORDER BY: workers collect batches until the rows of
 ///    the *contiguous completed-morsel prefix* reach k (Saturated() — an
 ///    exact early-exit: once morsels [0, f) are all finished and hold
@@ -449,14 +506,14 @@ class HashBuildSink : public Sink {
 ///    being skipped is never inside the prefix, because prefix morsels
 ///    have finished and it has not). The frontier advances in
 ///    MorselFinished, which also counts empty and skipped morsels.
-///    Finish truncates the morsel-ordered concatenation. Early-exit is
+///    Finish truncates the position-ordered concatenation. Early-exit is
 ///    disabled while profiling so per-node actual row counts stay
 ///    engine-invariant.
 ///
-/// Every comparison tie-breaks on the global (morsel, row) sequence, which
-/// equals the sequential scan order — so the selected rows and their order
-/// match the materializing engine's stable sort exactly, independent of
-/// thread count.
+/// Every comparison tie-breaks on the global (morsel, offset + row)
+/// sequence (see BatchPosition), which equals the sequential scan order —
+/// so the selected rows and their order match the reference interpreter's
+/// stable sort exactly, independent of thread count.
 class TopKSink : public Sink {
  public:
   /// `order` may be null (plain LIMIT); `limit_node` may be null (plain
@@ -466,7 +523,7 @@ class TopKSink : public Sink {
       : order_(order), limit_node_(limit_node), limit_(limit) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
   std::unique_ptr<SinkState> MakeState() const override;
-  Status Consume(SinkState* state, const Batch& in, uint64_t morsel,
+  Status Consume(SinkState* state, const Batch& in, BatchPosition pos,
                  ExecutionContext* ctx) const override;
   Result<storage::TablePtr> Finish(
       std::vector<std::unique_ptr<SinkState>> states, TaskScheduler* scheduler,
@@ -520,7 +577,8 @@ class TopKSink : public Sink {
 
 /// Parallel hash aggregation (PhysHashAggregate): each worker accumulates a
 /// thread-local partial group table; Finish() merges the partials
-/// (count/sum add, min/max combine) in first-seen (morsel, row) order and
+/// (count/sum add, min/max combine) in first-seen (morsel, offset + row)
+/// order and
 /// emits seed-identical output, including the SQL one-row global aggregate
 /// over empty input.
 class AggregateSink : public Sink {
@@ -528,7 +586,7 @@ class AggregateSink : public Sink {
   explicit AggregateSink(const plan::PhysHashAggregate& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
   std::unique_ptr<SinkState> MakeState() const override;
-  Status Consume(SinkState* state, const Batch& in, uint64_t morsel,
+  Status Consume(SinkState* state, const Batch& in, BatchPosition pos,
                  ExecutionContext* ctx) const override;
   Result<storage::TablePtr> Finish(
       std::vector<std::unique_ptr<SinkState>> states, TaskScheduler* scheduler,

@@ -1,6 +1,7 @@
 #include "exec/pipeline/pipeline.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/fault.h"
 #include "exec/exec_common.h"
@@ -210,6 +211,101 @@ Status ScanVertexSource::PipelineFinished(const Status& run_status,
 // RunPipeline
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// One level of a worker's depth-first drive through a pipeline: the input
+/// batch of ops[i] and how far ops[i] got through it. Level ops.size()
+/// holds the batch bound for the sink.
+struct Level {
+  Batch batch;
+  Cursor cursor;
+};
+
+/// Runs source rows [begin, begin + count) — morsel `morsel` — through the
+/// pipeline depth-first. Every bounded batch an operator emits is pushed
+/// through the remaining operators into the sink before that operator
+/// resumes from its cursor, so each level holds at most one live batch and
+/// the only per-batch allocations are the batches themselves. `levels` is
+/// the worker's reusable stack (ops.size() + 1 entries). The profiled
+/// instantiation accumulates into `slots` (source, ops..., sink); the
+/// plain one carries no profiling code. Returns the rows the morsel handed
+/// the sink in `*sink_rows`.
+template <bool kProfiled>
+Status DriveMorsel(const Pipeline& pipeline, Sink* sink, SinkState* state,
+                   uint64_t morsel, uint64_t begin, uint64_t count,
+                   std::vector<Level>* levels, OperatorProfile* slots,
+                   uint64_t* sink_rows, ExecutionContext* ctx) {
+  const size_t nops = pipeline.ops.size();
+  std::vector<Level>& lv = *levels;
+  Timer timer;
+  lv[0].batch.Clear();
+  lv[0].cursor = Cursor();
+  RELGO_RETURN_NOT_OK(pipeline.source->Emit(begin, count, &lv[0].batch, ctx));
+  if constexpr (kProfiled) {
+    slots[0].wall_ms += timer.ElapsedMillis();
+    slots[0].rows_in += count;
+    slots[0].rows_out += lv[0].batch.num_rows();
+    slots[0].invocations += 1;
+    slots[0].max_batch_rows =
+        std::max(slots[0].max_batch_rows, lv[0].batch.num_rows());
+  }
+  uint64_t offset = 0;  // rows this morsel handed the sink so far
+  size_t d = 0;         // lv[d] is the input of ops[d]; d == nops: the sink
+  if (lv[0].batch.num_rows() == 0) {
+    *sink_rows = 0;
+    return Status::OK();
+  }
+  while (true) {
+    if (d == nops) {
+      Batch& batch = lv[d].batch;
+      if (batch.has_selection()) batch = batch.Flatten();
+      if constexpr (kProfiled) timer.Restart();
+      RELGO_RETURN_NOT_OK(
+          sink->Consume(state, batch, BatchPosition{morsel, offset}, ctx));
+      if constexpr (kProfiled) {
+        OperatorProfile& slot = slots[nops + 1];
+        slot.wall_ms += timer.ElapsedMillis();
+        slot.rows_in += batch.num_rows();
+        slot.invocations += 1;
+        slot.max_batch_rows =
+            std::max(slot.max_batch_rows, batch.num_rows());
+      }
+      offset += batch.num_rows();
+      batch.Clear();
+      if (d == 0) break;
+      --d;
+      continue;
+    }
+    Level& cur = lv[d];
+    if (cur.cursor.row >= cur.batch.num_rows()) {  // input exhausted
+      cur.batch.Clear();
+      if (d == 0) break;
+      --d;
+      continue;
+    }
+    Batch& next = lv[d + 1].batch;
+    next.Clear();
+    lv[d + 1].cursor = Cursor();
+    if constexpr (kProfiled) timer.Restart();
+    [[maybe_unused]] uint64_t row_before = cur.cursor.row;
+    RELGO_RETURN_NOT_OK(
+        pipeline.ops[d]->Process(cur.batch, &cur.cursor, &next, ctx));
+    if constexpr (kProfiled) {
+      OperatorProfile& slot = slots[d + 1];
+      slot.wall_ms += timer.ElapsedMillis();
+      slot.rows_in += cur.cursor.row - row_before;
+      slot.rows_out += next.num_rows();
+      slot.invocations += 1;
+      slot.max_batch_rows = std::max(slot.max_batch_rows, next.num_rows());
+    }
+    if (next.num_rows() > 0) ++d;
+  }
+  *sink_rows = offset;
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<storage::TablePtr> RunPipeline(Pipeline* pipeline, Sink* sink,
                                       TaskScheduler* scheduler,
                                       ExecutionContext* ctx) {
@@ -246,100 +342,57 @@ Result<storage::TablePtr> RunPipeline(Pipeline* pipeline, Sink* sink,
     states.push_back(sink->MakeState());
   }
 
-  // The default morsel body: no profiling branches on the hot path. Every
-  // non-error exit reports the morsel as finished (with its contributed
-  // rows) so LIMIT early-exit can track its contiguous completed prefix.
-  auto run_morsel = [&](int worker_id, uint64_t morsel) -> Status {
-    // One interrupt check per morsel (kBatchRows rows) — the pipeline
-    // half of the kInterruptCheckMask latency contract — plus the
-    // morsel-boundary fault site.
-    RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
-    RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kMorselBoundary));
-    if (sink->Saturated()) {  // LIMIT early-exit
-      sink->MorselFinished(morsel, 0);
-      return Status::OK();
-    }
-    uint64_t begin = morsel * kBatchRows;
-    uint64_t count = std::min(kBatchRows, total_rows - begin);
-    Batch batch;
-    RELGO_RETURN_NOT_OK(pipeline->source->Emit(begin, count, &batch, ctx));
-    for (const auto& op : pipeline->ops) {
-      if (batch.num_rows() == 0) break;
-      Batch next;
-      RELGO_RETURN_NOT_OK(op->Process(batch, &next, ctx));
-      batch = std::move(next);
-    }
-    if (batch.num_rows() == 0) {
-      sink->MorselFinished(morsel, 0);
-      return Status::OK();
-    }
-    RELGO_RETURN_NOT_OK(
-        sink->Consume(states[worker_id].get(), batch, morsel, ctx));
-    sink->MorselFinished(morsel, batch.num_rows());
-    return Status::OK();
-  };
+  // Per-worker driver stacks, reused across the worker's morsels.
+  std::vector<std::vector<Level>> stacks(
+      static_cast<size_t>(max_workers),
+      std::vector<Level>(pipeline->ops.size() + 1));
 
-  // Profiled morsel body: each worker accumulates rows in/out, invocation
-  // counts and stage timings into its private slot vector — no shared
-  // state, so profiling never serializes workers. Slot 0 is the source,
-  // slots 1..N the streaming ops, slot N+1 the sink's Consume side.
+  // Profiled runs accumulate rows in/out, calls and stage timings into
+  // per-worker slot vectors — no shared state, so profiling never
+  // serializes workers. Slot 0 is the source, slots 1..N the streaming
+  // ops, slot N+1 the sink's Consume side.
   std::vector<std::vector<OperatorProfile>> worker_profs;
   if (qp != nullptr) {
     worker_profs.assign(
         static_cast<size_t>(max_workers),
         std::vector<OperatorProfile>(pipeline->ops.size() + 2));
   }
-  auto run_morsel_profiled = [&](int worker_id, uint64_t morsel) -> Status {
-    RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
-    RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kMorselBoundary));
-    if (sink->Saturated()) {
-      sink->MorselFinished(morsel, 0);
+
+  // The morsel body, instantiated without (the default, no profiling code
+  // on the hot path) and with profiling. Every non-error exit reports the
+  // morsel as finished (with its contributed rows) so LIMIT early-exit can
+  // track its contiguous completed prefix.
+  auto morsel_body = [&](auto profiled) {
+    return [&, profiled](int worker_id, uint64_t morsel) -> Status {
+      // One interrupt check per morsel before any work on it, plus the
+      // morsel-boundary fault site; inside the morsel every bounded batch
+      // charges its rows, which checks again (see kInterruptCheckMask).
+      RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
+      RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kMorselBoundary));
+      if (sink->Saturated()) {  // LIMIT early-exit
+        sink->MorselFinished(morsel, 0);
+        return Status::OK();
+      }
+      uint64_t begin = morsel * kBatchRows;
+      uint64_t count = std::min(kBatchRows, total_rows - begin);
+      uint64_t rows = 0;
+      RELGO_RETURN_NOT_OK(DriveMorsel<decltype(profiled)::value>(
+          *pipeline, sink, states[worker_id].get(), morsel, begin, count,
+          &stacks[worker_id],
+          profiled ? worker_profs[worker_id].data() : nullptr, &rows, ctx));
+      sink->MorselFinished(morsel, rows);
       return Status::OK();
-    }
-    uint64_t begin = morsel * kBatchRows;
-    uint64_t count = std::min(kBatchRows, total_rows - begin);
-    std::vector<OperatorProfile>& slots = worker_profs[worker_id];
-    Batch batch;
-    Timer timer;
-    RELGO_RETURN_NOT_OK(pipeline->source->Emit(begin, count, &batch, ctx));
-    slots[0].wall_ms += timer.ElapsedMillis();
-    slots[0].rows_in += count;
-    slots[0].rows_out += batch.num_rows();
-    slots[0].invocations += 1;
-    for (size_t i = 0; i < pipeline->ops.size(); ++i) {
-      if (batch.num_rows() == 0) break;
-      Batch next;
-      timer.Restart();
-      RELGO_RETURN_NOT_OK(pipeline->ops[i]->Process(batch, &next, ctx));
-      OperatorProfile& slot = slots[i + 1];
-      slot.wall_ms += timer.ElapsedMillis();
-      slot.rows_in += batch.num_rows();
-      slot.rows_out += next.num_rows();
-      slot.invocations += 1;
-      batch = std::move(next);
-    }
-    if (batch.num_rows() == 0) {
-      sink->MorselFinished(morsel, 0);
-      return Status::OK();
-    }
-    OperatorProfile& sink_slot = slots[pipeline->ops.size() + 1];
-    timer.Restart();
-    Status consumed =
-        sink->Consume(states[worker_id].get(), batch, morsel, ctx);
-    sink_slot.wall_ms += timer.ElapsedMillis();
-    sink_slot.rows_in += batch.num_rows();
-    sink_slot.invocations += 1;
-    if (consumed.ok()) sink->MorselFinished(morsel, batch.num_rows());
-    return consumed;
+    };
   };
 
   int run_workers = 1;
   double run_start = tr != nullptr ? obs::TraceNowMs() : 0.0;
   Status run_status =
       qp == nullptr
-          ? scheduler->Run(morsels, max_workers, run_morsel, &run_workers)
-          : scheduler->Run(morsels, max_workers, run_morsel_profiled,
-                           &run_workers);
+          ? scheduler->Run(morsels, max_workers,
+                           morsel_body(std::false_type()), &run_workers)
+          : scheduler->Run(morsels, max_workers,
+                           morsel_body(std::true_type()), &run_workers);
   if (tr != nullptr) {
     tr->Record("pipeline_run", "pipeline", run_start,
                {{"sink", sink->label()},

@@ -163,9 +163,11 @@ struct Pipeline {
 
 /// Prepares every stage (resolving schemas source → ops → sink), then runs
 /// the pipeline morsel-by-morsel on `scheduler` and returns the sink's
-/// merged result. Honors the context's row budget and timeout: workers
-/// check the clock per morsel and charge rows per batch, and the first
-/// failing morsel aborts the run.
+/// merged result. Each worker drives its morsel depth-first through the
+/// operators, one bounded batch (at most kBatchRows rows) at a time.
+/// Honors the context's row budget and timeout: workers check the clock
+/// per morsel and charge rows per bounded batch, and the first failing
+/// morsel aborts the run.
 Result<storage::TablePtr> RunPipeline(Pipeline* pipeline, Sink* sink,
                                       TaskScheduler* scheduler,
                                       ExecutionContext* ctx);

@@ -1,6 +1,7 @@
 #ifndef RELGO_EXEC_PROFILE_H_
 #define RELGO_EXEC_PROFILE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -21,10 +22,13 @@ namespace exec {
 ///  * the materializing interpreter records one invocation per operator;
 ///    wall_ms is the operator's *subtree* wall time (children execute
 ///    inside the timed region — the engine is operator-at-a-time);
-///  * the pipeline engine accumulates per-morsel counters in thread-local
+///  * the pipeline engine accumulates per-call counters in thread-local
 ///    slots and merges them here once the pipeline drains: invocations =
-///    morsels processed, wall_ms = this operator's cumulative Process
-///    time summed over workers (self time, children excluded).
+///    calls (source: morsels; streaming operator: output batches, each at
+///    most kBatchRows rows; sink: batches consumed), wall_ms = this
+///    operator's cumulative time summed over workers (self time, children
+///    excluded), max_batch_rows = the largest single call's output (sink:
+///    input).
 ///
 /// rows_out — the actual output cardinality — is engine-invariant (the
 /// engines are bag-equivalent) and is what Q-error compares against.
@@ -34,14 +38,16 @@ namespace exec {
 struct OperatorProfile {
   uint64_t rows_in = 0;       ///< input tuples consumed (see note above)
   uint64_t rows_out = 0;      ///< output tuples produced (actual cardinality)
-  uint64_t invocations = 0;   ///< calls: 1 (materialize) / morsels (pipeline)
+  uint64_t invocations = 0;   ///< calls: 1 (materialize) / batches (pipeline)
   double wall_ms = 0.0;       ///< operator time (see engine semantics above)
+  uint64_t max_batch_rows = 0;  ///< largest call's rows (pipeline only)
 
   void Accumulate(const OperatorProfile& other) {
     rows_in += other.rows_in;
     rows_out += other.rows_out;
     invocations += other.invocations;
     wall_ms += other.wall_ms;
+    max_batch_rows = std::max(max_batch_rows, other.max_batch_rows);
   }
 };
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -89,6 +90,15 @@ class Column {
   /// Bulk-appends `count` int64 payload values (all valid). Valid for the
   /// int64-payload types (kInt64 / kBool / kDate).
   void AppendInts(const int64_t* data, uint64_t count);
+
+  /// An all-valid kInt64 column that takes over `values` without copying
+  /// (the binding columns expansions build).
+  static Column OfInts(std::vector<int64_t> values) {
+    Column out(LogicalType::kInt64);
+    out.size_ = values.size();
+    out.ints_ = std::move(values);
+    return out;
+  }
 
   /// Appends a boxed value; must match the column type (or be NULL).
   Status AppendValue(const Value& v);

@@ -4,9 +4,12 @@
 #include <atomic>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -46,12 +49,26 @@ void RecordQError(const ProfiledRunResult& run, double* geomean,
   if (ops != nullptr) *ops = q.ops;
 }
 
+/// Mean, median, min and max of `samples` (non-empty); an even count's
+/// median averages the two middle samples.
+void Spread(std::vector<double> samples, double* mean, double* median,
+            double* min, double* max) {
+  std::sort(samples.begin(), samples.end());
+  size_t n = samples.size();
+  *mean = std::accumulate(samples.begin(), samples.end(), 0.0) /
+           static_cast<double>(n);
+  *median = n % 2 == 1 ? samples[n / 2]
+                       : (samples[n / 2 - 1] + samples[n / 2]) / 2.0;
+  *min = samples.front();
+  *max = samples.back();
+}
+
 }  // namespace
 
 bool Harness::TimedRepetitions(const WorkloadQuery& wq,
                                optimizer::OptimizerMode mode,
                                RunMeasurement* m) const {
-  double total_opt = 0.0, total_exec = 0.0;
+  std::vector<double> opt, exec;
   // A failure on any run is terminal.
   for (int rep = 0; rep < repetitions_; ++rep) {
     auto result = db_->Run(wq.query, mode, exec_options_);
@@ -59,12 +76,14 @@ bool Harness::TimedRepetitions(const WorkloadQuery& wq,
       SetFailure(result.status(), m);
       return false;
     }
-    total_opt += result->optimization_ms;
-    total_exec += result->execution_ms;
+    opt.push_back(result->optimization_ms);
+    exec.push_back(result->execution_ms);
     m->result_rows = result->table->num_rows();
   }
-  m->optimization_ms = total_opt / repetitions_;
-  m->execution_ms = total_exec / repetitions_;
+  Spread(std::move(opt), &m->optimization_ms, &m->optimization_ms_median,
+         &m->optimization_ms_min, &m->optimization_ms_max);
+  Spread(std::move(exec), &m->execution_ms, &m->execution_ms_median,
+         &m->execution_ms_min, &m->execution_ms_max);
   return true;
 }
 

@@ -13,8 +13,15 @@ namespace workload {
 struct RunMeasurement {
   std::string query;
   std::string mode;
-  double optimization_ms = 0.0;
-  double execution_ms = 0.0;
+  double optimization_ms = 0.0;  ///< mean over the timed repetitions
+  double execution_ms = 0.0;     ///< mean over the timed repetitions
+  /// Spread of the timed repetitions: median, fastest and slowest.
+  double optimization_ms_median = 0.0;
+  double optimization_ms_min = 0.0;
+  double optimization_ms_max = 0.0;
+  double execution_ms_median = 0.0;
+  double execution_ms_min = 0.0;
+  double execution_ms_max = 0.0;
   uint64_t result_rows = 0;
   bool timed_out = false;       ///< reported as OT, like the paper
   bool out_of_memory = false;   ///< reported as OOM

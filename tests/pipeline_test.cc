@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <new>
+#include <numeric>
 #include <set>
 #include <thread>
 
 #include "exec/executor.h"
 #include "exec/pipeline/batch.h"
+#include "exec/exec_common.h"
 #include "exec/pipeline/engine.h"
+#include "exec/pipeline/operators.h"
 #include "exec/pipeline/scheduler.h"
 #include "fixtures.h"
 
@@ -72,6 +77,23 @@ TEST(BatchTest, SliceTableWholeRangeIsZeroCopy) {
   EXPECT_NE(&part.column(0), &table->column(0));
   ASSERT_EQ(part.num_rows(), 3u);
   EXPECT_EQ(part.column(0).int_at(0), 1);
+}
+
+TEST(BatchTest, SelectSharesColumnsAndFlattenGathers) {
+  Batch in;
+  in.AddOwned(Column::OfInts({10, 11, 12, 13, 14}));
+  in.SetNumRows(5);
+  Batch narrowed = in.Select({1, 3, 4});
+  ASSERT_TRUE(narrowed.has_selection());
+  EXPECT_EQ(narrowed.num_rows(), 3u);
+  EXPECT_EQ(&narrowed.column(0), &in.column(0));  // shared, not copied
+  Batch flat = narrowed.Flatten();
+  EXPECT_FALSE(flat.has_selection());
+  ASSERT_EQ(flat.num_rows(), 3u);
+  EXPECT_EQ(flat.column(0).int_at(0), 11);
+  EXPECT_EQ(flat.column(0).int_at(2), 14);
+  Batch same = in.Flatten();
+  EXPECT_EQ(&same.column(0), &in.column(0));  // flat input: shared
 }
 
 // ---------------------------------------------------------------------------
@@ -714,6 +736,487 @@ TEST_F(LateMaterializationTest, OtherOperatorAboveBridgeDefersNothing) {
   EXPECT_EQ(Profile(*plan).late_gathers(), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Bounded batches: resumable operators, positions, selection vectors
+// ---------------------------------------------------------------------------
+
+using exec::pipeline::kBatchRows;
+
+/// A graph whose hubs overflow a batch from a single input row:
+///  * Knows: person 0 -> every other person, plus kParallel extra parallel
+///    edges 0 -> 1 (out-degree > 2 * kBatchRows); person 1 -> every person
+///    >= 2, three parallel edges each; a chain i -> i + 1 for i >= 2.
+///  * Follows: i -> (i + 1) mod N for every i, and i -> 0 for i >= 1.
+/// Person.age = id mod 7 ties heavily; Person.name is unique.
+class BoundedBatchTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kPeople = 4500;
+  static constexpr int64_t kParallel = kBatchRows + 5;
+
+  void SetUp() override {
+    using storage::ColumnDef;
+    using storage::Schema;
+    auto person = db_.CreateTable(
+        "Person", Schema({ColumnDef{"person_id", LogicalType::kInt64},
+                          ColumnDef{"name", LogicalType::kString},
+                          ColumnDef{"age", LogicalType::kInt64}}));
+    ASSERT_TRUE(person.ok());
+    for (const char* name : {"Knows", "Follows"}) {
+      auto edges = db_.CreateTable(
+          name, Schema({ColumnDef{"eid", LogicalType::kInt64},
+                        ColumnDef{"pid1", LogicalType::kInt64},
+                        ColumnDef{"pid2", LogicalType::kInt64}}));
+      ASSERT_TRUE(edges.ok());
+    }
+    auto knows = *db_.catalog().GetTable("Knows");
+    auto follows = *db_.catalog().GetTable("Follows");
+    auto add = [](const storage::TablePtr& t, int64_t from, int64_t to) {
+      ASSERT_TRUE(t->AppendRow({Value::Int(static_cast<int64_t>(t->num_rows())),
+                                Value::Int(from), Value::Int(to)})
+                      .ok());
+    };
+    for (int64_t i = 0; i < kPeople; ++i) {
+      ASSERT_TRUE((*person)
+                      ->AppendRow({Value::Int(i),
+                                   Value::String("n" + std::to_string(i)),
+                                   Value::Int(i % 7)})
+                      .ok());
+      if (i > 0) add(knows, 0, i);
+      if (i >= 2) {
+        for (int k = 0; k < 3; ++k) add(knows, 1, i);
+        if (i + 1 < kPeople) add(knows, i, i + 1);
+      }
+      add(follows, i, (i + 1) % kPeople);
+      if (i >= 1) add(follows, i, 0);
+    }
+    for (int64_t k = 0; k < kParallel; ++k) add(knows, 0, 1);
+    ASSERT_TRUE(db_.AddVertexTable("Person", "person_id").ok());
+    for (const char* name : {"Knows", "Follows"}) {
+      ASSERT_TRUE(db_.AddEdgeTable(name, "Person", "pid1", "Person", "pid2")
+                      .ok());
+    }
+    ASSERT_TRUE(db_.Finalize().ok());
+    person_ = db_.mapping().FindVertexLabel("Person");
+    knows_ = db_.mapping().FindEdgeLabel("Knows");
+    follows_ = db_.mapping().FindEdgeLabel("Follows");
+  }
+
+  /// SCAN_VERTEX `var` restricted to the person with id `id`.
+  std::unique_ptr<plan::PhysicalOp> Person(const std::string& var,
+                                           int64_t id) {
+    auto scan = std::make_unique<plan::PhysScanVertex>();
+    scan->vertex_label = person_;
+    scan->var = var;
+    scan->filter = Expr::Eq("person_id", Value::Int(id));
+    return scan;
+  }
+
+  std::unique_ptr<plan::PhysicalOp> Expand(
+      std::unique_ptr<plan::PhysicalOp> child, int label, std::string from,
+      std::string to, std::string edge = "", bool use_index = true) {
+    auto op = std::make_unique<plan::PhysExpand>();
+    op->edge_label = label;
+    op->from_var = std::move(from);
+    op->to_var = std::move(to);
+    op->edge_var = std::move(edge);
+    op->use_index = use_index;
+    op->children.push_back(std::move(child));
+    return op;
+  }
+
+  /// pi-hat COLUMNS(var.column AS var.column, ...) over Person vars.
+  std::unique_ptr<plan::PhysicalOp> Bridge(
+      std::unique_ptr<plan::PhysicalOp> child,
+      const std::vector<std::pair<std::string, std::string>>& columns) {
+    auto sgt = std::make_unique<plan::PhysScanGraphTable>();
+    std::set<std::string> vars;
+    for (const auto& [var, column] : columns) {
+      sgt->projections.push_back({var, column, var + "." + column});
+      vars.insert(var);
+    }
+    for (const auto& var : vars) {
+      sgt->vertex_var_labels.push_back({var, person_});
+    }
+    sgt->children.push_back(std::move(child));
+    return sgt;
+  }
+
+  /// ORDER BY `keys` (when non-empty) under LIMIT `limit` (when >= 0).
+  static std::unique_ptr<plan::PhysicalOp> OrderLimit(
+      std::unique_ptr<plan::PhysicalOp> child,
+      std::vector<plan::SortKey> keys, int64_t limit) {
+    if (!keys.empty()) {
+      auto order = std::make_unique<plan::PhysOrderBy>();
+      order->keys = std::move(keys);
+      order->children.push_back(std::move(child));
+      child = std::move(order);
+    }
+    if (limit < 0) return child;
+    auto node = std::make_unique<plan::PhysLimit>();
+    node->limit = limit;
+    node->children.push_back(std::move(child));
+    return node;
+  }
+
+  /// Row-for-row parity with the reference interpreter at 1 and 4 threads
+  /// (rows, order, schema and, unless a plain LIMIT exits early, the row
+  /// budget), then a profiled run asserting that no source, operator or
+  /// sink call handled more than kBatchRows rows. Returns the oracle rows.
+  std::vector<std::string> ExpectBoundedParity(const plan::PhysicalOp& op,
+                                               bool early_exit = false) {
+    ExecutionContext oracle_ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+    auto expected = Executor::Run(op, &oracle_ctx);
+    EXPECT_TRUE(expected.ok()) << expected.status().ToString();
+    if (!expected.ok()) return {};
+    for (int threads : {1, 4}) {
+      ExecutionOptions options;
+      options.num_threads = threads;
+      ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                           options);
+      auto actual = exec::pipeline::Run(op, &ctx);
+      EXPECT_TRUE(actual.ok())
+          << "threads=" << threads << ": " << actual.status().ToString();
+      if (!actual.ok()) continue;
+      EXPECT_EQ(testing::ExactRows(**actual), testing::ExactRows(**expected))
+          << "threads=" << threads;
+      EXPECT_EQ((*actual)->schema().ToString(),
+                (*expected)->schema().ToString())
+          << "threads=" << threads;
+      if (!early_exit) {
+        EXPECT_EQ(ctx.rows_produced(), oracle_ctx.rows_produced())
+            << "threads=" << threads;
+      }
+    }
+
+    exec::QueryProfile profile;
+    ExecutionOptions options;
+    options.num_threads = 1;
+    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                         options);
+    ctx.EnableProfiling(&profile);
+    EXPECT_TRUE(exec::pipeline::Run(op, &ctx).ok());
+    std::vector<const plan::PhysicalOp*> stack = {&op};
+    while (!stack.empty()) {
+      const plan::PhysicalOp* node = stack.back();
+      stack.pop_back();
+      if (const exec::OperatorProfile* prof = profile.Find(node)) {
+        EXPECT_LE(prof->max_batch_rows, kBatchRows) << node->Describe();
+      }
+      for (const auto& child : node->children) stack.push_back(child.get());
+    }
+    return testing::ExactRows(**expected);
+  }
+
+  /// The profiled call count of `node` in a 1-thread run of `root`.
+  uint64_t Calls(const plan::PhysicalOp& root, const plan::PhysicalOp& node) {
+    exec::QueryProfile profile;
+    ExecutionOptions options;
+    options.num_threads = 1;
+    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                         options);
+    ctx.EnableProfiling(&profile);
+    EXPECT_TRUE(exec::pipeline::Run(root, &ctx).ok());
+    const exec::OperatorProfile* prof = profile.Find(&node);
+    return prof == nullptr ? 0 : prof->invocations;
+  }
+
+  Database db_;
+  int person_ = -1, knows_ = -1, follows_ = -1;
+};
+
+TEST_F(BoundedBatchTest, HubExpansionResumesInsideTheAdjacency) {
+  // One input row, 2 * kBatchRows + 2.4k output rows: index and hash
+  // paths, with and without the edge binding.
+  for (bool use_index : {true, false}) {
+    for (const char* edge : {"", "k"}) {
+      SCOPED_TRACE(std::string("use_index=") + (use_index ? "1" : "0") +
+                   " edge=" + edge);
+      auto plan = Expand(Person("p", 0), knows_, "p", "q", edge, use_index);
+      auto rows = ExpectBoundedParity(*plan);
+      EXPECT_EQ(rows.size(), static_cast<size_t>(kPeople - 1 + kParallel));
+      // Exact bound: ceil(rows / kBatchRows) output batches, no more.
+      EXPECT_EQ(Calls(*plan, *plan),
+                (rows.size() + kBatchRows - 1) / kBatchRows);
+    }
+  }
+}
+
+TEST_F(BoundedBatchTest, HubExpandEdgeGetVertexAndRidExpandJoin) {
+  auto expand_edge = std::make_unique<plan::PhysExpandEdge>();
+  expand_edge->edge_label = knows_;
+  expand_edge->from_var = "p";
+  expand_edge->edge_var = "k";
+  expand_edge->children.push_back(Person("p", 1));
+  plan::PhysGetVertex get;
+  get.edge_label = knows_;
+  get.edge_var = "k";
+  get.to_var = "q";
+  get.children.push_back(std::move(expand_edge));
+  EXPECT_EQ(ExpectBoundedParity(get).size(), 3u * (kPeople - 2));
+
+  auto scan = std::make_unique<plan::PhysScanTable>();
+  scan->table = "Person";
+  scan->alias = "p";
+  scan->filter = Expr::Eq("person_id", Value::Int(0));
+  scan->emit_rowid = true;
+  plan::PhysRidExpandJoin rid;
+  rid.edge_label = knows_;
+  rid.vertex_rowid_column = "p.$rid";
+  rid.edge_alias = "k";
+  rid.edge_columns = {"pid2"};
+  rid.emit_edge_rowid = true;
+  rid.children.push_back(std::move(scan));
+  EXPECT_EQ(ExpectBoundedParity(rid).size(),
+            static_cast<size_t>(kPeople - 1 + kParallel));
+}
+
+TEST_F(BoundedBatchTest, IntersectAndEdgeVerifyResumeInsideOneRow) {
+  // p = 0 follows only q = 1. N(0) and N(1) share every person >= 2, and
+  // person 1 reaches each of them over three parallel edges: one input row
+  // yields 3 * (N - 2) rows, and kBatchRows is not a multiple of 3, so
+  // batches end inside a candidate's cross product.
+  plan::PhysExpandIntersect intersect;
+  intersect.edge_labels = {knows_, knows_};
+  intersect.dirs = {graph::Direction::kOut, graph::Direction::kOut};
+  intersect.from_vars = {"p", "q"};
+  intersect.edge_vars = {"e1", "e2"};
+  intersect.to_var = "c";
+  intersect.children.push_back(Expand(Person("p", 0), follows_, "p", "q"));
+  EXPECT_EQ(ExpectBoundedParity(intersect).size(), 3u * (kPeople - 2));
+  intersect.edge_vars = {"", ""};
+  EXPECT_EQ(ExpectBoundedParity(intersect).size(), 3u * (kPeople - 2));
+
+  // The edge 0 -> 1 runs kParallel + 1 times: EDGE_VERIFY emits more than
+  // kBatchRows rows for its single input row.
+  for (bool use_index : {true, false}) {
+    SCOPED_TRACE(use_index ? "index" : "hash");
+    plan::PhysEdgeVerify verify;
+    verify.edge_label = knows_;
+    verify.src_var = "p";
+    verify.dst_var = "q";
+    verify.edge_var = "k";
+    verify.use_index = use_index;
+    verify.children.push_back(Expand(Person("p", 0), follows_, "p", "q"));
+    EXPECT_EQ(ExpectBoundedParity(verify).size(),
+              static_cast<size_t>(kParallel + 1));
+  }
+}
+
+TEST_F(BoundedBatchTest, HashJoinKeyWithMoreMatchesThanABatch) {
+  // One probe row whose key matches every Knows edge leaving person 0.
+  auto probe = std::make_unique<plan::PhysScanTable>();
+  probe->table = "Person";
+  probe->alias = "p";
+  probe->filter = Expr::Eq("person_id", Value::Int(0));
+  auto build = std::make_unique<plan::PhysScanTable>();
+  build->table = "Knows";
+  build->alias = "k";
+  plan::PhysHashJoin join;
+  join.left_keys = {"p.person_id"};
+  join.right_keys = {"k.pid1"};
+  join.children.push_back(std::move(probe));
+  join.children.push_back(std::move(build));
+  EXPECT_EQ(ExpectBoundedParity(join).size(),
+            static_cast<size_t>(kPeople - 1 + kParallel));
+}
+
+TEST_F(BoundedBatchTest, ForeignKeyJoinKeepsItsProbeUnderASelection) {
+  // The probe side stays selected (VERTEX_FILTER, then a pi-hat of row
+  // ids only) and every probe row matches at most one build row (the
+  // build is Person keyed on its row id, minus the age-3 rows): the probe
+  // columns pass through under a selection, with the unmatched rows
+  // dropped and only the build columns gathered.
+  auto vf = std::make_unique<plan::PhysVertexFilter>();
+  vf->var = "q";
+  vf->label = person_;
+  vf->predicate = Expr::Compare(storage::CompareOp::kNe, Expr::Column("age"),
+                                Expr::Constant(Value::Int(1)));
+  vf->children.push_back(Expand(Person("p", 0), knows_, "p", "q"));
+  auto sgt = std::make_unique<plan::PhysScanGraphTable>();
+  sgt->projections = {{"q", "$rid", "q_rid"}};
+  sgt->vertex_var_labels = {{"q", person_}};
+  sgt->children.push_back(std::move(vf));
+  auto build = std::make_unique<plan::PhysScanTable>();
+  build->table = "Person";
+  build->alias = "r";
+  build->emit_rowid = true;
+  build->filter = Expr::Compare(storage::CompareOp::kNe, Expr::Column("age"),
+                                Expr::Constant(Value::Int(3)));
+  plan::PhysHashJoin join;
+  join.left_keys = {"q_rid"};
+  join.right_keys = {"r.$rid"};
+  join.children.push_back(std::move(sgt));
+  join.children.push_back(std::move(build));
+  EXPECT_GT(ExpectBoundedParity(join).size(), kBatchRows);
+}
+
+TEST_F(BoundedBatchTest, OrderByLimitTiesAcrossSubBatchesOfOneMorsel) {
+  // One morsel expands into four batches; every age value recurs in each
+  // of them, so the LIMIT cut falls inside ties that only the
+  // (morsel, offset + row) position orders correctly.
+  for (int64_t limit : {30, 3000, -1}) {
+    SCOPED_TRACE("limit=" + std::to_string(limit));
+    auto plan = OrderLimit(
+        Bridge(Expand(Person("p", 0), knows_, "p", "q"),
+               {{"q", "age"}, {"q", "name"}}),
+        {{"q.age", true}}, limit);
+    ExpectBoundedParity(*plan);
+  }
+}
+
+TEST_F(BoundedBatchTest, GroupByFirstSeenOrderAcrossSubBatches) {
+  for (const char* key : {"q.age", "q.name"}) {
+    SCOPED_TRACE(key);
+    plan::PhysHashAggregate agg;
+    agg.group_by = {key};
+    agg.aggregates = {{plan::AggFunc::kCount, "", "cnt"},
+                      {plan::AggFunc::kMin, "q.name", "first"}};
+    agg.children.push_back(Bridge(Expand(Person("p", 0), knows_, "p", "q"),
+                                  {{"q", "age"}, {"q", "name"}}));
+    ExpectBoundedParity(agg);
+  }
+}
+
+TEST_F(BoundedBatchTest, PlainLimitAcrossSubBatches) {
+  for (int64_t limit : {5, 2100, 5000}) {
+    SCOPED_TRACE("limit=" + std::to_string(limit));
+    auto plan = OrderLimit(Bridge(Expand(Person("p", 0), knows_, "p", "q"),
+                                  {{"q", "name"}}),
+                           {}, limit);
+    EXPECT_EQ(ExpectBoundedParity(*plan, /*early_exit=*/true).size(),
+              static_cast<size_t>(limit));
+  }
+}
+
+TEST_F(BoundedBatchTest, NotEqualExpandBridgeWithDeferredColumns) {
+  // NOT_EQUAL and VERTEX_FILTER narrow selection vectors, the EXPAND above
+  // folds the selection into its gather, and pi-hat defers the names the
+  // FILTER and the sort do not read.
+  auto build = [&](std::vector<plan::SortKey> keys, int64_t limit) {
+    auto hop = Expand(Expand(Person("p", 0), knows_, "p", "q"), follows_,
+                      "q", "r");
+    auto ne = std::make_unique<plan::PhysNotEqual>();
+    ne->var_a = "p";
+    ne->var_b = "r";
+    ne->children.push_back(std::move(hop));
+    auto vf = std::make_unique<plan::PhysVertexFilter>();
+    vf->var = "r";
+    vf->label = person_;
+    vf->predicate = Expr::Compare(storage::CompareOp::kNe, Expr::Column("age"),
+                                  Expr::Constant(Value::Int(2)));
+    vf->children.push_back(std::move(ne));
+    auto sgt = Bridge(Expand(std::move(vf), follows_, "r", "s"),
+                      {{"q", "name"}, {"r", "name"}, {"s", "age"},
+                       {"s", "name"}});
+    auto filter = std::make_unique<plan::PhysFilter>();
+    filter->predicate =
+        Expr::Compare(storage::CompareOp::kNe, Expr::Column("s.age"),
+                      Expr::Constant(Value::Int(3)));
+    filter->children.push_back(std::move(sgt));
+    return OrderLimit(std::move(filter), std::move(keys), limit);
+  };
+  ExpectBoundedParity(*build({{"s.age", true}}, 25));
+  ExpectBoundedParity(*build({}, 3000), /*early_exit=*/true);
+  ExpectBoundedParity(*build({}, -1));
+}
+
+TEST_F(BoundedBatchTest, OneNeighborHopKeepsItsInputUnderASelection) {
+  // VERTEX_FILTER narrows the hub's neighbors to a selection; every
+  // person >= 2 then has exactly one Knows neighbor (N - 1 has none), so
+  // the second EXPAND emits at most one row per input row and passes its
+  // input columns through under a selection, placing only the new
+  // binding column. Both the binding table and a pi-hat over it must
+  // match the reference.
+  auto build = [&]() {
+    auto vf = std::make_unique<plan::PhysVertexFilter>();
+    vf->var = "q";
+    vf->label = person_;
+    vf->predicate = Expr::Compare(storage::CompareOp::kNe, Expr::Column("age"),
+                                  Expr::Constant(Value::Int(1)));
+    vf->children.push_back(Expand(Person("p", 0), knows_, "p", "q"));
+    return Expand(std::move(vf), knows_, "q", "r", "k");
+  };
+  EXPECT_GT(ExpectBoundedParity(*build()).size(), kBatchRows);
+  ExpectBoundedParity(*OrderLimit(
+      Bridge(build(), {{"q", "name"}, {"r", "age"}, {"r", "name"}}),
+      {{"r.age", false}}, 40));
+}
+
+TEST_F(BoundedBatchTest, HubExpansionOverBudgetFailsWithinOneBatch) {
+  // A single-morsel pipeline whose one input row expands past the row
+  // budget: the first bounded batch that crosses it fails the query, so
+  // at most one batch of rows is charged beyond the budget.
+  constexpr uint64_t kBudget = 3000;
+  auto plan = Expand(Person("p", 0), knows_, "p", "q");
+  for (int threads : {1, 4}) {
+    ExecutionOptions options;
+    options.num_threads = threads;
+    options.max_total_rows = kBudget;
+    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                         options);
+    auto result = exec::pipeline::Run(*plan, &ctx);
+    ASSERT_FALSE(result.ok()) << "threads=" << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kOutOfMemory);
+    EXPECT_LE(ctx.rows_produced(), kBudget + kBatchRows)
+        << "threads=" << threads;
+  }
+}
+
+// Global allocation counter for the allocation test below.
+std::atomic<size_t> g_allocations{0};
+
+TEST_F(BoundedBatchTest, ExpansionAllocationsScaleWithBatchesNotRows) {
+  plan::PhysExpand phys;
+  phys.edge_label = knows_;
+  phys.from_var = "p";
+  phys.to_var = "q";
+  exec::pipeline::ExpandOp op(phys);
+  ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+  ASSERT_TRUE(op.Prepare(exec::BindingSchema({"p"}), &ctx).ok());
+
+  // Runs `op` over one batch of the given vertices to exhaustion and
+  // returns the allocations each call made.
+  auto drive = [&](int64_t first, int64_t count) {
+    std::vector<int64_t> ids(static_cast<size_t>(count));
+    std::iota(ids.begin(), ids.end(), first);
+    Batch in;
+    in.AddOwned(Column::OfInts(std::move(ids)));
+    in.SetNumRows(static_cast<uint64_t>(count));
+    exec::pipeline::Cursor cursor;
+    std::vector<size_t> per_call;
+    while (cursor.row < in.num_rows()) {
+      Batch out;
+      size_t before = g_allocations.load();
+      EXPECT_TRUE(op.Process(in, &cursor, &out, &ctx).ok());
+      per_call.push_back(g_allocations.load() - before);
+      EXPECT_LE(out.num_rows(), kBatchRows);
+    }
+    return per_call;
+  };
+  // Persons 2.. have out-degree 1: a full batch of input rows and a short
+  // one each make one output batch, with the same allocations.
+  std::vector<size_t> full = drive(2, kBatchRows);
+  std::vector<size_t> short_input = drive(2, 64);
+  ASSERT_EQ(full.size(), 1u);
+  EXPECT_EQ(short_input, full);
+  // The hubs: one input row each, 4 and 7 output batches. Their first
+  // calls cost the same, and every resumed call costs one fixed amount —
+  // no allocation per adjacency entry.
+  std::vector<size_t> hub0 = drive(0, 1);
+  std::vector<size_t> hub1 = drive(1, 1);
+  ASSERT_EQ(hub0.size(), 4u);
+  ASSERT_EQ(hub1.size(), 7u);
+  EXPECT_EQ(hub0[0], hub1[0]);
+  const size_t resumed = hub0[1];
+  EXPECT_LT(resumed, 32u);
+  for (size_t i = 1; i < hub1.size(); ++i) {
+    EXPECT_EQ(hub1[i], resumed) << "call " << i;
+    if (i < hub0.size()) {
+      EXPECT_EQ(hub0[i], resumed) << "call " << i;
+    }
+  }
+}
+
 TEST_F(PipelineEngineTest, DatabaseExecuteDispatchesOnEngineKind) {
   auto pattern = db_.ParsePattern(
       "(p1:Person)-[:Likes]->(m:Message), (p2:Person)-[:Likes]->(m), "
@@ -738,3 +1241,23 @@ TEST_F(PipelineEngineTest, DatabaseExecuteDispatchesOnEngineKind) {
 
 }  // namespace
 }  // namespace relgo
+
+// Counts every scalar allocation of the test binary (see g_allocations),
+// exactly as breaker_test does: both scalar forms of new are replaced, so
+// everything the replaced deletes release came from malloc.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  relgo::g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new(std::size_t n) {
+  if (void* p = operator new(n, std::nothrow)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#pragma GCC diagnostic pop
