@@ -342,7 +342,7 @@ Result<storage::TablePtr> RunPipeline(Pipeline* pipeline, Sink* sink,
     states.push_back(sink->MakeState());
   }
 
-  // Per-worker driver stacks, reused across the worker's morsels.
+  // Per-worker DriveMorsel level stacks, reused across its morsels.
   std::vector<std::vector<Level>> stacks(
       static_cast<size_t>(max_workers),
       std::vector<Level>(pipeline->ops.size() + 1));
