@@ -32,17 +32,6 @@ int main(int argc, char** argv) {
   bench::BenchJson::Global().AddGrid("fig11a_ldbc", "ldbc", args.scale, runs,
                                      args.threads);
 
-  // Adaptive-statistics loop (warm-up -> feedback -> re-plan; runs after
-  // the baseline grid so those numbers stay uncontaminated): each record's
-  // qerror is its own cold-corrections first run (the grid resets keyed
-  // corrections between cells), qerror_after the re-planned one.
-  auto adaptive = harness.RunAdaptiveGrid(
-      workload::LdbcInteractiveQueries(*db),
-      {OptimizerMode::kRelGo, OptimizerMode::kDuckDB}, 2);
-  std::printf("adaptive feedback (q-error first run -> after feedback):\n%s\n",
-              workload::Harness::FormatAdaptiveQErrors(adaptive).c_str());
-  bench::BenchJson::Global().AddGrid("fig11a_ldbc_adaptive", "ldbc",
-                                     args.scale, adaptive, args.threads);
   bench::BenchJson::Global().Write();
   std::printf(
       "\nShape check (paper, LDBC100): RelGo 21.9x, GRainDB ~4x (RelGo 5.4x\n"

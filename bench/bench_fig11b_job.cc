@@ -31,17 +31,6 @@ int main(int argc, char** argv) {
   bench::BenchJson::Global().AddGrid("fig11b_job", "imdb", args.scale, runs,
                                      args.threads);
 
-  // Adaptive-statistics loop over the JOB grid (after the baseline grid so
-  // its numbers stay uncontaminated): qerror records each cell's own
-  // cold-corrections first run (keyed corrections reset between cells),
-  // qerror_after the re-planned run after feedback.
-  auto adaptive = harness.RunAdaptiveGrid(
-      workload::JobQueries(*db),
-      {OptimizerMode::kRelGo, OptimizerMode::kDuckDB}, 2);
-  std::printf("adaptive feedback (q-error first run -> after feedback):\n%s\n",
-              workload::Harness::FormatAdaptiveQErrors(adaptive).c_str());
-  bench::BenchJson::Global().AddGrid("fig11b_job_adaptive", "imdb",
-                                     args.scale, adaptive, args.threads);
   bench::BenchJson::Global().Write();
   std::printf(
       "\nShape check (paper): RelGo 8.2x and GRainDB ~2x over DuckDB\n"

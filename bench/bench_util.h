@@ -94,14 +94,6 @@ struct BenchRecord {
   /// query the breakers still serialize across PRs.
   double build_ms = 0.0;
   double sort_ms = 0.0;
-  /// Adaptive-statistics loop (Harness::RunAdaptive records): Q-error
-  /// geomean / worst-operator Q-error after `feedback_rounds` warm-up ->
-  /// feedback -> re-plan rounds; all 0 on non-adaptive records. Compare
-  /// qerror_after against qerror (always the first run) to read the
-  /// feedback gain.
-  double qerror_after = 0.0;
-  double qerror_max_after = 0.0;
-  int feedback_rounds = 0;
   /// Concurrent-serving fields (fig13 records; defaults on the rest):
   /// client threads replaying the mix, completed queries per second, and
   /// cross-query scan-cache activity during the run. Per-query records
@@ -155,10 +147,21 @@ inline std::string GitSha() {
   return sha.empty() ? "unknown" : sha;
 }
 
+/// The CMake build type the bench was compiled under ("Release",
+/// "Debug", ...), or "unknown" when built outside the project's CMake.
+inline const char* BuildType() {
+#ifdef RELGO_BUILD_TYPE
+  return RELGO_BUILD_TYPE;
+#else
+  return "unknown";
+#endif
+}
+
 /// Process-wide collector; call Write() once at the end of main(). Every
 /// record is stamped with a per-process run id (unix time at startup) so
 /// accumulated files from repeated runs can be ordered and deduplicated,
-/// with the commit it measured and the machine's core count (nproc).
+/// with the commit it measured, the machine's core count (nproc) and the
+/// build type.
 class BenchJson {
  public:
   static BenchJson& Global() {
@@ -199,9 +202,6 @@ class BenchJson {
       rec.qerror_max = r.qerror_max;
       rec.build_ms = r.build_ms;
       rec.sort_ms = r.sort_ms;
-      rec.qerror_after = r.qerror_geomean_after;
-      rec.qerror_max_after = r.qerror_max_after;
-      rec.feedback_rounds = r.feedback_rounds;
       rec.scan_cache_hits = r.scan_cache_hits;
       Add(std::move(rec));
     }
@@ -327,10 +327,9 @@ class BenchJson {
           "\"engine\": \"%s\", \"threads\": %d, \"optimization_ms\": %.3f, "
           "\"execution_ms\": %.3f, \"rows\": %llu, \"status\": \"%s\", "
           "\"qerror\": %.3f, \"qerror_max\": %.3f, \"build_ms\": %.3f, "
-          "\"sort_ms\": %.3f, \"qerror_after\": %.3f, "
-          "\"qerror_max_after\": %.3f, \"feedback_rounds\": %d, "
-          "\"clients\": %d, \"qps\": %.3f, \"scan_cache_hits\": %llu, "
-          "\"cache_hit_rate\": %.4f, \"latency_p50_ms\": %.3f, "
+          "\"sort_ms\": %.3f, \"clients\": %d, \"qps\": %.3f, "
+          "\"scan_cache_hits\": %llu, \"cache_hit_rate\": %.4f, "
+          "\"latency_p50_ms\": %.3f, "
           "\"latency_p95_ms\": %.3f, \"latency_p99_ms\": %.3f, "
           "\"queries_cancelled\": %llu, \"queries_rejected\": %llu, "
           "\"queries_timeout\": %llu, \"plan_cache_hits\": %llu, "
@@ -338,13 +337,12 @@ class BenchJson {
           "\"optimization_ms_min\": %.3f, \"optimization_ms_max\": %.3f, "
           "\"execution_ms_median\": %.3f, \"execution_ms_min\": %.3f, "
           "\"execution_ms_max\": %.3f, \"git_sha\": \"%s\", "
-          "\"nproc\": %u}%s\n",
+          "\"nproc\": %u, \"build_type\": \"%s\"}%s\n",
           static_cast<long long>(run_ts_), r.bench.c_str(),
           r.workload.c_str(), r.scale, r.query.c_str(), r.mode.c_str(),
           r.engine.c_str(), r.threads, r.optimization_ms, r.execution_ms,
           static_cast<unsigned long long>(r.rows), r.status.c_str(),
-          r.qerror, r.qerror_max, r.build_ms, r.sort_ms, r.qerror_after,
-          r.qerror_max_after, r.feedback_rounds, r.clients, r.qps,
+          r.qerror, r.qerror_max, r.build_ms, r.sort_ms, r.clients, r.qps,
           static_cast<unsigned long long>(r.scan_cache_hits),
           r.cache_hit_rate, r.latency_p50_ms, r.latency_p95_ms,
           r.latency_p99_ms,
@@ -355,7 +353,8 @@ class BenchJson {
           r.plan_cache_hit_rate, r.optimization_ms_median,
           r.optimization_ms_min, r.optimization_ms_max,
           r.execution_ms_median, r.execution_ms_min, r.execution_ms_max,
-          git_sha_.c_str(), nproc_, i + 1 < records_.size() ? "," : "");
+          git_sha_.c_str(), nproc_, BuildType(),
+          i + 1 < records_.size() ? "," : "");
     }
     std::fprintf(f, "]\n");
     std::fclose(f);

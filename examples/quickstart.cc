@@ -185,35 +185,6 @@ Status RunQuickstart() {
       db.Run(recent_builder.Build(), optimizer::OptimizerMode::kRelGo));
   std::printf("--- textual WHERE ---\n%s\n",
               recent_result.table->ToString().c_str());
-
-  // --- 7. Adaptive statistics: the estimator learns from execution. ----------
-  // With ExecutionOptions::adaptive_stats, every profiled run feeds its
-  // per-operator actual cardinalities back into the optimizer's
-  // statistics: GLogue pattern counts, scan selectivities and join-output
-  // estimates receive bounded exponential-smoothing corrections keyed by
-  // their estimator-input signatures (see src/optimizer/feedback.h), and
-  // the corrections persist on the Database across queries. Re-running
-  // EXPLAIN ANALYZE on the same query therefore shows the per-operator
-  // Q-error footer drop — the estimate column converges onto the actual
-  // column — and overlapping queries benefit from each other's runs.
-  exec::ExecutionOptions adaptive;
-  adaptive.adaptive_stats = true;
-  RELGO_ASSIGN_OR_RETURN(
-      auto first_analyzed,
-      db.ExplainAnalyze(query, optimizer::OptimizerMode::kRelGo, adaptive));
-  std::printf("--- EXPLAIN ANALYZE, adaptive run 1 (cold estimates) ---\n%s\n",
-              first_analyzed.c_str());
-  // Run 1's actuals were absorbed; run 2 re-optimizes with the corrected
-  // statistics. The result table is identical — feedback only moves
-  // estimates (and possibly join orders), never semantics.
-  RELGO_ASSIGN_OR_RETURN(
-      auto second_analyzed,
-      db.ExplainAnalyze(query, optimizer::OptimizerMode::kRelGo, adaptive));
-  std::printf(
-      "--- EXPLAIN ANALYZE, adaptive run 2 (after feedback) ---\n%s\n"
-      "(%zu correction entries live on the database now; compare the\n"
-      "q-error footers above to see the estimator converge.)\n",
-      second_analyzed.c_str(), db.stats_feedback().size());
   return Status::OK();
 }
 

@@ -3,12 +3,17 @@
 
 Checks, over the repo's tracked markdown set:
   1. every intra-repo markdown link resolves to an existing file/dir;
-  2. README.md quotes the ROADMAP tier-1 verify command verbatim, so the
+  2. every backticked repo path (src/, tests/, bench/, examples/,
+     scripts/, perfbench/, docs/) in README.md and docs/*.md names an
+     existing file or directory; `*` globs and `{a,b}` alternatives must
+     each match at least one;
+  3. README.md quotes the ROADMAP tier-1 verify command verbatim, so the
      quickstart can never drift from the line the driver actually runs.
 
 Stdlib only; run from anywhere inside the repo.
 """
 
+import glob
 import os
 import re
 import sys
@@ -35,6 +40,17 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # bracket/paren sequences that only look like links).
 FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
 
+# Files whose inline code spans must name existing repo paths.
+PATH_DOC_FILES = ["README.md"] + [
+    f for f in DOC_FILES if f.startswith("docs" + os.sep)
+]
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+# A repo path inside a code span: one of the checked top-level
+# directories, then path characters (incl. the * and {a,b} patterns).
+PATH_RE = re.compile(
+    r"(?<![\w./-])((?:src|tests|bench|examples|scripts|perfbench|docs)/"
+    r"[\w./*{},-]*)")
+
 
 def check_links():
     errors = []
@@ -57,6 +73,37 @@ def check_links():
     return errors
 
 
+def expand_braces(pattern):
+    """`a.{h,cc}` -> [`a.h`, `a.cc`]; nested groups expand left to right."""
+    m = re.search(r"\{([^{}]*)\}", pattern)
+    if not m:
+        return [pattern]
+    out = []
+    for alt in m.group(1).split(","):
+        out += expand_braces(pattern[:m.start()] + alt + pattern[m.end():])
+    return out
+
+
+def check_paths():
+    errors = []
+    for rel in PATH_DOC_FILES:
+        path = os.path.join(REPO, rel)
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8") as f:
+            text = FENCE_RE.sub("", f.read())
+        for span in CODE_SPAN_RE.findall(text):
+            for raw in PATH_RE.findall(span):
+                # Sentence punctuation and a trailing ':' are not part of
+                # the path.
+                candidate = raw.rstrip(".,:")
+                for concrete in expand_braces(candidate):
+                    matches = glob.glob(os.path.join(REPO, concrete))
+                    if not matches:
+                        errors.append(f"{rel}: stale path `{concrete}`")
+    return errors
+
+
 def check_readme_matches_roadmap():
     """README's quickstart must contain the tier-1 verify line verbatim."""
     with open(os.path.join(REPO, "ROADMAP.md"), encoding="utf-8") as f:
@@ -76,7 +123,7 @@ def check_readme_matches_roadmap():
 
 
 def main():
-    errors = check_links() + check_readme_matches_roadmap()
+    errors = check_links() + check_paths() + check_readme_matches_roadmap()
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     if errors:

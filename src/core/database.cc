@@ -32,10 +32,6 @@ Database::Database() : table_stats_(&catalog_) {
       &metrics_.GetHistogram("relgo_query_optimization_ms");
   query_metrics_.execution_ms =
       &metrics_.GetHistogram("relgo_query_execution_ms");
-  query_metrics_.feedback_observations =
-      &metrics_.GetCounter("relgo_feedback_observations_total");
-  query_metrics_.glogue_refinements =
-      &metrics_.GetCounter("relgo_feedback_glogue_refinements_total");
   query_metrics_.cancelled =
       &metrics_.GetCounter("relgo_queries_cancelled_total");
   query_metrics_.rejected =
@@ -109,10 +105,8 @@ Status Database::Finalize(optimizer::GlogueOptions glogue_options) {
   RELGO_RETURN_NOT_OK(graph_stats_.Build(catalog_, mapping_, index_));
   RELGO_RETURN_NOT_OK(glogue_.Build(catalog_, mapping_, index_, graph_stats_,
                                     glogue_options));
-  table_stats_.SetFeedback(&feedback_);
   optimizer_ = std::make_unique<optimizer::QueryOptimizer>(
-      &catalog_, &mapping_, &graph_stats_, &glogue_, &table_stats_,
-      &feedback_);
+      &catalog_, &mapping_, &graph_stats_, &glogue_, &table_stats_);
   finalized_ = true;
   return Status::OK();
 }
@@ -138,19 +132,9 @@ Result<pattern::PatternGraph> Database::ParsePattern(
 }
 
 Result<optimizer::OptimizeResult> Database::OptimizeInternal(
-    const plan::SpjmQuery& query, optimizer::OptimizerMode mode,
-    uint64_t* epoch_out) const {
+    const plan::SpjmQuery& query, optimizer::OptimizerMode mode) const {
   if (!finalized_) {
     return Status::InvalidArgument("call Finalize() before Optimize()");
-  }
-  // Shared against the adaptive-statistics push-down, which refines
-  // GLogue counts in place: any number of optimizations may overlap, but
-  // none overlaps a refinement. The epoch is read under the same lock
-  // (the push-down bumps it while holding it exclusively), so the value
-  // names exactly the statistics state this optimization consulted.
-  std::shared_lock<std::shared_mutex> lock(stats_mu_);
-  if (epoch_out != nullptr) {
-    *epoch_out = stats_epoch_.load(std::memory_order_acquire);
   }
   return optimizer_->Optimize(query, mode);
 }
@@ -168,10 +152,7 @@ Result<Database::PlannedQuery> Database::PlanQuery(
     const plan::SpjmQuery& query, optimizer::OptimizerMode mode,
     const exec::ExecutionOptions& options) const {
   PlannedQuery out;
-  // Adaptive runs bypass the cache: their purpose is refining statistics,
-  // so they must re-plan against the current estimator state every time.
-  bool use_cache = options.plan_cache && !options.adaptive_stats && finalized_;
-  if (!use_cache) {
+  if (!options.plan_cache || !finalized_) {
     RELGO_ASSIGN_OR_RETURN(auto optimized, OptimizeInternal(query, mode));
     out.plan = std::move(optimized.plan);
     out.optimization_ms = optimized.optimization_ms;
@@ -181,9 +162,8 @@ Result<Database::PlannedQuery> Database::PlanQuery(
   Timer timer;
   out.cache_key = optimizer::TemplateSignature(query, mode);
   out.cache_data_version = CatalogDataVersion();
-  uint64_t epoch = stats_epoch_.load(std::memory_order_acquire);
   std::shared_ptr<const plan::PhysicalOp> cached =
-      plan_cache_.Get(out.cache_key, epoch, out.cache_data_version);
+      plan_cache_.Get(out.cache_key, out.cache_data_version);
   if (cached != nullptr) {
     // Hit: re-bind the cached template plan against this call's constants
     // (clone-before-Bind — the cached tree is shared and never mutated).
@@ -197,17 +177,14 @@ Result<Database::PlannedQuery> Database::PlanQuery(
         });
     out.optimization_ms = timer.ElapsedMillis();
     out.cache_status = exec::QueryProfile::PlanCacheStatus::kHit;
-    out.cache_epoch = epoch;
     return out;
   }
 
-  uint64_t planned_epoch = 0;
-  auto optimized = OptimizeInternal(query, mode, &planned_epoch);
+  auto optimized = OptimizeInternal(query, mode);
   if (!optimized.ok()) return optimized.status();
   out.plan = std::move(optimized->plan);
   out.optimization_ms = optimized->optimization_ms;
   out.cache_status = exec::QueryProfile::PlanCacheStatus::kMiss;
-  out.cache_epoch = planned_epoch;
   return out;
 }
 
@@ -217,8 +194,8 @@ void Database::PublishPlan(
   if (planned.cache_status != exec::QueryProfile::PlanCacheStatus::kMiss) {
     return;
   }
-  plan_cache_.Put(planned.cache_key, planned.cache_epoch,
-                  planned.cache_data_version, std::move(plan));
+  plan_cache_.Put(planned.cache_key, planned.cache_data_version,
+                  std::move(plan));
 }
 
 Result<optimizer::OptimizeResult> Database::Optimize(
@@ -515,36 +492,6 @@ Result<ProfiledRunResult> Database::RunProfiled(
   if (planned->cache_status == exec::QueryProfile::PlanCacheStatus::kMiss) {
     PublishPlan(*planned, std::shared_ptr<const plan::PhysicalOp>(
                               plan::ClonePlan(*result.plan)));
-  }
-  if (options.adaptive_stats) {
-    // The adaptive loop: hand the profile's per-operator actuals back to
-    // the statistics sink, then migrate structural (predicate-free)
-    // pattern corrections into the GLogue catalog itself. The next
-    // Optimize over this or an overlapping query consults the refined
-    // statistics and may pick a different, better join order. The
-    // push-down mutates shared GLogue counts, so it excludes concurrent
-    // optimizations (Absorb itself is internally synchronized and only
-    // touches the sink).
-    result.feedback_observations =
-        feedback_.Absorb(*result.plan, result.profile);
-    int refined = 0;
-    {
-      std::unique_lock<std::shared_mutex> lock(stats_mu_);
-      refined = feedback_.PushIntoGlogue(&glogue_);
-      // The plan cache's invalidation clock: advance exactly when the
-      // estimator learned something (keyed corrections absorbed and/or
-      // GLogue counts refined), under the exclusive lock so no
-      // optimization can capture an epoch that misses these corrections.
-      if (result.feedback_observations > 0 || refined > 0) {
-        stats_epoch_.fetch_add(1, std::memory_order_acq_rel);
-      }
-    }
-    if (options.metrics) {
-      query_metrics_.feedback_observations->Add(
-          static_cast<uint64_t>(result.feedback_observations));
-      query_metrics_.glogue_refinements->Add(
-          static_cast<uint64_t>(refined));
-    }
   }
   ObserveQuery(query, mode, options, obs);
   return result;

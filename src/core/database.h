@@ -1,9 +1,7 @@
 #ifndef RELGO_CORE_DATABASE_H_
 #define RELGO_CORE_DATABASE_H_
 
-#include <atomic>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -46,9 +44,6 @@ struct ProfiledRunResult {
   exec::QueryProfile profile;
   double optimization_ms = 0.0;
   double execution_ms = 0.0;
-  /// Estimate-vs-actual observations absorbed into the adaptive
-  /// statistics sink (0 unless ExecutionOptions::adaptive_stats).
-  int feedback_observations = 0;
 };
 
 /// The top-level handle of the RelGo library: owns the relational catalog,
@@ -60,13 +55,12 @@ struct ProfiledRunResult {
 ///
 /// Thread-safety: after Finalize(), Run / RunProfiled / Execute /
 /// Optimize / Explain / ExplainAnalyze may be called from any number of
-/// threads concurrently, including profiled runs with
-/// ExecutionOptions::adaptive_stats — statistics refinement is serialized
-/// against in-flight optimizations internally (stats_mu_). Data loading
-/// (CreateTable, appends, mapping declarations) and Finalize itself are
-/// not concurrent-safe against queries; mutating a base table between
-/// queries is supported and invalidates affected scan-cache entries via
-/// the table's version counter.
+/// threads concurrently. Statistics (table stats, graph stats, GLogue) are
+/// built once by Finalize and only read afterwards, so optimizations take
+/// no lock. Data loading (CreateTable, appends, mapping declarations) and
+/// Finalize itself are not concurrent-safe against queries; mutating a
+/// base table between queries is supported and invalidates affected
+/// scan-cache and plan-cache entries via the table's version counter.
 ///
 /// Typical lifecycle (see examples/quickstart.cc):
 ///
@@ -124,49 +118,25 @@ class Database {
   const optimizer::Glogue& glogue() const { return glogue_; }
   const optimizer::TableStats& table_stats() const { return table_stats_; }
 
-  /// The adaptive-statistics sink (ROADMAP "Adaptive feedback"). Empty
-  /// until a profiled run executes with ExecutionOptions::adaptive_stats;
-  /// corrections persist across queries so overlapping workloads re-plan
-  /// with refined statistics.
-  const optimizer::StatsFeedback& stats_feedback() const { return feedback_; }
-
-  /// Drops all pending keyed corrections (GLogue counts already refined
-  /// via the structural push-down keep their — execution-measured, hence
-  /// more accurate — values). Used to isolate per-query feedback
-  /// experiments: Harness::RunAdaptiveGrid resets between cells so each
-  /// record's "first run" measures a cold-corrections baseline. `const`
-  /// for the same reason the sink is mutable: corrections are estimator
-  /// cache state, not database content.
-  void ResetAdaptiveStats() const { feedback_.Clear(); }
-
   /// The cross-query scan/filter cache (ROADMAP "Shared scan caching"):
   /// filtered base-table scans of both engines store their selection
-  /// vectors here, keyed by the feedback layer's scan signatures and
-  /// invalidated by table version counters. Consulted by every execution
+  /// vectors here, keyed by (table, rendered predicate) and invalidated
+  /// by table version counters. Consulted by every execution
   /// unless ExecutionOptions::scan_cache is off.
   const exec::ScanCache& scan_cache() const { return scan_cache_; }
-  /// Empties the cache (A/B measurement, tests). `const` like
-  /// ResetAdaptiveStats: the cache is derived state, not content.
+  /// Empties the cache (A/B measurement, tests). `const`: the cache is
+  /// derived state, not content.
   void ClearScanCache() const { scan_cache_.Clear(); }
 
   /// The cross-query plan cache (ROADMAP "Serving tier"): optimized
   /// physical plans keyed by template signature × optimizer mode,
-  /// validated against stats_epoch() and the catalog's table versions.
-  /// Consulted by Run/RunProfiled/ExplainAnalyze unless
-  /// ExecutionOptions::plan_cache is off or the run is adaptive.
+  /// validated against the catalog's table versions. Consulted by
+  /// Run/RunProfiled/ExplainAnalyze unless ExecutionOptions::plan_cache
+  /// is off.
   const optimizer::PlanCache& plan_cache() const { return plan_cache_; }
   /// Empties the plan cache (A/B measurement, tests). `const` like
   /// ClearScanCache: cached plans are derived state, not content.
   void ClearPlanCache() const { plan_cache_.Clear(); }
-
-  /// Statistics epoch: bumped exactly when an adaptive profiled run
-  /// pushed corrections into the estimator (StatsFeedback absorption
-  /// and/or GLogue refinement) — the plan cache's invalidation clock.
-  /// Never advances on a timer; a database that never absorbs feedback
-  /// stays at epoch 0 forever.
-  uint64_t stats_epoch() const {
-    return stats_epoch_.load(std::memory_order_acquire);
-  }
 
   /// The process-wide worker pool all concurrent pipeline queries share;
   /// exposed for diagnostics (pool size) and scheduler-level tests.
@@ -230,8 +200,8 @@ class Database {
   /// plan and the QueryProfile alongside the result. Works on both engines:
   /// the materializing interpreter records through its dispatch wrapper,
   /// the pipeline engine merges thread-local per-morsel counters at sink
-  /// finish. This is the estimate-vs-actual feedback loop EXPLAIN ANALYZE
-  /// and the workload harness's Q-error tracking are built on.
+  /// finish. EXPLAIN ANALYZE's estimate-vs-actual columns and the
+  /// workload harness's Q-error tracking are built on it.
   Result<ProfiledRunResult> RunProfiled(
       const plan::SpjmQuery& query, optimizer::OptimizerMode mode,
       exec::ExecutionOptions options = {}) const;
@@ -250,7 +220,7 @@ class Database {
   // --- Observability (ROADMAP "Observability"; docs/ARCHITECTURE.md) ---
 
   /// The process-wide metrics registry: query counters and latency
-  /// histograms, worker-pool and feedback metrics, plus pull-collectors
+  /// histograms and worker-pool metrics, plus pull-collectors
   /// for subsystems with their own accounting (scan cache). Render with
   /// metrics().RenderText() or merge Snapshot()s across databases.
   /// `const` like the pool: observing the server is not mutating content.
@@ -292,8 +262,6 @@ class Database {
     obs::Counter* failures = nullptr;
     obs::Histogram* optimization_ms = nullptr;
     obs::Histogram* execution_ms = nullptr;
-    obs::Counter* feedback_observations = nullptr;
-    obs::Counter* glogue_refinements = nullptr;
     /// Failure breakdown (each also counts into `failures`): cancelled
     /// via CancelQuery/shutdown, shed by admission control or shutdown,
     /// and timed out. Exactly one increments per failed query.
@@ -305,13 +273,8 @@ class Database {
   /// Optimize without the public entry point's metrics recording —
   /// Run/RunProfiled charge optimization time through ObserveQuery
   /// instead, so a query never lands twice in the same histogram.
-  /// `epoch_out` (optional) receives the stats epoch captured under the
-  /// same shared statistics lock the optimization ran under, so a plan
-  /// published to the plan cache is tagged with exactly the statistics
-  /// state it was derived from.
   Result<optimizer::OptimizeResult> OptimizeInternal(
-      const plan::SpjmQuery& query, optimizer::OptimizerMode mode,
-      uint64_t* epoch_out = nullptr) const;
+      const plan::SpjmQuery& query, optimizer::OptimizerMode mode) const;
 
   /// What PlanQuery hands the execution entry points: a plan ready to
   /// execute plus the plan-cache bookkeeping needed to report the outcome
@@ -322,12 +285,11 @@ class Database {
     exec::QueryProfile::PlanCacheStatus cache_status =
         exec::QueryProfile::PlanCacheStatus::kOff;
     std::string cache_key;          ///< empty when the cache was bypassed
-    uint64_t cache_epoch = 0;       ///< stats epoch the plan was derived at
     uint64_t cache_data_version = 0;  ///< catalog version it was derived at
   };
 
   /// The plan-acquisition chokepoint of Run/RunProfiled: consults the
-  /// plan cache (unless off, adaptive, or pre-Finalize), re-binding a hit
+  /// plan cache (unless off or pre-Finalize), re-binding a hit
   /// against the call's constants via ClonePlan, or falls through to a
   /// fresh optimization whose plan the caller publishes after successful
   /// execution (PublishPlan).
@@ -368,30 +330,17 @@ class Database {
   graph::RgMapping mapping_;
   graph::GraphIndex index_;
   graph::GraphStats graph_stats_;
-  /// `mutable`: adaptive-statistics feedback refines estimator state (the
-  /// GLogue counts and the correction sink below) from inside the
-  /// logically-const RunProfiled — statistics caches, not database
-  /// content, following the TableStats::distinct_cache_ precedent.
-  /// GLogue refinement takes stats_mu_ exclusively, so adaptive profiled
-  /// runs are safe against concurrent optimizations (which hold it
-  /// shared); StatsFeedback itself is internally synchronized.
-  mutable optimizer::Glogue glogue_;
+  optimizer::Glogue glogue_;
   optimizer::TableStats table_stats_;
-  mutable optimizer::StatsFeedback feedback_;
   std::unique_ptr<optimizer::QueryOptimizer> optimizer_;
-  /// Readers = optimizations (estimators read GLogue counts), writer =
-  /// the adaptive-statistics push-down that mutates them in place.
-  mutable std::shared_mutex stats_mu_;
   /// The shared execution substrate (see class comment). Mutable: serving
   /// queries is logically const, but the pool spawns threads and the
   /// cache fills — both internally synchronized.
   mutable exec::pipeline::TaskScheduler pool_;
   mutable exec::ScanCache scan_cache_;
-  /// Cross-query plan cache (internally synchronized) and its
-  /// invalidation clock. Mutable like the scan cache: caching plans while
-  /// serving is logically const.
+  /// Cross-query plan cache (internally synchronized). Mutable like the
+  /// scan cache: caching plans while serving is logically const.
   mutable optimizer::PlanCache plan_cache_;
-  mutable std::atomic<uint64_t> stats_epoch_{0};
   /// Observability state (mutable for the same reason as the pool:
   /// serving and observing are logically const). Declared before use:
   /// the constructor wires the pool's SchedulerMetrics and the scan-cache

@@ -107,30 +107,19 @@ struct ExecutionOptions {
   /// Consult the owning Database's cross-query plan cache (ROADMAP
   /// "Serving tier"): optimized physical plans are cached by template
   /// signature (query shape with parameter slots in place of constants,
-  /// per optimizer mode) and validated against the Database's stats epoch
-  /// and catalog data version — so a hit skips optimization entirely and
-  /// an entry is invalidated exactly when adaptive feedback taught the
-  /// estimator something or a table changed. The cached plan is re-bound
-  /// against the call's constants via clone-before-Bind, and
-  /// parameterized predicates are estimated value-insensitively, so
-  /// cached and fresh runs are bit-identical; on by default, with the off
-  /// switch for A/B measurement and the differential suite
-  /// (plan_cache_test). Adaptive (RunProfiled with adaptive_stats) runs
-  /// bypass the cache: they exist to refine statistics, not to reuse
-  /// stale estimates.
+  /// per optimizer mode) and validated against the catalog data version —
+  /// so a hit skips optimization entirely and an entry is invalidated
+  /// exactly when a table changed. Statistics are fixed after
+  /// Database::Finalize, so nothing else can make a cached plan stale.
+  /// The cached plan is re-bound against the call's constants via
+  /// clone-before-Bind, and parameterized predicates are estimated
+  /// value-insensitively, so cached and fresh runs are bit-identical; on
+  /// by default, with the off switch for A/B measurement and the
+  /// differential suite (plan_cache_test).
   bool plan_cache = true;
-  /// Opt-in adaptive statistics (ROADMAP "Adaptive feedback"): after a
-  /// profiled run (Database::RunProfiled / ExplainAnalyze), per-operator
-  /// actual cardinalities are fed back into the optimizer's statistics
-  /// (GLogue pattern counts, TableStats scan selectivities, join-output
-  /// corrections) via bounded exponential smoothing, and persist on the
-  /// Database across queries. Off by default: with the flag off nothing
-  /// is absorbed and — on a database that never absorbed feedback — all
-  /// plans and estimates are bit-identical to the non-adaptive build.
-  bool adaptive_stats = false;
   /// Record this query into the Database's process-wide MetricsRegistry
-  /// (query/failure counters, optimization/execution latency histograms,
-  /// feedback counters). Per-query granularity only — nothing per row or
+  /// (query/failure counters, optimization/execution latency
+  /// histograms). Per-query granularity only — nothing per row or
   /// per morsel — so results are bit-identical either way; the off switch
   /// exists for A/B parity tests and to exclude a query from the fleet
   /// view (obs_test pins the parity).

@@ -78,24 +78,7 @@ void Summarize(const plan::PhysicalOp& op, const QueryProfile& profile,
   }
 }
 
-void Collect(const plan::PhysicalOp& op, const QueryProfile& profile,
-             std::vector<EstimateObservation>* out) {
-  const OperatorProfile* prof = profile.Find(&op);
-  if (prof != nullptr && !op.feedback_key.empty() &&
-      op.estimated_cardinality >= 0) {
-    out->push_back({&op, op.estimated_cardinality, prof->rows_out});
-  }
-  for (const auto& child : op.children) Collect(*child, profile, out);
-}
-
 }  // namespace
-
-std::vector<EstimateObservation> CollectObservations(
-    const plan::PhysicalOp& root, const QueryProfile& profile) {
-  std::vector<EstimateObservation> out;
-  Collect(root, profile, &out);
-  return out;
-}
 
 QErrorSummary SummarizeQError(const plan::PhysicalOp& root,
                               const QueryProfile& profile) {

@@ -147,23 +147,6 @@ class QueryProfile {
   PlanCacheStatus plan_cache_status_ = PlanCacheStatus::kOff;
 };
 
-/// One estimate-vs-actual pair extracted from a profiled run for a plan
-/// node that names its estimator input (PhysicalOp::feedback_key). This
-/// is the record the adaptive-statistics sink (optimizer::StatsFeedback)
-/// consumes to refine GLogue pattern counts and TableStats selectivities.
-struct EstimateObservation {
-  const plan::PhysicalOp* op = nullptr;  ///< node carrying feedback_key
-  double estimated = 0.0;                ///< optimizer estimate
-  uint64_t actual = 0;                   ///< measured rows_out
-};
-
-/// Collects the feedback observations of one profiled run: every plan
-/// node with a non-empty feedback_key, a non-negative estimate, and a
-/// measured actual cardinality (rows_out is engine-invariant, so the
-/// observations are too).
-std::vector<EstimateObservation> CollectObservations(
-    const plan::PhysicalOp& root, const QueryProfile& profile);
-
 /// Q-error of one estimate against the measured cardinality (Sec 5 style
 /// accuracy metric): max(est/act, act/est), with both sides clamped to
 /// >= 1 row so empty results do not divide by zero. Always >= 1.

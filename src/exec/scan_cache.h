@@ -20,13 +20,11 @@ namespace exec {
 /// predicates over and over; the expensive part — evaluating the predicate
 /// per row — produces a selection vector that depends only on (table
 /// contents, predicate). This cache stores those selection vectors keyed
-/// by the feedback layer's scan signature namespace ("scan|<table>|<pred>",
-/// see optimizer::ScanFeedbackKey — the same string identity that already
-/// ties estimates to scans ties cached filter results to scans), so any
-/// query of any engine re-running a known filtered scan skips straight to
-/// the gather. Unfiltered scans are never cached: they have no per-row
-/// work to amortize. Expansion-style operators cache their per-base-row
-/// validity bitmaps the same way under the "bitmap|..." key namespace.
+/// by "<kind>|<table>|<rendered predicate>" (see Key), so any query
+/// re-running a known filtered scan skips straight to the gather.
+/// Unfiltered scans are never cached: they have no per-row work to
+/// amortize. Expansion-style operators cache their per-base-row validity
+/// bitmaps the same way under the "bitmap|..." key namespace.
 ///
 /// Correctness: a hit returns exactly the row ids (or bitmap bytes) the
 /// filter loop would have selected, in ascending order, and callers keep
@@ -79,9 +77,8 @@ class ScanCache {
   ScanCache(const ScanCache&) = delete;
   ScanCache& operator=(const ScanCache&) = delete;
 
-  /// Cache key of a filtered scan over a base table — the execution-side
-  /// twin of optimizer::ScanFeedbackKey's "scan|<table>|<pred>" signature
-  /// (without the estimator-base tag, which is irrelevant at runtime).
+  /// Cache key of a filtered scan over a base table:
+  /// "<kind>|<table>|<pred>", with the predicate rendered by value.
   /// `kind` distinguishes scan shapes whose selection semantics differ
   /// ("scan" for relational scans, "vscan" for vertex-binding scans,
   /// "bitmap" for expansion validity bitmaps).

@@ -15,15 +15,13 @@ CardinalityEstimator::CardinalityEstimator(
     const PatternGraph* p, const Glogue* glogue,
     const graph::GraphStats* gstats, const graph::RgMapping* mapping,
     const storage::Catalog* catalog, const TableStats* tstats,
-    CardinalityOptions options, const StatsFeedback* feedback)
+    CardinalityOptions options)
     : p_(p),
       glogue_(glogue),
       gstats_(gstats),
       mapping_(mapping),
       catalog_(catalog),
-      options_(options),
-      feedback_(feedback),
-      has_corrections_(feedback != nullptr && !feedback->empty()) {
+      options_(options) {
   vertex_sel_.assign(p_->num_vertices(), 1.0);
   for (int v = 0; v < p_->num_vertices(); ++v) {
     const auto& pred = p_->vertex(v).predicate;
@@ -56,23 +54,9 @@ double CardinalityEstimator::Estimate(VSet mask) const {
     if (mask & Bit(v)) card *= vertex_sel_[v];
   }
   for (int e : p_->InducedEdges(mask)) card *= edge_sel_[e];
-  // Adaptive-statistics correction for this sub-pattern signature. The
-  // emptiness snapshot keeps the non-adaptive path at its pre-feedback
-  // cost (no signature building, no lookups) and estimates
-  // bit-identical to the non-adaptive build.
-  if (has_corrections_) {
-    double factor = feedback_->Factor(MaskKey(mask));
-    if (factor != 1.0) card *= factor;
-  }
   card = std::max(card, 1e-3);
   memo_[mask] = card;
   return card;
-}
-
-const std::string& CardinalityEstimator::MaskKey(VSet mask) const {
-  auto it = key_memo_.find(mask);
-  if (it != key_memo_.end()) return it->second;
-  return key_memo_[mask] = PatternFeedbackKey(p_->Induced(mask));
 }
 
 double CardinalityEstimator::Structural(VSet mask) const {

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "graph/graph_stats.h"
-#include "optimizer/feedback.h"
 #include "optimizer/glogue.h"
 #include "optimizer/stats.h"
 #include "pattern/pattern_graph.h"
@@ -36,29 +35,15 @@ class CardinalityEstimator {
                        const graph::RgMapping* mapping,
                        const storage::Catalog* catalog,
                        const TableStats* tstats,
-                       CardinalityOptions options = {},
-                       const StatsFeedback* feedback = nullptr);
+                       CardinalityOptions options = {});
 
-  /// Estimated matches of the induced sub-pattern on `mask`, including
-  /// any adaptive-statistics correction recorded for its signature.
+  /// Estimated matches of the induced sub-pattern on `mask`.
   /// Logically read-only; the memo caches are mutable.
   double Estimate(pattern::VSet mask) const;
 
   /// Sampled selectivity of vertex `v`'s predicate (1.0 if none).
   double VertexSelectivity(int v) const { return vertex_sel_[v]; }
   double EdgeSelectivity(int e) const { return edge_sel_[e]; }
-
-  /// Feedback signature of the induced sub-pattern on `mask` — the key
-  /// plan emission stamps on the sub-pattern's topmost node so executed
-  /// actuals flow back to this estimate (memoized; see feedback.h).
-  const std::string& MaskKey(pattern::VSet mask) const;
-
-  /// Correction factor from the attached feedback sink (1.0 without one).
-  /// Exposed so plan emission can correct derived estimates (e.g. the raw
-  /// EXPAND_EDGE expansion) under their own composite keys.
-  double CorrectionFactor(const std::string& key) const {
-    return feedback_ == nullptr ? 1.0 : feedback_->Factor(key);
-  }
 
  private:
   double Structural(pattern::VSet mask) const;
@@ -69,16 +54,10 @@ class CardinalityEstimator {
   const graph::RgMapping* mapping_;
   const storage::Catalog* catalog_;
   CardinalityOptions options_;
-  const StatsFeedback* feedback_;
-  /// Snapshot of feedback_->empty() at construction (one estimator lives
-  /// per optimization): false keeps Estimate() free of signature and
-  /// lookup work on the non-adaptive path.
-  bool has_corrections_ = false;
   std::vector<double> vertex_sel_;
   std::vector<double> edge_sel_;
   mutable std::unordered_map<pattern::VSet, double> memo_;
   mutable std::unordered_map<pattern::VSet, double> structural_memo_;
-  mutable std::unordered_map<pattern::VSet, std::string> key_memo_;
 };
 
 }  // namespace optimizer

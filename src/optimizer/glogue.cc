@@ -205,14 +205,6 @@ Status Glogue::Build(const storage::Catalog& catalog,
   return Status::OK();
 }
 
-bool Glogue::RefineCode(const std::string& code, double factor) {
-  auto it = cards_.find(code);
-  if (it == cards_.end()) return false;
-  factor = std::min(std::max(factor, 1e-4), 1e4);
-  it->second = std::max(it->second * factor, 0.0);
-  return true;
-}
-
 double Glogue::Lookup(const PatternGraph& p) const {
   if (p.num_vertices() > max_vertices_) return -1.0;
   auto it = cards_.find(p.CanonicalCode());

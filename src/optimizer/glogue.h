@@ -46,18 +46,6 @@ class Glogue {
   /// value when the pattern exceeds k vertices / was not enumerated.
   double Lookup(const pattern::PatternGraph& p) const;
 
-  /// Adaptive-statistics refinement (StatsFeedback::PushIntoGlogue):
-  /// multiplies the stored count of the pattern with canonical code
-  /// `code` by `factor` (clamped to [1e-4, 1e4] per call), moving the
-  /// catalog toward execution-measured truth — e.g. turning sampled
-  /// triangle counts exact. Returns false when the code is not tracked
-  /// (pattern beyond k vertices, or a shape construction never
-  /// enumerated), in which case the caller keeps its own correction.
-  /// Not thread-safe against concurrent Lookup: adaptive-statistics
-  /// absorption (the only caller) must not run while another thread
-  /// optimizes against the same catalog.
-  bool RefineCode(const std::string& code, double factor);
-
   bool built() const { return built_; }
   size_t size() const { return cards_.size(); }
 

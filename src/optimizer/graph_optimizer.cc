@@ -45,14 +45,14 @@ class PlanSearch {
              const graph::RgMapping* mapping,
              const storage::Catalog* catalog,
              const graph::GraphStats* gstats, const Glogue* glogue,
-             const TableStats* tstats, const StatsFeedback* feedback)
+             const TableStats* tstats)
       : p_(p),
         needed_edges_(needed_edges),
         options_(options),
         mapping_(mapping),
         gstats_(gstats),
         estimator_(&p, glogue, gstats, mapping, catalog, tstats,
-                   CardinalityOptions{options.use_high_order}, feedback) {}
+                   CardinalityOptions{options.use_high_order}) {}
 
   /// Optimize has already checked that the pattern is connected and small.
   Result<GraphPlanResult> Run() {
@@ -91,18 +91,6 @@ class PlanSearch {
     double nv = std::max(1.0, static_cast<double>(gstats_->NumVertices(
                                   p_.vertex(reached).label)));
     return std::min(1.0, AvgDegree(link) / nv);
-  }
-
-  /// Descriptor of pattern edge `e` for composite feedback keys: the
-  /// index keeps keys unique within one plan, and the edge/endpoint
-  /// labels keep a persisted correction from ever being applied to a
-  /// differently-typed edge of another query whose mask happens to share
-  /// the canonical code under a different numbering.
-  std::string EdgeKeyPart(int e) const {
-    const auto& pe = p_.edge(e);
-    return std::to_string(e) + ":" + std::to_string(pe.label) + "," +
-           std::to_string(p_.vertex(pe.src).label) + ">" +
-           std::to_string(p_.vertex(pe.dst).label);
   }
 
   /// Cost of implementing the star/EI/join transition (Sec 4.2.1).
@@ -262,19 +250,15 @@ class PlanSearch {
   }
 
   /// Wraps `op` with a filter on pattern edge `e`'s predicate, if it has
-  /// one, inside the node for `mask`.
-  PhysicalOpPtr FilterEdge(PhysicalOpPtr op, int e, VSet mask,
-                           double card) const {
+  /// one.
+  PhysicalOpPtr FilterEdge(PhysicalOpPtr op, int e, double card) const {
     if (!p_.edge(e).predicate) return op;
     auto vf = std::make_unique<plan::PhysVertexFilter>();
     vf->var = p_.EdgeVarName(e);
     vf->is_edge = true;
     vf->label = p_.edge(e).label;
     vf->predicate = p_.edge(e).predicate;
-    vf->feedback_key =
-        "vf|" + estimator_.MaskKey(mask) + "|e" + EdgeKeyPart(e);
-    vf->estimated_cardinality =
-        card * estimator_.CorrectionFactor(vf->feedback_key);
+    vf->estimated_cardinality = card;
     vf->children.push_back(std::move(op));
     return vf;
   }
@@ -295,7 +279,6 @@ class PlanSearch {
         scan->filter = p_.vertex(v).predicate;
         scan->estimated_cardinality = card;
         scan->estimated_cost = entry.cost;
-        scan->feedback_key = estimator_.MaskKey(mask);
         return PhysicalOpPtr(std::move(scan));
       }
       case Choice::Kind::kStar: {
@@ -330,14 +313,8 @@ class PlanSearch {
             ee->edge_var = p_.EdgeVarName(first.edge);
             ee->edge_filter = pe.predicate;
             // Raw expansion estimate, before GET_VERTEX applies vertex
-            // constraints: |M(P_l)| * avg degree (Sec 4.2.1), corrected by
-            // the extend-count feedback of this (sub-pattern, edge) pair.
-            ee->feedback_key = "xe|" + estimator_.MaskKey(rest) + "|" +
-                               EdgeKeyPart(first.edge) +
-                               (first.dir == Direction::kOut ? ">" : "<");
-            ee->estimated_cardinality =
-                card_rest * AvgDegree(first) *
-                estimator_.CorrectionFactor(ee->feedback_key);
+            // constraints: |M(P_l)| * avg degree (Sec 4.2.1).
+            ee->estimated_cardinality = card_rest * AvgDegree(first);
             ee->children.push_back(std::move(child));
             auto gv = std::make_unique<plan::PhysGetVertex>();
             gv->edge_label = pe.label;
@@ -360,7 +337,7 @@ class PlanSearch {
             ex->children.push_back(std::move(child));
             ex->estimated_cardinality = card;
             op = std::move(ex);
-            op = FilterEdge(std::move(op), first.edge, mask, card);
+            op = FilterEdge(std::move(op), first.edge, card);
           }
           for (size_t i = 1; i < links.size(); ++i) {
             const auto& pe_i = p_.edge(links[i].edge);
@@ -374,17 +351,11 @@ class PlanSearch {
             ev->edge_var = need_e ? p_.EdgeVarName(links[i].edge) : "";
             ev->use_index = options_.use_index;
             // Intermediate closures are approximated by the star's final
-            // estimate (each verify only shrinks the relation further);
-            // the per-node feedback factor learns this closure's residual.
-            ev->feedback_key =
-                "ev|" + estimator_.MaskKey(mask) + "|e" +
-                EdgeKeyPart(links[i].edge) +
-                (links[i].dir == Direction::kOut ? ">" : "<");
-            ev->estimated_cardinality =
-                card * estimator_.CorrectionFactor(ev->feedback_key);
+            // estimate (each verify only shrinks the relation further).
+            ev->estimated_cardinality = card;
             ev->children.push_back(std::move(op));
             op = std::move(ev);
-            op = FilterEdge(std::move(op), links[i].edge, mask, card);
+            op = FilterEdge(std::move(op), links[i].edge, card);
           }
         } else {
           // EXPAND_INTERSECT over all links.
@@ -404,15 +375,13 @@ class PlanSearch {
           ei->estimated_cardinality = card;
           op = std::move(ei);
           for (const Link& l : links) {
-            op = FilterEdge(std::move(op), l.edge, mask, card);
+            op = FilterEdge(std::move(op), l.edge, card);
           }
         }
         op->estimated_cost = entry.cost;
         PhysicalOpPtr out = ApplyDistinct(std::move(op), mask, card, {rest});
         // The sub-pattern's topmost node is the one whose actual equals
-        // |M(P')| — it carries the mask signature (overriding any
-        // intermediate composite key) and the estimator's estimate.
-        out->feedback_key = estimator_.MaskKey(mask);
+        // |M(P')|, so it carries the estimator's estimate.
         out->estimated_cardinality = card;
         return out;
       }
@@ -452,7 +421,6 @@ class PlanSearch {
         join->estimated_cost = entry.cost;
         PhysicalOpPtr out = ApplyDistinct(PhysicalOpPtr(std::move(join)),
                                           mask, card, {s1, s2});
-        out->feedback_key = estimator_.MaskKey(mask);
         out->estimated_cardinality = card;
         return out;
       }
@@ -489,7 +457,7 @@ Result<GraphPlanResult> GraphOptimizer::Optimize(
     return Status::InvalidArgument("pattern must be connected");
   }
   PlanSearch search(p, needed_edges, options, mapping_, catalog_, gstats_,
-                    glogue_, tstats_, feedback_);
+                    glogue_, tstats_);
   return search.Run();
 }
 

@@ -55,20 +55,15 @@ struct GraphPlanResult {
 /// joins, with cardinalities from the CardinalityEstimator (GLogue-backed).
 class GraphOptimizer {
  public:
-  /// `feedback` (optional) is the adaptive-statistics sink consulted by
-  /// the cardinality estimator; emitted nodes are stamped with their
-  /// estimator signatures so profiled actuals can flow back into it.
   GraphOptimizer(const graph::RgMapping* mapping,
                  const storage::Catalog* catalog,
                  const graph::GraphStats* gstats, const Glogue* glogue,
-                 const TableStats* tstats,
-                 const StatsFeedback* feedback = nullptr)
+                 const TableStats* tstats)
       : mapping_(mapping),
         catalog_(catalog),
         gstats_(gstats),
         glogue_(glogue),
-        tstats_(tstats),
-        feedback_(feedback) {}
+        tstats_(tstats) {}
 
   /// Computes the minimum-cost physical plan for M(P). `needed_edges` lists
   /// pattern edge indexes whose bindings must survive into the output
@@ -84,7 +79,6 @@ class GraphOptimizer {
   const graph::GraphStats* gstats_;
   const Glogue* glogue_;
   const TableStats* tstats_;
-  const StatsFeedback* feedback_;
 };
 
 }  // namespace optimizer

@@ -27,10 +27,7 @@ double FallbackCardinality(const PhysicalOp& op,
       if (!table.ok()) return -1.0;
       double base = static_cast<double>((*table)->num_rows());
       if (scan.filter) {
-        // Heuristic base selectivity with any adaptive correction layered
-        // on by TableStats (identical to the heuristic when no feedback
-        // has been absorbed).
-        base *= tstats->CorrectedSelectivity(**table, scan.filter, false);
+        base *= tstats->HeuristicSelectivity(**table, scan.filter);
       }
       return std::max(base, 1.0);
     }
@@ -69,16 +66,6 @@ void Annotate(PhysicalOp* op, const storage::Catalog* catalog,
   for (auto& child : op->children) Annotate(child.get(), catalog, tstats);
   if (op->estimated_cardinality < 0) {
     op->estimated_cardinality = FallbackCardinality(*op, catalog, tstats);
-    // Filtered scans priced here (fixed chains that bypassed the join
-    // planner, e.g. GdbmsSim's) still participate in selectivity
-    // feedback: stamp the scan's estimator signature.
-    if (op->kind == OpKind::kScanTable) {
-      const auto& scan = static_cast<const plan::PhysScanTable&>(*op);
-      if (scan.filter && op->feedback_key.empty()) {
-        // The fallback estimator above is the heuristic one.
-        op->feedback_key = ScanFeedbackKey(scan.table, scan.filter, false);
-      }
-    }
   }
   if (op->estimated_cost < 0) {
     double cost = std::max(op->estimated_cardinality, 0.0);

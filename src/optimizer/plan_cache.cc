@@ -209,7 +209,6 @@ storage::ExprPtr RebindExpr(const storage::ExprPtr& e,
 }
 
 std::shared_ptr<const plan::PhysicalOp> PlanCache::Get(const std::string& key,
-                                                       uint64_t stats_epoch,
                                                        uint64_t data_version) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
@@ -217,8 +216,7 @@ std::shared_ptr<const plan::PhysicalOp> PlanCache::Get(const std::string& key,
     ++stats_.misses;
     return nullptr;
   }
-  if (it->second->stats_epoch != stats_epoch ||
-      it->second->data_version != data_version) {
+  if (it->second->data_version != data_version) {
     lru_.erase(it->second);
     index_.erase(it);
     ++stats_.invalidations;
@@ -230,20 +228,18 @@ std::shared_ptr<const plan::PhysicalOp> PlanCache::Get(const std::string& key,
   return it->second->plan;
 }
 
-void PlanCache::Put(const std::string& key, uint64_t stats_epoch,
-                    uint64_t data_version,
+void PlanCache::Put(const std::string& key, uint64_t data_version,
                     std::shared_ptr<const plan::PhysicalOp> plan) {
   if (capacity_ == 0 || !plan) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->stats_epoch = stats_epoch;
     it->second->data_version = data_version;
     it->second->plan = std::move(plan);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, stats_epoch, data_version, std::move(plan)});
+  lru_.push_front(Entry{key, data_version, std::move(plan)});
   index_[key] = lru_.begin();
   ++stats_.insertions;
   while (lru_.size() > capacity_) {

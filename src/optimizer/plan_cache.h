@@ -64,11 +64,11 @@ storage::ExprPtr RebindExpr(const storage::ExprPtr& e,
                             const std::unordered_map<int, Value>& params);
 
 /// Process-wide cache of optimized physical plans, keyed by
-/// TemplateSignature and validated against the owning Database's stats
-/// epoch and catalog data version. Invalidation is exact, never timed: an
-/// entry dies when adaptive feedback taught the estimator something (epoch
-/// bump) or the data changed under it (table version bump). Count-based
-/// LRU; internally synchronized.
+/// TemplateSignature and validated against the owning Database's catalog
+/// data version. Invalidation is exact, never timed: an entry dies when
+/// the data changed under it (table version bump). Statistics are fixed
+/// after Database::Finalize, so the data version is the only clock.
+/// Count-based LRU; internally synchronized.
 class PlanCache {
  public:
   struct Stats {
@@ -76,7 +76,7 @@ class PlanCache {
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;      ///< capacity pressure
-    uint64_t invalidations = 0;  ///< stale epoch / data version
+    uint64_t invalidations = 0;  ///< stale data version
     uint64_t Lookups() const { return hits + misses; }
     double HitRate() const {
       return Lookups() == 0
@@ -88,18 +88,16 @@ class PlanCache {
   explicit PlanCache(size_t capacity = 256) : capacity_(capacity) {}
 
   /// Returns the cached plan for `key` if present and still valid against
-  /// (stats_epoch, data_version); otherwise records a miss. A present but
-  /// stale entry is erased and additionally counted as an invalidation.
+  /// `data_version`; otherwise records a miss. A present but stale entry
+  /// is erased and additionally counted as an invalidation.
   std::shared_ptr<const plan::PhysicalOp> Get(const std::string& key,
-                                              uint64_t stats_epoch,
                                               uint64_t data_version);
 
   /// Publishes a plan under `key`. Callers only publish after the plan
   /// executed successfully (the same no-publish-on-failure chokepoint the
   /// scan cache uses), so a cancelled or faulted query never seeds the
   /// cache. Re-publishing an existing key overwrites it.
-  void Put(const std::string& key, uint64_t stats_epoch,
-           uint64_t data_version,
+  void Put(const std::string& key, uint64_t data_version,
            std::shared_ptr<const plan::PhysicalOp> plan);
 
   void Clear();
@@ -110,7 +108,6 @@ class PlanCache {
  private:
   struct Entry {
     std::string key;
-    uint64_t stats_epoch = 0;
     uint64_t data_version = 0;
     std::shared_ptr<const plan::PhysicalOp> plan;
   };

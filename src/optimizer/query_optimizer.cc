@@ -109,11 +109,9 @@ void QueryOptimizer::AnnotateNaiveMatch(const SpjmQuery& query,
                                         plan::PhysicalOp* op) const {
   if (op->kind == plan::OpKind::kNaiveMatch) {
     CardinalityEstimator estimator(&query.pattern, glogue_, gstats_,
-                                   mapping_, catalog_, tstats_, {},
-                                   feedback_);
-    pattern::VSet all = query.pattern.AllVertices();
-    op->estimated_cardinality = estimator.Estimate(all);
-    op->feedback_key = estimator.MaskKey(all);
+                                   mapping_, catalog_, tstats_);
+    op->estimated_cardinality =
+        estimator.Estimate(query.pattern.AllVertices());
     return;
   }
   for (auto& child : op->children) AnnotateNaiveMatch(query, child.get());

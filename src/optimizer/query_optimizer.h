@@ -57,22 +57,17 @@ struct OptimizeResult {
 /// optimizes the matching operator, and plans the full SPJM query.
 class QueryOptimizer {
  public:
-  /// `feedback` (optional) is the adaptive-statistics sink threaded into
-  /// both sub-optimizers; estimates consult its corrections (a no-op
-  /// until Database absorbs a profiled run with adaptive_stats on).
   QueryOptimizer(const storage::Catalog* catalog,
                  const graph::RgMapping* mapping,
                  const graph::GraphStats* gstats, const Glogue* glogue,
-                 const TableStats* tstats,
-                 const StatsFeedback* feedback = nullptr)
+                 const TableStats* tstats)
       : catalog_(catalog),
         mapping_(mapping),
         gstats_(gstats),
         glogue_(glogue),
         tstats_(tstats),
-        feedback_(feedback),
-        graph_optimizer_(mapping, catalog, gstats, glogue, tstats, feedback),
-        relational_optimizer_(catalog, mapping, tstats, feedback) {}
+        graph_optimizer_(mapping, catalog, gstats, glogue, tstats),
+        relational_optimizer_(catalog, mapping, tstats) {}
 
   Result<OptimizeResult> Optimize(const plan::SpjmQuery& query,
                                   OptimizerMode mode) const;
@@ -92,7 +87,6 @@ class QueryOptimizer {
   const graph::GraphStats* gstats_;
   const Glogue* glogue_;
   const TableStats* tstats_;
-  const StatsFeedback* feedback_;
   GraphOptimizer graph_optimizer_;
   RelationalOptimizer relational_optimizer_;
 };

@@ -143,21 +143,17 @@ class JoinPlanner {
   JoinPlanner(std::vector<RelNode> nodes, std::vector<JoinEdgeSpec> edges,
               const RelOptimizerOptions& options, const TableStats* stats,
               const graph::RgMapping* mapping,
-              const storage::Catalog* catalog,
-              const StatsFeedback* feedback)
+              const storage::Catalog* catalog)
       : nodes_(std::move(nodes)),
         edges_(std::move(edges)),
         options_(options),
         stats_(stats),
         catalog_(catalog),
-        feedback_(feedback),
-        has_corrections_(feedback != nullptr && !feedback->empty()),
         resolver_(&nodes_, mapping) {}
 
   Status Prepare(const std::vector<std::string>& used_columns) {
     used_columns_ = used_columns;
     node_cards_.resize(nodes_.size());
-    node_keys_.resize(nodes_.size());
     for (size_t i = 0; i < nodes_.size(); ++i) {
       RELGO_RETURN_NOT_OK(PrepareNode(static_cast<int>(i)));
     }
@@ -192,12 +188,9 @@ class JoinPlanner {
       double base = static_cast<double>(table->num_rows());
       double sel = 1.0;
       if (node.filter) {
-        // CorrectedSelectivity layers the adaptive feedback factor for
-        // this (table, predicate) over the mode's base estimator.
-        sel = stats_->CorrectedSelectivity(*table, node.filter,
-                                           options_.sampled_selectivity);
-        node_keys_[i] = ScanFeedbackKey(node.table, node.filter,
-                                        options_.sampled_selectivity);
+        sel = options_.sampled_selectivity
+                  ? stats_->SampledSelectivity(*table, node.filter)
+                  : stats_->HeuristicSelectivity(*table, node.filter);
       }
       node_cards_[i] = std::max(base * sel, 1e-3);
       // Fill output columns (pruned to used + join keys + $rid).
@@ -268,66 +261,9 @@ class JoinPlanner {
         card *= EdgeSelectivity(e);
       }
     }
-    // Adaptive correction of the join-output estimate for this mask
-    // signature (covers join-key distinct-count errors, which the
-    // independence model above cannot see). Leaves are corrected at the
-    // scan level already; the emptiness snapshot keeps the non-adaptive
-    // DP free of signature work.
-    if (has_corrections_ && __builtin_popcount(mask) >= 2) {
-      double factor = feedback_->Factor(MaskKey(mask));
-      if (factor != 1.0) card *= factor;
-    }
     card = std::max(card, 1e-3);
     card_memo_[mask] = card;
     return card;
-  }
-
-  /// Stable feedback signature of a join-graph mask: sorted leaf
-  /// signatures (base table + pushed predicate; the graph leaf by its
-  /// residual filter) plus sorted join conditions internal to the mask,
-  /// resolved to base-table columns where possible. Structurally
-  /// symmetric sub-joins deliberately share one key, like canonical
-  /// pattern codes — their true cardinalities are equal.
-  const std::string& MaskKey(uint32_t mask) {
-    auto it = mask_key_memo_.find(mask);
-    if (it != mask_key_memo_.end()) return it->second;
-    std::vector<std::string> leaves, conds;
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      if (!(mask >> i & 1u)) continue;
-      const RelNode& n = nodes_[i];
-      if (n.kind == RelNode::Kind::kTableScan) {
-        leaves.push_back("t:" + n.table + ":" +
-                         (n.filter ? n.filter->ToTemplateString() : ""));
-      } else {
-        leaves.push_back(
-            "g:" + n.graph_signature + ":" +
-            (n.post_filter ? n.post_filter->ToTemplateString() : ""));
-      }
-    }
-    for (const auto& e : edges_) {
-      if (!(mask >> e.a & 1u) || !(mask >> e.b & 1u)) continue;
-      std::string table, raw;
-      std::string sa = resolver_.Resolve(e.a, e.a_col, &table, &raw)
-                           ? table + "." + raw
-                           : e.a_col;
-      std::string sb = resolver_.Resolve(e.b, e.b_col, &table, &raw)
-                           ? table + "." + raw
-                           : e.b_col;
-      conds.push_back(sa <= sb ? sa + "=" + sb : sb + "=" + sa);
-    }
-    std::sort(leaves.begin(), leaves.end());
-    std::sort(conds.begin(), conds.end());
-    std::string key = "rel|";
-    for (size_t i = 0; i < leaves.size(); ++i) {
-      if (i) key += ",";
-      key += leaves[i];
-    }
-    key += "|";
-    for (size_t i = 0; i < conds.size(); ++i) {
-      if (i) key += ",";
-      key += conds[i];
-    }
-    return mask_key_memo_[mask] = std::move(key);
   }
 
   bool Joinable(uint32_t s1, uint32_t s2) const {
@@ -443,7 +379,6 @@ class JoinPlanner {
       }
       scan->estimated_cardinality = node_cards_[i];
       scan->estimated_cost = node_cards_[i];
-      scan->feedback_key = node_keys_[i];
       return PhysicalOpPtr(std::move(scan));
     }
     auto sgt = std::make_unique<plan::PhysScanGraphTable>();
@@ -607,9 +542,6 @@ class JoinPlanner {
           filter->estimated_cost = subtree_cost;
           op = std::move(filter);
         }
-        // The join's topmost node (after any residual filter) produces
-        // the mask's rows — stamp the mask signature for feedback.
-        op->feedback_key = MaskKey(s1 | s2);
         return op;
       }
     }
@@ -624,7 +556,6 @@ class JoinPlanner {
     hj->children.push_back(std::move(right));
     hj->estimated_cardinality = out_card;
     hj->estimated_cost = subtree_cost;
-    hj->feedback_key = MaskKey(s1 | s2);
     return PhysicalOpPtr(std::move(hj));
   }
 
@@ -633,15 +564,11 @@ class JoinPlanner {
   RelOptimizerOptions options_;
   const TableStats* stats_;
   const storage::Catalog* catalog_;
-  const StatsFeedback* feedback_;
-  bool has_corrections_;  ///< feedback non-empty at planner construction
   ColumnResolver resolver_;
   std::vector<std::string> used_columns_;
   std::vector<double> node_cards_;
-  std::vector<std::string> node_keys_;  ///< scan feedback keys per leaf
   std::unordered_map<uint32_t, DpEntry> plans_;
   std::unordered_map<uint32_t, double> card_memo_;
-  std::unordered_map<uint32_t, std::string> mask_key_memo_;
 };
 
 /// Collects every qualified column the output clause references.
@@ -878,7 +805,7 @@ Result<PhysicalOpPtr> RelationalOptimizer::Plan(
   std::vector<std::string> used = CollectUsedColumns(query, residual);
 
   JoinPlanner planner(std::move(nodes), std::move(edges), options, stats_,
-                      mapping_, catalog_, feedback_);
+                      mapping_, catalog_);
   RELGO_RETURN_NOT_OK(planner.Prepare(used));
   RELGO_ASSIGN_OR_RETURN(auto root, planner.BuildJoinTree());
 
@@ -963,7 +890,6 @@ Result<PhysicalOpPtr> RelationalOptimizer::PlanWithGraphLeaf(
   gnode.projections = query.graph_projections;
   gnode.graph_cardinality = graph_plan.estimated_cardinality;
   gnode.graph_cost = graph_plan.estimated_cost;
-  gnode.graph_signature = PatternFeedbackKey(p);
   for (int v = 0; v < p.num_vertices(); ++v) {
     gnode.vertex_var_labels.emplace_back(p.VertexVarName(v),
                                          p.vertex(v).label);

@@ -48,10 +48,6 @@ struct RelNode {
   storage::ExprPtr post_filter;  ///< residual filter over projected columns
   double graph_cardinality = 0.0;
   double graph_cost = 0.0;  ///< graph optimizer's cost for graph_root
-  /// Feedback signature of the matched pattern (PatternFeedbackKey) —
-  /// distinguishes different queries' graph leaves inside persisted
-  /// join-mask correction keys.
-  std::string graph_signature;
 
   /// Qualified output column names this node exposes.
   std::vector<std::string> output_columns;
@@ -77,17 +73,10 @@ struct JoinEdgeSpec {
 /// exhibits in Fig 12).
 class RelationalOptimizer {
  public:
-  /// `feedback` (optional) is the adaptive-statistics sink: scan and
-  /// join-output estimates consult its correction factors and emitted
-  /// nodes are stamped with their signatures (PhysicalOp::feedback_key).
   RelationalOptimizer(const storage::Catalog* catalog,
                       const graph::RgMapping* mapping,
-                      const TableStats* stats,
-                      const StatsFeedback* feedback = nullptr)
-      : catalog_(catalog),
-        mapping_(mapping),
-        stats_(stats),
-        feedback_(feedback) {}
+                      const TableStats* stats)
+      : catalog_(catalog), mapping_(mapping), stats_(stats) {}
 
   /// Graph-agnostic planning of a full SPJM query: the matching operator is
   /// flattened via Lemma 1 into vertex/edge relation scans plus EVJoins,
@@ -118,7 +107,6 @@ class RelationalOptimizer {
   const storage::Catalog* catalog_;
   const graph::RgMapping* mapping_;
   const TableStats* stats_;
-  const StatsFeedback* feedback_;
 };
 
 }  // namespace optimizer

@@ -101,18 +101,6 @@ double TableStats::HeuristicSelectivity(const storage::Table& table,
                   HeuristicSelectivityExpr(table, *filter, *this));
 }
 
-double TableStats::CorrectedSelectivity(const storage::Table& table,
-                                        const storage::ExprPtr& filter,
-                                        bool sampled) const {
-  double sel = sampled ? SampledSelectivity(table, filter)
-                       : HeuristicSelectivity(table, filter);
-  if (feedback_ == nullptr || feedback_->empty() || !filter) return sel;
-  double factor =
-      feedback_->Factor(ScanFeedbackKey(table.name(), filter, sampled));
-  if (factor == 1.0) return sel;
-  return std::min(std::max(sel * factor, 1e-9), 1.0);
-}
-
 double TableStats::SampledSelectivity(const storage::Table& table,
                                       const storage::ExprPtr& filter,
                                       size_t sample_size) const {

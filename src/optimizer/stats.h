@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "common/rng.h"
-#include "optimizer/feedback.h"
 #include "storage/catalog.h"
 #include "storage/expression.h"
 
@@ -45,23 +44,8 @@ class TableStats {
                             const storage::ExprPtr& filter,
                             size_t sample_size = 1024) const;
 
-  /// Attaches the adaptive-statistics sink; null (the default) disables
-  /// correction lookups entirely.
-  void SetFeedback(const StatsFeedback* feedback) { feedback_ = feedback; }
-  const StatsFeedback* feedback() const { return feedback_; }
-
-  /// Scan selectivity with adaptive correction: the base estimate
-  /// (sampled or heuristic per `sampled`) times the feedback factor
-  /// stored under the scan's (table, predicate) key, clamped back into
-  /// [1e-9, 1]. Identical to the base estimate when no feedback sink is
-  /// attached or the key was never observed.
-  double CorrectedSelectivity(const storage::Table& table,
-                              const storage::ExprPtr& filter,
-                              bool sampled) const;
-
  private:
   const storage::Catalog* catalog_;
-  const StatsFeedback* feedback_ = nullptr;
   mutable std::mutex distinct_mu_;  ///< guards distinct_cache_
   mutable std::unordered_map<std::string, double> distinct_cache_;
 };

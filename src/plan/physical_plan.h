@@ -54,11 +54,6 @@ struct PhysicalOp {
   OpKind kind;
   std::vector<std::unique_ptr<PhysicalOp>> children;
   double estimated_cardinality = -1.0;  ///< optimizer estimate, for EXPLAIN
-  /// Estimator-input signature this node's estimate was derived from
-  /// (optimizer/feedback.h key namespace); empty when the node's estimate
-  /// has no correctable statistics input. Adaptive-statistics feedback
-  /// maps the node's measured actual cardinality back to this key.
-  std::string feedback_key;
   /// Cumulative optimizer cost of the subtree rooted here (C_out-style:
   /// the sum of intermediate cardinalities the optimizer expects this
   /// subtree to materialize). -1 when the emitting path has no cost model;

@@ -225,7 +225,6 @@ PhysicalOpPtr ClonePlan(const PhysicalOp& op, const ExprTransform& transform) {
     out->children.push_back(ClonePlan(*child, transform));
   }
   out->estimated_cardinality = op.estimated_cardinality;
-  out->feedback_key = op.feedback_key;
   out->estimated_cost = op.estimated_cost;
   return out;
 }

@@ -17,9 +17,9 @@ using ExprTransform = std::function<storage::ExprPtr(const storage::ExprPtr&)>;
 /// Deep-copies a physical plan tree, applying `transform` to every
 /// expression the plan carries (scan filters, join residuals, vertex/edge
 /// predicates, and the pattern constraints inside kNaiveMatch). Estimator
-/// annotations (estimated_cardinality, estimated_cost, feedback_key) are
-/// copied verbatim. The plan cache uses this to rebind a cached template
-/// plan against a new set of constants without mutating the cached tree.
+/// annotations (estimated_cardinality, estimated_cost) are copied
+/// verbatim. The plan cache uses this to rebind a cached template plan
+/// against a new set of constants without mutating the cached tree.
 PhysicalOpPtr ClonePlan(const PhysicalOp& op, const ExprTransform& transform);
 
 /// Plain deep copy: every expression is cloned unchanged.

@@ -47,8 +47,8 @@ class Expr {
   /// A constant annotated as parameter slot `slot` of a query template
   /// (optimizer/plan_cache.h): evaluation treats it as an ordinary
   /// constant holding the currently bound value, but the optimizer
-  /// estimates it value-insensitively and feedback keys render it as
-  /// "$<slot>", so every binding of one template plans identically.
+  /// estimates it value-insensitively and template signatures render it
+  /// as "$<slot>", so every binding of one template plans identically.
   static ExprPtr Param(int slot, Value v);
   static ExprPtr Compare(CompareOp op, ExprPtr lhs, ExprPtr rhs);
   static ExprPtr And(ExprPtr lhs, ExprPtr rhs);
@@ -133,9 +133,9 @@ class Expr {
   std::string ToString() const;
 
   /// Like ToString, but renders parameter-slotted constants as "$<slot>"
-  /// instead of their currently bound value. Used for template signatures
-  /// and feedback keys so every binding of one template maps to the same
-  /// key; byte-identical to ToString for trees without parameters.
+  /// instead of their currently bound value. Used for plan-cache template
+  /// signatures so every binding of one template maps to the same key;
+  /// byte-identical to ToString for trees without parameters.
   std::string ToTemplateString() const;
 
  private:

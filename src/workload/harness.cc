@@ -37,18 +37,6 @@ void SetFailure(const Status& status, RunMeasurement* m) {
   m->error = status.ToString();
 }
 
-/// Charges Q-error fields off one profiled run. Breaker times are NOT
-/// recorded here: they always describe the *first* profiled run, so an
-/// adaptive measurement never mixes first-run Q-error with after-run
-/// breaker timings of a potentially different plan.
-void RecordQError(const ProfiledRunResult& run, double* geomean,
-                  double* max_q, int* ops) {
-  exec::QErrorSummary q = exec::SummarizeQError(*run.plan, run.profile);
-  *geomean = q.geomean;
-  *max_q = q.max_q;
-  if (ops != nullptr) *ops = q.ops;
-}
-
 /// Mean, median, min and max of `samples` (non-empty); an even count's
 /// median averages the two middle samples.
 void Spread(std::vector<double> samples, double* mean, double* median,
@@ -65,116 +53,46 @@ void Spread(std::vector<double> samples, double* mean, double* median,
 
 }  // namespace
 
-bool Harness::TimedRepetitions(const WorkloadQuery& wq,
-                               optimizer::OptimizerMode mode,
-                               RunMeasurement* m) const {
-  std::vector<double> opt, exec;
-  // A failure on any run is terminal.
-  for (int rep = 0; rep < repetitions_; ++rep) {
-    auto result = db_->Run(wq.query, mode, exec_options_);
-    if (!result.ok()) {
-      SetFailure(result.status(), m);
-      return false;
-    }
-    opt.push_back(result->optimization_ms);
-    exec.push_back(result->execution_ms);
-    m->result_rows = result->table->num_rows();
-  }
-  Spread(std::move(opt), &m->optimization_ms, &m->optimization_ms_median,
-         &m->optimization_ms_min, &m->optimization_ms_max);
-  Spread(std::move(exec), &m->execution_ms, &m->execution_ms_median,
-         &m->execution_ms_min, &m->execution_ms_max);
-  return true;
-}
-
 RunMeasurement Harness::Run(const WorkloadQuery& wq,
                             optimizer::OptimizerMode mode) const {
   RunMeasurement m;
   m.query = wq.query.name;
   m.mode = optimizer::ModeName(mode);
 
-  // Profiled warm-up: besides warming caches it feeds the estimate-vs-
-  // actual loop, charging the Q-error fields. Profiling cost stays out of
-  // the timed repetitions below.
+  // Profiled warm-up: besides warming caches it compares every estimate
+  // against its actual, charging the Q-error fields. Profiling cost stays
+  // out of the timed repetitions below.
   {
     auto warm = db_->RunProfiled(wq.query, mode, exec_options_);
     if (!warm.ok()) {
       SetFailure(warm.status(), &m);
       return m;
     }
-    RecordQError(*warm, &m.qerror_geomean, &m.qerror_max, &m.qerror_ops);
+    exec::QErrorSummary q = exec::SummarizeQError(*warm->plan, warm->profile);
+    m.qerror_geomean = q.geomean;
+    m.qerror_max = q.max_q;
+    m.qerror_ops = q.ops;
     m.build_ms = warm->profile.build_ms();
     m.sort_ms = warm->profile.sort_ms();
     m.scan_cache_hits = warm->profile.scan_cache_hits();
   }
-  TimedRepetitions(wq, mode, &m);
+  std::vector<double> opt_ms, exec_ms;
+  // A failure on any run is terminal.
+  for (int rep = 0; rep < repetitions_; ++rep) {
+    auto result = db_->Run(wq.query, mode, exec_options_);
+    if (!result.ok()) {
+      SetFailure(result.status(), &m);
+      return m;
+    }
+    opt_ms.push_back(result->optimization_ms);
+    exec_ms.push_back(result->execution_ms);
+    m.result_rows = result->table->num_rows();
+  }
+  Spread(std::move(opt_ms), &m.optimization_ms, &m.optimization_ms_median,
+         &m.optimization_ms_min, &m.optimization_ms_max);
+  Spread(std::move(exec_ms), &m.execution_ms, &m.execution_ms_median,
+         &m.execution_ms_min, &m.execution_ms_max);
   return m;
-}
-
-RunMeasurement Harness::RunAdaptive(const WorkloadQuery& wq,
-                                    optimizer::OptimizerMode mode,
-                                    int feedback_rounds) const {
-  RunMeasurement m;
-  m.query = wq.query.name;
-  m.mode = optimizer::ModeName(mode);
-  m.feedback_rounds = std::max(feedback_rounds, 1);
-
-  exec::ExecutionOptions adaptive = exec_options_;
-  adaptive.adaptive_stats = true;
-
-  // Round 0: baseline accuracy — and the first feedback absorption.
-  {
-    auto warm = db_->RunProfiled(wq.query, mode, adaptive);
-    if (!warm.ok()) {
-      SetFailure(warm.status(), &m);
-      return m;
-    }
-    RecordQError(*warm, &m.qerror_geomean, &m.qerror_max, &m.qerror_ops);
-    m.build_ms = warm->profile.build_ms();
-    m.sort_ms = warm->profile.sort_ms();
-  }
-  // Further warm-up -> feedback rounds.
-  for (int round = 1; round < m.feedback_rounds; ++round) {
-    auto mid = db_->RunProfiled(wq.query, mode, adaptive);
-    if (!mid.ok()) {
-      SetFailure(mid.status(), &m);
-      return m;
-    }
-  }
-  // Re-planned accuracy after feedback (still adaptive: grids keep
-  // accumulating corrections across queries).
-  {
-    auto after = db_->RunProfiled(wq.query, mode, adaptive);
-    if (!after.ok()) {
-      SetFailure(after.status(), &m);
-      return m;
-    }
-    RecordQError(*after, &m.qerror_geomean_after, &m.qerror_max_after,
-                 nullptr);
-  }
-  TimedRepetitions(wq, mode, &m);
-  return m;
-}
-
-std::vector<RunMeasurement> Harness::RunAdaptiveGrid(
-    const std::vector<WorkloadQuery>& queries,
-    const std::vector<optimizer::OptimizerMode>& modes,
-    int feedback_rounds) const {
-  std::vector<RunMeasurement> out;
-  for (const auto& wq : queries) {
-    for (auto mode : modes) {
-      // Reset keyed corrections between cells so every record's
-      // qerror_geomean is a cold-corrections baseline and the
-      // before -> after delta is attributable to this cell's own
-      // feedback rounds. GLogue counts already refined by earlier cells
-      // keep their execution-measured values (they move the catalog
-      // toward truth and cannot be un-measured) — that part of the
-      // baseline legitimately improves over the grid.
-      db_->ResetAdaptiveStats();
-      out.push_back(RunAdaptive(wq, mode, feedback_rounds));
-    }
-  }
-  return out;
 }
 
 ConcurrentMeasurement Harness::RunConcurrent(
@@ -471,40 +389,6 @@ std::string Harness::FormatQErrors(const std::vector<RunMeasurement>& runs) {
       } else {
         os << StrFormat("%14s",
                         StrFormat("%.2f", r->qerror_geomean).c_str());
-      }
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
-std::string Harness::FormatAdaptiveQErrors(
-    const std::vector<RunMeasurement>& runs) {
-  auto queries = OrderedQueries(runs);
-  auto modes = OrderedModes(runs);
-  std::ostringstream os;
-  os << StrFormat("%-10s", "q-error");
-  for (const auto& m : modes) os << StrFormat("%16s", m.c_str());
-  os << "\n";
-  for (const auto& q : queries) {
-    os << StrFormat("%-10s", q.c_str());
-    for (const auto& m : modes) {
-      const RunMeasurement* r = Find(runs, q, m);
-      if (r != nullptr &&
-          (r->out_of_memory || r->timed_out || r->failed)) {
-        // A failed round leaves qerror_geomean_after at 0 (Q-error is
-        // always >= 1); render the failure, not a bogus "->0.00".
-        os << StrFormat("%16s", r->out_of_memory ? "OOM"
-                                : r->timed_out   ? "OT"
-                                                 : "ERR");
-      } else if (r == nullptr || r->qerror_ops == 0 ||
-                 r->feedback_rounds == 0 ||
-                 r->qerror_geomean_after == 0.0) {
-        os << StrFormat("%16s", "-");
-      } else {
-        std::string cell = StrFormat("%.2f->%.2f", r->qerror_geomean,
-                                     r->qerror_geomean_after);
-        os << StrFormat("%16s", cell.c_str());
       }
     }
     os << "\n";

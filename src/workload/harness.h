@@ -1,6 +1,7 @@
 #ifndef RELGO_WORKLOAD_HARNESS_H_
 #define RELGO_WORKLOAD_HARNESS_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -44,14 +45,6 @@ struct RunMeasurement {
   /// Filtered scans the profiled warm-up replayed from the cross-query
   /// scan cache (0 when the cache is off or cold).
   uint64_t scan_cache_hits = 0;
-
-  /// Adaptive-statistics loop results (RunAdaptive only; 0 otherwise):
-  /// Q-error of the re-planned query after `feedback_rounds` warm-up ->
-  /// feedback -> re-plan rounds, to compare against qerror_geomean /
-  /// qerror_max (which always measure the *first* profiled run).
-  double qerror_geomean_after = 0.0;
-  double qerror_max_after = 0.0;
-  int feedback_rounds = 0;
 
   double TotalMs() const { return optimization_ms + execution_ms; }
   /// "OT" / "OOM" / formatted milliseconds.
@@ -138,9 +131,13 @@ struct ChaosOptions {
 /// rendering.
 class Harness {
  public:
+  /// `repetitions` below 1 is clamped to 1, so every successful
+  /// measurement has at least one timed sample.
   Harness(const Database* db, exec::ExecutionOptions exec_options = {},
           int repetitions = 3)
-      : db_(db), exec_options_(exec_options), repetitions_(repetitions) {}
+      : db_(db),
+        exec_options_(exec_options),
+        repetitions_(std::max(repetitions, 1)) {}
 
   /// Runs one query under one mode, averaging timed repetitions.
   RunMeasurement Run(const WorkloadQuery& wq,
@@ -150,26 +147,6 @@ class Harness {
   std::vector<RunMeasurement> RunGrid(
       const std::vector<WorkloadQuery>& queries,
       const std::vector<optimizer::OptimizerMode>& modes) const;
-
-  /// The adaptive-statistics protocol: a profiled first run (recorded as
-  /// qerror_geomean/_max) whose actuals are absorbed into the database's
-  /// StatsFeedback, `feedback_rounds - 1` further absorb rounds, then a
-  /// re-planned profiled run recorded as qerror_*_after — followed by the
-  /// usual timed repetitions (which re-plan with the refined statistics).
-  /// Feedback persists on the database across calls, so repeated or
-  /// overlapping queries keep benefiting.
-  RunMeasurement RunAdaptive(const WorkloadQuery& wq,
-                             optimizer::OptimizerMode mode,
-                             int feedback_rounds = 2) const;
-
-  /// Adaptive grid: RunAdaptive over (queries x modes), resetting keyed
-  /// corrections between cells (Database::ResetAdaptiveStats) so each
-  /// record's before/after pair measures that cell's own feedback gain
-  /// rather than accumulated cross-query state.
-  std::vector<RunMeasurement> RunAdaptiveGrid(
-      const std::vector<WorkloadQuery>& queries,
-      const std::vector<optimizer::OptimizerMode>& modes,
-      int feedback_rounds = 2) const;
 
   /// Throughput protocol: `clients` threads each run
   /// `queries_per_client` queries round-robin over `mix` (offset by the
@@ -209,11 +186,6 @@ class Harness {
   /// accuracy grid mirroring the paper's Sec 5 accuracy analysis.
   static std::string FormatQErrors(const std::vector<RunMeasurement>& runs);
 
-  /// Renders the adaptive before -> after Q-error grid of RunAdaptive
-  /// measurements ("2.41->1.18" per cell).
-  static std::string FormatAdaptiveQErrors(
-      const std::vector<RunMeasurement>& runs);
-
   /// Geometric-mean speedup of `mode` vs `baseline_mode` over queries where
   /// both completed.
   static double AverageSpeedup(const std::vector<RunMeasurement>& runs,
@@ -221,12 +193,6 @@ class Harness {
                                const std::string& mode);
 
  private:
-  /// Timed repetitions shared by Run and RunAdaptive; false on failure
-  /// (with the failure recorded in `m`).
-  bool TimedRepetitions(const WorkloadQuery& wq,
-                        optimizer::OptimizerMode mode,
-                        RunMeasurement* m) const;
-
   const Database* db_;
   exec::ExecutionOptions exec_options_;
   int repetitions_;

@@ -2,10 +2,10 @@
 // behavior (LRU eviction, byte budget, version invalidation), cache
 // on/off parity — results and per-node actual rows identical across all
 // ten optimizer modes and both engines —, invalidation on base-table
-// mutation, and concurrent Run / RunProfiled (adaptive statistics on)
-// against one shared Database, which is what the process-wide worker
-// pool and the stats_mu_ serialization exist for. The TSan CI job runs
-// this suite at 4 worker threads.
+// mutation, and concurrent Run / RunProfiled against one shared Database
+// with the plan cache on, which is what the process-wide worker pool and
+// the internally synchronized caches exist for. The TSan CI job runs this
+// suite at 4 worker threads.
 
 #include <gtest/gtest.h>
 
@@ -313,20 +313,23 @@ TEST_F(ConcurrencyTest, ConcurrentClientsMatchSerialResults) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST_F(ConcurrencyTest, ConcurrentAdaptiveProfiledRuns) {
-  // The previously forbidden combination: concurrent RunProfiled with
-  // adaptive_stats on — GLogue refinement must serialize against every
-  // in-flight optimization (Database::stats_mu_). TSan verifies the
-  // absence of races; result correctness is checked against the serial
-  // answer.
+TEST_F(ConcurrencyTest, ConcurrentProfiledRuns) {
+  // Concurrent RunProfiled on both engines with the plan cache on: every
+  // client optimizes or re-binds a shared cached plan while the others
+  // execute and profile theirs. TSan verifies the absence of races;
+  // results are checked against the serial answer and every lookup is
+  // accounted for as exactly one hit or miss.
   plan::SpjmQuery query = FilteredQuery();
   auto serial = db_.Run(query, OptimizerMode::kRelGo, testing::OracleOptions());
   ASSERT_TRUE(serial.ok());
   auto reference = testing::SortedRows(*serial->table);
 
+  db_.ClearPlanCache();
+  optimizer::PlanCache::Stats before = db_.plan_cache().stats();
   constexpr int kClients = 4;
   constexpr int kIters = 4;
   std::atomic<int> bad{0};
+  std::atomic<int> uncached{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
@@ -334,18 +337,31 @@ TEST_F(ConcurrencyTest, ConcurrentAdaptiveProfiledRuns) {
           Options(c % 2 == 0 ? exec::EngineKind::kPipeline
                              : exec::EngineKind::kMaterialize,
                   4, true);
-      options.adaptive_stats = true;
+      options.plan_cache = true;
       for (int i = 0; i < kIters; ++i) {
         auto result = db_.RunProfiled(query, OptimizerMode::kRelGo, options);
         if (!result.ok() ||
             testing::SortedRows(*result->table) != reference) {
           bad.fetch_add(1);
+          continue;
+        }
+        if (result->profile.plan_cache_status() ==
+            exec::QueryProfile::PlanCacheStatus::kOff) {
+          uncached.fetch_add(1);
         }
       }
     });
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(uncached.load(), 0) << "every run must consult the plan cache";
+  optimizer::PlanCache::Stats after = db_.plan_cache().stats();
+  EXPECT_EQ(after.Lookups() - before.Lookups(),
+            static_cast<uint64_t>(kClients * kIters));
+  EXPECT_GE(after.misses - before.misses, 1u);
+  EXPECT_GT(after.hits - before.hits, 0u)
+      << "later runs must reuse the published plan";
+  EXPECT_EQ(after.invalidations, before.invalidations);
 }
 
 TEST_F(ConcurrencyTest, HarnessRunConcurrentReportsThroughputAndHits) {

@@ -5,9 +5,9 @@
 // randomized constants — because cached template plans are rebound
 // against each call's constants (clone-before-Bind) and the optimizer
 // estimates slotted constants value-insensitively. Invalidation is
-// exact, never timed: an adaptive feedback push bumps the stats epoch,
-// a table append bumps the catalog data version, and either kills the
-// entry on its next lookup (counted once). A cancelled, faulted, timed
+// exact, never timed: statistics are fixed after Finalize, so only a
+// table append (which bumps the catalog data version) kills an entry on
+// its next lookup (counted once). A cancelled, faulted, timed
 // out or OOM'd query never publishes a plan. The TSan job runs this
 // suite explicitly (alongside the lifecycle storm it extends).
 
@@ -213,21 +213,21 @@ TEST_F(PlanCacheTest, LruEvictionAndStaleEntryInvalidation) {
     return std::shared_ptr<const plan::PhysicalOp>(std::move(opt->plan));
   };
   optimizer::PlanCache cache(2);
-  cache.Put("k1", 1, 1, make_plan());
-  cache.Put("k2", 1, 1, make_plan());
+  cache.Put("k1", 1, make_plan());
+  cache.Put("k2", 1, make_plan());
   EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_NE(cache.Get("k1", 1, 1), nullptr);  // k1 now MRU
-  cache.Put("k3", 1, 1, make_plan());         // evicts k2 (LRU)
+  EXPECT_NE(cache.Get("k1", 1), nullptr);  // k1 now MRU
+  cache.Put("k3", 1, make_plan());         // evicts k2 (LRU)
   EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.Get("k2", 1, 1), nullptr);
-  EXPECT_NE(cache.Get("k3", 1, 1), nullptr);
+  EXPECT_EQ(cache.Get("k2", 1), nullptr);
+  EXPECT_NE(cache.Get("k3", 1), nullptr);
 
-  // Stale epoch and stale data version both erase-and-miss, counted as
-  // invalidations; the key re-enters on the next Put.
-  EXPECT_EQ(cache.Get("k1", 2, 1), nullptr) << "stats epoch moved";
-  cache.Put("k1", 2, 1, make_plan());
-  EXPECT_NE(cache.Get("k1", 2, 1), nullptr);
-  EXPECT_EQ(cache.Get("k1", 2, 9), nullptr) << "data version moved";
+  // A stale data version erases-and-misses, counted as an invalidation;
+  // the key re-enters on the next Put.
+  EXPECT_EQ(cache.Get("k1", 2), nullptr) << "data version moved";
+  cache.Put("k1", 2, make_plan());
+  EXPECT_NE(cache.Get("k1", 2), nullptr);
+  EXPECT_EQ(cache.Get("k1", 9), nullptr) << "data version moved again";
 
   optimizer::PlanCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 3u);
@@ -268,7 +268,7 @@ TEST_F(PlanCacheTest, MissThenHitBothEnginesShareOneEntry) {
   EXPECT_EQ(SnapshotCounter("relgo_plan_cache_misses_total"), s.misses);
 }
 
-TEST_F(PlanCacheTest, OptionsOffAndAdaptiveRunsBypassTheCache) {
+TEST_F(PlanCacheTest, OptionsOffBypassesTheCache) {
   plan::SpjmQuery query = FilteredQuery();
   exec::ExecutionOptions off = Options(EngineKind::kMaterialize);
   off.plan_cache = false;
@@ -277,89 +277,54 @@ TEST_F(PlanCacheTest, OptionsOffAndAdaptiveRunsBypassTheCache) {
   EXPECT_EQ(result->plan_cache, PlanCacheStatus::kOff);
   EXPECT_EQ(db_.plan_cache().stats().Lookups(), 0u);
   EXPECT_EQ(db_.plan_cache().entries(), 0u);
-
-  exec::ExecutionOptions adaptive = Options(EngineKind::kMaterialize);
-  adaptive.adaptive_stats = true;
-  auto profiled = db_.RunProfiled(query, OptimizerMode::kRelGo, adaptive);
-  ASSERT_TRUE(profiled.ok());
-  EXPECT_EQ(profiled->profile.plan_cache_status(), PlanCacheStatus::kOff);
-  EXPECT_EQ(db_.plan_cache().stats().Lookups(), 0u)
-      << "adaptive runs must bypass the cache entirely";
 }
 
-// Adaptive feedback bumps the stats epoch; the next lookup of a hot
+// A table append bumps the catalog data version; the next lookup of a hot
 // template is exactly one invalidation + one re-optimization, then the
-// refreshed entry serves hits again.
-TEST_F(PlanCacheTest, FeedbackEpochBumpReoptimizesHotTemplateExactlyOnce) {
-  plan::SpjmQuery query = FilteredQuery();
-  exec::ExecutionOptions options = Options(EngineKind::kPipeline);
-  ASSERT_TRUE(db_.Run(query, OptimizerMode::kRelGo, options).ok());
-  auto hot = db_.Run(query, OptimizerMode::kRelGo, options);
-  ASSERT_TRUE(hot.ok());
-  ASSERT_EQ(hot->plan_cache, PlanCacheStatus::kHit) << "template is hot";
-  std::vector<std::string> expect = testing::SortedRows(*hot->table);
-
-  uint64_t epoch_before = db_.stats_epoch();
-  exec::ExecutionOptions adaptive = options;
-  adaptive.adaptive_stats = true;
-  auto push = db_.RunProfiled(query, OptimizerMode::kRelGo, adaptive);
-  ASSERT_TRUE(push.ok());
-  ASSERT_GT(push->feedback_observations, 0)
-      << "the profiled run must absorb estimate-vs-actual corrections";
-  EXPECT_EQ(db_.stats_epoch(), epoch_before + 1)
-      << "a feedback push bumps the epoch exactly once";
-
-  optimizer::PlanCache::Stats before = db_.plan_cache().stats();
-  auto reopt = db_.Run(query, OptimizerMode::kRelGo, options);
-  ASSERT_TRUE(reopt.ok());
-  EXPECT_EQ(reopt->plan_cache, PlanCacheStatus::kMiss)
-      << "stale epoch must force re-optimization";
-  EXPECT_EQ(testing::SortedRows(*reopt->table), expect);
-  optimizer::PlanCache::Stats mid = db_.plan_cache().stats();
-  EXPECT_EQ(mid.invalidations - before.invalidations, 1u);
-  EXPECT_EQ(mid.misses - before.misses, 1u);
-  EXPECT_EQ(mid.hits, before.hits);
-
-  auto warm = db_.Run(query, OptimizerMode::kRelGo, options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->plan_cache, PlanCacheStatus::kHit)
-      << "exactly ONE re-optimization: the refreshed entry serves hits";
-  EXPECT_EQ(testing::SortedRows(*warm->table), expect);
-  optimizer::PlanCache::Stats after = db_.plan_cache().stats();
-  EXPECT_EQ(after.misses - before.misses, 1u);
-  EXPECT_EQ(after.invalidations - before.invalidations, 1u);
-}
-
+// refreshed entry serves hits again. Runs on both engines, which share
+// one cache entry per template.
 TEST_F(PlanCacheTest, TableAppendInvalidatesViaDataVersion) {
   plan::SpjmQuery query = FilteredQuery();
-  exec::ExecutionOptions options = Options(EngineKind::kMaterialize);
-  options.scan_cache = false;  // the scan cache has its own staleness story
-  ASSERT_TRUE(db_.Run(query, OptimizerMode::kRelGo, options).ok());
-  auto hot = db_.Run(query, OptimizerMode::kRelGo, options);
-  ASSERT_TRUE(hot.ok());
-  ASSERT_EQ(hot->plan_cache, PlanCacheStatus::kHit);
-  std::vector<std::string> expect = testing::SortedRows(*hot->table);
+  int64_t next_place = 400;
+  for (EngineKind engine : kBothEngines) {
+    SCOPED_TRACE(EngineName(engine));
+    exec::ExecutionOptions options = Options(engine);
+    options.scan_cache = false;  // the scan cache has its own staleness story
+    ASSERT_TRUE(db_.Run(query, OptimizerMode::kRelGo, options).ok());
+    auto hot = db_.Run(query, OptimizerMode::kRelGo, options);
+    ASSERT_TRUE(hot.ok());
+    ASSERT_EQ(hot->plan_cache, PlanCacheStatus::kHit) << "template is hot";
+    std::vector<std::string> expect = testing::SortedRows(*hot->table);
 
-  // Append a Place row no existing person references: the catalog data
-  // version moves, the results must not.
-  auto place = db_.catalog().GetTable("Place");
-  ASSERT_TRUE(place.ok());
-  ASSERT_TRUE(
-      (*place)
-          ->AppendRow({Value::Int(400), Value::String("Atlantis")})
-          .ok());
+    // Append a Place row no existing person references: the catalog data
+    // version moves, the results must not.
+    auto place = db_.catalog().GetTable("Place");
+    ASSERT_TRUE(place.ok());
+    ASSERT_TRUE((*place)
+                    ->AppendRow({Value::Int(next_place++),
+                                 Value::String("Atlantis")})
+                    .ok());
 
-  optimizer::PlanCache::Stats before = db_.plan_cache().stats();
-  auto reopt = db_.Run(query, OptimizerMode::kRelGo, options);
-  ASSERT_TRUE(reopt.ok());
-  EXPECT_EQ(reopt->plan_cache, PlanCacheStatus::kMiss)
-      << "a table version bump must invalidate";
-  EXPECT_EQ(testing::SortedRows(*reopt->table), expect);
-  EXPECT_EQ(db_.plan_cache().stats().invalidations - before.invalidations,
-            1u);
-  auto warm = db_.Run(query, OptimizerMode::kRelGo, options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->plan_cache, PlanCacheStatus::kHit);
+    optimizer::PlanCache::Stats before = db_.plan_cache().stats();
+    auto reopt = db_.Run(query, OptimizerMode::kRelGo, options);
+    ASSERT_TRUE(reopt.ok());
+    EXPECT_EQ(reopt->plan_cache, PlanCacheStatus::kMiss)
+        << "a table version bump must force re-optimization";
+    EXPECT_EQ(testing::SortedRows(*reopt->table), expect);
+    optimizer::PlanCache::Stats mid = db_.plan_cache().stats();
+    EXPECT_EQ(mid.invalidations - before.invalidations, 1u);
+    EXPECT_EQ(mid.misses - before.misses, 1u);
+    EXPECT_EQ(mid.hits, before.hits);
+
+    auto warm = db_.Run(query, OptimizerMode::kRelGo, options);
+    ASSERT_TRUE(warm.ok());
+    EXPECT_EQ(warm->plan_cache, PlanCacheStatus::kHit)
+        << "exactly ONE re-optimization: the refreshed entry serves hits";
+    EXPECT_EQ(testing::SortedRows(*warm->table), expect);
+    optimizer::PlanCache::Stats after = db_.plan_cache().stats();
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.invalidations - before.invalidations, 1u);
+  }
 }
 
 // The no-publish-on-failure chokepoint, for every failure class that can

@@ -1,4 +1,4 @@
-// Tests of the engine-agnostic profiling & cost-feedback layer
+// Tests of the engine-agnostic profiling and Q-error layer
 // (src/exec/profile.*): Q-error math, estimate annotation coverage
 // (no node leaves the optimizer with the -1 sentinel), EXPLAIN ANALYZE
 // rendering in both execution shapes, stability of the pipeline shape

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fixtures.h"
 #include "workload/harness.h"
 #include "workload/imdb.h"
@@ -159,6 +161,24 @@ TEST_F(LdbcWorkloadTest, HarnessReportsMeasurements) {
   std::string table = Harness::FormatTable(runs, true);
   EXPECT_NE(table.find("QC1"), std::string::npos);
   EXPECT_NE(table.find("RelGo"), std::string::npos);
+}
+
+TEST_F(LdbcWorkloadTest, HarnessClampsZeroRepetitionsToOne) {
+  // Unclamped, 0 repetitions would leave the timing vectors empty, and
+  // the spread would read front() of an empty vector and divide by zero.
+  Harness harness(db_, {}, 0);
+  auto queries = LdbcCyclicQueries(*db_);
+  auto run = harness.Run(queries[0], OptimizerMode::kRelGo);
+  ASSERT_FALSE(run.failed) << run.error;
+  EXPECT_EQ(run.result_rows, 1u) << "one timed repetition ran";
+  for (double ms : {run.optimization_ms, run.optimization_ms_median,
+                    run.optimization_ms_min, run.optimization_ms_max,
+                    run.execution_ms, run.execution_ms_median,
+                    run.execution_ms_min, run.execution_ms_max}) {
+    EXPECT_TRUE(std::isfinite(ms));
+    EXPECT_GE(ms, 0.0);
+  }
+  EXPECT_EQ(run.execution_ms_min, run.execution_ms_max);
 }
 
 TEST_F(LdbcWorkloadTest, HarnessFlagsOutOfMemory) {
