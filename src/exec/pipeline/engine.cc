@@ -188,22 +188,21 @@ Result<Pipeline> BuildPipeline(const PhysicalOp& op, ExecutionContext* ctx,
 // A pipeline ending in a TopKSink keeps at most k of its rows (or only
 // reorders them), so a property that nothing reads before the sink is
 // wasted work for every row the sink drops. DeferBridgeColumns has pi-hat
-// stream the binding row id for each such property; GatherDeferred reads
-// the properties from the base tables for the kept rows after Finish. Both
-// act on this execution's operator instances only: the plan, the plan
-// cache and the reference interpreter never see the deferral.
+// stream the binding row id for each such property, sort keys included;
+// the sink ranks a deferred key through its row id (RankSortKeys), and
+// GatherDeferred reads the properties from the base tables for the kept
+// rows after Finish. All of it acts on this execution's operator instances
+// only: the plan, the plan cache and the reference interpreter never see
+// the deferral or the fence.
 
 /// Defers every projected property of the pipeline's SCAN_GRAPH_TABLE that
-/// neither the sink's sort keys nor an operator between pi-hat and the
-/// sink reads (filter inputs, followed through PhysProject renames). Only
-/// Project and Filter may sit between the two; any other operator, or no
-/// pi-hat at all, defers nothing. Returns the pi-hat's index in
-/// pipeline->ops, or -1 when nothing was deferred.
-int DeferBridgeColumns(Pipeline* pipeline, const plan::PhysOrderBy* order) {
+/// no operator between pi-hat and the sink reads (filter inputs, followed
+/// through PhysProject renames); the sink reads its sort keys through row
+/// ids. Only Project and Filter may sit between the two; any other
+/// operator, or no pi-hat at all, defers nothing. Returns the pi-hat's
+/// index in pipeline->ops, or -1 when nothing was deferred.
+int DeferBridgeColumns(Pipeline* pipeline) {
   std::set<std::string> read;  // names read above the current operator
-  if (order != nullptr) {
-    for (const auto& key : order->keys) read.insert(key.column);
-  }
   for (size_t i = pipeline->ops.size(); i-- > 0;) {
     const PhysicalOp& node = *pipeline->op_nodes[i];
     switch (node.kind) {
@@ -243,6 +242,110 @@ int DeferBridgeColumns(Pipeline* pipeline, const plan::PhysOrderBy* order) {
   return -1;
 }
 
+/// The name that the sink's input column `name` had at the output of the
+/// pi-hat at pipeline.ops[bridge]: the Project renames between the two,
+/// undone top-down.
+std::string PiHatName(const Pipeline& pipeline, size_t bridge,
+                      std::string name) {
+  for (size_t i = pipeline.ops.size() - 1; i > bridge; --i) {
+    const PhysicalOp& node = *pipeline.op_nodes[i];
+    if (node.kind != OpKind::kProject) continue;
+    for (const auto& [from, to] :
+         static_cast<const plan::PhysProject&>(node).columns) {
+      if (to == name) {
+        name = from;
+        break;
+      }
+    }
+  }
+  return name;
+}
+
+/// The position in pipeline.ops right after the operator below `bridge`
+/// that binds `var`: 0 for the ScanVertex source, i + 1 for ops[i] when it
+/// is an EXPAND, GET_VERTEX or EXPAND_INTERSECT with `var` as its target,
+/// or any operator that binds `var` as its edge. -1 when none of them
+/// binds it (a var from a materialized breaker or a join build side).
+int AfterBinder(const Pipeline& pipeline, size_t bridge,
+                const std::string& var) {
+  const PhysicalOp* source = pipeline.source_node;
+  if (source != nullptr && source->kind == OpKind::kScanVertex &&
+      static_cast<const plan::PhysScanVertex&>(*source).var == var) {
+    return 0;
+  }
+  for (size_t i = 0; i < bridge; ++i) {
+    const PhysicalOp& node = *pipeline.op_nodes[i];
+    bool binds = false;
+    switch (node.kind) {
+      case OpKind::kExpand: {
+        const auto& op = static_cast<const plan::PhysExpand&>(node);
+        binds = op.to_var == var || op.edge_var == var;
+        break;
+      }
+      case OpKind::kGetVertex:
+        binds = static_cast<const plan::PhysGetVertex&>(node).to_var == var;
+        break;
+      case OpKind::kExpandEdge:
+        binds =
+            static_cast<const plan::PhysExpandEdge&>(node).edge_var == var;
+        break;
+      case OpKind::kExpandIntersect: {
+        const auto& op = static_cast<const plan::PhysExpandIntersect&>(node);
+        binds = op.to_var == var ||
+                std::find(op.edge_vars.begin(), op.edge_vars.end(), var) !=
+                    op.edge_vars.end();
+        break;
+      }
+      case OpKind::kEdgeVerify:
+        binds =
+            static_cast<const plan::PhysEdgeVerify&>(node).edge_var == var;
+        break;
+      default:
+        break;
+    }
+    if (binds) return static_cast<int>(i) + 1;
+  }
+  return -1;
+}
+
+/// Lets `sink` rank the sort keys that the deferred pi-hat at
+/// pipeline->ops[bridge] streams as row ids, and, when the sink keeps
+/// top-k heaps and the run is not profiled, places a TopKFenceOp on the
+/// sink's fence right after the operator that binds the first key's
+/// variable (the fence arms itself in the sink's Prepare, or stays off for
+/// an unsorted string dictionary). Returns pi-hat's index after the
+/// placement.
+size_t RankSortKeys(Pipeline* pipeline, size_t bridge,
+                    const plan::PhysOrderBy& order, TopKSink* sink,
+                    ExecutionContext* ctx) {
+  const auto* pi_hat =
+      static_cast<const ScanGraphTableOp*>(pipeline->ops[bridge].get());
+  std::vector<std::string> names;
+  for (const auto& key : order.keys) {
+    names.push_back(PiHatName(*pipeline, bridge, key.column));
+  }
+  std::string first = names[0];
+  sink->RankKeysThrough(pi_hat, std::move(names));
+  if (!sink->HeapMode() || ctx->profile() != nullptr ||
+      !pi_hat->Defers(first)) {
+    return bridge;
+  }
+  const auto& node =
+      static_cast<const plan::PhysScanGraphTable&>(*pipeline->op_nodes[bridge]);
+  std::string var;
+  for (const auto& proj : node.projections) {
+    if (proj.output_name == first) var = proj.var;
+  }
+  int at = AfterBinder(*pipeline, bridge, var);
+  if (at < 0) return bridge;
+  // The fence op is not a plan node: its op_nodes entry stays null, which
+  // is safe because the fence is never placed in a profiled run.
+  pipeline->ops.insert(pipeline->ops.begin() + at,
+                       std::make_unique<TopKFenceOp>(sink->fence(), var));
+  pipeline->op_nodes.insert(pipeline->op_nodes.begin() + at, nullptr);
+  return bridge + 1;
+}
+
 /// Replaces the row-id columns that the deferred pi-hat at
 /// pipeline.ops[bridge] left in the sink's result with the properties they
 /// stand for, gathered for the kept rows only. The wall time is charged to
@@ -257,20 +360,8 @@ TablePtr GatherDeferred(const Pipeline& pipeline, size_t bridge,
   // the column streamed eagerly).
   std::vector<const storage::Column*> bases;
   for (const storage::ColumnDef& def : kept->schema().columns()) {
-    // The column's name at pi-hat's output: undo the renames top-down.
-    std::string name = def.name;
-    for (size_t i = pipeline.ops.size() - 1; i > bridge; --i) {
-      const PhysicalOp& node = *pipeline.op_nodes[i];
-      if (node.kind != OpKind::kProject) continue;
-      for (const auto& [from, to] :
-           static_cast<const plan::PhysProject&>(node).columns) {
-        if (to == name) {
-          name = from;
-          break;
-        }
-      }
-    }
-    bases.push_back(pi_hat.DeferredColumn(name));
+    bases.push_back(
+        pi_hat.DeferredColumn(PiHatName(pipeline, bridge, def.name)));
   }
   uint64_t gathered = static_cast<uint64_t>(
       bases.size() - std::count(bases.begin(), bases.end(), nullptr));
@@ -301,16 +392,20 @@ TablePtr GatherDeferred(const Pipeline& pipeline, size_t bridge,
 }
 
 /// Runs a pipeline into a TopKSink (ORDER BY + LIMIT, plain LIMIT or plain
-/// ORDER BY) with late materialization at the bridge.
+/// ORDER BY) with late materialization at the bridge and, for top-k, the
+/// fence pushed down to the first sort key's binder.
 Result<TablePtr> RunTopK(Pipeline* pipeline, TopKSink* sink,
                          const plan::PhysOrderBy* order,
                          ExecutionContext* ctx, TaskScheduler* scheduler) {
-  int bridge = DeferBridgeColumns(pipeline, order);
+  int deferred = DeferBridgeColumns(pipeline);
+  if (deferred < 0) return RunPipeline(pipeline, sink, scheduler, ctx);
+  auto bridge = static_cast<size_t>(deferred);
+  if (order != nullptr && !order->keys.empty()) {
+    bridge = RankSortKeys(pipeline, bridge, *order, sink, ctx);
+  }
   RELGO_ASSIGN_OR_RETURN(auto kept,
                          RunPipeline(pipeline, sink, scheduler, ctx));
-  if (bridge < 0) return kept;
-  return GatherDeferred(*pipeline, static_cast<size_t>(bridge),
-                        std::move(kept), ctx);
+  return GatherDeferred(*pipeline, bridge, std::move(kept), ctx);
 }
 
 /// Runs the streaming chain ending at `op` into a fresh materialize sink.

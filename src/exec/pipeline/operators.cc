@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <queue>
 
@@ -1162,6 +1163,122 @@ const Column* ScanGraphTableOp::DeferredColumn(
 }
 
 // ---------------------------------------------------------------------------
+// TopKFence / TopKFenceOp
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Calls `f` with the rank-space value reader of `base` (NULLs aside): the
+/// int32 code of a sorted-dictionary string, or the payload promoted
+/// through double as Value::Compare promotes it.
+template <typename F>
+void WithKeyReader(const Column& base, F&& f) {
+  switch (base.type()) {
+    case LogicalType::kString: {
+      const int32_t* codes = base.data_codes();
+      f([codes](uint64_t rid) { return static_cast<double>(codes[rid]); });
+      break;
+    }
+    case LogicalType::kInt64: {
+      const int64_t* ints = base.data_int64();
+      f([ints](uint64_t rid) { return static_cast<double>(ints[rid]); });
+      break;
+    }
+    case LogicalType::kDate: {  // GetValue boxes the 32-bit day number
+      const int64_t* ints = base.data_int64();
+      f([ints](uint64_t rid) {
+        return static_cast<double>(static_cast<int32_t>(ints[rid]));
+      });
+      break;
+    }
+    case LogicalType::kBool: {
+      const int64_t* ints = base.data_int64();
+      f([ints](uint64_t rid) { return ints[rid] != 0 ? 1.0 : 0.0; });
+      break;
+    }
+    case LogicalType::kDouble: {
+      const double* doubles = base.data_double();
+      f([doubles](uint64_t rid) { return doubles[rid]; });
+      break;
+    }
+    case LogicalType::kNull:
+      f([](uint64_t) { return -kInf; });
+      break;
+  }
+}
+
+}  // namespace
+
+void TopKFence::Arm(const Column* base, bool ascending) {
+  base_ = nullptr;
+  if (base == nullptr ||
+      (base->type() == LogicalType::kString &&
+       (base->dictionary() == nullptr || !base->dictionary()->sorted))) {
+    return;
+  }
+  base_ = base;
+  sign_ = ascending ? 1.0 : -1.0;
+  bound_.store(kInf);
+}
+
+double TopKFence::Rank(uint64_t rid) const {
+  if (!base_->is_valid(rid)) return sign_ * -kInf;
+  double key = 0.0;
+  WithKeyReader(*base_, [&](auto read) { key = read(rid); });
+  return sign_ * key;
+}
+
+void TopKFence::Tighten(double rank) {
+  double cur = bound_.load();
+  while (rank < cur && !bound_.compare_exchange_weak(cur, rank)) {
+  }
+}
+
+void TopKFence::Admit(const Column& rids, const uint64_t* rows, uint64_t n,
+                      std::vector<uint64_t>* keep) const {
+  // Any bound a worker reads, however stale, was published by a full heap
+  // and stays valid for the rest of the run.
+  const double bound = bound_.load();
+  const double sign = sign_;
+  const uint8_t* valid = base_->validity_data();
+  const double null_rank = sign * -kInf;
+  WithKeyReader(*base_, [&](auto read) {
+    for (uint64_t r = 0; r < n; ++r) {
+      uint64_t p = rows[r];
+      auto rid = static_cast<uint64_t>(rids.int_at(p));
+      double rank =
+          valid != nullptr && valid[rid] == 0 ? null_rank : sign * read(rid);
+      if (!(rank > bound)) keep->push_back(p);  // NaN ranks are kept
+    }
+  });
+}
+
+Status TopKFenceOp::Prepare(const Schema& input, ExecutionContext* ctx) {
+  (void)ctx;
+  RELGO_ASSIGN_OR_RETURN(var_col_, input.GetColumnIndex(var_));
+  output_schema_ = input;
+  return Status::OK();
+}
+
+Status TopKFenceOp::Process(const Batch& in, Cursor* cursor, Batch* out,
+                            ExecutionContext* ctx) const {
+  (void)ctx;
+  const uint64_t n = in.num_rows();
+  cursor->row = n;
+  if (!fence_->engaged()) {
+    *out = in;
+    return Status::OK();
+  }
+  std::vector<uint64_t> keep;
+  keep.reserve(n);
+  fence_->Admit(in.column(var_col_), RowMap(in), n, &keep);
+  *out = keep.size() == n ? in : in.Select(std::move(keep));
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // MaterializeSink / HashBuildSink
 // ---------------------------------------------------------------------------
 
@@ -1605,17 +1722,64 @@ struct TopKState : BatchListState {  // batches used by sort / limit modes
   uint64_t rows_seen = 0;
 };
 
+/// Three-way comparison of one sort key between two rows, signed by the
+/// key's direction; ties are the caller's to break. A deferred key
+/// (`base` non-null) holds row ids and compares `base` at them, so a
+/// sorted-dictionary string compares int32 codes (TypedColumnCompare).
+/// The overloads read boxed heap values or batch columns; all are
+/// sign-identical to Value::Compare on the key values themselves.
+int CompareKey(const plan::SortKey& key, const Column* base, const Value& a,
+               const Value& b) {
+  int c = base != nullptr
+              ? vector::TypedColumnCompare(
+                    *base, static_cast<uint64_t>(a.int_value()), *base,
+                    static_cast<uint64_t>(b.int_value()))
+              : a.Compare(b);
+  return key.ascending ? c : -c;
+}
+
+int CompareKey(const plan::SortKey& key, const Column* base, const Column& a,
+               uint64_t ar, const Value& b) {
+  int c = base != nullptr
+              ? vector::TypedColumnCompare(
+                    *base, static_cast<uint64_t>(a.int_at(ar)), *base,
+                    static_cast<uint64_t>(b.int_value()))
+              : vector::TypedColumnValueCompare(a, ar, b);
+  return key.ascending ? c : -c;
+}
+
+int CompareKey(const plan::SortKey& key, const Column* base, const Column& a,
+               uint64_t ar, const Column& b, uint64_t br) {
+  int c = base != nullptr
+              ? vector::TypedColumnCompare(
+                    *base, static_cast<uint64_t>(a.int_at(ar)), *base,
+                    static_cast<uint64_t>(b.int_at(br)))
+              : vector::TypedColumnCompare(a, ar, b, br);
+  return key.ascending ? c : -c;
+}
+
 }  // namespace
 
 Status TopKSink::Prepare(const Schema& input, ExecutionContext* ctx) {
   schema_ = input;
   key_cols_.clear();
+  key_bases_.clear();
   if (order_ != nullptr) {
-    for (const auto& k : order_->keys) {
-      RELGO_ASSIGN_OR_RETURN(size_t idx, input.GetColumnIndex(k.column));
+    for (size_t i = 0; i < order_->keys.size(); ++i) {
+      RELGO_ASSIGN_OR_RETURN(size_t idx,
+                             input.GetColumnIndex(order_->keys[i].column));
       key_cols_.push_back(idx);
+      key_bases_.push_back(pi_hat_ != nullptr && i < pi_hat_names_.size()
+                               ? pi_hat_->DeferredColumn(pi_hat_names_[i])
+                               : nullptr);
     }
   }
+  // The fence prunes rows upstream, so like early-exit it stays off while
+  // profiling: EXPLAIN ANALYZE's actual counts must stay cardinalities.
+  bool fenced = HeapMode() && limit_ > 0 && !key_bases_.empty() &&
+                ctx->profile() == nullptr;
+  fence_.Arm(fenced ? key_bases_[0] : nullptr,
+             fenced && order_->keys[0].ascending);
   // Early-exit is exact but consumes fewer upstream rows than the oracle;
   // profiled runs keep it off so per-node actual counts stay
   // engine-invariant (profile_test's parity grids).
@@ -1667,20 +1831,20 @@ Status TopKSink::Consume(SinkState* state, const Batch& in, BatchPosition pos,
   // Max-heap under the sort order: the worst kept row sits on top and
   // fences off non-qualifying candidates without materializing them.
   auto heap_cmp = [&](const HeapRow& a, const HeapRow& b) {
-    int c = CompareSortKeyValues(
-        order_->keys, [&](size_t i) { return a.vals[key_cols_[i]]; },
-        [&](size_t i) { return b.vals[key_cols_[i]]; });
-    if (c != 0) return c < 0;
+    for (size_t i = 0; i < key_cols_.size(); ++i) {
+      int c = CompareKey(order_->keys[i], key_bases_[i], a.vals[key_cols_[i]],
+                         b.vals[key_cols_[i]]);
+      if (c != 0) return c < 0;
+    }
     return std::make_pair(a.morsel, a.row) < std::make_pair(b.morsel, b.row);
   };
   // The fence test reads the incoming batch through typed spans;
-  // retained heap rows stay boxed (sign-identical to the boxed
-  // comparison, see vector::TypedColumnValueCompare).
+  // retained heap rows stay boxed.
   auto fence_cmp = [&](uint64_t r, const HeapRow& worst) {
-    for (size_t i = 0; i < order_->keys.size(); ++i) {
-      int c = vector::TypedColumnValueCompare(in.column(key_cols_[i]), r,
-                                              worst.vals[key_cols_[i]]);
-      if (c != 0) return order_->keys[i].ascending ? c : -c;
+    for (size_t i = 0; i < key_cols_.size(); ++i) {
+      int c = CompareKey(order_->keys[i], key_bases_[i],
+                         in.column(key_cols_[i]), r, worst.vals[key_cols_[i]]);
+      if (c != 0) return c;
     }
     return 0;
   };
@@ -1705,6 +1869,10 @@ Status TopKSink::Consume(SinkState* state, const Batch& in, BatchPosition pos,
     candidate.row = pos.offset + r;
     heap.push_back(std::move(candidate));
     std::push_heap(heap.begin(), heap.end(), heap_cmp);
+  }
+  if (fence_.armed() && heap.size() == k) {
+    fence_.Tighten(fence_.Rank(
+        static_cast<uint64_t>(heap.front().vals[key_cols_[0]].int_value())));
   }
   return Status::OK();
 }
@@ -1731,11 +1899,12 @@ Result<TablePtr> TopKSink::Finish(
     }
     std::sort(candidates.begin(), candidates.end(),
               [&](const HeapRow& a, const HeapRow& b) {
-                int c = CompareSortKeyValues(
-                    order_->keys,
-                    [&](size_t i) { return a.vals[key_cols_[i]]; },
-                    [&](size_t i) { return b.vals[key_cols_[i]]; });
-                if (c != 0) return c < 0;
+                for (size_t i = 0; i < key_cols_.size(); ++i) {
+                  int c = CompareKey(order_->keys[i], key_bases_[i],
+                                     a.vals[key_cols_[i]],
+                                     b.vals[key_cols_[i]]);
+                  if (c != 0) return c < 0;
+                }
                 return std::make_pair(a.morsel, a.row) <
                        std::make_pair(b.morsel, b.row);
               });
@@ -1766,11 +1935,11 @@ Result<TablePtr> TopKSink::Finish(
     // spans (string keys sharing a sorted dictionary compare int32 codes)
     // instead of boxing two Values each.
     auto before = [&](uint64_t i, uint64_t j) {
-      for (size_t k = 0; k < order_->keys.size(); ++k) {
-        int c = vector::TypedColumnCompare(
-            refs[i].batch->column(key_cols_[k]), refs[i].row,
-            refs[j].batch->column(key_cols_[k]), refs[j].row);
-        if (c != 0) return order_->keys[k].ascending ? c < 0 : c > 0;
+      for (size_t k = 0; k < key_cols_.size(); ++k) {
+        int c = CompareKey(order_->keys[k], key_bases_[k],
+                           refs[i].batch->column(key_cols_[k]), refs[i].row,
+                           refs[j].batch->column(key_cols_[k]), refs[j].row);
+        if (c != 0) return c < 0;
       }
       return i < j;
     };

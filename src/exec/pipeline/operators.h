@@ -2,6 +2,7 @@
 #define RELGO_EXEC_PIPELINE_OPERATORS_H_
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -342,6 +343,11 @@ class ScanGraphTableOp : public StreamingOp {
   Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
+  /// True when `output` streams as a row id (named in Defer()).
+  bool Defers(const std::string& output) const {
+    return deferred_.count(output) > 0;
+  }
+
   /// The base-table column a deferred output reads, or null when `output`
   /// is not deferred. Valid after Prepare, for this operator's lifetime.
   const storage::Column* DeferredColumn(const std::string& output) const;
@@ -357,6 +363,73 @@ class ScanGraphTableOp : public StreamingOp {
   std::set<std::string> deferred_;
   std::vector<Source> sources_;
   bool gathers_ = false;  // some source reads a property eagerly
+};
+
+/// The running k-th first sort key of a TOP_K sink, shared with the
+/// TopKFenceOp that prunes rows as soon as the key's variable is bound.
+///
+/// Keys live in rank space, where smaller is better: a NULL ranks as
+/// -inf (Value::Compare orders it first), a string as its sorted-dictionary
+/// code, a number, date or bool as its payload promoted through double
+/// (Value::Compare's promotion), and DESC negates. The mapping is monotone
+/// under Value::Compare, so a row whose rank is strictly above the bound is
+/// strictly worse than the k rows that published it. Ties (and NaN, which
+/// compares with nothing) are always kept, so the sink's (morsel,
+/// offset + row) tie-break still decides the cut.
+///
+/// The bound starts at +inf and only tightens, through a CAS; any worker's
+/// bound is valid for every row, since a row worse than one worker's k-th
+/// key cannot be among the global top k.
+class TopKFence {
+ public:
+  /// Binds the fence to the base column the first key reads at its row
+  /// ids, or turns it off when `base` is null. Also leaves it off when no
+  /// order-preserving rank exists: a string column without a sorted
+  /// dictionary (appends of novel strings may clear the flag).
+  /// Single-threaded, before any Process.
+  void Arm(const storage::Column* base, bool ascending);
+  bool armed() const { return base_ != nullptr; }
+  /// True once some full heap published a bound: before that, every row
+  /// is admitted.
+  bool engaged() const {
+    return base_ != nullptr &&
+           bound_.load() < std::numeric_limits<double>::infinity();
+  }
+
+  /// Rank of base row `rid`.
+  double Rank(uint64_t rid) const;
+  /// Lowers the bound to `rank` unless it is already at or below it.
+  void Tighten(double rank);
+
+  /// Appends to `keep` the physical rows rows[0..n) whose row id in
+  /// `rids` ranks at or below the bound.
+  void Admit(const storage::Column& rids, const uint64_t* rows, uint64_t n,
+             std::vector<uint64_t>* keep) const;
+
+ private:
+  const storage::Column* base_ = nullptr;
+  double sign_ = 1.0;  ///< -1 for DESC
+  std::atomic<double> bound_{0.0};
+};
+
+/// TOP_K fence pushdown: narrows the selection to the rows whose first
+/// sort key, read through the binding column of `var`, is not strictly
+/// worse than the sink's running k-th key. The engine places it right
+/// after the operator that binds `var`, for one execution; it is not a
+/// plan node and charges no rows (it only removes work the reference
+/// interpreter does). Passes its input through until the fence engages.
+class TopKFenceOp : public StreamingOp {
+ public:
+  TopKFenceOp(const TopKFence* fence, std::string var)
+      : fence_(fence), var_(std::move(var)) {}
+  Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
+  Status Process(const Batch& in, Cursor* cursor, Batch* out,
+                 ExecutionContext* ctx) const override;
+
+ private:
+  const TopKFence* fence_;
+  std::string var_;
+  size_t var_col_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -514,6 +587,14 @@ class HashBuildSink : public Sink {
 /// sequence (see BatchPosition), which equals the sequential scan order —
 /// so the selected rows and their order match the reference interpreter's
 /// stable sort exactly, independent of thread count.
+///
+/// Sort keys read through row ids: a key that a deferred pi-hat streams
+/// as a row id (see RankKeysThrough) compares the base column at that row
+/// id — a sorted-dictionary string as its int32 code, a number or date by
+/// its payload — in the heap fence, the heap order, the Finish sort and
+/// the full ORDER BY merge alike. In TOP_K mode, unprofiled, a deferred
+/// first key also arms fence(): each worker whose heap is full publishes
+/// its worst first key there after every batch.
 class TopKSink : public Sink {
  public:
   /// `order` may be null (plain LIMIT); `limit_node` may be null (plain
@@ -521,6 +602,23 @@ class TopKSink : public Sink {
   TopKSink(const plan::PhysOrderBy* order, const plan::PhysLimit* limit_node,
            int64_t limit)
       : order_(order), limit_node_(limit_node), limit_(limit) {}
+
+  /// Sort key i streams from `pi_hat` as the row id of its output
+  /// `pi_hat_names[i]` when pi-hat defers that output; Prepare resolves
+  /// the base columns. Call before Prepare.
+  void RankKeysThrough(const ScanGraphTableOp* pi_hat,
+                       std::vector<std::string> pi_hat_names) {
+    pi_hat_ = pi_hat;
+    pi_hat_names_ = std::move(pi_hat_names);
+  }
+  /// True when this sink keeps bounded per-worker heaps (ORDER BY + a
+  /// LIMIT of at most kMaxHeapLimit rows), the mode that can fence.
+  bool HeapMode() const {
+    return order_ != nullptr && limit_ >= 0 && limit_ <= kMaxHeapLimit;
+  }
+  /// The running k-th first key; armed by Prepare (see class comment).
+  const TopKFence* fence() const { return &fence_; }
+
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
   std::unique_ptr<SinkState> MakeState() const override;
   Status Consume(SinkState* state, const Batch& in, BatchPosition pos,
@@ -554,15 +652,16 @@ class TopKSink : public Sink {
   /// than collecting batches; fall back to sort-then-truncate.
   static constexpr int64_t kMaxHeapLimit = 1 << 14;
 
-  bool HeapMode() const {
-    return order_ != nullptr && limit_ >= 0 && limit_ <= kMaxHeapLimit;
-  }
-
   const plan::PhysOrderBy* order_;
   const plan::PhysLimit* limit_node_;
   int64_t limit_;
   storage::Schema schema_;
   std::vector<size_t> key_cols_;
+  /// Per key, the base column its row ids index; null for an eager key.
+  std::vector<const storage::Column*> key_bases_;
+  const ScanGraphTableOp* pi_hat_ = nullptr;
+  std::vector<std::string> pi_hat_names_;
+  mutable TopKFence fence_;  // workers tighten it from Consume
   bool early_exit_ = false;  // plain LIMIT, profiling off
 
   // Completed-morsel frontier (early-exit mode only): morsels [0,

@@ -258,8 +258,9 @@ Status DriveMorsel(const Pipeline& pipeline, Sink* sink, SinkState* state,
   while (true) {
     if (d == nops) {
       Batch& batch = lv[d].batch;
-      if (batch.has_selection()) batch = batch.Flatten();
+      // Sinks take flat batches; the flatten is the sink's self time.
       if constexpr (kProfiled) timer.Restart();
+      if (batch.has_selection()) batch = batch.Flatten();
       RELGO_RETURN_NOT_OK(
           sink->Consume(state, batch, BatchPosition{morsel, offset}, ctx));
       if constexpr (kProfiled) {

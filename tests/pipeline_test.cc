@@ -509,7 +509,8 @@ class LateMaterializationTest : public ::testing::Test {
                           ColumnDef{"name", LogicalType::kString},
                           ColumnDef{"nick", LogicalType::kString},
                           ColumnDef{"age", LogicalType::kInt64},
-                          ColumnDef{"score", LogicalType::kDouble}}));
+                          ColumnDef{"score", LogicalType::kDouble},
+                          ColumnDef{"born", LogicalType::kDate}}));
     ASSERT_TRUE(person.ok());
     auto knows = db_.CreateTable(
         "Knows", Schema({ColumnDef{"knows_id", LogicalType::kInt64},
@@ -520,10 +521,12 @@ class LateMaterializationTest : public ::testing::Test {
       Value nick = i % 3 == 0 ? Value::Null()
                               : Value::String("nick" + std::to_string(i % 50));
       Value score = i % 5 == 0 ? Value::Null() : Value::Double(0.5 * i);
+      Value born = i % 7 == 0 ? Value::Null()
+                              : Value::Date(static_cast<int32_t>(i % 400));
       ASSERT_TRUE((*person)
                       ->AppendRow({Value::Int(i),
                                    Value::String("n" + std::to_string(i)),
-                                   nick, Value::Int(i % 10), score})
+                                   nick, Value::Int(i % 10), score, born})
                       .ok());
       for (int64_t step : {1, 7}) {
         ASSERT_TRUE((*knows)
@@ -581,11 +584,11 @@ class LateMaterializationTest : public ::testing::Test {
 
   /// Runs `op` through the reference interpreter and the pipeline engine
   /// (1 and 4 threads) and asserts identical rows in identical order, with
-  /// identical column names and types, and the same row-budget charge
-  /// unless a plain LIMIT's early exit skips upstream rows. Returns the
-  /// oracle's result.
-  storage::TablePtr ExpectExactParity(const plan::PhysicalOp& op,
-                                      bool early_exit = false) {
+  /// identical column names and types. The row-budget charge may only fall
+  /// below the oracle's where the top-k fence or a plain LIMIT's early exit
+  /// skips upstream rows; a profiled run, where both are off, charges
+  /// exactly the oracle's. Returns the oracle's result.
+  storage::TablePtr ExpectExactParity(const plan::PhysicalOp& op) {
     ExecutionContext oracle_ctx(&db_.catalog(), &db_.mapping(), &db_.index());
     auto expected = Executor::Run(op, &oracle_ctx);
     EXPECT_TRUE(expected.ok()) << expected.status().ToString();
@@ -604,12 +607,38 @@ class LateMaterializationTest : public ::testing::Test {
       EXPECT_EQ((*actual)->schema().ToString(),
                 (*expected)->schema().ToString())
           << "threads=" << threads;
-      if (!early_exit) {
-        EXPECT_EQ(ctx.rows_produced(), oracle_ctx.rows_produced())
-            << "threads=" << threads;
-      }
+      EXPECT_LE(ctx.rows_produced(), oracle_ctx.rows_produced())
+          << "threads=" << threads;
     }
+    EXPECT_EQ(ProfiledCharge(op), oracle_ctx.rows_produced());
     return *expected;
+  }
+
+  /// Row-budget charges of the reference interpreter and of an unprofiled
+  /// pipeline run at `threads` workers: the pipeline's falls below the
+  /// oracle's exactly when something skipped upstream rows.
+  std::pair<uint64_t, uint64_t> Charges(const plan::PhysicalOp& op,
+                                        int threads) {
+    ExecutionContext oracle_ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+    EXPECT_TRUE(Executor::Run(op, &oracle_ctx).ok());
+    ExecutionOptions options;
+    options.num_threads = threads;
+    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                         options);
+    EXPECT_TRUE(exec::pipeline::Run(op, &ctx).ok());
+    return {oracle_ctx.rows_produced(), ctx.rows_produced()};
+  }
+
+  /// The row-budget charge of a profiled 1-thread pipeline run.
+  uint64_t ProfiledCharge(const plan::PhysicalOp& op) {
+    exec::QueryProfile profile;
+    ExecutionOptions options;
+    options.num_threads = 1;
+    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                         options);
+    ctx.EnableProfiling(&profile);
+    EXPECT_TRUE(exec::pipeline::Run(op, &ctx).ok());
+    return ctx.rows_produced();
   }
 
   /// Runs `op` on the pipeline engine with profiling on and returns the
@@ -643,11 +672,11 @@ TEST_F(LateMaterializationTest, TiesAtLimitCutDecidedByDeferredColumns) {
   }
   EXPECT_GT(names.size(), 1u) << "the tie must be decided by other columns";
 
-  // The deferral actually happens: four properties (all but the sort key)
-  // are gathered for the 25 kept rows only.
+  // The deferral actually happens: all five properties, the sort key
+  // included, are gathered for the 25 kept rows only.
   exec::QueryProfile profile = Profile(*plan);
   EXPECT_EQ(profile.late_gathers(), 1u);
-  EXPECT_EQ(profile.late_gather_cols(), 4u);
+  EXPECT_EQ(profile.late_gather_cols(), 5u);
   EXPECT_EQ(profile.late_gather_rows(), 25u);
 }
 
@@ -664,7 +693,8 @@ TEST_F(LateMaterializationTest, NullsInDeferredProperty) {
   }
   EXPECT_GT(null_nicks, 0u);
   EXPECT_GT(null_scores, 0u);
-  EXPECT_EQ(Profile(*plan).late_gather_cols(), 3u);  // q.name/nick/score
+  // q.name/nick/score and both sort keys
+  EXPECT_EQ(Profile(*plan).late_gather_cols(), 5u);
 }
 
 TEST_F(LateMaterializationTest, FilterAboveBridgeKeepsItsInputEager) {
@@ -677,13 +707,15 @@ TEST_F(LateMaterializationTest, FilterAboveBridgeKeepsItsInputEager) {
   auto expected = ExpectExactParity(*plan);
   ASSERT_NE(expected, nullptr);
   EXPECT_EQ(expected->num_rows(), 15u);
-  EXPECT_EQ(Profile(*plan).late_gather_cols(), 3u);  // p.name, q.name, q.score
+  // p.age (the sort key), p.name, q.name, q.score
+  EXPECT_EQ(Profile(*plan).late_gather_cols(), 4u);
 }
 
 TEST_F(LateMaterializationTest, ProjectRenamesDeferredColumns) {
   // A filter above the projection reads a renamed column (kept eager
-  // through the rename); the renamed q.name / q.score are deferred and
-  // gathered under their new names; q.nick is projected away.
+  // through the rename); the renamed q.name / q.score and the sort key
+  // age are deferred and gathered under their new names; q.nick is
+  // projected away.
   auto project = std::make_unique<plan::PhysProject>();
   project->columns = {{"q.name", "friend"},
                       {"p.age", "age"},
@@ -698,14 +730,15 @@ TEST_F(LateMaterializationTest, ProjectRenamesDeferredColumns) {
   ASSERT_NE(expected, nullptr);
   EXPECT_EQ(expected->schema().column(0).type, LogicalType::kString);
   EXPECT_EQ(expected->schema().column(2).type, LogicalType::kDouble);
-  EXPECT_EQ(Profile(*plan).late_gather_cols(), 2u);  // friend, friend_score
+  // friend, age (the sort key), friend_score
+  EXPECT_EQ(Profile(*plan).late_gather_cols(), 3u);
 }
 
 TEST_F(LateMaterializationTest, PlainLimitAndPlainOrderBy) {
   // Plain LIMIT (first k in morsel order, early exit when not profiled)
   // defers every property; plain ORDER BY gathers for all sorted rows.
   auto limited = OrderLimit(Bridge(), {}, 30);
-  ExpectExactParity(*limited, /*early_exit=*/true);
+  ExpectExactParity(*limited);
   EXPECT_EQ(Profile(*limited).late_gather_cols(), 5u);
 
   auto filter = std::make_unique<plan::PhysFilter>();
@@ -717,7 +750,8 @@ TEST_F(LateMaterializationTest, PlainLimitAndPlainOrderBy) {
   auto expected = ExpectExactParity(*sorted);
   ASSERT_NE(expected, nullptr);
   exec::QueryProfile profile = Profile(*sorted);
-  EXPECT_EQ(profile.late_gather_cols(), 3u);  // p.name, q.name, q.score
+  // p.name, q.name, q.nick (the sort key), q.score
+  EXPECT_EQ(profile.late_gather_cols(), 4u);
   EXPECT_EQ(profile.late_gather_rows(), expected->num_rows());
 }
 
@@ -734,6 +768,142 @@ TEST_F(LateMaterializationTest, OtherOperatorAboveBridgeDefersNothing) {
   auto plan = OrderLimit(std::move(ne), {{"p.age", true}}, 10);
   ExpectExactParity(*plan);
   EXPECT_EQ(Profile(*plan).late_gathers(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The top-k fence: the sink's running k-th first key, pushed down to the
+// operator that binds the key's variable (the source binds p, the EXPAND
+// binds q)
+// ---------------------------------------------------------------------------
+
+TEST_F(LateMaterializationTest, FenceKeepsTiesOnTheFirstKeyAtTheCut) {
+  // q.age = q mod 10: a tenth of the 12.6k binding rows tie at age 0, far
+  // more than k. The fence stops at age 0 and keeps every tied row, so the
+  // (morsel, offset + row) tie-break still picks the first 25.
+  auto plan = OrderLimit(Bridge(), {{"q.age", true}}, 25);
+  auto sgt = static_cast<plan::PhysScanGraphTable*>(
+      plan->children[0]->children[0].get());
+  sgt->projections.push_back({"q", "age", "q.age"});
+  auto expected = ExpectExactParity(*plan);
+  ASSERT_NE(expected, nullptr);
+  for (uint64_t r = 0; r < expected->num_rows(); ++r) {
+    EXPECT_EQ(expected->GetValue(r, 5), Value::Int(0));
+  }
+  auto [oracle, fenced] = Charges(*plan, 1);
+  EXPECT_LT(fenced, oracle) << "the fence must prune the later batches";
+}
+
+TEST_F(LateMaterializationTest, FenceOrdersNullKeysAsValueCompare) {
+  // NULLs sort first: ascending, the NULL nicks and scores fill the cut
+  // and everything else is fenced off; descending, the NULLs are the
+  // worst keys and are fenced off once a heap is full. The second key of
+  // the first case, q.score DESC, grows with q, so its winners are NULL
+  // nicks of the last morsel, which must pass the fence at its NULL bound.
+  const std::vector<std::vector<plan::SortKey>> cases = {
+      {{"q.nick", true}, {"q.score", false}},
+      {{"q.nick", false}},
+      {{"q.score", true}},
+      {{"q.score", false}}};
+  for (const auto& keys : cases) {
+    const plan::SortKey& first = keys[0];
+    SCOPED_TRACE(first.column + (first.ascending ? " ASC" : " DESC"));
+    auto plan = OrderLimit(Bridge(), keys, 30);
+    auto expected = ExpectExactParity(*plan);
+    ASSERT_NE(expected, nullptr);
+    int col = expected->schema().FindColumn(first.column);
+    for (uint64_t r = 0; r < expected->num_rows(); ++r) {
+      EXPECT_EQ(expected->GetValue(r, col).is_null(), first.ascending);
+    }
+    auto [oracle, fenced] = Charges(*plan, 1);
+    EXPECT_LT(fenced, oracle);
+  }
+}
+
+TEST_F(LateMaterializationTest, FenceOnTwoKeysWhoseFirstKeyTies) {
+  // The fence reads only the first key (p.age, 10 values, bound by the
+  // source), so it settles at age 0 after the first batch. The second key,
+  // q.score DESC, grows with q: the winners are age-0 rows of the last
+  // morsel, which only pass because the fence keeps ties on its key.
+  auto plan =
+      OrderLimit(Bridge(), {{"p.age", true}, {"q.score", false}}, 40);
+  auto expected = ExpectExactParity(*plan);
+  ASSERT_NE(expected, nullptr);
+  ASSERT_EQ(expected->num_rows(), 40u);
+  for (uint64_t r = 0; r < expected->num_rows(); ++r) {
+    EXPECT_EQ(expected->GetValue(r, 0), Value::Int(0));
+    if (r > 0) {
+      EXPECT_GE(expected->GetValue(r - 1, 4).Compare(expected->GetValue(r, 4)),
+                0);
+    }
+  }
+  EXPECT_GT(expected->GetValue(0, 4).double_value(),
+            0.5 * 3 * exec::pipeline::kBatchRows);
+  auto [oracle, fenced] = Charges(*plan, 1);
+  EXPECT_LT(fenced, oracle);
+}
+
+TEST_F(LateMaterializationTest, FenceOnADateKeyDescending) {
+  // q.born: a date with NULLs and ~30 rows per day, read through row ids
+  // and fenced as its day number.
+  auto plan = OrderLimit(Bridge(), {{"q.born", false}}, 20);
+  auto sgt = static_cast<plan::PhysScanGraphTable*>(
+      plan->children[0]->children[0].get());
+  sgt->projections.push_back({"q", "born", "q.born"});
+  auto expected = ExpectExactParity(*plan);
+  ASSERT_NE(expected, nullptr);
+  EXPECT_EQ(expected->schema().column(5).type, LogicalType::kDate);
+  EXPECT_EQ(expected->GetValue(0, 5), Value::Date(399));
+  EXPECT_EQ(Profile(*plan).late_gather_cols(), 6u);
+  auto [oracle, fenced] = Charges(*plan, 1);
+  EXPECT_LT(fenced, oracle);
+}
+
+TEST_F(LateMaterializationTest, UnsortedDictionaryGetsNoFence) {
+  // ORDER BY q.name is fenced while Person.name's dictionary is sorted.
+  // Appending a novel name below the current maximum clears the sorted
+  // flag: the key is still read through row ids and compared as strings,
+  // but no fence runs, so the charge matches the oracle's again.
+  auto plan = OrderLimit(Bridge(), {{"q.name", true}}, 20);
+  auto [oracle_sorted, fenced] = Charges(*plan, 1);
+  EXPECT_LT(fenced, oracle_sorted);
+
+  auto person = db_.catalog().GetTable("Person");
+  ASSERT_TRUE(person.ok());
+  ASSERT_TRUE((*person)
+                  ->AppendRow({Value::Int(kPeople), Value::String("m-late"),
+                               Value::Null(), Value::Int(0), Value::Null(),
+                               Value::Null()})
+                  .ok());
+  const Column* name = (*person)->FindColumn("name");
+  ASSERT_NE(name->dictionary(), nullptr);
+  ASSERT_FALSE(name->dictionary()->sorted);
+  ExpectExactParity(*plan);
+  auto [oracle, unfenced] = Charges(*plan, 1);
+  EXPECT_EQ(unfenced, oracle);
+}
+
+TEST_F(LateMaterializationTest, FourWorkersShareTheFenceOverManyMorsels) {
+  // p is bound by the ScanVertex source, whose morsels the 4 workers
+  // claim concurrently: each fences the others' rows with its own k-th
+  // key. The rows must still match the reference one by one.
+  for (const plan::SortKey& key :
+       {plan::SortKey{"p.name", true}, plan::SortKey{"p.name", false},
+        plan::SortKey{"q.score", false}}) {
+    SCOPED_TRACE(key.column + (key.ascending ? " ASC" : " DESC"));
+    auto plan = OrderLimit(Bridge(), {key}, 50);
+    auto expected = ExpectExactParity(*plan);
+    ASSERT_NE(expected, nullptr);
+    for (int run = 0; run < 8; ++run) {
+      ExecutionOptions options;
+      options.num_threads = 4;
+      ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                           options);
+      auto actual = exec::pipeline::Run(*plan, &ctx);
+      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+      EXPECT_EQ(testing::ExactRows(**actual), testing::ExactRows(*expected))
+          << "run " << run;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -859,11 +1029,12 @@ class BoundedBatchTest : public ::testing::Test {
   }
 
   /// Row-for-row parity with the reference interpreter at 1 and 4 threads
-  /// (rows, order, schema and, unless a plain LIMIT exits early, the row
-  /// budget), then a profiled run asserting that no source, operator or
-  /// sink call handled more than kBatchRows rows. Returns the oracle rows.
-  std::vector<std::string> ExpectBoundedParity(const plan::PhysicalOp& op,
-                                               bool early_exit = false) {
+  /// (rows, order, schema, and a row-budget charge at most the oracle's:
+  /// the top-k fence and a plain LIMIT's early exit skip upstream rows),
+  /// then a profiled run, where both are off, asserting the oracle's exact
+  /// charge and that no source, operator or sink call handled more than
+  /// kBatchRows rows. Returns the oracle rows.
+  std::vector<std::string> ExpectBoundedParity(const plan::PhysicalOp& op) {
     ExecutionContext oracle_ctx(&db_.catalog(), &db_.mapping(), &db_.index());
     auto expected = Executor::Run(op, &oracle_ctx);
     EXPECT_TRUE(expected.ok()) << expected.status().ToString();
@@ -882,10 +1053,8 @@ class BoundedBatchTest : public ::testing::Test {
       EXPECT_EQ((*actual)->schema().ToString(),
                 (*expected)->schema().ToString())
           << "threads=" << threads;
-      if (!early_exit) {
-        EXPECT_EQ(ctx.rows_produced(), oracle_ctx.rows_produced())
-            << "threads=" << threads;
-      }
+      EXPECT_LE(ctx.rows_produced(), oracle_ctx.rows_produced())
+          << "threads=" << threads;
     }
 
     exec::QueryProfile profile;
@@ -895,6 +1064,7 @@ class BoundedBatchTest : public ::testing::Test {
                          options);
     ctx.EnableProfiling(&profile);
     EXPECT_TRUE(exec::pipeline::Run(op, &ctx).ok());
+    EXPECT_EQ(ctx.rows_produced(), oracle_ctx.rows_produced());
     std::vector<const plan::PhysicalOp*> stack = {&op};
     while (!stack.empty()) {
       const plan::PhysicalOp* node = stack.back();
@@ -1083,7 +1253,7 @@ TEST_F(BoundedBatchTest, PlainLimitAcrossSubBatches) {
     auto plan = OrderLimit(Bridge(Expand(Person("p", 0), knows_, "p", "q"),
                                   {{"q", "name"}}),
                            {}, limit);
-    EXPECT_EQ(ExpectBoundedParity(*plan, /*early_exit=*/true).size(),
+    EXPECT_EQ(ExpectBoundedParity(*plan).size(),
               static_cast<size_t>(limit));
   }
 }
@@ -1091,7 +1261,7 @@ TEST_F(BoundedBatchTest, PlainLimitAcrossSubBatches) {
 TEST_F(BoundedBatchTest, NotEqualExpandBridgeWithDeferredColumns) {
   // NOT_EQUAL and VERTEX_FILTER narrow selection vectors, the EXPAND above
   // folds the selection into its gather, and pi-hat defers the names the
-  // FILTER and the sort do not read.
+  // FILTER does not read.
   auto build = [&](std::vector<plan::SortKey> keys, int64_t limit) {
     auto hop = Expand(Expand(Person("p", 0), knows_, "p", "q"), follows_,
                       "q", "r");
@@ -1116,7 +1286,7 @@ TEST_F(BoundedBatchTest, NotEqualExpandBridgeWithDeferredColumns) {
     return OrderLimit(std::move(filter), std::move(keys), limit);
   };
   ExpectBoundedParity(*build({{"s.age", true}}, 25));
-  ExpectBoundedParity(*build({}, 3000), /*early_exit=*/true);
+  ExpectBoundedParity(*build({}, 3000));
   ExpectBoundedParity(*build({}, -1));
 }
 
