@@ -610,7 +610,9 @@ class LateMaterializationTest : public ::testing::Test {
       EXPECT_LE(ctx.rows_produced(), oracle_ctx.rows_produced())
           << "threads=" << threads;
     }
-    EXPECT_EQ(ProfiledCharge(op), oracle_ctx.rows_produced());
+    uint64_t profiled_charge = 0;
+    Profile(op, &profiled_charge);
+    EXPECT_EQ(profiled_charge, oracle_ctx.rows_produced());
     return *expected;
   }
 
@@ -629,21 +631,11 @@ class LateMaterializationTest : public ::testing::Test {
     return {oracle_ctx.rows_produced(), ctx.rows_produced()};
   }
 
-  /// The row-budget charge of a profiled 1-thread pipeline run.
-  uint64_t ProfiledCharge(const plan::PhysicalOp& op) {
-    exec::QueryProfile profile;
-    ExecutionOptions options;
-    options.num_threads = 1;
-    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
-                         options);
-    ctx.EnableProfiling(&profile);
-    EXPECT_TRUE(exec::pipeline::Run(op, &ctx).ok());
-    return ctx.rows_produced();
-  }
-
   /// Runs `op` on the pipeline engine with profiling on and returns the
-  /// profile (late-gather accounting).
-  exec::QueryProfile Profile(const plan::PhysicalOp& op) {
+  /// profile (late-gather accounting); `charged`, when set, receives the
+  /// run's row-budget charge.
+  exec::QueryProfile Profile(const plan::PhysicalOp& op,
+                             uint64_t* charged = nullptr) {
     exec::QueryProfile profile;
     ExecutionOptions options;
     options.num_threads = 1;
@@ -651,6 +643,7 @@ class LateMaterializationTest : public ::testing::Test {
                          options);
     ctx.EnableProfiling(&profile);
     EXPECT_TRUE(exec::pipeline::Run(op, &ctx).ok());
+    if (charged != nullptr) *charged = ctx.rows_produced();
     return profile;
   }
 
