@@ -286,8 +286,7 @@ int AfterBinder(const Pipeline& pipeline, size_t bridge,
         binds = static_cast<const plan::PhysGetVertex&>(node).to_var == var;
         break;
       case OpKind::kExpandEdge:
-        binds =
-            static_cast<const plan::PhysExpandEdge&>(node).edge_var == var;
+        binds = static_cast<const plan::PhysExpandEdge&>(node).edge_var == var;
         break;
       case OpKind::kExpandIntersect: {
         const auto& op = static_cast<const plan::PhysExpandIntersect&>(node);
@@ -297,8 +296,7 @@ int AfterBinder(const Pipeline& pipeline, size_t bridge,
         break;
       }
       case OpKind::kEdgeVerify:
-        binds =
-            static_cast<const plan::PhysEdgeVerify&>(node).edge_var == var;
+        binds = static_cast<const plan::PhysEdgeVerify&>(node).edge_var == var;
         break;
       default:
         break;

@@ -817,8 +817,7 @@ TEST_F(LateMaterializationTest, FenceOnTwoKeysWhoseFirstKeyTies) {
   // source), so it settles at age 0 after the first batch. The second key,
   // q.score DESC, grows with q: the winners are age-0 rows of the last
   // morsel, which only pass because the fence keeps ties on its key.
-  auto plan =
-      OrderLimit(Bridge(), {{"p.age", true}, {"q.score", false}}, 40);
+  auto plan = OrderLimit(Bridge(), {{"p.age", true}, {"q.score", false}}, 40);
   auto expected = ExpectExactParity(*plan);
   ASSERT_NE(expected, nullptr);
   ASSERT_EQ(expected->num_rows(), 40u);
