@@ -30,9 +30,11 @@
 namespace relgo {
 namespace {
 
-// The perfbench `ldbc` pool (perfbench/driver.cc): dataset scale, the
-// popularity ranks of the bound first names, and the name in the
-// templates that marks the slots to rebind.
+// The perfbench `ldbc` pool: dataset scale, the popularity ranks of the
+// bound first names, and the name in the templates that marks the slots
+// to rebind. These constants and Pool() are a copy of LdbcPool,
+// kLdbcNameRanks and kLdbcTemplateName in perfbench/driver.cc; nothing
+// checks that the two agree, so change both together.
 constexpr double kScale = 0.3;
 constexpr size_t kNameRanks[] = {10, 15, 20, 25, 30, 35};
 constexpr const char* kTemplateName = "Jose";

@@ -188,21 +188,29 @@ Result<Pipeline> BuildPipeline(const PhysicalOp& op, ExecutionContext* ctx,
 // A pipeline ending in a TopKSink keeps at most k of its rows (or only
 // reorders them), so a property that nothing reads before the sink is
 // wasted work for every row the sink drops. DeferBridgeColumns has pi-hat
-// stream the binding row id for each such property, sort keys included;
-// the sink ranks a deferred key through its row id (RankSortKeys), and
-// GatherDeferred reads the properties from the base tables for the kept
-// rows after Finish. All of it acts on this execution's operator instances
-// only: the plan, the plan cache and the reference interpreter never see
-// the deferral or the fence.
+// stream the binding row id for each such property, and GatherDeferred
+// reads the properties from the base tables for the kept rows after
+// Finish. A top-k sink's sort keys are deferred too: it ranks them through
+// their row ids (RankSortKeys), and its running k-th key fences rows off
+// upstream. A full sort keeps its keys eager, since its merge compares
+// every key O(log n) times and random row-id reads would cost more than
+// gathering each key once. All of it acts on this execution's operator
+// instances only: the plan, the plan cache and the reference interpreter
+// never see the deferral or the fence.
 
 /// Defers every projected property of the pipeline's SCAN_GRAPH_TABLE that
-/// no operator between pi-hat and the sink reads (filter inputs, followed
-/// through PhysProject renames); the sink reads its sort keys through row
-/// ids. Only Project and Filter may sit between the two; any other
-/// operator, or no pi-hat at all, defers nothing. Returns the pi-hat's
-/// index in pipeline->ops, or -1 when nothing was deferred.
-int DeferBridgeColumns(Pipeline* pipeline) {
+/// neither `eager_keys` (null when the sink reads its sort keys through
+/// row ids) nor an operator between pi-hat and the sink reads (filter
+/// inputs, followed through PhysProject renames). Only Project and Filter
+/// may sit between the two; any other operator, or no pi-hat at all,
+/// defers nothing. Returns the pi-hat's index in pipeline->ops, or -1 when
+/// nothing was deferred.
+int DeferBridgeColumns(Pipeline* pipeline,
+                       const plan::PhysOrderBy* eager_keys) {
   std::set<std::string> read;  // names read above the current operator
+  if (eager_keys != nullptr) {
+    for (const auto& key : eager_keys->keys) read.insert(key.column);
+  }
   for (size_t i = pipeline->ops.size(); i-- > 0;) {
     const PhysicalOp& node = *pipeline->op_nodes[i];
     switch (node.kind) {
@@ -306,13 +314,11 @@ int AfterBinder(const Pipeline& pipeline, size_t bridge,
   return -1;
 }
 
-/// Lets `sink` rank the sort keys that the deferred pi-hat at
-/// pipeline->ops[bridge] streams as row ids, and, when the sink keeps
-/// top-k heaps and the run is not profiled, places a TopKFenceOp on the
-/// sink's fence right after the operator that binds the first key's
-/// variable (the fence arms itself in the sink's Prepare, or stays off for
-/// an unsorted string dictionary). Returns pi-hat's index after the
-/// placement.
+/// Lets the top-k `sink` rank the sort keys that the deferred pi-hat at
+/// pipeline->ops[bridge] streams as row ids, and, when the run is not
+/// profiled, places a TopKFenceOp on the sink's fence right after the
+/// operator that binds the first key's variable (the fence arms itself in
+/// the sink's Prepare). Returns pi-hat's index after the placement.
 size_t RankSortKeys(Pipeline* pipeline, size_t bridge,
                     const plan::PhysOrderBy& order, TopKSink* sink,
                     ExecutionContext* ctx) {
@@ -324,10 +330,7 @@ size_t RankSortKeys(Pipeline* pipeline, size_t bridge,
   }
   std::string first = names[0];
   sink->RankKeysThrough(pi_hat, std::move(names));
-  if (!sink->HeapMode() || ctx->profile() != nullptr ||
-      !pi_hat->Defers(first)) {
-    return bridge;
-  }
+  if (ctx->profile() != nullptr || !pi_hat->Defers(first)) return bridge;
   const auto& node =
       static_cast<const plan::PhysScanGraphTable&>(*pipeline->op_nodes[bridge]);
   std::string var;
@@ -395,10 +398,11 @@ TablePtr GatherDeferred(const Pipeline& pipeline, size_t bridge,
 Result<TablePtr> RunTopK(Pipeline* pipeline, TopKSink* sink,
                          const plan::PhysOrderBy* order,
                          ExecutionContext* ctx, TaskScheduler* scheduler) {
-  int deferred = DeferBridgeColumns(pipeline);
+  const bool top_k = sink->HeapMode();
+  int deferred = DeferBridgeColumns(pipeline, top_k ? nullptr : order);
   if (deferred < 0) return RunPipeline(pipeline, sink, scheduler, ctx);
   auto bridge = static_cast<size_t>(deferred);
-  if (order != nullptr && !order->keys.empty()) {
+  if (top_k && !order->keys.empty()) {
     bridge = RankSortKeys(pipeline, bridge, *order, sink, ctx);
   }
   RELGO_ASSIGN_OR_RETURN(auto kept,

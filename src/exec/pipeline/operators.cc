@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <limits>
 #include <numeric>
 #include <queue>
 
@@ -1166,92 +1165,38 @@ const Column* ScanGraphTableOp::DeferredColumn(
 // TopKFence / TopKFenceOp
 // ---------------------------------------------------------------------------
 
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Calls `f` with the rank-space value reader of `base` (NULLs aside): the
-/// int32 code of a sorted-dictionary string, or the payload promoted
-/// through double as Value::Compare promotes it.
-template <typename F>
-void WithKeyReader(const Column& base, F&& f) {
-  switch (base.type()) {
-    case LogicalType::kString: {
-      const int32_t* codes = base.data_codes();
-      f([codes](uint64_t rid) { return static_cast<double>(codes[rid]); });
-      break;
-    }
-    case LogicalType::kInt64: {
-      const int64_t* ints = base.data_int64();
-      f([ints](uint64_t rid) { return static_cast<double>(ints[rid]); });
-      break;
-    }
-    case LogicalType::kDate: {  // GetValue boxes the 32-bit day number
-      const int64_t* ints = base.data_int64();
-      f([ints](uint64_t rid) {
-        return static_cast<double>(static_cast<int32_t>(ints[rid]));
-      });
-      break;
-    }
-    case LogicalType::kBool: {
-      const int64_t* ints = base.data_int64();
-      f([ints](uint64_t rid) { return ints[rid] != 0 ? 1.0 : 0.0; });
-      break;
-    }
-    case LogicalType::kDouble: {
-      const double* doubles = base.data_double();
-      f([doubles](uint64_t rid) { return doubles[rid]; });
-      break;
-    }
-    case LogicalType::kNull:
-      f([](uint64_t) { return -kInf; });
-      break;
-  }
-}
-
-}  // namespace
-
 void TopKFence::Arm(const Column* base, bool ascending) {
-  base_ = nullptr;
-  if (base == nullptr ||
-      (base->type() == LogicalType::kString &&
-       (base->dictionary() == nullptr || !base->dictionary()->sorted))) {
-    return;
-  }
   base_ = base;
-  sign_ = ascending ? 1.0 : -1.0;
-  bound_.store(kInf);
+  ascending_ = ascending;
+  bound_.store(kNone);
 }
 
-double TopKFence::Rank(uint64_t rid) const {
-  if (!base_->is_valid(rid)) return sign_ * -kInf;
-  double key = 0.0;
-  WithKeyReader(*base_, [&](auto read) { key = read(rid); });
-  return sign_ * key;
-}
-
-void TopKFence::Tighten(double rank) {
-  double cur = bound_.load();
-  while (rank < cur && !bound_.compare_exchange_weak(cur, rank)) {
+void TopKFence::Tighten(uint64_t rid) {
+  uint64_t cur = bound_.load();
+  while ((cur == kNone || Compare(rid, cur) < 0) &&
+         !bound_.compare_exchange_weak(cur, rid)) {
   }
 }
 
-void TopKFence::Admit(const Column& rids, const uint64_t* rows, uint64_t n,
-                      std::vector<uint64_t>* keep) const {
+uint64_t TopKFence::Admit(const Column& rids, const uint64_t* rows,
+                          uint64_t n, uint64_t* keep) const {
   // Any bound a worker reads, however stale, was published by a full heap
-  // and stays valid for the rest of the run.
-  const double bound = bound_.load();
-  const double sign = sign_;
-  const uint8_t* valid = base_->validity_data();
-  const double null_rank = sign * -kInf;
-  WithKeyReader(*base_, [&](auto read) {
+  // and stays valid for the rest of the run. The loop captures by value:
+  // stores to `keep` could otherwise alias the bound and the row count.
+  const uint64_t bound = bound_.load();
+  const Column* base = base_;
+  const Column* ids = &rids;
+  const bool ascending = ascending_;
+  return vector::DispatchLogicalType(base->type(), [=](auto type) {
+    uint64_t kept = 0;
     for (uint64_t r = 0; r < n; ++r) {
-      uint64_t p = rows[r];
-      auto rid = static_cast<uint64_t>(rids.int_at(p));
-      double rank =
-          valid != nullptr && valid[rid] == 0 ? null_rank : sign * read(rid);
-      if (!(rank > bound)) keep->push_back(p);  // NaN ranks are kept
+      auto rid = static_cast<uint64_t>(ids->int_at(rows[r]));
+      int c = vector::TypedColumnCompareAs<decltype(type)::value>(
+          *base, rid, *base, bound);
+      keep[kept] = rows[r];
+      kept += (ascending ? c : -c) <= 0;
     }
+    return kept;
   });
 }
 
@@ -1271,9 +1216,8 @@ Status TopKFenceOp::Process(const Batch& in, Cursor* cursor, Batch* out,
     *out = in;
     return Status::OK();
   }
-  std::vector<uint64_t> keep;
-  keep.reserve(n);
-  fence_->Admit(in.column(var_col_), RowMap(in), n, &keep);
+  std::vector<uint64_t> keep(n);
+  keep.resize(fence_->Admit(in.column(var_col_), RowMap(in), n, keep.data()));
   *out = keep.size() == n ? in : in.Select(std::move(keep));
   return Status::OK();
 }
@@ -1748,16 +1692,6 @@ int CompareKey(const plan::SortKey& key, const Column* base, const Column& a,
   return key.ascending ? c : -c;
 }
 
-int CompareKey(const plan::SortKey& key, const Column* base, const Column& a,
-               uint64_t ar, const Column& b, uint64_t br) {
-  int c = base != nullptr
-              ? vector::TypedColumnCompare(
-                    *base, static_cast<uint64_t>(a.int_at(ar)), *base,
-                    static_cast<uint64_t>(b.int_at(br)))
-              : vector::TypedColumnCompare(a, ar, b, br);
-  return key.ascending ? c : -c;
-}
-
 }  // namespace
 
 Status TopKSink::Prepare(const Schema& input, ExecutionContext* ctx) {
@@ -1871,8 +1805,8 @@ Status TopKSink::Consume(SinkState* state, const Batch& in, BatchPosition pos,
     std::push_heap(heap.begin(), heap.end(), heap_cmp);
   }
   if (fence_.armed() && heap.size() == k) {
-    fence_.Tighten(fence_.Rank(
-        static_cast<uint64_t>(heap.front().vals[key_cols_[0]].int_value())));
+    fence_.Tighten(
+        static_cast<uint64_t>(heap.front().vals[key_cols_[0]].int_value()));
   }
   return Status::OK();
 }
@@ -1935,11 +1869,11 @@ Result<TablePtr> TopKSink::Finish(
     // spans (string keys sharing a sorted dictionary compare int32 codes)
     // instead of boxing two Values each.
     auto before = [&](uint64_t i, uint64_t j) {
-      for (size_t k = 0; k < key_cols_.size(); ++k) {
-        int c = CompareKey(order_->keys[k], key_bases_[k],
-                           refs[i].batch->column(key_cols_[k]), refs[i].row,
-                           refs[j].batch->column(key_cols_[k]), refs[j].row);
-        if (c != 0) return c < 0;
+      for (size_t k = 0; k < order_->keys.size(); ++k) {
+        int c = vector::TypedColumnCompare(
+            refs[i].batch->column(key_cols_[k]), refs[i].row,
+            refs[j].batch->column(key_cols_[k]), refs[j].row);
+        if (c != 0) return order_->keys[k].ascending ? c < 0 : c > 0;
       }
       return i < j;
     };

@@ -2,7 +2,6 @@
 #define RELGO_EXEC_PIPELINE_OPERATORS_H_
 
 #include <atomic>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -368,48 +367,50 @@ class ScanGraphTableOp : public StreamingOp {
 /// The running k-th first sort key of a TOP_K sink, shared with the
 /// TopKFenceOp that prunes rows as soon as the key's variable is bound.
 ///
-/// Keys live in rank space, where smaller is better: a NULL ranks as
-/// -inf (Value::Compare orders it first), a string as its sorted-dictionary
-/// code, a number, date or bool as its payload promoted through double
-/// (Value::Compare's promotion), and DESC negates. The mapping is monotone
-/// under Value::Compare, so a row whose rank is strictly above the bound is
-/// strictly worse than the k rows that published it. Ties (and NaN, which
-/// compares with nothing) are always kept, so the sink's (morsel,
-/// offset + row) tie-break still decides the cut.
+/// The bound is a row id of the key's base column: the worst first key of
+/// some full heap. Rows compare against it with vector::TypedColumnCompare,
+/// the sink's own ordering (Value::Compare's: NULLs first, numbers
+/// promoted through double, strings by sorted-dictionary code or by
+/// bytes), signed by the key's direction. A row is dropped only when its
+/// key is strictly worse; ties (and NaN, which compares equal to every
+/// double) are kept, so the sink's (morsel, offset + row) tie-break still
+/// decides the cut.
 ///
-/// The bound starts at +inf and only tightens, through a CAS; any worker's
-/// bound is valid for every row, since a row worse than one worker's k-th
-/// key cannot be among the global top k.
+/// The bound starts empty and only tightens, through a CAS, to a strictly
+/// better key; any worker's bound is valid for every row, since a row
+/// worse than one worker's k-th key cannot be among the global top k.
 class TopKFence {
  public:
   /// Binds the fence to the base column the first key reads at its row
-  /// ids, or turns it off when `base` is null. Also leaves it off when no
-  /// order-preserving rank exists: a string column without a sorted
-  /// dictionary (appends of novel strings may clear the flag).
-  /// Single-threaded, before any Process.
+  /// ids, or turns it off when `base` is null. Single-threaded, before
+  /// any Process.
   void Arm(const storage::Column* base, bool ascending);
   bool armed() const { return base_ != nullptr; }
   /// True once some full heap published a bound: before that, every row
   /// is admitted.
-  bool engaged() const {
-    return base_ != nullptr &&
-           bound_.load() < std::numeric_limits<double>::infinity();
-  }
+  bool engaged() const { return base_ != nullptr && bound_.load() != kNone; }
 
-  /// Rank of base row `rid`.
-  double Rank(uint64_t rid) const;
-  /// Lowers the bound to `rank` unless it is already at or below it.
-  void Tighten(double rank);
+  /// Moves the bound to base row `rid` unless the bound's key is already
+  /// at least as good.
+  void Tighten(uint64_t rid);
 
-  /// Appends to `keep` the physical rows rows[0..n) whose row id in
-  /// `rids` ranks at or below the bound.
-  void Admit(const storage::Column& rids, const uint64_t* rows, uint64_t n,
-             std::vector<uint64_t>* keep) const;
+  /// Writes to keep[0..) the physical rows rows[0..n) whose row id in
+  /// `rids` keys no worse than the bound, and returns their count.
+  uint64_t Admit(const storage::Column& rids, const uint64_t* rows,
+                 uint64_t n, uint64_t* keep) const;
 
  private:
+  static constexpr uint64_t kNone = ~uint64_t{0};
+
+  /// Sign of base[a] against base[b] in the key's order (< 0: a is better).
+  int Compare(uint64_t a, uint64_t b) const {
+    int c = vector::TypedColumnCompare(*base_, a, *base_, b);
+    return ascending_ ? c : -c;
+  }
+
   const storage::Column* base_ = nullptr;
-  double sign_ = 1.0;  ///< -1 for DESC
-  std::atomic<double> bound_{0.0};
+  bool ascending_ = true;
+  std::atomic<uint64_t> bound_{kNone};
 };
 
 /// TOP_K fence pushdown: narrows the selection to the rows whose first
@@ -588,13 +589,13 @@ class HashBuildSink : public Sink {
 /// so the selected rows and their order match the reference interpreter's
 /// stable sort exactly, independent of thread count.
 ///
-/// Sort keys read through row ids: a key that a deferred pi-hat streams
-/// as a row id (see RankKeysThrough) compares the base column at that row
-/// id — a sorted-dictionary string as its int32 code, a number or date by
-/// its payload — in the heap fence, the heap order, the Finish sort and
-/// the full ORDER BY merge alike. In TOP_K mode, unprofiled, a deferred
-/// first key also arms fence(): each worker whose heap is full publishes
-/// its worst first key there after every batch.
+/// Sort keys read through row ids (TOP_K mode only): a key that a
+/// deferred pi-hat streams as a row id (see RankKeysThrough) compares the
+/// base column at that row id — a sorted-dictionary string as its int32
+/// code, a number or date by its payload — in the heap fence, the heap
+/// order and the Finish sort alike. Unprofiled, a deferred first key also
+/// arms fence(): each worker whose heap is full publishes its worst first
+/// key there after every batch.
 class TopKSink : public Sink {
  public:
   /// `order` may be null (plain LIMIT); `limit_node` may be null (plain

@@ -194,6 +194,11 @@ void KeyEncoder::Decode(const EncodedGroupKey& key,
   }
 }
 
+int CompareStringPayloads(const std::string& a, const std::string& b) {
+  int c = a.compare(b);
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
+
 }  // namespace vector
 }  // namespace exec
 }  // namespace relgo

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/hash.h"
@@ -212,6 +213,67 @@ class AggColumnView {
 // Typed sort-key comparison
 // ---------------------------------------------------------------------------
 
+/// Calls `f(std::integral_constant<LogicalType, T>{})` for the T equal to
+/// `type` and returns its result: one dispatch for a loop that then runs
+/// a compile-time-typed kernel (TypedColumnCompareAs) on every row.
+template <typename F>
+decltype(auto) DispatchLogicalType(LogicalType type, F&& f) {
+  using T = LogicalType;
+  switch (type) {
+    case T::kInt64:
+      return f(std::integral_constant<T, T::kInt64>{});
+    case T::kDate:
+      return f(std::integral_constant<T, T::kDate>{});
+    case T::kBool:
+      return f(std::integral_constant<T, T::kBool>{});
+    case T::kDouble:
+      return f(std::integral_constant<T, T::kDouble>{});
+    case T::kString:
+      return f(std::integral_constant<T, T::kString>{});
+    case T::kNull:
+      break;
+  }
+  return f(std::integral_constant<T, T::kNull>{});
+}
+
+/// Sign of a byte-wise string compare. Kept out of line so that the code
+/// compare of a sorted dictionary inlines into row loops.
+int CompareStringPayloads(const std::string& a, const std::string& b);
+
+/// TypedColumnCompare for columns of type T, fixed at compile time.
+template <LogicalType T>
+inline int TypedColumnCompareAs(const storage::Column& a, uint64_t ar,
+                                const storage::Column& b, uint64_t br) {
+  bool an = !a.is_valid(ar), bn = !b.is_valid(br);
+  if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
+  if constexpr (T == LogicalType::kString) {
+    const storage::StringDictionary* d = a.dictionary();
+    if (d != nullptr && d == b.dictionary() && d->sorted) {
+      int32_t ac = a.code_at(ar), bc = b.code_at(br);
+      return ac < bc ? -1 : (bc < ac ? 1 : 0);
+    }
+    return CompareStringPayloads(a.string_at(ar), b.string_at(br));
+  } else if constexpr (T == LogicalType::kNull) {
+    return 0;
+  } else {
+    double ad = 0.0, bd = 0.0;
+    if constexpr (T == LogicalType::kInt64) {
+      ad = static_cast<double>(a.int_at(ar));
+      bd = static_cast<double>(b.int_at(br));
+    } else if constexpr (T == LogicalType::kDate) {
+      ad = static_cast<double>(static_cast<int32_t>(a.int_at(ar)));
+      bd = static_cast<double>(static_cast<int32_t>(b.int_at(br)));
+    } else if constexpr (T == LogicalType::kBool) {
+      ad = a.int_at(ar) != 0 ? 1.0 : 0.0;
+      bd = b.int_at(br) != 0 ? 1.0 : 0.0;
+    } else {
+      ad = a.double_at(ar);
+      bd = b.double_at(br);
+    }
+    return ad < bd ? -1 : (bd < ad ? 1 : 0);
+  }
+}
+
 /// Three-way typed twin of Value::Compare for two slots of columns that
 /// share a LogicalType (the same schema position of two batches, or one
 /// column against itself). Returns the sign of
@@ -225,43 +287,9 @@ class AggColumnView {
 /// construction. Any other dictionary state falls back to the payload.
 inline int TypedColumnCompare(const storage::Column& a, uint64_t ar,
                               const storage::Column& b, uint64_t br) {
-  bool an = !a.is_valid(ar), bn = !b.is_valid(br);
-  if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
-  if (a.type() == LogicalType::kString) {
-    const storage::StringDictionary* d = a.dictionary();
-    if (d != nullptr && d == b.dictionary() && d->sorted) {
-      int32_t ac = a.code_at(ar), bc = b.code_at(br);
-      return ac < bc ? -1 : (bc < ac ? 1 : 0);
-    }
-  }
-  switch (a.type()) {
-    case LogicalType::kInt64: {
-      auto ad = static_cast<double>(a.int_at(ar));
-      auto bd = static_cast<double>(b.int_at(br));
-      return ad < bd ? -1 : (bd < ad ? 1 : 0);
-    }
-    case LogicalType::kDate: {
-      auto ad = static_cast<double>(static_cast<int32_t>(a.int_at(ar)));
-      auto bd = static_cast<double>(static_cast<int32_t>(b.int_at(br)));
-      return ad < bd ? -1 : (bd < ad ? 1 : 0);
-    }
-    case LogicalType::kBool: {
-      double ad = a.int_at(ar) != 0 ? 1.0 : 0.0;
-      double bd = b.int_at(br) != 0 ? 1.0 : 0.0;
-      return ad < bd ? -1 : (bd < ad ? 1 : 0);
-    }
-    case LogicalType::kDouble: {
-      double ad = a.double_at(ar), bd = b.double_at(br);
-      return ad < bd ? -1 : (bd < ad ? 1 : 0);
-    }
-    case LogicalType::kString: {
-      int c = a.string_at(ar).compare(b.string_at(br));
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
-    case LogicalType::kNull:
-      return 0;
-  }
-  return 0;
+  return DispatchLogicalType(a.type(), [&](auto type) {
+    return TypedColumnCompareAs<decltype(type)::value>(a, ar, b, br);
+  });
 }
 
 /// Typed twin of `a.GetValue(ar).Compare(v)` where `v` was previously
