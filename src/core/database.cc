@@ -363,9 +363,10 @@ const char* PlanCacheStatusName(exec::QueryProfile::PlanCacheStatus s) {
 
 }  // namespace
 
-Result<QueryRunResult> Database::Run(const plan::SpjmQuery& query,
-                                     optimizer::OptimizerMode mode,
-                                     exec::ExecutionOptions options) const {
+Result<QueryRunResult> Database::RunQuery(const plan::SpjmQuery& query,
+                                          optimizer::OptimizerMode mode,
+                                          const exec::ExecutionOptions& options,
+                                          ProfiledRunResult* profiled) const {
   uint64_t query_id = trace_sink_.NextQueryId();
   std::string label = TraceLabel(query, mode);
   TraceScope trace(&trace_sink_, options.trace || trace_sink_.enabled(),
@@ -393,6 +394,10 @@ Result<QueryRunResult> Database::Run(const plan::SpjmQuery& query,
 
   exec::ExecutionContext ctx(&catalog_, &mapping_, &index_, options);
   ctx.SetQueryId(query_id);
+  if (profiled != nullptr) {
+    profiled->profile.SetPlanCacheStatus(planned->cache_status);
+    ctx.EnableProfiling(&profiled->profile);
+  }
   ctx.SetTrace(trace.recorder());
   double exec_start = trace.recorder() != nullptr ? obs::TraceNowMs() : 0.0;
   Timer timer;
@@ -415,13 +420,43 @@ Result<QueryRunResult> Database::Run(const plan::SpjmQuery& query,
     ObserveQuery(query, mode, options, obs);
     return table.status();
   }
+  result.table = std::move(table).value();
   // Publish only now — after the plan executed to completion — so a
   // cancelled, timed-out, or faulted query never seeds the plan cache
   // (the scan cache's commit-on-success chokepoint, applied to plans).
-  PublishPlan(*planned, std::shared_ptr<const plan::PhysicalOp>(
-                            std::move(planned->plan)));
+  if (profiled == nullptr) {
+    PublishPlan(*planned, std::shared_ptr<const plan::PhysicalOp>(
+                              std::move(planned->plan)));
+  } else {
+    profiled->profile.SetScanCacheHits(ctx.scan_cache_hits());
+    // The caller keeps the plan, so the cache stores its own deep copy
+    // (cloned only on an actual miss).
+    if (planned->cache_status ==
+        exec::QueryProfile::PlanCacheStatus::kMiss) {
+      PublishPlan(*planned, std::shared_ptr<const plan::PhysicalOp>(
+                                plan::ClonePlan(*planned->plan)));
+    }
+    profiled->plan = std::move(planned->plan);
+  }
   ObserveQuery(query, mode, options, obs);
-  result.table = std::move(table).value();
+  return result;
+}
+
+Result<QueryRunResult> Database::Run(const plan::SpjmQuery& query,
+                                     optimizer::OptimizerMode mode,
+                                     exec::ExecutionOptions options) const {
+  return RunQuery(query, mode, options, nullptr);
+}
+
+Result<ProfiledRunResult> Database::RunProfiled(
+    const plan::SpjmQuery& query, optimizer::OptimizerMode mode,
+    exec::ExecutionOptions options) const {
+  ProfiledRunResult result;
+  RELGO_ASSIGN_OR_RETURN(QueryRunResult run,
+                         RunQuery(query, mode, options, &result));
+  result.table = std::move(run.table);
+  result.optimization_ms = run.optimization_ms;
+  result.execution_ms = run.execution_ms;
   return result;
 }
 
@@ -429,72 +464,6 @@ Result<std::string> Database::Explain(const plan::SpjmQuery& query,
                                       optimizer::OptimizerMode mode) const {
   RELGO_ASSIGN_OR_RETURN(auto optimized, Optimize(query, mode));
   return plan::PrintPlan(*optimized.plan);
-}
-
-Result<ProfiledRunResult> Database::RunProfiled(
-    const plan::SpjmQuery& query, optimizer::OptimizerMode mode,
-    exec::ExecutionOptions options) const {
-  uint64_t query_id = trace_sink_.NextQueryId();
-  std::string label = TraceLabel(query, mode);
-  TraceScope trace(&trace_sink_, options.trace || trace_sink_.enabled(),
-                   label, query_id);
-  QueryObservation obs;
-  ProfiledRunResult result;
-
-  double opt_start = trace.recorder() != nullptr ? obs::TraceNowMs() : 0.0;
-  auto planned = PlanQuery(query, mode, options);
-  if (trace.recorder() != nullptr) {
-    trace.recorder()->Record(
-        "optimize", "query", opt_start,
-        {{"mode", optimizer::ModeName(mode)},
-         {"plan_cache",
-          planned.ok() ? PlanCacheStatusName(planned->cache_status) : "off"},
-         {"status", planned.ok() ? "ok" : planned.status().ToString()}});
-  }
-  if (!planned.ok()) {
-    obs.status = planned.status();
-    ObserveQuery(query, mode, options, obs);
-    return planned.status();
-  }
-  obs.optimization_ms = result.optimization_ms = planned->optimization_ms;
-  result.plan = std::move(planned->plan);
-  result.profile.SetPlanCacheStatus(planned->cache_status);
-
-  exec::ExecutionContext ctx(&catalog_, &mapping_, &index_, options);
-  ctx.SetQueryId(query_id);
-  ctx.EnableProfiling(&result.profile);
-  ctx.SetTrace(trace.recorder());
-  double exec_start = trace.recorder() != nullptr ? obs::TraceNowMs() : 0.0;
-  Timer timer;
-  auto table = ExecuteWithContext(*result.plan, &ctx, label);
-  obs.execution_ms = result.execution_ms = timer.ElapsedMillis();
-  obs.scan_cache_hits = ctx.scan_cache_hits();
-  if (table.ok()) obs.rows = (*table)->num_rows();
-  if (trace.recorder() != nullptr) {
-    trace.recorder()->Record(
-        "execute", "query", exec_start,
-        {{"engine", options.engine == exec::EngineKind::kPipeline
-                        ? "pipeline"
-                        : "materialize"},
-         {"scan_cache_hits", std::to_string(ctx.scan_cache_hits())},
-         {"rows", std::to_string(obs.rows)},
-         {"status", table.ok() ? "ok" : table.status().ToString()}});
-  }
-  if (!table.ok()) {
-    obs.status = table.status();
-    ObserveQuery(query, mode, options, obs);
-    return table.status();
-  }
-  result.table = std::move(table).value();
-  result.profile.SetScanCacheHits(ctx.scan_cache_hits());
-  // Publish after successful execution. The caller keeps result.plan, so
-  // the cache stores its own deep copy (cloned only on an actual miss).
-  if (planned->cache_status == exec::QueryProfile::PlanCacheStatus::kMiss) {
-    PublishPlan(*planned, std::shared_ptr<const plan::PhysicalOp>(
-                              plan::ClonePlan(*result.plan)));
-  }
-  ObserveQuery(query, mode, options, obs);
-  return result;
 }
 
 Result<std::string> Database::ExplainAnalyze(

@@ -270,6 +270,16 @@ class Database {
     obs::Counter* timeout = nullptr;
   };
 
+  /// The body Run and RunProfiled share: trace scope, plan acquisition
+  /// (PlanQuery), the optimize/execute trace spans, execution and
+  /// ObserveQuery, then plan-cache publication on success. `profiled` is
+  /// null for Run; for RunProfiled it receives the profile and keeps the
+  /// plan, so a miss publishes a clone of it.
+  Result<QueryRunResult> RunQuery(const plan::SpjmQuery& query,
+                                  optimizer::OptimizerMode mode,
+                                  const exec::ExecutionOptions& options,
+                                  ProfiledRunResult* profiled) const;
+
   /// Optimize without the public entry point's metrics recording —
   /// Run/RunProfiled charge optimization time through ObserveQuery
   /// instead, so a query never lands twice in the same histogram.

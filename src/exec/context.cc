@@ -13,11 +13,7 @@ void ExecutionContext::CommitScanCachePublications() {
   }
   if (scan_cache_ == nullptr) return;
   for (auto& put : puts) {
-    if (put.selection != nullptr) {
-      scan_cache_->Put(put.key, put.version, std::move(put.selection));
-    } else if (put.bitmap != nullptr) {
-      scan_cache_->PutBitmap(put.key, put.version, std::move(put.bitmap));
-    }
+    scan_cache_->Put(put.key, put.version, std::move(put.bitmap));
   }
 }
 

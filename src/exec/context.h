@@ -68,7 +68,9 @@ enum class EngineKind {
 ///    (= 2048) rows and charges them through ChargeRows, which routes
 ///    through CheckInterrupt. A hub vertex's expansion is cut into such
 ///    batches, so even a single-morsel pipeline is checked every
-///    kBatchRows output rows.
+///    kBatchRows output rows. Pushed-filter passes (FilterBitmap) run at
+///    Prepare, after the pipeline-entry check: one pass per filtered
+///    table with no check inside it.
 ///
 /// Consequently Database::CancelQuery (and the timeout clock) is observed
 /// within one bounded batch or one check-interval of row-loop work in
@@ -95,12 +97,13 @@ struct ExecutionOptions {
   /// interpreter.
   int num_threads = 0;
   /// Consult the owning Database's cross-query scan/filter cache (ROADMAP
-  /// "Shared scan caching"): the pipeline engine's filtered base-table
-  /// scans reuse selection vectors computed by earlier queries instead of
-  /// re-evaluating the predicate, invalidated by the table's version
-  /// counter. Results are bit-identical either way (the cache stores
-  /// exactly what the filter loop would have produced, and row-budget
-  /// charges are unchanged), so this is on by default; the off switch
+  /// "Shared scan caching"): the pipeline engine's pushed filters over
+  /// base tables (scan sources and expansion-style operators) reuse the
+  /// filter bitmaps computed by earlier queries instead of re-evaluating
+  /// the predicate, invalidated by the table's version counter. Results
+  /// are bit-identical either way (the cache stores exactly what the
+  /// filter pass would have produced, and row-budget charges are
+  /// unchanged), so this is on by default; the off switch
   /// exists for A/B measurement. The reference interpreter never
   /// consults the cache.
   bool scan_cache = true;
@@ -256,26 +259,18 @@ class ExecutionContext {
   ///
   /// Failed (cancelled, timed-out, faulted) queries must never publish
   /// scan-cache entries, so the pipeline engine never Puts into the cache
-  /// mid-query: completed selections/bitmaps are queued here and the
+  /// mid-query: completed filter bitmaps are queued here and the
   /// Database commits the queue only after the whole query succeeded
   /// (dropping it on any failure). Entries are complete and correct at
   /// queue time — deferral only narrows *when* they become visible to
-  /// other queries. Queue sites run on the owning thread (scan Prepare,
-  /// pipeline-finished hooks), but a small mutex keeps the queue safe if
-  /// that ever changes.
+  /// other queries. Queue sites run on the owning thread (source and
+  /// operator Prepare), but a small mutex keeps the queue safe if that
+  /// ever changes.
 
-  void QueuePutSelection(
-      std::string key, uint64_t version,
-      std::shared_ptr<const std::vector<uint64_t>> selection) {
-    std::lock_guard<std::mutex> lock(pending_puts_mu_);
-    pending_puts_.push_back(
-        {std::move(key), version, std::move(selection), nullptr});
-  }
   void QueuePutBitmap(std::string key, uint64_t version,
                       std::shared_ptr<const std::vector<uint8_t>> bitmap) {
     std::lock_guard<std::mutex> lock(pending_puts_mu_);
-    pending_puts_.push_back(
-        {std::move(key), version, nullptr, std::move(bitmap)});
+    pending_puts_.push_back({std::move(key), version, std::move(bitmap)});
   }
   /// Publishes every queued entry into the attached scan cache (no-op
   /// without one). Called by the Database on query success only.
@@ -302,7 +297,6 @@ class ExecutionContext {
   struct PendingCachePut {
     std::string key;
     uint64_t version = 0;
-    std::shared_ptr<const std::vector<uint64_t>> selection;
     std::shared_ptr<const std::vector<uint8_t>> bitmap;
   };
 

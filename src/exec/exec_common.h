@@ -5,24 +5,11 @@
 #include <vector>
 
 #include "exec/context.h"
-#include "plan/spjm_query.h"
 #include "storage/expression.h"
 #include "storage/table.h"
 
 namespace relgo {
 namespace exec {
-
-/// Builds a table whose columns are the child's columns gathered by `sel`.
-inline storage::TablePtr GatherTable(const storage::Table& src,
-                                     const std::vector<uint64_t>& sel,
-                                     const std::string& name) {
-  auto out = std::make_shared<storage::Table>(name, src.schema());
-  for (size_t c = 0; c < src.num_columns(); ++c) {
-    out->column(c) = src.column(c).Gather(sel);
-  }
-  out->FinishBulkAppend();
-  return out;
-}
 
 /// Output schema of a base-table scan: "alias.col" for each kept column,
 /// preceded by "alias.$rid" when requested. `raw_indexes` receives the
@@ -59,21 +46,6 @@ inline storage::Schema BindingSchema(const std::vector<std::string>& vars) {
   storage::Schema s;
   for (const auto& v : vars) (void)s.AddColumn({v, LogicalType::kInt64});
   return s;
-}
-
-/// Three-way ORDER BY key comparison over boxed Values (null ordering,
-/// per-key direction): the reference interpreter's ORDER BY and the
-/// pipeline TopKSink's boxed heap rows. `a` / `b` map a key index to that
-/// row's key Value. Returns <0 / 0 / >0; ties are the caller's to break
-/// (stable sort order, or the pipeline's (morsel, row) sequence).
-template <typename AValueAt, typename BValueAt>
-int CompareSortKeyValues(const std::vector<plan::SortKey>& keys,
-                         const AValueAt& a, const BValueAt& b) {
-  for (size_t i = 0; i < keys.size(); ++i) {
-    int c = a(i).Compare(b(i));
-    if (c != 0) return keys[i].ascending ? c : -c;
-  }
-  return 0;
 }
 
 }  // namespace exec

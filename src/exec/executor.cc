@@ -29,6 +29,31 @@ Result<size_t> ColumnIndex(const Table& t, const std::string& name) {
   return t.schema().GetColumnIndex(name);
 }
 
+/// Builds a table whose columns are the child's columns gathered by `sel`.
+TablePtr GatherTable(const Table& src, const std::vector<uint64_t>& sel,
+                     const std::string& name) {
+  auto out = std::make_shared<Table>(name, src.schema());
+  for (size_t c = 0; c < src.num_columns(); ++c) {
+    out->column(c) = src.column(c).Gather(sel);
+  }
+  out->FinishBulkAppend();
+  return out;
+}
+
+/// Three-way ORDER BY key comparison over boxed Values (null ordering,
+/// per-key direction). `a` / `b` map a key index to that row's key Value.
+/// Returns <0 / 0 / >0; ties are the caller's to break (stable sort
+/// order).
+template <typename AValueAt, typename BValueAt>
+int CompareSortKeyValues(const std::vector<plan::SortKey>& keys,
+                         const AValueAt& a, const BValueAt& b) {
+  for (size_t i = 0; i < keys.size(); ++i) {
+    int c = a(i).Compare(b(i));
+    if (c != 0) return keys[i].ascending ? c : -c;
+  }
+  return 0;
+}
+
 /// Group-by / join key wrapper with Value-based equality.
 struct GroupKey {
   std::vector<Value> values;

@@ -21,35 +21,20 @@ using storage::Schema;
 using storage::Table;
 using storage::TablePtr;
 
-namespace {
-
-/// Evaluates `filter` once per row of `table` into a validity bitmap
-/// (empty when there is no filter). The pipeline engine's expansion-style
-/// operators consult the bitmap per adjacency entry, turning
-/// per-expansion expression evaluation into a single table pass computed
-/// during single-threaded operator Prepare, so workers only do bitmap
-/// loads.
-///
-/// Two acceleration layers, both semantics-preserving: the predicate is
-/// lowered to vectorized kernels when the tree is lowerable (row-at-a-time
-/// fallback otherwise), and the finished bitmap is published to the
-/// cross-query ScanCache ("bitmap|..." namespace) so repeated expansions
-/// replay it instead of re-evaluating.
 Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
                                   const storage::ExprPtr& filter,
                                   ExecutionContext* ctx) {
   if (!filter) return SharedBitmap();
 
   // Replay an earlier query's bitmap for the same (table, predicate)
-  // signature and table version. The "bitmap|" namespace never collides
-  // with the selection-vector namespaces ("scan|", "vscan|").
+  // signature and table version.
   ScanCache* cache = ctx->scan_cache();
   std::string key;
   uint64_t version = 0;
   if (cache != nullptr) {
-    key = ScanCache::Key("bitmap", table->name(), filter);
+    key = ScanCache::Key(table->name(), filter);
     version = table->version();
-    if (ScanCache::BitmapPtr hit = cache->GetBitmap(key, version)) {
+    if (ScanCache::BitmapPtr hit = cache->Get(key, version)) {
       ctx->CountScanCacheHit();
       return SharedBitmap(std::move(hit));
     }
@@ -88,6 +73,8 @@ Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
   }
   return SharedBitmap(std::move(bitmap));
 }
+
+namespace {
 
 /// The physical row of every logical row of `in` (at most kBatchRows
 /// rows): its selection vector, or for a flat batch the shared identity

@@ -28,7 +28,8 @@ class TaskScheduler;
 /// A per-base-row validity bitmap with shared storage: either empty (no
 /// filter — every row passes) or one byte per base-table row (1 == pass).
 /// The payload is shared so a ScanCache hit replays an earlier query's
-/// bitmap without copying it.
+/// bitmap without copying it. The scan sources and every expansion-style
+/// operator read their pushed filters through one of these.
 class SharedBitmap {
  public:
   using Ptr = std::shared_ptr<const std::vector<uint8_t>>;
@@ -46,6 +47,20 @@ class SharedBitmap {
  private:
   Ptr data_;
 };
+
+/// Evaluates `filter` once per row of `table` into a validity bitmap
+/// (empty when there is no filter), during single-threaded Prepare, so
+/// workers only do bitmap loads.
+///
+/// Two acceleration layers, both semantics-preserving: the predicate is
+/// lowered to vectorized kernels when the tree is lowerable (row-at-a-time
+/// fallback otherwise), and with the context's scan cache attached a hit
+/// replays an earlier query's bitmap for the same (table, predicate) and
+/// table version, while a miss queues its bitmap for publication on query
+/// success.
+Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
+                                  const storage::ExprPtr& filter,
+                                  ExecutionContext* ctx);
 
 // ---------------------------------------------------------------------------
 // Streaming operators

@@ -1,6 +1,7 @@
 #include "exec/pipeline/pipeline.h"
 
 #include <algorithm>
+#include <numeric>
 #include <type_traits>
 
 #include "common/fault.h"
@@ -32,83 +33,38 @@ Status TableSource::Emit(uint64_t begin, uint64_t count, Batch* out,
 }
 
 // ---------------------------------------------------------------------------
-// CachedSelectionScan
+// Filtered scan sources
 // ---------------------------------------------------------------------------
 
-bool CachedSelectionScan::PrepareCache(ExecutionContext* ctx, std::string key,
-                                       uint64_t table_version,
-                                       uint64_t table_rows) {
-  caching_ = false;
-  cached_ = nullptr;
-  ScanCache* cache = ctx->scan_cache();
-  if (cache == nullptr) return false;
-  cache_key_ = std::move(key);
-  table_version_ = table_version;
-  cached_ = cache->Get(cache_key_, table_version_);
-  if (cached_ != nullptr) {
-    ctx->CountScanCacheHit();
-    return true;
+namespace {
+
+/// The rows of [begin, begin + count) whose pass byte in `bits` is set, in
+/// ascending order; every row of the range when `bits` is null (no
+/// filter). Branchless: every row is written and the output position
+/// advances by its byte (0 or 1).
+template <typename Row>
+std::vector<Row> SelectedRows(const uint8_t* bits, uint64_t begin,
+                              uint64_t count) {
+  std::vector<Row> rows(count);
+  if (bits == nullptr) {
+    std::iota(rows.begin(), rows.end(), static_cast<Row>(begin));
+    return rows;
   }
-  // Miss: collect per-morsel selection slices for publication. Slots are
-  // written by distinct morsels only, so no synchronization is needed
-  // beyond the filled counter.
-  caching_ = true;
-  uint64_t morsels = (table_rows + kBatchRows - 1) / kBatchRows;
-  slots_.assign(static_cast<size_t>(morsels), {});
-  slots_filled_.store(0, std::memory_order_relaxed);
-  return false;
-}
-
-void CachedSelectionScan::CachedRange(uint64_t begin, uint64_t count,
-                                      std::vector<uint64_t>* sel) const {
-  auto lo = std::lower_bound(cached_->begin(), cached_->end(), begin);
-  auto hi = std::lower_bound(lo, cached_->end(), begin + count);
-  sel->assign(lo, hi);
-}
-
-void CachedSelectionScan::Collect(uint64_t morsel,
-                                  const std::vector<uint64_t>& sel) const {
-  slots_[morsel] = sel;
-  slots_filled_.fetch_add(1, std::memory_order_release);
-}
-
-Status CachedSelectionScan::PublishIfComplete(const Status& run_status,
-                                              ExecutionContext* ctx) {
-  if (!caching_ || !run_status.ok()) return Status::OK();
-  if (slots_filled_.load(std::memory_order_acquire) != slots_.size()) {
-    // Some morsels were skipped (LIMIT early-exit) — incomplete.
-    return Status::OK();
+  Row* out = rows.data();
+  uint64_t n = 0;
+  for (uint64_t r = begin; r < begin + count; ++r) {
+    out[n] = static_cast<Row>(r);
+    n += bits[r];
   }
-  RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kScanCachePublish));
-  auto sel = std::make_shared<std::vector<uint64_t>>();
-  size_t total = 0;
-  for (const auto& slot : slots_) total += slot.size();
-  sel->reserve(total);
-  // Morsel order == ascending row order, so the concatenation is sorted.
-  for (const auto& slot : slots_) {
-    sel->insert(sel->end(), slot.begin(), slot.end());
-  }
-  // Deferred to query commit (see ExecutionContext): a later failure of
-  // another pipeline of this query must not leave the entry behind.
-  ctx->QueuePutSelection(cache_key_, table_version_, std::move(sel));
-  caching_ = false;
-  return Status::OK();
+  rows.resize(n);
+  return rows;
 }
 
-// ---------------------------------------------------------------------------
-// ScanTableSource
-// ---------------------------------------------------------------------------
+}  // namespace
 
 Status ScanTableSource::Prepare(ExecutionContext* ctx) {
   RELGO_ASSIGN_OR_RETURN(table_, ctx->catalog().GetTable(op_.table));
-  filter_ = op_.filter ? op_.filter->Clone() : nullptr;
-  if (filter_) {
-    RELGO_RETURN_NOT_OK(filter_->Bind(table_->schema()));
-    PrepareCache(ctx, ScanCache::Key("scan", op_.table, op_.filter),
-                 table_->version(), table_->num_rows());
-    compiled_ = vector::CompiledPredicate::Compile(
-        *filter_, table_->schema(), table_.get());
-  }
+  RELGO_ASSIGN_OR_RETURN(bitmap_, FilterBitmap(table_, op_.filter, ctx));
   raw_indexes_.clear();
   output_schema_ = ScanSchema(*table_, op_.alias, op_.projected_columns,
                               op_.emit_rowid, &raw_indexes_);
@@ -117,20 +73,8 @@ Status ScanTableSource::Prepare(ExecutionContext* ctx) {
 
 Status ScanTableSource::Emit(uint64_t begin, uint64_t count, Batch* out,
                              ExecutionContext* ctx) const {
-  std::vector<uint64_t> sel;
-  if (cached_ != nullptr) {
-    CachedRange(begin, count, &sel);
-  } else {
-    sel.reserve(count);
-    if (compiled_ != nullptr) {
-      compiled_->FilterTable(*table_, begin, begin + count, &sel);
-    } else {
-      for (uint64_t r = begin; r < begin + count; ++r) {
-        if (!filter_ || filter_->EvaluateBool(*table_, r)) sel.push_back(r);
-      }
-    }
-    if (caching_) Collect(begin / kBatchRows, sel);
-  }
+  const uint8_t* bits = bitmap_.bits();
+  std::vector<uint64_t> sel = SelectedRows<uint64_t>(bits, begin, count);
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
 
   if (op_.emit_rowid) {
@@ -139,7 +83,7 @@ Status ScanTableSource::Emit(uint64_t begin, uint64_t count, Batch* out,
     for (uint64_t r : sel) rid.AppendInt(static_cast<int64_t>(r));
     out->AddOwned(std::move(rid));
   }
-  bool whole_unfiltered = !filter_ && begin == 0 &&
+  bool whole_unfiltered = bits == nullptr && begin == 0 &&
                           count == table_->num_rows();
   for (int raw : raw_indexes_) {
     if (whole_unfiltered) {
@@ -152,59 +96,22 @@ Status ScanTableSource::Emit(uint64_t begin, uint64_t count, Batch* out,
   return Status::OK();
 }
 
-Status ScanTableSource::PipelineFinished(const Status& run_status,
-                                         ExecutionContext* ctx) {
-  return PublishIfComplete(run_status, ctx);
-}
-
-// ---------------------------------------------------------------------------
-// ScanVertexSource
-// ---------------------------------------------------------------------------
-
 Status ScanVertexSource::Prepare(ExecutionContext* ctx) {
   RELGO_ASSIGN_OR_RETURN(vtable_, ctx->VertexTable(op_.vertex_label));
-  filter_ = op_.filter ? op_.filter->Clone() : nullptr;
-  if (filter_) {
-    RELGO_RETURN_NOT_OK(filter_->Bind(vtable_->schema()));
-    PrepareCache(ctx, ScanCache::Key("vscan", vtable_->name(), op_.filter),
-                 vtable_->version(), vtable_->num_rows());
-    compiled_ = vector::CompiledPredicate::Compile(
-        *filter_, vtable_->schema(), vtable_.get());
-  }
+  RELGO_ASSIGN_OR_RETURN(bitmap_, FilterBitmap(vtable_, op_.filter, ctx));
   output_schema_ = BindingSchema({op_.var});
   return Status::OK();
 }
 
 Status ScanVertexSource::Emit(uint64_t begin, uint64_t count, Batch* out,
                               ExecutionContext* ctx) const {
-  std::vector<uint64_t> sel;
-  if (cached_ != nullptr) {
-    CachedRange(begin, count, &sel);
-  } else {
-    sel.reserve(count);
-    if (compiled_ != nullptr) {
-      compiled_->FilterTable(*vtable_, begin, begin + count, &sel);
-    } else {
-      for (uint64_t r = begin; r < begin + count; ++r) {
-        if (filter_ && !filter_->EvaluateBool(*vtable_, r)) continue;
-        sel.push_back(r);
-      }
-    }
-    if (caching_) Collect(begin / kBatchRows, sel);
-  }
-  Column col(LogicalType::kInt64);
-  col.Reserve(sel.size());
-  for (uint64_t r : sel) col.AppendInt(static_cast<int64_t>(r));
-  RELGO_RETURN_NOT_OK(ctx->ChargeRows(col.size()));
-  uint64_t n = col.size();
-  out->AddOwned(std::move(col));
+  std::vector<int64_t> ids =
+      SelectedRows<int64_t>(bitmap_.bits(), begin, count);
+  RELGO_RETURN_NOT_OK(ctx->ChargeRows(ids.size()));
+  uint64_t n = ids.size();
+  out->AddOwned(Column::OfInts(std::move(ids)));
   out->SetNumRows(n);
   return Status::OK();
-}
-
-Status ScanVertexSource::PipelineFinished(const Status& run_status,
-                                          ExecutionContext* ctx) {
-  return PublishIfComplete(run_status, ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,12 +308,7 @@ Result<storage::TablePtr> RunPipeline(Pipeline* pipeline, Sink* sink,
                 {"workers", std::to_string(run_workers)},
                 {"status", run_status.ok() ? "ok" : run_status.ToString()}});
   }
-  // Cache-publication (and any other per-source completion) hook; sources
-  // ignore failed runs, so this is safe to call unconditionally. The run's
-  // own error wins over a publication failure.
-  Status finished_status = pipeline->source->PipelineFinished(run_status, ctx);
   RELGO_RETURN_NOT_OK(run_status);
-  RELGO_RETURN_NOT_OK(finished_status);
   RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kSinkFinish));
   double sink_start = tr != nullptr ? obs::TraceNowMs() : 0.0;
   Timer finish_timer;

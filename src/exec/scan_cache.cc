@@ -3,18 +3,18 @@
 namespace relgo {
 namespace exec {
 
-std::string ScanCache::Key(const char* kind, const std::string& table,
+std::string ScanCache::Key(const std::string& table,
                            const storage::ExprPtr& filter) {
-  return std::string(kind) + "|" + table + "|" +
-         (filter ? filter->ToString() : "");
+  return table + "|" + (filter ? filter->ToKeyString() : "");
 }
 
-std::list<ScanCache::Entry>::iterator ScanCache::FindLocked(
-    const std::string& key, uint64_t table_version) {
+ScanCache::BitmapPtr ScanCache::Get(const std::string& key,
+                                    uint64_t table_version) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
-    return lru_.end();
+    return nullptr;
   }
   if (it->second->version != table_version) {
     // The table mutated since this entry was computed; it can never be
@@ -22,67 +22,34 @@ std::list<ScanCache::Entry>::iterator ScanCache::FindLocked(
     ++stats_.invalidations;
     ++stats_.misses;
     EraseLocked(it->second);
-    return lru_.end();
+    return nullptr;
   }
   ++stats_.hits;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second;
-}
-
-ScanCache::SelectionPtr ScanCache::Get(const std::string& key,
-                                       uint64_t table_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = FindLocked(key, table_version);
-  return it == lru_.end() ? nullptr : it->sel;
-}
-
-ScanCache::BitmapPtr ScanCache::GetBitmap(const std::string& key,
-                                          uint64_t table_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = FindLocked(key, table_version);
-  return it == lru_.end() ? nullptr : it->bitmap;
+  return it->second->bitmap;
 }
 
 void ScanCache::Put(const std::string& key, uint64_t table_version,
-                    SelectionPtr sel) {
-  if (sel == nullptr) return;
-  Entry entry;
-  entry.bytes = EntryBytes(key, sel);
-  entry.key = key;
-  entry.version = table_version;
-  entry.sel = std::move(sel);
-  PutEntry(std::move(entry));
-}
-
-void ScanCache::PutBitmap(const std::string& key, uint64_t table_version,
-                          BitmapPtr bitmap) {
+                    BitmapPtr bitmap) {
   if (bitmap == nullptr) return;
-  Entry entry;
-  entry.bytes = EntryBytes(key, bitmap);
-  entry.key = key;
-  entry.version = table_version;
-  entry.bitmap = std::move(bitmap);
-  PutEntry(std::move(entry));
-}
-
-void ScanCache::PutEntry(Entry entry) {
+  size_t bytes = key.size() + bitmap->size() + kEntryOverhead;
   std::lock_guard<std::mutex> lock(mu_);
   // Cost-aware admission: one entry may take at most the admission cap,
-  // never the whole budget — a single huge selection must not evict every
+  // never the whole budget — a single huge bitmap must not evict every
   // colder-but-still-hot entry.
-  if (entry.bytes > admit_cap_bytes()) {
+  if (bytes > admit_cap_bytes()) {
     ++stats_.rejections;
     return;
   }
-  auto it = index_.find(entry.key);
+  auto it = index_.find(key);
   if (it != index_.end()) EraseLocked(it->second);
-  while (bytes_ + entry.bytes > max_bytes_ && !lru_.empty()) {
+  while (bytes_ + bytes > max_bytes_ && !lru_.empty()) {
     ++stats_.evictions;
     EraseLocked(std::prev(lru_.end()));  // coldest first
   }
-  bytes_ += entry.bytes;
-  lru_.push_front(std::move(entry));
-  index_[lru_.front().key] = lru_.begin();
+  bytes_ += bytes;
+  lru_.push_front(Entry{key, table_version, std::move(bitmap), bytes});
+  index_[key] = lru_.begin();
   ++stats_.insertions;
 }
 

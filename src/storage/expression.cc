@@ -1,5 +1,6 @@
 #include "storage/expression.h"
 
+#include <cstdio>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -279,21 +280,41 @@ void Expr::SplitConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out) {
   out->push_back(expr);
 }
 
-std::string Expr::ToString() const { return ToStringImpl(false); }
+namespace {
 
-std::string Expr::ToTemplateString() const { return ToStringImpl(true); }
+/// A constant as ToString renders it, or with doubles at round-trip
+/// precision when `exact`.
+std::string RenderValue(const Value& v, bool exact) {
+  if (exact && v.type() == LogicalType::kDouble) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v.double_value());
+    return buf;
+  }
+  return v.ToString();
+}
 
-std::string Expr::ToStringImpl(bool template_mode) const {
+}  // namespace
+
+std::string Expr::ToString() const { return ToStringImpl(Render::kDisplay); }
+
+std::string Expr::ToKeyString() const { return ToStringImpl(Render::kKey); }
+
+std::string Expr::ToTemplateString() const {
+  return ToStringImpl(Render::kTemplate);
+}
+
+std::string Expr::ToStringImpl(Render mode) const {
+  const bool exact = mode != Render::kDisplay;
   switch (kind_) {
     case Kind::kColumnRef:
       return name_;
     case Kind::kConstant:
-      if (template_mode && param_slot_ >= 0) {
+      if (mode == Render::kTemplate && param_slot_ >= 0) {
         return "$" + std::to_string(param_slot_);
       }
       return value_.type() == LogicalType::kString
                  ? "'" + value_.ToString() + "'"
-                 : value_.ToString();
+                 : RenderValue(value_, exact);
     case Kind::kCompare: {
       const char* op = "=";
       switch (compare_op_) {
@@ -316,33 +337,33 @@ std::string Expr::ToStringImpl(bool template_mode) const {
           op = ">=";
           break;
       }
-      return children_[0]->ToStringImpl(template_mode) + " " + op + " " +
-             children_[1]->ToStringImpl(template_mode);
+      return children_[0]->ToStringImpl(mode) + " " + op + " " +
+             children_[1]->ToStringImpl(mode);
     }
     case Kind::kAnd:
-      return "(" + children_[0]->ToStringImpl(template_mode) + " AND " +
-             children_[1]->ToStringImpl(template_mode) + ")";
+      return "(" + children_[0]->ToStringImpl(mode) + " AND " +
+             children_[1]->ToStringImpl(mode) + ")";
     case Kind::kOr:
-      return "(" + children_[0]->ToStringImpl(template_mode) + " OR " +
-             children_[1]->ToStringImpl(template_mode) + ")";
+      return "(" + children_[0]->ToStringImpl(mode) + " OR " +
+             children_[1]->ToStringImpl(mode) + ")";
     case Kind::kNot:
-      return "NOT (" + children_[0]->ToStringImpl(template_mode) + ")";
+      return "NOT (" + children_[0]->ToStringImpl(mode) + ")";
     case Kind::kStartsWith:
-      return children_[0]->ToStringImpl(template_mode) + " STARTS WITH '" +
+      return children_[0]->ToStringImpl(mode) + " STARTS WITH '" +
              string_arg_ + "'";
     case Kind::kContains:
-      return children_[0]->ToStringImpl(template_mode) + " CONTAINS '" +
+      return children_[0]->ToStringImpl(mode) + " CONTAINS '" +
              string_arg_ + "'";
     case Kind::kInList: {
-      std::string out = children_[0]->ToStringImpl(template_mode) + " IN (";
+      std::string out = children_[0]->ToStringImpl(mode) + " IN (";
       for (size_t i = 0; i < in_list_.size(); ++i) {
         if (i) out += ", ";
-        out += in_list_[i].ToString();
+        out += RenderValue(in_list_[i], exact);
       }
       return out + ")";
     }
     case Kind::kIsNull:
-      return children_[0]->ToStringImpl(template_mode) + " IS NULL";
+      return children_[0]->ToStringImpl(mode) + " IS NULL";
   }
   return "?";
 }

@@ -132,16 +132,22 @@ class Expr {
 
   std::string ToString() const;
 
-  /// Like ToString, but renders parameter-slotted constants as "$<slot>"
-  /// instead of their currently bound value. Used for plan-cache template
-  /// signatures so every binding of one template maps to the same key;
-  /// byte-identical to ToString for trees without parameters.
+  /// Like ToString, but renders double constants at round-trip precision
+  /// (ToString's "%.6g" prints 199.9999999 and 200.0000001 both as "200").
+  /// Cache keys are built from it, so distinct constants never share one.
+  std::string ToKeyString() const;
+
+  /// Like ToKeyString, but renders parameter-slotted constants as
+  /// "$<slot>" instead of their currently bound value. Used for plan-cache
+  /// template signatures so every binding of one template maps to the
+  /// same key; byte-identical to ToKeyString for trees without parameters.
   std::string ToTemplateString() const;
 
  private:
   explicit Expr(Kind kind) : kind_(kind) {}
 
-  std::string ToStringImpl(bool template_mode) const;
+  enum class Render { kDisplay, kKey, kTemplate };
+  std::string ToStringImpl(Render mode) const;
 
   /// Shared evaluation core; `Src::Get(row, index)` resolves a bound column
   /// reference. Instantiated for Table rows and loose column arrays.

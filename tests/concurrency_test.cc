@@ -1,5 +1,6 @@
 // Concurrent serving and the cross-query scan cache: ScanCache unit
-// behavior (LRU eviction, byte budget, version invalidation), cache
+// behavior (LRU eviction, byte budget, version invalidation), a plain
+// LIMIT that exits early still publishing its filtered scan, cache
 // on/off parity — results and per-node actual rows identical across all
 // ten optimizer modes and both engines —, invalidation on base-table
 // mutation, and concurrent Run / RunProfiled against one shared Database
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/pipeline/batch.h"
 #include "exec/scan_cache.h"
 #include "fixtures.h"
 #include "workload/harness.h"
@@ -45,23 +47,23 @@ exec::ExecutionOptions Options(exec::EngineKind engine, int threads,
 // ScanCache units
 // ---------------------------------------------------------------------------
 
-exec::ScanCache::SelectionPtr MakeSel(size_t n, uint64_t start = 0) {
-  auto sel = std::make_shared<std::vector<uint64_t>>();
-  for (size_t i = 0; i < n; ++i) sel->push_back(start + i);
-  return sel;
+exec::ScanCache::BitmapPtr MakeBitmap(size_t n) {
+  return std::make_shared<std::vector<uint8_t>>(n, 1);
 }
 
 TEST(ScanCacheTest, HitMissAndVersionInvalidation) {
   exec::ScanCache cache;
-  EXPECT_EQ(cache.Get("scan|T|p", 0), nullptr);  // cold
-  cache.Put("scan|T|p", 0, MakeSel(5));
-  auto hit = cache.Get("scan|T|p", 0);
+  EXPECT_EQ(cache.Get("T|p", 0), nullptr);  // cold
+  auto bitmap = MakeBitmap(5);
+  cache.Put("T|p", 0, bitmap);
+  auto hit = cache.Get("T|p", 0);
   ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit.get(), bitmap.get());  // shared, not copied
   EXPECT_EQ(hit->size(), 5u);
   // Same key at a newer table version: the entry is stale, dropped, and
   // reported as a miss + invalidation.
-  EXPECT_EQ(cache.Get("scan|T|p", 1), nullptr);
-  EXPECT_EQ(cache.Get("scan|T|p", 0), nullptr);  // really gone
+  EXPECT_EQ(cache.Get("T|p", 1), nullptr);
+  EXPECT_EQ(cache.Get("T|p", 0), nullptr);  // really gone
   exec::ScanCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 3u);
@@ -71,14 +73,14 @@ TEST(ScanCacheTest, HitMissAndVersionInvalidation) {
 }
 
 TEST(ScanCacheTest, LruEvictionUnderByteBudget) {
-  // Budget fits two ~(64 + key + 100*8)-byte entries but not three.
+  // Budget fits two (64 + key + 800)-byte entries but not three.
   exec::ScanCache cache(/*max_bytes=*/1900);
-  cache.Put("a", 0, MakeSel(100));
-  cache.Put("b", 0, MakeSel(100));
+  cache.Put("a", 0, MakeBitmap(800));
+  cache.Put("b", 0, MakeBitmap(800));
   EXPECT_EQ(cache.entries(), 2u);
   // Touch "a" so "b" is the least recently used entry.
   EXPECT_NE(cache.Get("a", 0), nullptr);
-  cache.Put("c", 0, MakeSel(100));
+  cache.Put("c", 0, MakeBitmap(800));
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.Get("b", 0), nullptr) << "LRU entry should be evicted";
   EXPECT_NE(cache.Get("a", 0), nullptr);
@@ -86,16 +88,78 @@ TEST(ScanCacheTest, LruEvictionUnderByteBudget) {
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.bytes(), cache.max_bytes());
   // An entry larger than the entire budget is rejected outright.
-  cache.Put("huge", 0, MakeSel(10000));
+  cache.Put("huge", 0, MakeBitmap(10000));
   EXPECT_EQ(cache.Get("huge", 0), nullptr);
   // Replacing a key keeps one entry and reclaims the old bytes.
   size_t before = cache.bytes();
-  cache.Put("c", 1, MakeSel(10));
+  cache.Put("c", 1, MakeBitmap(10));
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_LT(cache.bytes(), before);
   cache.Clear();
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Early-exit scans publish
+// ---------------------------------------------------------------------------
+
+// A filter is evaluated over its whole table at Prepare, so a plain LIMIT
+// that stops after the first morsel still publishes the filter's bitmap,
+// and the next run replays it with the same rows.
+TEST(ScanCacheEarlyExitTest, PlainLimitOverAFilteredScanPublishes) {
+  constexpr int64_t kRows = 3 * exec::pipeline::kBatchRows + 100;
+  Database db;
+  auto person = db.CreateTable(
+      "Person", storage::Schema({{"person_id", LogicalType::kInt64},
+                                 {"age", LogicalType::kInt64}}));
+  ASSERT_TRUE(person.ok());
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(
+        (*person)->AppendRow({Value::Int(i), Value::Int(i % 10)}).ok());
+  }
+  ASSERT_TRUE(db.AddVertexTable("Person", "person_id").ok());
+  ASSERT_TRUE(db.Finalize().ok());
+
+  auto limit = [](std::unique_ptr<plan::PhysicalOp> child) {
+    auto node = std::make_unique<plan::PhysLimit>();
+    node->limit = 5;
+    node->children.push_back(std::move(child));
+    return node;
+  };
+  auto table_scan = std::make_unique<plan::PhysScanTable>();
+  table_scan->table = "Person";
+  table_scan->alias = "p";
+  table_scan->filter = storage::Expr::Eq("age", Value::Int(3));
+  table_scan->emit_rowid = true;
+  auto vertex_scan = std::make_unique<plan::PhysScanVertex>();
+  vertex_scan->vertex_label = db.mapping().FindVertexLabel("Person");
+  vertex_scan->var = "p";
+  vertex_scan->filter = storage::Expr::Eq("age", Value::Int(4));
+  std::vector<std::unique_ptr<plan::PhysicalOp>> plans;
+  plans.push_back(limit(std::move(table_scan)));
+  plans.push_back(limit(std::move(vertex_scan)));
+
+  // One worker claims the morsels in order, so the sink saturates in the
+  // first morsel and the other three are skipped.
+  exec::ExecutionOptions options =
+      Options(exec::EngineKind::kPipeline, 1, /*scan_cache=*/true);
+  for (const auto& plan : plans) {
+    SCOPED_TRACE(plan->children[0]->Describe());
+    auto reference = db.Execute(*plan, testing::OracleOptions());
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    db.ClearScanCache();
+    auto cold = db.Execute(*plan, options);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_EQ(db.scan_cache().entries(), 1u)
+        << "the early-exit run must publish its filter";
+    uint64_t hits = db.scan_cache().stats().hits;
+    auto warm = db.Execute(*plan, options);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(db.scan_cache().stats().hits, hits + 1);
+    EXPECT_EQ(testing::ExactRows(**cold), testing::ExactRows(**reference));
+    EXPECT_EQ(testing::ExactRows(**warm), testing::ExactRows(**reference));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -279,6 +279,42 @@ TEST_F(PlanCacheTest, OptionsOffBypassesTheCache) {
   EXPECT_EQ(db_.plan_cache().entries(), 0u);
 }
 
+// Two double constants that "%.6g" prints alike ("200") must not share a
+// cache key. Each cache is run alone: with the plan cache, the second
+// query would reuse the first one's plan and constant; with the scan
+// cache, the second query's Person filter would replay the first one's
+// bitmap. Either way Bob (place 200) would be lost.
+TEST_F(PlanCacheTest, DoubleConstantsThatPrintAlikeNeverShareACacheEntry) {
+  auto query = [this](double bound) {
+    auto pattern = db_.ParsePattern("(p:Person)");
+    EXPECT_TRUE(pattern.ok());
+    pattern->vertex(0).predicate = storage::Expr::Compare(
+        storage::CompareOp::kGe, storage::Expr::Column("place_id"),
+        storage::Expr::Constant(Value::Double(bound)));
+    return plan::SpjmQueryBuilder("place_bound")
+        .Match(std::move(*pattern))
+        .Column("p", "name", "name")
+        .Select("name")
+        .Build();
+  };
+  for (bool plan_cache : {true, false}) {
+    SCOPED_TRACE(plan_cache ? "plan cache" : "scan cache");
+    db_.ClearPlanCache();
+    db_.ClearScanCache();
+    exec::ExecutionOptions options = Options(EngineKind::kPipeline);
+    options.plan_cache = plan_cache;
+    options.scan_cache = !plan_cache;
+    auto above = db_.Run(query(200.0000001), OptimizerMode::kRelGo, options);
+    ASSERT_TRUE(above.ok()) << above.status().ToString();
+    EXPECT_EQ(testing::SortedRows(*above->table),
+              std::vector<std::string>({"David"}));
+    auto below = db_.Run(query(199.9999999), OptimizerMode::kRelGo, options);
+    ASSERT_TRUE(below.ok()) << below.status().ToString();
+    EXPECT_EQ(testing::SortedRows(*below->table),
+              std::vector<std::string>({"Bob", "David"}));
+  }
+}
+
 // A table append bumps the catalog data version; the next lookup of a hot
 // template is exactly one invalidation + one re-optimization, then the
 // refreshed entry serves hits again. Runs on both engines, which share

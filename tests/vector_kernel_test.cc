@@ -10,8 +10,8 @@
 //    GroupKeyHash chain, and Decode must reproduce Column::GetValue.
 //  * AggColumnView vs the boxed aggregate update loop.
 //  * TypedColumnCompare / TypedColumnValueCompare vs Value::Compare.
-//  * ScanCache cost-aware admission and bitmap payloads (the cache layer
-//    the kernel-filter paths publish into).
+//  * ScanCache cost-aware admission over its bitmap payloads (the cache
+//    layer the kernel-filter paths publish into).
 //
 // Whole queries are checked against the reference interpreter, which
 // uses none of these components, in pipeline_parity_test.
@@ -439,14 +439,8 @@ TEST(TypedColumnCompareTest, SignMatchesValueCompare) {
 }
 
 // ---------------------------------------------------------------------------
-// ScanCache: cost-aware admission + bitmap payloads
+// ScanCache: cost-aware admission over bitmap payloads
 // ---------------------------------------------------------------------------
-
-ScanCache::SelectionPtr MakeSel(size_t n) {
-  auto sel = std::make_shared<std::vector<uint64_t>>();
-  for (size_t i = 0; i < n; ++i) sel->push_back(i);
-  return sel;
-}
 
 ScanCache::BitmapPtr MakeBitmap(size_t n) {
   return std::make_shared<std::vector<uint8_t>>(n, 1);
@@ -455,49 +449,45 @@ ScanCache::BitmapPtr MakeBitmap(size_t n) {
 TEST(ScanCacheAdmissionTest, RejectsEntriesOverTheCapFraction) {
   ScanCache cache(/*max_bytes=*/2000);  // cap = 1000 bytes per entry
   ASSERT_EQ(cache.admit_cap_bytes(), 1000u);
-  // 100 ids = 1 + 800 + 64 bytes: admitted.
-  cache.Put("a", 1, MakeSel(100));
+  // 800 bytes = 1 + 800 + 64 bytes: admitted.
+  cache.Put("a", 1, MakeBitmap(800));
   EXPECT_EQ(cache.entries(), 1u);
-  // 1000 ids = 8065 bytes > cap: refused outright (no eviction of the
+  // 8000 bytes = 8065 bytes > cap: refused outright (no eviction of the
   // colder-but-still-hot entry), counted as a rejection.
-  cache.Put("b", 1, MakeSel(1000));
+  cache.Put("b", 1, MakeBitmap(8000));
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.Get("b", 1), nullptr);
   EXPECT_NE(cache.Get("a", 1), nullptr);
   EXPECT_EQ(cache.stats().rejections, 1u);
-  // Oversized bitmaps are refused by the same cap.
-  cache.PutBitmap("bitmap|c", 1, MakeBitmap(1500));
+  // The cap is inclusive: 1 + 935 + 64 = 1000 bytes is admitted, one more
+  // byte is refused.
+  cache.Put("c", 1, MakeBitmap(936));
   EXPECT_EQ(cache.stats().rejections, 2u);
-  EXPECT_EQ(cache.entries(), 1u);
+  cache.Put("c", 1, MakeBitmap(935));
+  EXPECT_EQ(cache.stats().rejections, 2u);
+  EXPECT_EQ(cache.entries(), 2u);
 }
 
-TEST(ScanCacheAdmissionTest, BitmapPayloadsShareLruAndVersioning) {
+TEST(ScanCacheAdmissionTest, HitsShareThePayloadAndColdEntriesGoFirst) {
   ScanCache cache(/*max_bytes=*/2000);
-  auto bitmap = MakeBitmap(200);  // 9 + 200 + 64 = 273 bytes
-  cache.PutBitmap("bitmap|t1", 7, bitmap);
-  auto hit = cache.GetBitmap("bitmap|t1", 7);
+  auto bitmap = MakeBitmap(200);  // 2 + 200 + 64 = 266 bytes
+  cache.Put("t1", 7, bitmap);
+  auto hit = cache.Get("t1", 7);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit.get(), bitmap.get());  // shared, not copied
   EXPECT_EQ(cache.stats().hits, 1u);
-  // Version mismatch invalidates, exactly like selection entries.
-  EXPECT_EQ(cache.GetBitmap("bitmap|t1", 8), nullptr);
+  // Version mismatch invalidates.
+  EXPECT_EQ(cache.Get("t1", 8), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1u);
-  // Selections and bitmaps share one byte budget: filling with
-  // selections evicts the bitmap from the cold end.
-  cache.PutBitmap("bitmap|t2", 1, MakeBitmap(600));
-  cache.Put("s1", 1, MakeSel(100));
-  cache.Put("s2", 1, MakeSel(100));
-  cache.Put("s3", 1, MakeSel(100));
-  EXPECT_EQ(cache.GetBitmap("bitmap|t2", 1), nullptr);
+  // Admitted entries evict from the cold end: t2 is the oldest when
+  // three more entries overflow the budget.
+  cache.Put("t2", 1, MakeBitmap(600));
+  cache.Put("s1", 1, MakeBitmap(450));
+  cache.Put("s2", 1, MakeBitmap(450));
+  cache.Put("s3", 1, MakeBitmap(450));
+  EXPECT_EQ(cache.Get("t2", 1), nullptr);
+  EXPECT_NE(cache.Get("s1", 1), nullptr);
   EXPECT_GT(cache.stats().evictions, 0u);
-}
-
-TEST(ScanCacheAdmissionTest, BitmapKeyNamespaceNeverCollides) {
-  auto filter = Expr::Eq("x", Value::Int(1));
-  EXPECT_NE(ScanCache::Key("bitmap", "t", filter),
-            ScanCache::Key("scan", "t", filter));
-  EXPECT_NE(ScanCache::Key("bitmap", "t", filter),
-            ScanCache::Key("vscan", "t", filter));
 }
 
 }  // namespace
