@@ -6,11 +6,17 @@
 // change per template and per request.
 //
 //   bench_ldbc_requests [--reps <n>] [--query <substring>] [--explain]
+//                       [--check]
 //
 //   --reps <n>          timed calls per request after one warm-up call
 //                       (default 30); a request's time is its fastest
 //   --query <substring> only requests whose label ("IC1-3/Lee") contains it
 //   --explain           also print EXPLAIN ANALYZE of each request
+//   --check             compare the warm-up call's result (a plan-cache
+//                       miss) and the last timed call's (a hit, rebound
+//                       from the cached template) row for row with the
+//                       reference interpreter (caches off); exit 1 on the
+//                       first mismatch
 //
 // Prints one line per request, then each template's summed fastest times
 // and the pool total. Writes no BENCH_pipeline.json records.
@@ -90,6 +96,37 @@ std::vector<Request> Pool(const Database& db) {
   return pool;
 }
 
+/// The rendered rows of `table`, in order.
+std::vector<std::string> Rows(const storage::Table& table) {
+  std::vector<std::string> rows(table.num_rows());
+  for (uint64_t r = 0; r < table.num_rows(); ++r) {
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      if (c > 0) rows[r] += "|";
+      rows[r] += table.GetValue(r, c).ToString();
+    }
+  }
+  return rows;
+}
+
+/// Prints where `actual` (the `which` call of `label`) first differs from
+/// the reference rows; returns true when they are equal.
+bool SameRows(const std::string& label, const char* which,
+              const std::vector<std::string>& actual,
+              const std::vector<std::string>& expected) {
+  if (actual == expected) return true;
+  size_t r = 0;
+  while (r < actual.size() && r < expected.size() && actual[r] == expected[r]) {
+    ++r;
+  }
+  std::fprintf(stderr,
+               "%s: %s call differs from the reference at row %zu of %zu "
+               "(reference %zu rows)\n  got:      %s\n  expected: %s\n",
+               label.c_str(), which, r, actual.size(), expected.size(),
+               r < actual.size() ? actual[r].c_str() : "(none)",
+               r < expected.size() ? expected[r].c_str() : "(none)");
+  return false;
+}
+
 }  // namespace
 }  // namespace relgo
 
@@ -98,6 +135,7 @@ int main(int argc, char** argv) {
   int reps = 30;
   std::string filter;
   bool explain = false;
+  bool check = false;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--reps" && i + 1 < argc) {
@@ -106,6 +144,8 @@ int main(int argc, char** argv) {
       filter = argv[++i];
     } else if (a == "--explain") {
       explain = true;
+    } else if (a == "--check") {
+      check = true;
     } else {
       reps = 0;  // unknown flag: print the usage line
       break;
@@ -114,7 +154,7 @@ int main(int argc, char** argv) {
   if (reps < 1) {
     std::fprintf(stderr,
                  "usage: %s [--reps <n >= 1>] [--query <substring>] "
-                 "[--explain]\n",
+                 "[--explain] [--check]\n",
                  argv[0]);
     return 2;
   }
@@ -123,6 +163,11 @@ int main(int argc, char** argv) {
   exec::ExecutionOptions options;
   options.num_threads = 1;
   const optimizer::OptimizerMode mode = optimizer::OptimizerMode::kRelGo;
+  exec::ExecutionOptions reference;
+  reference.engine = exec::EngineKind::kMaterialize;
+  reference.plan_cache = false;
+  reference.scan_cache = false;
+  size_t checked = 0;
 
   std::vector<std::pair<std::string, double>> per_template;  // pool order
   double total_ms = 0.0;
@@ -136,6 +181,7 @@ int main(int argc, char** argv) {
       continue;
     }
     double fastest = 0.0;
+    storage::TablePtr last;
     for (int rep = 0; rep < reps; ++rep) {
       Timer timer;
       auto run = db->Run(r.query, mode, options);
@@ -146,6 +192,21 @@ int main(int argc, char** argv) {
         return 1;
       }
       if (rep == 0 || ms < fastest) fastest = ms;
+      last = std::move(run->table);
+    }
+    if (check) {
+      auto expected = db->Run(r.query, mode, reference);
+      if (!expected.ok()) {
+        std::fprintf(stderr, "%s: reference: %s\n", r.label.c_str(),
+                     expected.status().ToString().c_str());
+        return 1;
+      }
+      std::vector<std::string> want = Rows(*expected->table);
+      if (!SameRows(r.label, "warm-up", Rows(*warm->table), want) ||
+          !SameRows(r.label, "last timed", Rows(*last), want)) {
+        return 1;
+      }
+      ++checked;
     }
     std::printf("%-16s %8llu %12.4f\n", r.label.c_str(),
                 static_cast<unsigned long long>(warm->table->num_rows()),
@@ -166,6 +227,10 @@ int main(int argc, char** argv) {
     std::printf("%-16s %12.4f\n", name.c_str(), ms);
   }
   std::printf("%-16s %12.4f\n", "total", total_ms);
+  if (check) {
+    std::printf("checked %zu requests against the reference: all equal\n",
+                checked);
+  }
   delete db;
   return 0;
 }

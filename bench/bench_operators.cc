@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <random>
@@ -59,8 +60,11 @@ void BM_GraphIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphIndexBuild)->Unit(benchmark::kMillisecond);
 
-std::unique_ptr<plan::PhysicalOp> KnowsExpandPlan(Database* db,
-                                                  bool use_index) {
+/// SCAN_VERTEX a, then EXPAND a -> b over knows; `vertex_filter` restricts
+/// b and `edge_var` binds the edge when non-empty.
+std::unique_ptr<plan::PhysicalOp> KnowsExpandPlan(
+    Database* db, bool use_index, storage::ExprPtr vertex_filter = nullptr,
+    std::string edge_var = "") {
   int person = db->mapping().FindVertexLabel("Person");
   int knows = db->mapping().FindEdgeLabel("knows");
   auto scan = std::make_unique<plan::PhysScanVertex>();
@@ -71,9 +75,26 @@ std::unique_ptr<plan::PhysicalOp> KnowsExpandPlan(Database* db,
   expand->dir = graph::Direction::kOut;
   expand->from_var = "a";
   expand->to_var = "b";
+  expand->edge_var = std::move(edge_var);
+  expand->vertex_filter = std::move(vertex_filter);
   expand->use_index = use_index;
   expand->children.push_back(std::move(scan));
   return expand;
+}
+
+/// `birthday < d`, with d the tenth percentile of Person.birthday: passes
+/// about 10% of the persons, independently of their row ids.
+storage::ExprPtr TenthPercentileBirthday(Database* db) {
+  auto person = db->catalog().GetTable("Person");
+  if (!person.ok()) std::abort();
+  const storage::Column* birthday = (*person)->FindColumn("birthday");
+  std::vector<int64_t> days(birthday->data_int64(),
+                            birthday->data_int64() + birthday->size());
+  auto tenth = days.begin() + static_cast<std::ptrdiff_t>(days.size() / 10);
+  std::nth_element(days.begin(), tenth, days.end());
+  return storage::Expr::Compare(
+      storage::CompareOp::kLt, storage::Expr::Column("birthday"),
+      storage::Expr::Constant(Value::Date(static_cast<int32_t>(*tenth))));
 }
 
 void BM_ExpandIndexed(benchmark::State& state) {
@@ -87,6 +108,36 @@ void BM_ExpandIndexed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExpandIndexed)->Unit(benchmark::kMillisecond);
+
+void BM_ExpandIndexedEdge(benchmark::State& state) {
+  Database* db = SharedDb();
+  auto plan = KnowsExpandPlan(db, true, nullptr, "k");
+  for (auto _ : state) {
+    auto ctx = MakeContext(db);
+    auto result = exec::pipeline::Run(*plan, &ctx);
+    if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
+    benchmark::DoNotOptimize((*result)->num_rows());
+  }
+}
+BENCHMARK(BM_ExpandIndexedEdge)->Unit(benchmark::kMillisecond);
+
+/// The filtered expansion path: a bitmap test per neighbor, with the edge
+/// binding (arg 1) or without (arg 0).
+void BM_ExpandIndexedFiltered(benchmark::State& state) {
+  Database* db = SharedDb();
+  auto plan = KnowsExpandPlan(db, true, TenthPercentileBirthday(db),
+                              state.range(0) != 0 ? "k" : "");
+  for (auto _ : state) {
+    auto ctx = MakeContext(db);
+    auto result = exec::pipeline::Run(*plan, &ctx);
+    if (!result.ok()) state.SkipWithError(result.status().ToString().c_str());
+    benchmark::DoNotOptimize((*result)->num_rows());
+  }
+}
+BENCHMARK(BM_ExpandIndexedFiltered)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ExpandHash(benchmark::State& state) {
   Database* db = SharedDb();

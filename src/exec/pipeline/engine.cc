@@ -269,20 +269,21 @@ std::string PiHatName(const Pipeline& pipeline, size_t bridge,
   return name;
 }
 
-/// The position in pipeline.ops right after the operator below `bridge`
-/// that binds `var`: 0 for the ScanVertex source, i + 1 for ops[i] when it
-/// is an EXPAND, GET_VERTEX or EXPAND_INTERSECT with `var` as its target,
-/// or any operator that binds `var` as its edge. -1 when none of them
-/// binds it (a var from a materialized breaker or a join build side).
-int AfterBinder(const Pipeline& pipeline, size_t bridge,
-                const std::string& var) {
-  const PhysicalOp* source = pipeline.source_node;
+/// Sets the top-k `fence` on the stage below `bridge` that binds `var`:
+/// the ScanVertex source, or an EXPAND, GET_VERTEX or EXPAND_INTERSECT
+/// with `var` as its target, or any binder with `var` as its edge. Leaves
+/// the pipeline unfenced when none of them binds it (a var from a
+/// materialized breaker or a join build side).
+void FenceBinder(Pipeline* pipeline, size_t bridge, const std::string& var,
+                 const TopKFence* fence) {
+  const PhysicalOp* source = pipeline->source_node;
   if (source != nullptr && source->kind == OpKind::kScanVertex &&
       static_cast<const plan::PhysScanVertex&>(*source).var == var) {
-    return 0;
+    static_cast<ScanVertexSource*>(pipeline->source.get())->SetFence(fence);
+    return;
   }
   for (size_t i = 0; i < bridge; ++i) {
-    const PhysicalOp& node = *pipeline.op_nodes[i];
+    const PhysicalOp& node = *pipeline->op_nodes[i];
     bool binds = false;
     switch (node.kind) {
       case OpKind::kExpand: {
@@ -309,19 +310,20 @@ int AfterBinder(const Pipeline& pipeline, size_t bridge,
       default:
         break;
     }
-    if (binds) return static_cast<int>(i) + 1;
+    if (binds) {
+      static_cast<BinderOp*>(pipeline->ops[i].get())->SetFence(fence, var);
+      return;
+    }
   }
-  return -1;
 }
 
 /// Lets the top-k `sink` rank the sort keys that the deferred pi-hat at
 /// pipeline->ops[bridge] streams as row ids, and, when the run is not
-/// profiled, places a TopKFenceOp on the sink's fence right after the
-/// operator that binds the first key's variable (the fence arms itself in
-/// the sink's Prepare). Returns pi-hat's index after the placement.
-size_t RankSortKeys(Pipeline* pipeline, size_t bridge,
-                    const plan::PhysOrderBy& order, TopKSink* sink,
-                    ExecutionContext* ctx) {
+/// profiled, sets the sink's fence on the stage that binds the first key's
+/// variable (the fence arms itself in the sink's Prepare).
+void RankSortKeys(Pipeline* pipeline, size_t bridge,
+                  const plan::PhysOrderBy& order, TopKSink* sink,
+                  ExecutionContext* ctx) {
   const auto* pi_hat =
       static_cast<const ScanGraphTableOp*>(pipeline->ops[bridge].get());
   std::vector<std::string> names;
@@ -330,21 +332,15 @@ size_t RankSortKeys(Pipeline* pipeline, size_t bridge,
   }
   std::string first = names[0];
   sink->RankKeysThrough(pi_hat, std::move(names));
-  if (ctx->profile() != nullptr || !pi_hat->Defers(first)) return bridge;
+  if (ctx->profile() != nullptr || !pi_hat->Defers(first)) return;
   const auto& node =
       static_cast<const plan::PhysScanGraphTable&>(*pipeline->op_nodes[bridge]);
-  std::string var;
   for (const auto& proj : node.projections) {
-    if (proj.output_name == first) var = proj.var;
+    if (proj.output_name == first) {
+      FenceBinder(pipeline, bridge, proj.var, sink->fence());
+      return;
+    }
   }
-  int at = AfterBinder(*pipeline, bridge, var);
-  if (at < 0) return bridge;
-  // The fence op is not a plan node: its op_nodes entry stays null, which
-  // is safe because the fence is never placed in a profiled run.
-  pipeline->ops.insert(pipeline->ops.begin() + at,
-                       std::make_unique<TopKFenceOp>(sink->fence(), var));
-  pipeline->op_nodes.insert(pipeline->op_nodes.begin() + at, nullptr);
-  return bridge + 1;
 }
 
 /// Replaces the row-id columns that the deferred pi-hat at
@@ -401,9 +397,9 @@ Result<TablePtr> RunTopK(Pipeline* pipeline, TopKSink* sink,
   const bool top_k = sink->HeapMode();
   int deferred = DeferBridgeColumns(pipeline, top_k ? nullptr : order);
   if (deferred < 0) return RunPipeline(pipeline, sink, scheduler, ctx);
-  auto bridge = static_cast<size_t>(deferred);
+  const auto bridge = static_cast<size_t>(deferred);
   if (top_k && !order->keys.empty()) {
-    bridge = RankSortKeys(pipeline, bridge, *order, sink, ctx);
+    RankSortKeys(pipeline, bridge, *order, sink, ctx);
   }
   RELGO_ASSIGN_OR_RETURN(auto kept,
                          RunPipeline(pipeline, sink, scheduler, ctx));

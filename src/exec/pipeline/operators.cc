@@ -177,6 +177,28 @@ void EmitExpanded(const Batch& in, std::vector<uint64_t> rows,
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// BinderOp
+// ---------------------------------------------------------------------------
+
+Status BinderOp::ResolveFence(const Schema& input) {
+  if (fence_ == nullptr) return Status::OK();
+  int col = output_schema_.FindColumn(fence_var_);
+  if (col < static_cast<int>(input.num_columns())) {
+    return Status::Internal("top-k fence on '" + fence_var_ +
+                            "', which this operator does not bind");
+  }
+  fence_col_ = static_cast<size_t>(col) - input.num_columns();
+  return Status::OK();
+}
+
+void BinderOp::Emit(const Batch& in, std::vector<uint64_t> rows,
+                    std::vector<int64_t>* const* cols, size_t num_cols,
+                    Batch* out) const {
+  if (fence_ != nullptr) fence_->Narrow(fence_col_, &rows, cols, num_cols);
+  EmitExpanded(in, std::move(rows), cols, num_cols, out);
+}
+
+// ---------------------------------------------------------------------------
 // FilterOp
 // ---------------------------------------------------------------------------
 
@@ -497,7 +519,7 @@ Status ExpandEdgeOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   output_schema_ = input;
   RELGO_RETURN_NOT_OK(
       output_schema_.AddColumn({op_.edge_var, LogicalType::kInt64}));
-  return Status::OK();
+  return ResolveFence(input);
 }
 
 Status ExpandEdgeOp::Process(const Batch& in, Cursor* cursor, Batch* out,
@@ -528,7 +550,7 @@ Status ExpandEdgeOp::Process(const Batch& in, Cursor* cursor, Batch* out,
   }();
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
   std::vector<int64_t>* cols[] = {&edge_vals};
-  EmitExpanded(in, std::move(sel), cols, 1, out);
+  Emit(in, std::move(sel), cols, 1, out);
   return Status::OK();
 }
 
@@ -550,7 +572,7 @@ Status GetVertexOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   output_schema_ = input;
   RELGO_RETURN_NOT_OK(
       output_schema_.AddColumn({op_.to_var, LogicalType::kInt64}));
-  return Status::OK();
+  return ResolveFence(input);
 }
 
 Status GetVertexOp::Process(const Batch& in, Cursor* cursor, Batch* out,
@@ -577,7 +599,7 @@ Status GetVertexOp::Process(const Batch& in, Cursor* cursor, Batch* out,
   }();
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
   std::vector<int64_t>* cols[] = {&vertex_vals};
-  EmitExpanded(in, std::move(sel), cols, 1, out);
+  Emit(in, std::move(sel), cols, 1, out);
   return Status::OK();
 }
 
@@ -635,23 +657,66 @@ Status ExpandOp::Prepare(const Schema& input, ExecutionContext* ctx) {
     RELGO_RETURN_NOT_OK(
         output_schema_.AddColumn({op_.edge_var, LogicalType::kInt64}));
   }
-  return Status::OK();
+  return ResolveFence(input);
 }
 
 Status ExpandOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                          ExecutionContext* ctx) const {
   const uint8_t* pass = bitmap_.bits();
   const bool want_edge = !op_.edge_var.empty();
-  const uint64_t capacity = OutputCapacity(in, *cursor);
   std::vector<uint64_t> sel;
   std::vector<int64_t> to_vals, edge_vals;
-  sel.reserve(capacity);
-  to_vals.reserve(capacity);
-  if (want_edge) edge_vals.reserve(capacity);
   const Column& from = in.column(from_col_);
 
-  if (use_index_) {
+  if (use_index_ && pass == nullptr) {
+    // Unfiltered: every adjacency entry is an output row. The first pass
+    // sums degrees to find where this call stops and sizes the outputs
+    // once; the second copies each adjacency run in bulk, with no branch
+    // or capacity check per neighbor.
+    const graph::GraphIndex& index = ctx->index();
+    const uint64_t* rows = RowMap(in);
+    const uint64_t n = in.num_rows();
+    Cursor next{n, 0, 0};
+    uint64_t total = 0;
+    for (uint64_t r = cursor->row, i = cursor->inner; r < n; ++r, i = 0) {
+      auto v = static_cast<uint64_t>(from.int_at(rows[r]));
+      uint64_t run = index.Degree(op_.edge_label, op_.dir, v) - i;
+      if (run > kBatchRows - total) {
+        next = Cursor{r, i + (kBatchRows - total), 0};
+        total = kBatchRows;
+        break;
+      }
+      total += run;
+    }
+    sel.resize(total);
+    to_vals.resize(total);
+    if (want_edge) edge_vals.resize(total);
+    uint64_t o = 0;
+    for (uint64_t r = cursor->row, i = cursor->inner; o < total; ++r, i = 0) {
+      uint64_t p = rows[r];
+      auto v = static_cast<uint64_t>(from.int_at(p));
+      graph::AdjacencyList adj = index.Neighbors(op_.edge_label, op_.dir, v);
+      uint64_t run = std::min<uint64_t>(adj.size - i, total - o);
+      std::fill_n(sel.data() + o, run, p);
+      std::copy_n(adj.neighbors + i, run, to_vals.data() + o);
+      if (want_edge) std::copy_n(adj.edges + i, run, edge_vals.data() + o);
+      o += run;
+    }
+    *cursor = next;
+  } else if (use_index_) {
+    // Filtered: a bitmap test per neighbor. The loop stores through raw
+    // pointers and grows the outputs (doubling, up to a full batch) only
+    // when they are full, so its per-neighbor cost does not hinge on the
+    // compiler inlining push_back for three vectors.
+    uint64_t o = 0;
+    const uint64_t capacity = OutputCapacity(in, *cursor);
+    sel.resize(capacity);
+    to_vals.resize(capacity);
+    if (want_edge) edge_vals.resize(capacity);
     *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
+      uint64_t* s = sel.data();
+      int64_t* t = to_vals.data();
+      int64_t* e = edge_vals.data();
       uint64_t r = cursor->row, i = cursor->inner;
       for (; r < n; ++r, i = 0) {
         uint64_t p = rows[r];
@@ -660,18 +725,33 @@ Status ExpandOp::Process(const Batch& in, Cursor* cursor, Batch* out,
             ctx->index().Neighbors(op_.edge_label, op_.dir, v);
         for (; i < adj.size; ++i) {
           uint64_t nbr = adj.neighbors[i];
-          if (pass != nullptr && !pass[nbr]) continue;
-          if (sel.size() == kBatchRows) return Cursor{r, i, 0};
-          sel.push_back(p);
-          to_vals.push_back(static_cast<int64_t>(nbr));
-          if (want_edge) {
-            edge_vals.push_back(static_cast<int64_t>(adj.edges[i]));
+          if (!pass[nbr]) continue;
+          if (o == sel.size()) {
+            if (o == kBatchRows) return Cursor{r, i, 0};
+            uint64_t size = std::min(kBatchRows, 2 * o);
+            sel.resize(size);
+            to_vals.resize(size);
+            if (want_edge) edge_vals.resize(size);
+            s = sel.data();
+            t = to_vals.data();
+            e = edge_vals.data();
           }
+          s[o] = p;
+          t[o] = static_cast<int64_t>(nbr);
+          if (want_edge) e[o] = static_cast<int64_t>(adj.edges[i]);
+          ++o;
         }
       }
       return Cursor{n, 0, 0};
     }();
+    sel.resize(o);
+    to_vals.resize(o);
+    if (want_edge) edge_vals.resize(o);
   } else {
+    const uint64_t capacity = OutputCapacity(in, *cursor);
+    sel.reserve(capacity);
+    to_vals.reserve(capacity);
+    if (want_edge) edge_vals.reserve(capacity);
     const int64_t* from_keys = from_key_col_->data_int64();
     std::vector<uint64_t> edges;
     *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
@@ -700,7 +780,7 @@ Status ExpandOp::Process(const Batch& in, Cursor* cursor, Batch* out,
 
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
   std::vector<int64_t>* cols[] = {&to_vals, &edge_vals};
-  EmitExpanded(in, std::move(sel), cols, want_edge ? 2 : 1, out);
+  Emit(in, std::move(sel), cols, want_edge ? 2 : 1, out);
   return Status::OK();
 }
 
@@ -740,7 +820,7 @@ Status ExpandIntersectOp::Prepare(const Schema& input, ExecutionContext* ctx) {
       }
     }
   }
-  return Status::OK();
+  return ResolveFence(input);
 }
 
 Status ExpandIntersectOp::Process(const Batch& in, Cursor* cursor, Batch* out,
@@ -861,7 +941,7 @@ Status ExpandIntersectOp::Process(const Batch& in, Cursor* cursor, Batch* out,
     if (keep_edge[i]) cols.push_back(&edge_vals[i]);
   }
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
-  EmitExpanded(in, std::move(sel), cols.data(), cols.size(), out);
+  Emit(in, std::move(sel), cols.data(), cols.size(), out);
   return Status::OK();
 }
 
@@ -905,7 +985,7 @@ Status EdgeVerifyOp::Prepare(const Schema& input, ExecutionContext* ctx) {
     RELGO_RETURN_NOT_OK(
         output_schema_.AddColumn({op_.edge_var, LogicalType::kInt64}));
   }
-  return Status::OK();
+  return ResolveFence(input);
 }
 
 Status EdgeVerifyOp::Process(const Batch& in, Cursor* cursor, Batch* out,
@@ -972,7 +1052,7 @@ Status EdgeVerifyOp::Process(const Batch& in, Cursor* cursor, Batch* out,
 
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
   std::vector<int64_t>* cols[] = {&edge_vals};
-  EmitExpanded(in, std::move(sel), cols, want_edge ? 1 : 0, out);
+  Emit(in, std::move(sel), cols, want_edge ? 1 : 0, out);
   return Status::OK();
 }
 
@@ -1149,7 +1229,7 @@ const Column* ScanGraphTableOp::DeferredColumn(
 }
 
 // ---------------------------------------------------------------------------
-// TopKFence / TopKFenceOp
+// TopKFence
 // ---------------------------------------------------------------------------
 
 void TopKFence::Arm(const Column* base, bool ascending) {
@@ -1165,48 +1245,87 @@ void TopKFence::Tighten(uint64_t rid) {
   }
 }
 
-uint64_t TopKFence::Admit(const Column& rids, const uint64_t* rows,
-                          uint64_t n, uint64_t* keep) const {
+uint64_t TopKFence::Keep(const int64_t* rids, uint64_t n,
+                         uint32_t* keep) const {
   // Any bound a worker reads, however stale, was published by a full heap
-  // and stays valid for the rest of the run. The loop captures by value:
+  // and stays valid for the rest of the run. The loops capture by value:
   // stores to `keep` could otherwise alias the bound and the row count.
   const uint64_t bound = bound_.load();
   const Column* base = base_;
-  const Column* ids = &rids;
   const bool ascending = ascending_;
+  // A NULL-free key: compare `key` at the row ids. The promotions match
+  // TypedColumnCompareAs, so a tie there (NaN included) is a tie here.
+  auto by_key = [=](auto key) {
+    const auto b = key(bound);
+    uint64_t kept = 0;
+    if (ascending) {
+      for (uint64_t i = 0; i < n; ++i) {
+        keep[kept] = static_cast<uint32_t>(i);
+        kept += !(b < key(static_cast<uint64_t>(rids[i])));
+      }
+    } else {
+      for (uint64_t i = 0; i < n; ++i) {
+        keep[kept] = static_cast<uint32_t>(i);
+        kept += !(key(static_cast<uint64_t>(rids[i])) < b);
+      }
+    }
+    return kept;
+  };
+  if (base->validity_data() == nullptr) {
+    switch (base->type()) {
+      case LogicalType::kString:
+        if (base->dictionary() != nullptr && base->dictionary()->sorted) {
+          const int32_t* codes = base->data_codes();
+          return by_key([codes](uint64_t r) { return codes[r]; });
+        }
+        break;
+      case LogicalType::kDate: {
+        const int64_t* days = base->data_int64();
+        return by_key(
+            [days](uint64_t r) { return static_cast<int32_t>(days[r]); });
+      }
+      case LogicalType::kInt64: {
+        const int64_t* ints = base->data_int64();
+        return by_key(
+            [ints](uint64_t r) { return static_cast<double>(ints[r]); });
+      }
+      case LogicalType::kDouble: {
+        const double* doubles = base->data_double();
+        return by_key([doubles](uint64_t r) { return doubles[r]; });
+      }
+      default:
+        break;
+    }
+  }
   return vector::DispatchLogicalType(base->type(), [=](auto type) {
     uint64_t kept = 0;
-    for (uint64_t r = 0; r < n; ++r) {
-      auto rid = static_cast<uint64_t>(ids->int_at(rows[r]));
+    for (uint64_t i = 0; i < n; ++i) {
       int c = vector::TypedColumnCompareAs<decltype(type)::value>(
-          *base, rid, *base, bound);
-      keep[kept] = rows[r];
+          *base, static_cast<uint64_t>(rids[i]), *base, bound);
+      keep[kept] = static_cast<uint32_t>(i);
       kept += (ascending ? c : -c) <= 0;
     }
     return kept;
   });
 }
 
-Status TopKFenceOp::Prepare(const Schema& input, ExecutionContext* ctx) {
-  (void)ctx;
-  RELGO_ASSIGN_OR_RETURN(var_col_, input.GetColumnIndex(var_));
-  output_schema_ = input;
-  return Status::OK();
-}
-
-Status TopKFenceOp::Process(const Batch& in, Cursor* cursor, Batch* out,
-                            ExecutionContext* ctx) const {
-  (void)ctx;
-  const uint64_t n = in.num_rows();
-  cursor->row = n;
-  if (!fence_->engaged()) {
-    *out = in;
-    return Status::OK();
-  }
-  std::vector<uint64_t> keep(n);
-  keep.resize(fence_->Admit(in.column(var_col_), RowMap(in), n, keep.data()));
-  *out = keep.size() == n ? in : in.Select(std::move(keep));
-  return Status::OK();
+void TopKFence::Narrow(size_t key, std::vector<uint64_t>* rows,
+                       std::vector<int64_t>* const* cols,
+                       size_t num_cols) const {
+  const uint64_t n = cols[key]->size();
+  if (n == 0 || !engaged()) return;
+  assert(n <= kBatchRows);
+  uint32_t keep[kBatchRows];
+  const uint64_t kept = Keep(cols[key]->data(), n, keep);
+  if (kept == n) return;
+  // keep[j] >= j: compacting front to back never overwrites an unread
+  // entry.
+  auto compact = [&](auto* values) {
+    for (uint64_t j = 0; j < kept; ++j) (*values)[j] = (*values)[keep[j]];
+    values->resize(kept);
+  };
+  if (rows != nullptr) compact(rows);
+  for (size_t c = 0; c < num_cols; ++c) compact(cols[c]);
 }
 
 // ---------------------------------------------------------------------------

@@ -62,6 +62,63 @@ Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
                                   const storage::ExprPtr& filter,
                                   ExecutionContext* ctx);
 
+/// The running k-th first sort key of a TOP_K sink, pushed down to the
+/// stage that binds the key's variable: the ScanVertex source or a
+/// BinderOp drops the rows it binds whose key is strictly worse, before
+/// anything downstream reads them.
+///
+/// The bound is a row id of the key's base column: the worst first key of
+/// some full heap. Rows compare against it in the sink's own ordering
+/// (Value::Compare's: NULLs first, numbers promoted through double,
+/// strings by sorted-dictionary code or by bytes), signed by the key's
+/// direction. A row is dropped only when its key is strictly worse; ties
+/// (and NaN, which compares equal to every double) are kept, so the sink's
+/// (morsel, offset + row) tie-break still decides the cut.
+///
+/// The bound starts empty and only tightens, through a CAS, to a strictly
+/// better key; any worker's bound is valid for every row, since a row
+/// worse than one worker's k-th key cannot be among the global top k.
+class TopKFence {
+ public:
+  /// Binds the fence to the base column the first key reads at its row
+  /// ids, or turns it off when `base` is null. Single-threaded, before
+  /// any Process.
+  void Arm(const storage::Column* base, bool ascending);
+  bool armed() const { return base_ != nullptr; }
+  /// True once some full heap published a bound: before that, every row
+  /// is admitted.
+  bool engaged() const { return base_ != nullptr && bound_.load() != kNone; }
+
+  /// Moves the bound to base row `rid` unless the bound's key is already
+  /// at least as good.
+  void Tighten(uint64_t rid);
+
+  /// Narrows freshly bound rows in place: keeps the entries of the
+  /// parallel vectors cols[0..num_cols) (at most kBatchRows long) and of
+  /// `rows`, when not null, whose row id in *cols[key] keys no worse than
+  /// the bound. Does nothing until the fence engages.
+  void Narrow(size_t key, std::vector<uint64_t>* rows,
+              std::vector<int64_t>* const* cols, size_t num_cols) const;
+
+ private:
+  static constexpr uint64_t kNone = ~uint64_t{0};
+
+  /// Writes to keep[0..) the positions i of rids[0..n) whose base row keys
+  /// no worse than the bound, ascending, and returns their count. One type
+  /// dispatch and one bound read per call.
+  uint64_t Keep(const int64_t* rids, uint64_t n, uint32_t* keep) const;
+
+  /// Sign of base[a] against base[b] in the key's order (< 0: a is better).
+  int Compare(uint64_t a, uint64_t b) const {
+    int c = vector::TypedColumnCompare(*base_, a, *base_, b);
+    return ascending_ ? c : -c;
+  }
+
+  const storage::Column* base_ = nullptr;
+  bool ascending_ = true;
+  std::atomic<uint64_t> bound_{kNone};
+};
+
 // ---------------------------------------------------------------------------
 // Streaming operators
 // ---------------------------------------------------------------------------
@@ -215,8 +272,48 @@ class RidExpandJoinOp : public StreamingOp {
   std::vector<int> raw_indexes_;
 };
 
+/// A streaming operator that binds new variables from the graph index or
+/// its hash fallback: EXPAND, GET_VERTEX, EXPAND_EDGE, EXPAND_INTERSECT and
+/// EDGE_VERIFY. Each collects, per call, the physical input row behind
+/// every output row and one int64 column per variable it binds, charges
+/// those rows, and hands them to Emit.
+///
+/// A top-k fence set on the operator (SetFence) prunes the new rows right
+/// there, keyed on the row ids bound to one of its variables: rows whose
+/// key is strictly worse than the fence's bound are dropped after they are
+/// charged (so the row-budget charge is the unfenced one) and before any
+/// input column is gathered for them.
+class BinderOp : public StreamingOp {
+ public:
+  /// Prunes this operator's output with `fence`, keyed on the row ids it
+  /// binds to `var` (its target or edge variable). Call before Prepare.
+  void SetFence(const TopKFence* fence, std::string var) {
+    fence_ = fence;
+    fence_var_ = std::move(var);
+  }
+
+ protected:
+  /// Resolves the fenced variable among the columns that Prepare appended
+  /// to `input`; the last step of every binder's Prepare.
+  Status ResolveFence(const storage::Schema& input);
+
+  /// Emits one call's output: `rows` holds the input's physical row behind
+  /// every output row and `cols` the `num_cols` new binding columns (in
+  /// output-schema order), after the caller charged the rows. Prunes them
+  /// with the fence, then shares or gathers the input columns (see
+  /// EmitExpanded in operators.cc).
+  void Emit(const Batch& in, std::vector<uint64_t> rows,
+            std::vector<int64_t>* const* cols, size_t num_cols,
+            Batch* out) const;
+
+ private:
+  const TopKFence* fence_ = nullptr;
+  std::string fence_var_;
+  size_t fence_col_ = 0;  ///< index of fence_var_ among the new columns
+};
+
 /// EXPAND_EDGE (PhysExpandEdge): one output row per incident edge.
-class ExpandEdgeOp : public StreamingOp {
+class ExpandEdgeOp : public BinderOp {
  public:
   explicit ExpandEdgeOp(const plan::PhysExpandEdge& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
@@ -230,7 +327,7 @@ class ExpandEdgeOp : public StreamingOp {
 };
 
 /// GET_VERTEX (PhysGetVertex): edge binding -> endpoint binding.
-class GetVertexOp : public StreamingOp {
+class GetVertexOp : public BinderOp {
  public:
   explicit GetVertexOp(const plan::PhysGetVertex& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
@@ -244,9 +341,12 @@ class GetVertexOp : public StreamingOp {
 };
 
 /// Fused EXPAND (PhysExpand). With the graph index, streams the VE-index
-/// adjacency; without it (RelGoHash), probes an FK hash table over the edge
-/// relation built once during Prepare (Case II reduction).
-class ExpandOp : public StreamingOp {
+/// adjacency: without a vertex filter it sizes each call's output from the
+/// degrees and copies whole adjacency runs; with one it tests the filter
+/// bitmap per neighbor. Without the index (RelGoHash), probes an FK hash
+/// table over the edge relation built once during Prepare (Case II
+/// reduction).
+class ExpandOp : public BinderOp {
  public:
   explicit ExpandOp(const plan::PhysExpand& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
@@ -269,7 +369,7 @@ class ExpandOp : public StreamingOp {
 
 /// EXPAND_INTERSECT (PhysExpandIntersect): k-way sorted adjacency
 /// intersection, the wco star join.
-class ExpandIntersectOp : public StreamingOp {
+class ExpandIntersectOp : public BinderOp {
  public:
   explicit ExpandIntersectOp(const plan::PhysExpandIntersect& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
@@ -286,7 +386,7 @@ class ExpandIntersectOp : public StreamingOp {
 /// EDGE_VERIFY (PhysEdgeVerify): closes one edge between two bound
 /// vertices; binary search of the sorted adjacency run, or a
 /// (src_key, dst_key) hash probe when the index is bypassed.
-class EdgeVerifyOp : public StreamingOp {
+class EdgeVerifyOp : public BinderOp {
  public:
   explicit EdgeVerifyOp(const plan::PhysEdgeVerify& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
@@ -377,75 +477,6 @@ class ScanGraphTableOp : public StreamingOp {
   std::set<std::string> deferred_;
   std::vector<Source> sources_;
   bool gathers_ = false;  // some source reads a property eagerly
-};
-
-/// The running k-th first sort key of a TOP_K sink, shared with the
-/// TopKFenceOp that prunes rows as soon as the key's variable is bound.
-///
-/// The bound is a row id of the key's base column: the worst first key of
-/// some full heap. Rows compare against it with vector::TypedColumnCompare,
-/// the sink's own ordering (Value::Compare's: NULLs first, numbers
-/// promoted through double, strings by sorted-dictionary code or by
-/// bytes), signed by the key's direction. A row is dropped only when its
-/// key is strictly worse; ties (and NaN, which compares equal to every
-/// double) are kept, so the sink's (morsel, offset + row) tie-break still
-/// decides the cut.
-///
-/// The bound starts empty and only tightens, through a CAS, to a strictly
-/// better key; any worker's bound is valid for every row, since a row
-/// worse than one worker's k-th key cannot be among the global top k.
-class TopKFence {
- public:
-  /// Binds the fence to the base column the first key reads at its row
-  /// ids, or turns it off when `base` is null. Single-threaded, before
-  /// any Process.
-  void Arm(const storage::Column* base, bool ascending);
-  bool armed() const { return base_ != nullptr; }
-  /// True once some full heap published a bound: before that, every row
-  /// is admitted.
-  bool engaged() const { return base_ != nullptr && bound_.load() != kNone; }
-
-  /// Moves the bound to base row `rid` unless the bound's key is already
-  /// at least as good.
-  void Tighten(uint64_t rid);
-
-  /// Writes to keep[0..) the physical rows rows[0..n) whose row id in
-  /// `rids` keys no worse than the bound, and returns their count.
-  uint64_t Admit(const storage::Column& rids, const uint64_t* rows,
-                 uint64_t n, uint64_t* keep) const;
-
- private:
-  static constexpr uint64_t kNone = ~uint64_t{0};
-
-  /// Sign of base[a] against base[b] in the key's order (< 0: a is better).
-  int Compare(uint64_t a, uint64_t b) const {
-    int c = vector::TypedColumnCompare(*base_, a, *base_, b);
-    return ascending_ ? c : -c;
-  }
-
-  const storage::Column* base_ = nullptr;
-  bool ascending_ = true;
-  std::atomic<uint64_t> bound_{kNone};
-};
-
-/// TOP_K fence pushdown: narrows the selection to the rows whose first
-/// sort key, read through the binding column of `var`, is not strictly
-/// worse than the sink's running k-th key. The engine places it right
-/// after the operator that binds `var`, for one execution; it is not a
-/// plan node and charges no rows (it only removes work the reference
-/// interpreter does). Passes its input through until the fence engages.
-class TopKFenceOp : public StreamingOp {
- public:
-  TopKFenceOp(const TopKFence* fence, std::string var)
-      : fence_(fence), var_(std::move(var)) {}
-  Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  Status Process(const Batch& in, Cursor* cursor, Batch* out,
-                 ExecutionContext* ctx) const override;
-
- private:
-  const TopKFence* fence_;
-  std::string var_;
-  size_t var_col_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -108,6 +108,10 @@ Status ScanVertexSource::Emit(uint64_t begin, uint64_t count, Batch* out,
   std::vector<int64_t> ids =
       SelectedRows<int64_t>(bitmap_.bits(), begin, count);
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(ids.size()));
+  if (fence_ != nullptr) {
+    std::vector<int64_t>* cols[] = {&ids};
+    fence_->Narrow(0, nullptr, cols, 1);
+  }
   uint64_t n = ids.size();
   out->AddOwned(Column::OfInts(std::move(ids)));
   out->SetNumRows(n);

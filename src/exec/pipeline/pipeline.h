@@ -70,10 +70,14 @@ class ScanTableSource : public Source {
 
 /// PhysScanVertex: emits the row ids of the (optionally filtered) vertex
 /// relation as one binding column; the filter goes through FilterBitmap
-/// exactly as for table scans.
+/// exactly as for table scans. A top-k fence keyed on the scanned variable
+/// narrows each morsel's row ids after they are charged.
 class ScanVertexSource : public Source {
  public:
   explicit ScanVertexSource(const plan::PhysScanVertex& op) : op_(op) {}
+  /// Prunes the emitted rows with `fence` (see TopKFence); call before
+  /// Prepare.
+  void SetFence(const TopKFence* fence) { fence_ = fence; }
   Status Prepare(ExecutionContext* ctx) override;
   uint64_t num_rows() const override { return vtable_->num_rows(); }
   Status Emit(uint64_t begin, uint64_t count, Batch* out,
@@ -83,6 +87,7 @@ class ScanVertexSource : public Source {
   const plan::PhysScanVertex& op_;
   storage::TablePtr vtable_;
   SharedBitmap bitmap_;  ///< see ScanTableSource
+  const TopKFence* fence_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------

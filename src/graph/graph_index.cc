@@ -92,20 +92,6 @@ void GraphIndex::BuildCsr(const std::vector<uint64_t>& from,
   }
 }
 
-AdjacencyList GraphIndex::Neighbors(int edge_label, Direction dir,
-                                    uint64_t vertex_row) const {
-  const Csr& csr =
-      dir == Direction::kOut ? edges_[edge_label].out : edges_[edge_label].in;
-  AdjacencyList list;
-  if (vertex_row + 1 >= csr.offsets.size()) return list;
-  uint64_t begin = csr.offsets[vertex_row];
-  uint64_t end = csr.offsets[vertex_row + 1];
-  list.neighbors = csr.neighbors.data() + begin;
-  list.edges = csr.edges.data() + begin;
-  list.size = end - begin;
-  return list;
-}
-
 double GraphIndex::AverageDegree(int edge_label, Direction dir) const {
   const Csr& csr =
       dir == Direction::kOut ? edges_[edge_label].out : edges_[edge_label].in;

@@ -48,8 +48,19 @@ class GraphIndex {
 
   /// VE-index lookup: adjacency of vertex `vertex_row` along `edge_label`
   /// in direction `dir` (kOut: vertex is source; kIn: vertex is target).
+  /// Inline: the expansion operators call it once per input row.
   AdjacencyList Neighbors(int edge_label, Direction dir,
-                          uint64_t vertex_row) const;
+                          uint64_t vertex_row) const {
+    const Csr& csr = dir == Direction::kOut ? edges_[edge_label].out
+                                            : edges_[edge_label].in;
+    AdjacencyList list;
+    if (vertex_row + 1 >= csr.offsets.size()) return list;
+    uint64_t begin = csr.offsets[vertex_row];
+    list.neighbors = csr.neighbors.data() + begin;
+    list.edges = csr.edges.data() + begin;
+    list.size = csr.offsets[vertex_row + 1] - begin;
+    return list;
+  }
 
   /// Degree of `vertex_row` along `edge_label` in direction `dir`.
   uint64_t Degree(int edge_label, Direction dir, uint64_t vertex_row) const {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <numeric>
 #include <set>
@@ -496,7 +497,8 @@ TEST_F(PipelineEngineTest, TimeoutTriggers) {
 /// A social graph large enough for several source morsels: Person rows
 /// with heavy ties on `age`, a unique `name`, and NULLs in `nick` (every
 /// third row) and `score` (every fifth), plus two outgoing Knows edges per
-/// person.
+/// person, whose `weight` scatters over 1009 values independently of the
+/// edge's and its endpoints' row ids.
 class LateMaterializationTest : public ::testing::Test {
  protected:
   static constexpr int64_t kPeople = 3 * exec::pipeline::kBatchRows + 100;
@@ -515,7 +517,8 @@ class LateMaterializationTest : public ::testing::Test {
     auto knows = db_.CreateTable(
         "Knows", Schema({ColumnDef{"knows_id", LogicalType::kInt64},
                          ColumnDef{"pid1", LogicalType::kInt64},
-                         ColumnDef{"pid2", LogicalType::kInt64}}));
+                         ColumnDef{"pid2", LogicalType::kInt64},
+                         ColumnDef{"weight", LogicalType::kInt64}}));
     ASSERT_TRUE(knows.ok());
     for (int64_t i = 0; i < kPeople; ++i) {
       Value nick = i % 3 == 0 ? Value::Null()
@@ -529,10 +532,11 @@ class LateMaterializationTest : public ::testing::Test {
                                    nick, Value::Int(i % 10), score, born})
                       .ok());
       for (int64_t step : {1, 7}) {
+        int64_t edge = 2 * i + (step == 7);
         ASSERT_TRUE((*knows)
-                        ->AppendRow({Value::Int(2 * i + (step == 7)),
-                                     Value::Int(i),
-                                     Value::Int((i + step) % kPeople)})
+                        ->AppendRow({Value::Int(edge), Value::Int(i),
+                                     Value::Int((i + step) % kPeople),
+                                     Value::Int(edge * 7919 % 1009)})
                         .ok());
       }
     }
@@ -925,6 +929,176 @@ TEST_F(LateMaterializationTest, FourWorkersShareTheFenceOverManyMorsels) {
 }
 
 // ---------------------------------------------------------------------------
+// The fence on the other binder kinds: GET_VERTEX, an EXPAND_INTERSECT
+// target, and an edge variable bound by EXPAND, EXPAND_INTERSECT or
+// EDGE_VERIFY. Each prunes its new rows before gathering its input.
+// ---------------------------------------------------------------------------
+
+/// `graph` under a pi-hat of `projections` ({var, column}, output
+/// "var.column") with the given vertex and edge variables, then ORDER BY
+/// `key` LIMIT `limit`.
+std::unique_ptr<plan::PhysicalOp> FencedPlan(
+    std::unique_ptr<plan::PhysicalOp> graph,
+    const std::vector<std::pair<std::string, std::string>>& projections,
+    std::vector<std::pair<std::string, int>> vertex_vars,
+    std::vector<std::pair<std::string, int>> edge_vars, plan::SortKey key,
+    int64_t limit) {
+  auto sgt = std::make_unique<plan::PhysScanGraphTable>();
+  for (const auto& [var, column] : projections) {
+    sgt->projections.push_back({var, column, var + "." + column});
+  }
+  sgt->vertex_var_labels = std::move(vertex_vars);
+  sgt->edge_var_labels = std::move(edge_vars);
+  sgt->children.push_back(std::move(graph));
+  auto order = std::make_unique<plan::PhysOrderBy>();
+  order->keys = {std::move(key)};
+  order->children.push_back(std::move(sgt));
+  auto node = std::make_unique<plan::PhysLimit>();
+  node->limit = limit;
+  node->children.push_back(std::move(order));
+  return node;
+}
+
+/// SCAN_VERTEX p, then EXPAND `from` -> `to` over Knows (binding `edge`
+/// when non-empty).
+std::unique_ptr<plan::PhysicalOp> KnowsHop(
+    const Database& db, std::unique_ptr<plan::PhysicalOp> child,
+    const std::string& from, const std::string& to,
+    const std::string& edge = "") {
+  if (child == nullptr) {
+    auto scan = std::make_unique<plan::PhysScanVertex>();
+    scan->vertex_label = db.mapping().FindVertexLabel("Person");
+    scan->var = from;
+    child = std::move(scan);
+  }
+  auto expand = std::make_unique<plan::PhysExpand>();
+  expand->edge_label = db.mapping().FindEdgeLabel("Knows");
+  expand->dir = graph::Direction::kOut;
+  expand->from_var = from;
+  expand->to_var = to;
+  expand->edge_var = edge;
+  expand->children.push_back(std::move(child));
+  return expand;
+}
+
+TEST_F(LateMaterializationTest, FenceOnAGetVertexTarget) {
+  // EXPAND_EDGE binds the Knows edge k, GET_VERTEX binds its target q, and
+  // the first key reads q: GET_VERTEX prunes its one-row-per-input output,
+  // which then passes its input through under a selection.
+  const int person = db_.mapping().FindVertexLabel("Person");
+  const int knows = db_.mapping().FindEdgeLabel("Knows");
+  for (const plan::SortKey& key :
+       {plan::SortKey{"q.name", false}, plan::SortKey{"q.score", true}}) {
+    SCOPED_TRACE(key.column + (key.ascending ? " ASC" : " DESC"));
+    auto graph = [&]() {
+      auto scan = std::make_unique<plan::PhysScanVertex>();
+      scan->vertex_label = person;
+      scan->var = "p";
+      auto edge = std::make_unique<plan::PhysExpandEdge>();
+      edge->edge_label = knows;
+      edge->from_var = "p";
+      edge->edge_var = "k";
+      edge->children.push_back(std::move(scan));
+      auto get = std::make_unique<plan::PhysGetVertex>();
+      get->edge_label = knows;
+      get->edge_var = "k";
+      get->to_var = "q";
+      get->children.push_back(std::move(edge));
+      return get;
+    };
+    auto plan =
+        FencedPlan(graph(), {{"p", "name"}, {"q", "name"}, {"q", "score"}},
+                   {{"p", person}, {"q", person}}, {}, key, 30);
+    auto expected = ExpectExactParity(*plan, /*prunes=*/true);
+    ASSERT_NE(expected, nullptr);
+    ASSERT_EQ(expected->num_rows(), 30u);
+    auto [oracle, fenced] = Charges(*plan, 1);
+    EXPECT_LT(fenced, oracle);
+  }
+}
+
+TEST_F(LateMaterializationTest, FenceOnAnExpandIntersectTarget) {
+  // p -> q -> r, then EXPAND_INTERSECT binds every c with p -> c -> r: six
+  // rows per p, ~37k in all, fenced on c's age (heavy ties at the cut) or
+  // name. With the first edge variable bound, the fence reads column 0 of
+  // the new columns while column 1 holds edge row ids.
+  const int person = db_.mapping().FindVertexLabel("Person");
+  const int knows = db_.mapping().FindEdgeLabel("Knows");
+  for (const plan::SortKey& key :
+       {plan::SortKey{"c.age", true}, plan::SortKey{"c.name", false}}) {
+    for (const char* e1 : {"", "e1"}) {
+      SCOPED_TRACE(key.column + (key.ascending ? " ASC" : " DESC") +
+                   " e1=" + e1);
+      auto intersect = std::make_unique<plan::PhysExpandIntersect>();
+      intersect->edge_labels = {knows, knows};
+      intersect->dirs = {graph::Direction::kOut, graph::Direction::kIn};
+      intersect->from_vars = {"p", "r"};
+      intersect->edge_vars = {e1, ""};
+      intersect->to_var = "c";
+      intersect->children.push_back(
+          KnowsHop(db_, KnowsHop(db_, nullptr, "p", "q"), "q", "r"));
+      auto plan = FencedPlan(std::move(intersect),
+                             {{"p", "name"}, {"c", "age"}, {"c", "name"}},
+                             {{"p", person}, {"c", person}}, {}, key, 25);
+      auto expected = ExpectExactParity(*plan, /*prunes=*/true);
+      ASSERT_NE(expected, nullptr);
+      ASSERT_EQ(expected->num_rows(), 25u);
+      auto [oracle, fenced] = Charges(*plan, 1);
+      EXPECT_LT(fenced, oracle);
+    }
+  }
+}
+
+TEST_F(LateMaterializationTest, FenceOnAnEdgeVariable) {
+  // The first key is the Knows edge's weight, bound as EXPAND's second new
+  // column (after its target), as EXPAND_INTERSECT's edge variable (after
+  // its target q), or as EDGE_VERIFY's only one. The weight scatters
+  // independently of every row id, so a fence that read the target's row
+  // ids instead would drop rows of the top k.
+  const int person = db_.mapping().FindVertexLabel("Person");
+  const int knows = db_.mapping().FindEdgeLabel("Knows");
+  auto expand = [&]() { return KnowsHop(db_, nullptr, "p", "q", "k"); };
+  auto intersect = [&]() {  // every q with p -[k]-> q -> r, after p -> x -> r
+    auto op = std::make_unique<plan::PhysExpandIntersect>();
+    op->edge_labels = {knows, knows};
+    op->dirs = {graph::Direction::kOut, graph::Direction::kIn};
+    op->from_vars = {"p", "r"};
+    op->edge_vars = {"k", ""};
+    op->to_var = "q";
+    op->children.push_back(
+        KnowsHop(db_, KnowsHop(db_, nullptr, "p", "x"), "x", "r"));
+    return op;
+  };
+  auto verify = [&]() {
+    auto op = std::make_unique<plan::PhysEdgeVerify>();
+    op->edge_label = knows;
+    op->src_var = "p";
+    op->dst_var = "q";
+    op->edge_var = "k";
+    op->children.push_back(KnowsHop(db_, nullptr, "p", "q"));
+    return op;
+  };
+  const std::vector<std::pair<
+      const char*, std::function<std::unique_ptr<plan::PhysicalOp>()>>>
+      binders = {{"EXPAND", expand},
+                 {"EXPAND_INTERSECT", intersect},
+                 {"EDGE_VERIFY", verify}};
+  for (const auto& [name, graph] : binders) {
+    for (bool ascending : {true, false}) {
+      SCOPED_TRACE(std::string(name) + (ascending ? " ASC" : " DESC"));
+      auto plan = FencedPlan(graph(), {{"q", "name"}, {"k", "weight"}},
+                             {{"q", person}}, {{"k", knows}},
+                             {"k.weight", ascending}, 20);
+      auto expected = ExpectExactParity(*plan, /*prunes=*/true);
+      ASSERT_NE(expected, nullptr);
+      ASSERT_EQ(expected->num_rows(), 20u);
+      auto [oracle, fenced] = Charges(*plan, 1);
+      EXPECT_LT(fenced, oracle);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Bounded batches: resumable operators, positions, selection vectors
 // ---------------------------------------------------------------------------
 
@@ -935,11 +1109,15 @@ using exec::pipeline::kBatchRows;
 ///    edges 0 -> 1 (out-degree > 2 * kBatchRows); person 1 -> every person
 ///    >= 2, three parallel edges each; a chain i -> i + 1 for i >= 2.
 ///  * Follows: i -> (i + 1) mod N for every i, and i -> 0 for i >= 1.
+///  * Likes: persons 0-15 like 128 persons each (2048 = kBatchRows edges
+///    in all), persons 16-31 like nobody, person 32 likes the first
+///    kLikesHub persons, and persons 33-47 like one person each.
 /// Person.age = id mod 7 ties heavily; Person.name is unique.
 class BoundedBatchTest : public ::testing::Test {
  protected:
   static constexpr int64_t kPeople = 4500;
   static constexpr int64_t kParallel = kBatchRows + 5;
+  static constexpr int64_t kLikesHub = 3000;
 
   void SetUp() override {
     using storage::ColumnDef;
@@ -949,7 +1127,7 @@ class BoundedBatchTest : public ::testing::Test {
                           ColumnDef{"name", LogicalType::kString},
                           ColumnDef{"age", LogicalType::kInt64}}));
     ASSERT_TRUE(person.ok());
-    for (const char* name : {"Knows", "Follows"}) {
+    for (const char* name : {"Knows", "Follows", "Likes"}) {
       auto edges = db_.CreateTable(
           name, Schema({ColumnDef{"eid", LogicalType::kInt64},
                         ColumnDef{"pid1", LogicalType::kInt64},
@@ -958,6 +1136,7 @@ class BoundedBatchTest : public ::testing::Test {
     }
     auto knows = *db_.catalog().GetTable("Knows");
     auto follows = *db_.catalog().GetTable("Follows");
+    auto likes = *db_.catalog().GetTable("Likes");
     auto add = [](const storage::TablePtr& t, int64_t from, int64_t to) {
       ASSERT_TRUE(t->AppendRow({Value::Int(static_cast<int64_t>(t->num_rows())),
                                 Value::Int(from), Value::Int(to)})
@@ -978,8 +1157,13 @@ class BoundedBatchTest : public ::testing::Test {
       if (i >= 1) add(follows, i, 0);
     }
     for (int64_t k = 0; k < kParallel; ++k) add(knows, 0, 1);
+    for (int64_t p = 0; p < 16; ++p) {
+      for (int64_t j = 0; j < 128; ++j) add(likes, p, p * 128 + j);
+    }
+    for (int64_t j = 0; j < kLikesHub; ++j) add(likes, 32, j);
+    for (int64_t p = 33; p < 48; ++p) add(likes, p, p + 100);
     ASSERT_TRUE(db_.AddVertexTable("Person", "person_id").ok());
-    for (const char* name : {"Knows", "Follows"}) {
+    for (const char* name : {"Knows", "Follows", "Likes"}) {
       ASSERT_TRUE(db_.AddEdgeTable(name, "Person", "pid1", "Person", "pid2")
                       .ok());
     }
@@ -987,6 +1171,7 @@ class BoundedBatchTest : public ::testing::Test {
     person_ = db_.mapping().FindVertexLabel("Person");
     knows_ = db_.mapping().FindEdgeLabel("Knows");
     follows_ = db_.mapping().FindEdgeLabel("Follows");
+    likes_ = db_.mapping().FindEdgeLabel("Likes");
   }
 
   /// SCAN_VERTEX `var` restricted to the person with id `id`.
@@ -1115,7 +1300,7 @@ class BoundedBatchTest : public ::testing::Test {
   }
 
   Database db_;
-  int person_ = -1, knows_ = -1, follows_ = -1;
+  int person_ = -1, knows_ = -1, follows_ = -1, likes_ = -1;
 };
 
 TEST_F(BoundedBatchTest, HubExpansionResumesInsideTheAdjacency) {
@@ -1132,6 +1317,52 @@ TEST_F(BoundedBatchTest, HubExpansionResumesInsideTheAdjacency) {
       EXPECT_EQ(Calls(*plan, *plan),
                 (rows.size() + kBatchRows - 1) / kBatchRows);
     }
+  }
+}
+
+TEST_F(BoundedBatchTest, ExpansionFillsABatchAtTheEndOfARun) {
+  // Persons 0-31 are one source batch. The Likes runs of persons 0-15
+  // fill exactly kBatchRows rows at the end of person 15's run, and
+  // persons 16-31 have none: one call takes the whole input, with no
+  // empty trailing call. Up to person 47, the hub's 3000 rows follow:
+  // the first call stops before the hub, the second stops inside its run
+  // and the third resumes there, edge binding included.
+  auto scan = [&](int64_t below) {
+    auto op = std::make_unique<plan::PhysScanVertex>();
+    op->vertex_label = person_;
+    op->var = "p";
+    op->filter = Expr::Compare(storage::CompareOp::kLt,
+                               Expr::Column("person_id"),
+                               Expr::Constant(Value::Int(below)));
+    return op;
+  };
+  for (bool use_index : {true, false}) {
+    for (const char* edge : {"", "l"}) {
+      SCOPED_TRACE(std::string("use_index=") + (use_index ? "1" : "0") +
+                   " edge=" + edge);
+      auto exact = Expand(scan(32), likes_, "p", "q", edge, use_index);
+      EXPECT_EQ(ExpectBoundedParity(*exact).size(), kBatchRows);
+      EXPECT_EQ(Calls(*exact, *exact), 1u);
+
+      auto hub = Expand(scan(48), likes_, "p", "q", edge, use_index);
+      EXPECT_EQ(ExpectBoundedParity(*hub).size(),
+                static_cast<size_t>(kBatchRows + kLikesHub + 15));
+      EXPECT_EQ(Calls(*hub, *hub), 3u);
+    }
+  }
+  // The filtered path grows its outputs from one row per input row and
+  // resumes inside the hub's run too: the exact bound, ceil(rows /
+  // kBatchRows) calls.
+  for (const char* edge : {"", "l"}) {
+    SCOPED_TRACE(std::string("filtered edge=") + edge);
+    auto filtered = Expand(scan(48), likes_, "p", "q", edge);
+    static_cast<plan::PhysExpand&>(*filtered).vertex_filter =
+        Expr::Compare(storage::CompareOp::kNe, Expr::Column("age"),
+                      Expr::Constant(Value::Int(3)));
+    auto rows = ExpectBoundedParity(*filtered);
+    EXPECT_GT(rows.size(), 2 * kBatchRows);
+    EXPECT_EQ(Calls(*filtered, *filtered),
+              (rows.size() + kBatchRows - 1) / kBatchRows);
   }
 }
 
