@@ -233,6 +233,16 @@ class JoinHashTable {
   /// probe view into `out`, in ascending build-row order.
   void Probe(const ProbeView& view, uint64_t row,
              std::vector<uint64_t>* out) const {
+    ForEachMatch(view, row, [out](uint64_t r) { out->push_back(r); });
+  }
+
+  /// Calls emit(build_row) for each build-side row matching probe row
+  /// `row` of a bound probe view, in ascending build-row order. The
+  /// pipeline's probe loops store the rows themselves (see
+  /// exec::pipeline::HashJoinProbeOp), with no vector call per match.
+  template <typename Emit>
+  void ForEachMatch(const ProbeView& view, uint64_t row,
+                    const Emit& emit) const {
     size_t h = kHashSeed;
     for (size_t i = 0; i < keys_.size(); ++i) {
       const BuildKey& bk = keys_[i];
@@ -267,7 +277,7 @@ class JoinHashTable {
           }
           return true;
         },
-        out);
+        emit);
   }
 
   /// Appends matching build-side rows for probe row (cols `probe_cols` of
@@ -284,7 +294,7 @@ class JoinHashTable {
     }
     ProbeInt64(
         h, [&](size_t i) { return probe.column(probe_cols[i]).int_at(row); },
-        out);
+        [out](uint64_t r) { out->push_back(r); });
   }
 
   /// Typed-span probe: `keys[i]` is the raw int64 payload of the i-th
@@ -294,29 +304,36 @@ class JoinHashTable {
   /// carry no validity: the caller skips probe rows with a NULL key.
   void Probe(const int64_t* const* keys, uint64_t row,
              std::vector<uint64_t>* out) const {
+    ForEachMatch(keys, row, [out](uint64_t r) { out->push_back(r); });
+  }
+
+  /// The typed-span probe's matches, one emit(build_row) call each (see
+  /// the ProbeView overload).
+  template <typename Emit>
+  void ForEachMatch(const int64_t* const* keys, uint64_t row,
+                    const Emit& emit) const {
     size_t h = kHashSeed;
     for (size_t i = 0; i < keys_.size(); ++i) {
       h = HashCombine(h, static_cast<size_t>(keys[i][row]));
     }
-    ProbeInt64(h, [&](size_t i) { return keys[i][row]; }, out);
+    ProbeInt64(h, [&](size_t i) { return keys[i][row]; }, emit);
   }
 
  private:
   /// End of a chain; also bounds the build side to kEnd rows.
   static constexpr uint32_t kEnd = std::numeric_limits<uint32_t>::max();
 
-  /// Walks the chain of hash `h`, appending rows whose hash and keys match.
-  template <typename KeysEqual>
+  /// Walks the chain of hash `h`, emitting rows whose hash and keys match.
+  template <typename KeysEqual, typename Emit>
   void ProbeHash(size_t h, const KeysEqual& keys_equal,
-                 std::vector<uint64_t>* out) const {
+                 const Emit& emit) const {
     for (uint32_t r = heads_[h & bucket_mask_]; r != kEnd; r = next_[r]) {
-      if (hashes_[r] == h && keys_equal(r)) out->push_back(r);
+      if (hashes_[r] == h && keys_equal(r)) emit(r);
     }
   }
 
-  template <typename KeyAt>
-  void ProbeInt64(size_t h, const KeyAt& key_at,
-                  std::vector<uint64_t>* out) const {
+  template <typename KeyAt, typename Emit>
+  void ProbeInt64(size_t h, const KeyAt& key_at, const Emit& emit) const {
     ProbeHash(
         h,
         [&](uint64_t build_row) {
@@ -325,7 +342,7 @@ class JoinHashTable {
           }
           return true;
         },
-        out);
+        emit);
   }
 
   bool BuildKeysValid(uint64_t r) const {

@@ -91,13 +91,37 @@ const uint64_t* RowMap(const Batch& in) {
   return sel != nullptr ? sel : kIdentity.data();
 }
 
-/// Initial capacity of a resumable operator's output buffers: one row per
+/// Initial size of a resumable operator's output vectors: one row per
 /// remaining input row (the common fan-out), or a full batch when the call
 /// resumes inside a row whose output already overflowed one.
+///
+/// The binders and the hash-join probe size their outputs ahead and store
+/// each row through raw pointers, growing them (GrownCapacity) when full,
+/// instead of calling push_back: GCC does not inline
+/// vector<int64_t>::push_back in this file and calls an out-of-line copy
+/// per row.
 uint64_t OutputCapacity(const Batch& in, const Cursor& cursor) {
   if (cursor.inner > 0 || cursor.product > 0) return kBatchRows;
   return std::min(kBatchRows, in.num_rows() - cursor.row);
 }
+
+/// The next size of a full output vector of `size` rows: doubled, at
+/// least one row, at most kBatchRows.
+uint64_t GrownCapacity(uint64_t size) {
+  return std::min(kBatchRows, std::max<uint64_t>(1, 2 * size));
+}
+
+/// One probe row's hash-table matches, rows[0, size): reused across probe
+/// rows, the buffer only grows, so Add stores with no call per match.
+struct MatchList {
+  std::vector<uint64_t> rows;
+  uint64_t size = 0;
+
+  void Add(uint64_t r) {
+    if (size == rows.size()) rows.resize(std::max<uint64_t>(16, 2 * size));
+    rows[size++] = r;
+  }
+};
 
 /// A narrowing filter's output: `in` itself when every row passed,
 /// otherwise its columns (shared) under the selection `keep` — ascending
@@ -327,30 +351,38 @@ Status HashJoinProbeOp::Process(const Batch& in, Cursor* cursor, Batch* out,
     if (const uint8_t* v = in.column(c).validity_data()) valid.push_back(v);
   }
 
-  const uint64_t capacity = OutputCapacity(in, *cursor);
-  std::vector<uint64_t> left_sel, right_sel, matches;
-  left_sel.reserve(capacity);
-  right_sel.reserve(capacity);
+  std::vector<uint64_t> left_sel(OutputCapacity(in, *cursor));
+  std::vector<uint64_t> right_sel(left_sel.size());
+  MatchList matches;
+  uint64_t o = 0;
   *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
     uint64_t r = cursor->row, j = cursor->inner;
     for (; r < n; ++r, j = 0) {
       uint64_t p = rows[r];
-      matches.clear();
+      matches.size = 0;
+      auto add = [&matches](uint64_t b) { matches.Add(b); };
       if (string_keys) {
-        ht_->Probe(view, p, &matches);
+        ht_->ForEachMatch(view, p, add);
       } else if (std::all_of(valid.begin(), valid.end(),
                              [p](const uint8_t* v) { return v[p] != 0; })) {
-        ht_->Probe(keys.data(), p, &matches);
+        ht_->ForEachMatch(keys.data(), p, add);
       }
       // Resumes inside the match list of a key with > kBatchRows matches.
-      for (; j < matches.size(); ++j) {
-        if (left_sel.size() == kBatchRows) return Cursor{r, j, 0};
-        left_sel.push_back(p);
-        right_sel.push_back(matches[j]);
+      for (; j < matches.size; ++j) {
+        if (o == left_sel.size()) {
+          if (o == kBatchRows) return Cursor{r, j, 0};
+          left_sel.resize(GrownCapacity(o));
+          right_sel.resize(left_sel.size());
+        }
+        left_sel[o] = p;
+        right_sel[o] = matches.rows[j];
+        ++o;
       }
     }
     return Cursor{n, 0, 0};
   }();
+  left_sel.resize(o);
+  right_sel.resize(o);
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(left_sel.size()));
   if (!left_sel.empty() && AtMostOnePerInputRow(left_sel)) {
     // At most one match per probe row (a foreign-key join): only the build
@@ -580,12 +612,14 @@ Status GetVertexOp::Process(const Batch& in, Cursor* cursor, Batch* out,
   const uint8_t* pass = bitmap_.bits();
   const uint64_t n = in.num_rows();
   cursor->row = n;
-  std::vector<uint64_t> sel;
-  std::vector<int64_t> vertex_vals;
-  sel.reserve(n);
-  vertex_vals.reserve(n);
+  // One row per input row at most: sized once, stored through raw
+  // pointers (see OutputCapacity).
+  std::vector<uint64_t> sel(n);
+  std::vector<int64_t> vertex_vals(n);
   const Column& edge = in.column(edge_col_);
-  [&, rows = RowMap(in)]() {
+  const uint64_t o = [&, rows = RowMap(in), s = sel.data(),
+                      t = vertex_vals.data()]() {
+    uint64_t o = 0;
     for (uint64_t r = 0; r < n; ++r) {
       uint64_t p = rows[r];
       auto e = static_cast<uint64_t>(edge.int_at(p));
@@ -593,10 +627,14 @@ Status GetVertexOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                        ? ctx->index().EdgeTarget(op_.edge_label, e)
                        : ctx->index().EdgeSource(op_.edge_label, e);
       if (pass != nullptr && !pass[v]) continue;
-      sel.push_back(p);
-      vertex_vals.push_back(static_cast<int64_t>(v));
+      s[o] = p;
+      t[o] = static_cast<int64_t>(v);
+      ++o;
     }
+    return o;
   }();
+  sel.resize(o);
+  vertex_vals.resize(o);
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
   std::vector<int64_t>* cols[] = {&vertex_vals};
   Emit(in, std::move(sel), cols, 1, out);
@@ -606,6 +644,206 @@ Status GetVertexOp::Process(const Batch& in, Cursor* cursor, Batch* out,
 // ---------------------------------------------------------------------------
 // ExpandOp
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// One worker's filtered-adjacency memo for one filtered EXPAND in one
+/// pipeline run, and the expansion loop that reads it. The first time a
+/// source vertex's run is needed, its adjacency is filtered once: the
+/// passing neighbors (and their edges, when the edge is bound) are
+/// appended, in adjacency order, to an arena. Every later row with that
+/// source copies the same run in bulk.
+///
+/// An open-addressing table maps vertex + 1 (0 marks an empty key) to its
+/// run. The first input batch sizes it (two slots per row), and it doubles
+/// past half full, so it grows with the rows seen, never with the vertex
+/// table. Runs are offsets, since the arena reallocates as it grows. The
+/// arena vectors are kept at their capacity (doubling when a run may not
+/// fit), so a fill writes each passing neighbor once and zeroes nothing
+/// per run.
+class FilteredRuns : public OpScratch {
+ public:
+  FilteredRuns(const graph::GraphIndex& index, int label,
+               graph::Direction dir, const uint8_t* pass, bool want_edge)
+      : index_(index),
+        label_(label),
+        dir_(dir),
+        pass_(pass),
+        want_edge_(want_edge) {}
+
+  /// Expands the rows of `in` from `cursor` on into the output vectors
+  /// (source row, target, edge when bound): at most kBatchRows rows, in
+  /// adjacency order. Returns the cursor of the first row not emitted,
+  /// whose `inner` is a position in its source's filtered run.
+  ///
+  /// A source is filtered only when its run is next to emit, so the arena
+  /// holds at most the rows this operator charged plus one run per call:
+  /// the run found after an exactly full output, which tells the call that
+  /// output is pending. A run seen first with the whole raw adjacency
+  /// fitting the output is filtered into the output and the arena in one
+  /// pass, so a source seen once costs one filter loop, as without a memo.
+  Cursor Expand(const Batch& in, const Column& from, Cursor cursor,
+                std::vector<uint64_t>* sel, std::vector<int64_t>* to,
+                std::vector<int64_t>* edge);
+
+ private:
+  static constexpr uint64_t kInitialSlots = 16;
+
+  struct Run {
+    uint64_t begin;
+    uint64_t size;
+  };
+
+  /// Sizes an empty table for `rows` sources (at most one per input row),
+  /// so the common single-batch input never rehashes. Only the keys are
+  /// cleared: a run is read only under its key, and an execution touches
+  /// no more of the table than its sources need.
+  void Expect(uint64_t rows) {
+    if (used_ > 0) return;
+    uint64_t size = kInitialSlots;
+    while (size < 2 * rows) size *= 2;
+    if (size > keys_.size()) {
+      keys_.assign(size, 0);
+      runs_.reset(new Run[size]);
+    }
+  }
+
+  /// The slot of `v`: holding its run when its key is set, else where the
+  /// run goes.
+  uint64_t Find(uint64_t v) const {
+    const uint64_t mask = keys_.size() - 1;
+    for (uint64_t h = (v * 0x9E3779B97F4A7C15ull) >> 32;; ++h) {
+      uint64_t key = keys_[h & mask];
+      if (key == v + 1 || key == 0) return h & mask;
+    }
+  }
+
+  /// Filters `adj` into the arena as the run of `v`, whose empty slot Find
+  /// returned. With kEmit, the i-th passing entry is also written to
+  /// sel/to/edge[i] as an output row of input row `row`, in the same pass.
+  template <bool kEmit>
+  Run Fill(uint64_t slot, uint64_t v, const graph::AdjacencyList& adj,
+           uint64_t row, uint64_t* sel, int64_t* to, int64_t* edge) {
+    if (2 * (used_ + 1) > keys_.size()) {
+      Rehash();
+      slot = Find(v);
+    }
+    ++used_;
+    Run run{arena_size_, 0};
+    if (run.begin + adj.size > neighbors_.size()) {
+      neighbors_.resize(std::max(2 * neighbors_.size(), run.begin + adj.size));
+      if (want_edge_) edges_.resize(neighbors_.size());
+    }
+    int64_t* n = neighbors_.data() + run.begin;
+    int64_t* e = want_edge_ ? edges_.data() + run.begin : nullptr;
+    for (size_t i = 0; i < adj.size; ++i) {
+      uint64_t nbr = adj.neighbors[i];
+      if (!pass_[nbr]) continue;
+      n[run.size] = static_cast<int64_t>(nbr);
+      if (want_edge_) e[run.size] = static_cast<int64_t>(adj.edges[i]);
+      if constexpr (kEmit) {
+        sel[run.size] = row;
+        to[run.size] = static_cast<int64_t>(nbr);
+        if (want_edge_) edge[run.size] = static_cast<int64_t>(adj.edges[i]);
+      }
+      ++run.size;
+    }
+    arena_size_ += run.size;
+    keys_[slot] = v + 1;
+    runs_[slot] = run;
+    return run;
+  }
+
+  void Rehash() {
+    std::vector<uint64_t> keys(2 * keys_.size());
+    std::unique_ptr<Run[]> runs(new Run[keys.size()]);
+    keys.swap(keys_);
+    runs.swap(runs_);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (keys[i] == 0) continue;
+      uint64_t slot = Find(keys[i] - 1);
+      keys_[slot] = keys[i];
+      runs_[slot] = runs[i];
+    }
+  }
+
+  const graph::GraphIndex& index_;
+  const int label_;
+  const graph::Direction dir_;
+  const uint8_t* const pass_;
+  const bool want_edge_;
+  std::vector<uint64_t> keys_;  ///< vertex + 1 per slot (0: empty); 2^k
+  std::unique_ptr<Run[]> runs_;  ///< the run of each filled slot
+  uint64_t used_ = 0;
+  std::vector<int64_t> neighbors_, edges_;  ///< the arena, at capacity
+  uint64_t arena_size_ = 0;
+};
+
+Cursor FilteredRuns::Expand(const Batch& in, const Column& from,
+                            Cursor cursor, std::vector<uint64_t>* sel,
+                            std::vector<int64_t>* to,
+                            std::vector<int64_t>* edge) {
+  const uint64_t* rows = RowMap(in);
+  const uint64_t n = in.num_rows();
+  Expect(n - cursor.row);
+  // Makes room for `size` output rows (doubling, up to kBatchRows).
+  auto reserve = [&](uint64_t size) {
+    if (size <= sel->size()) return;
+    size = std::min(kBatchRows, std::max(2 * sel->size(), size));
+    sel->resize(size);
+    to->resize(size);
+    if (want_edge_) edge->resize(size);
+  };
+  uint64_t o = 0;
+  Cursor next{n, 0, 0};
+  for (uint64_t r = cursor.row, i = cursor.inner; r < n; ++r, i = 0) {
+    uint64_t p = rows[r];
+    auto v = static_cast<uint64_t>(from.int_at(p));
+    const uint64_t slot = Find(v);
+    Run run{0, 0};
+    if (keys_[slot] != 0) {
+      run = runs_[slot];
+    } else {
+      graph::AdjacencyList adj = index_.Neighbors(label_, dir_, v);
+      if (i == 0 && o + adj.size <= kBatchRows) {
+        reserve(o + adj.size);
+        int64_t* e = want_edge_ ? edge->data() + o : nullptr;
+        o += Fill<true>(slot, v, adj, p, sel->data() + o, to->data() + o, e)
+                 .size;
+        continue;
+      }
+      run = Fill<false>(slot, v, adj, p, nullptr, nullptr, nullptr);
+    }
+    if (run.size == i) continue;
+    if (o == kBatchRows) {
+      next = Cursor{r, i, 0};
+      break;
+    }
+    uint64_t take = std::min(run.size - i, kBatchRows - o);
+    reserve(o + take);
+    uint64_t* s = sel->data() + o;
+    int64_t* t = to->data() + o;
+    const int64_t* src = neighbors_.data() + run.begin + i;
+    for (uint64_t k = 0; k < take; ++k) {
+      s[k] = p;
+      t[k] = src[k];
+    }
+    if (want_edge_) {
+      std::copy_n(edges_.data() + run.begin + i, take, edge->data() + o);
+    }
+    o += take;
+    if (i + take < run.size) {
+      next = Cursor{r, i + take, 0};
+      break;
+    }
+  }
+  sel->resize(o);
+  to->resize(o);
+  if (want_edge_) edge->resize(o);
+  return next;
+}
+
+}  // namespace
 
 Status ExpandOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   RELGO_ASSIGN_OR_RETURN(from_col_, input.GetColumnIndex(op_.from_var));
@@ -649,6 +887,8 @@ Status ExpandOp::Prepare(const Schema& input, ExecutionContext* ctx) {
     to_table_ = to_table;
     RELGO_RETURN_NOT_OK(fk_edges_.Build(*etable_, {from_fk}));
   }
+  index_ = use_index_ ? &ctx->index() : nullptr;
+  functional_ = use_index_ && index_->MaxDegree(op_.edge_label, op_.dir) <= 1;
 
   output_schema_ = input;
   RELGO_RETURN_NOT_OK(
@@ -660,8 +900,20 @@ Status ExpandOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   return ResolveFence(input);
 }
 
+std::unique_ptr<OpScratch> ExpandOp::MakeScratch() const {
+  if (!use_index_ || functional_ || bitmap_.bits() == nullptr) return nullptr;
+  return std::make_unique<FilteredRuns>(*index_, op_.edge_label, op_.dir,
+                                        bitmap_.bits(), !op_.edge_var.empty());
+}
+
 Status ExpandOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                          ExecutionContext* ctx) const {
+  std::unique_ptr<OpScratch> scratch = MakeScratch();
+  return Process(in, cursor, scratch.get(), out, ctx);
+}
+
+Status ExpandOp::Process(const Batch& in, Cursor* cursor, OpScratch* scratch,
+                         Batch* out, ExecutionContext* ctx) const {
   const uint8_t* pass = bitmap_.bits();
   const bool want_edge = !op_.edge_var.empty();
   std::vector<uint64_t> sel;
@@ -703,42 +955,74 @@ Status ExpandOp::Process(const Batch& in, Cursor* cursor, Batch* out,
       o += run;
     }
     *cursor = next;
-  } else if (use_index_) {
-    // Filtered: a bitmap test per neighbor. The loop stores through raw
-    // pointers and grows the outputs (doubling, up to a full batch) only
-    // when they are full, so its per-neighbor cost does not hinge on the
-    // compiler inlining push_back for three vectors.
+  } else if (functional_) {
+    // Filtered functional hop: no source has more than one neighbor (the
+    // index's max degree), so a memo would cost a probe to save one test.
+    // At most one output row per input row: one call takes the input.
+    const graph::GraphIndex& index = ctx->index();
+    const uint64_t* rows = RowMap(in);
+    const uint64_t n = in.num_rows();
+    sel.resize(n - cursor->row);
+    to_vals.resize(sel.size());
+    if (want_edge) edge_vals.resize(sel.size());
+    uint64_t* s = sel.data();
+    int64_t* t = to_vals.data();
+    int64_t* e = edge_vals.data();
     uint64_t o = 0;
+    for (uint64_t r = cursor->row; r < n; ++r) {
+      uint64_t p = rows[r];
+      auto v = static_cast<uint64_t>(from.int_at(p));
+      graph::AdjacencyList adj = index.Neighbors(op_.edge_label, op_.dir, v);
+      if (adj.size == 0 || !pass[adj.neighbors[0]]) continue;
+      s[o] = p;
+      t[o] = static_cast<int64_t>(adj.neighbors[0]);
+      if (want_edge) e[o] = static_cast<int64_t>(adj.edges[0]);
+      ++o;
+    }
+    sel.resize(o);
+    to_vals.resize(o);
+    if (want_edge) edge_vals.resize(o);
+    *cursor = Cursor{n, 0, 0};
+  } else if (use_index_) {
+    // Filtered: each source's adjacency is filtered once per worker into
+    // the memo, and every row copies its source's filtered run.
     const uint64_t capacity = OutputCapacity(in, *cursor);
     sel.resize(capacity);
     to_vals.resize(capacity);
     if (want_edge) edge_vals.resize(capacity);
+    *cursor = static_cast<FilteredRuns*>(scratch)->Expand(
+        in, from, *cursor, &sel, &to_vals, &edge_vals);
+  } else {
+    sel.resize(OutputCapacity(in, *cursor));
+    to_vals.resize(sel.size());
+    if (want_edge) edge_vals.resize(sel.size());
+    uint64_t o = 0;
+    const int64_t* from_keys = from_key_col_->data_int64();
+    MatchList edges;
     *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
-      uint64_t* s = sel.data();
-      int64_t* t = to_vals.data();
-      int64_t* e = edge_vals.data();
       uint64_t r = cursor->row, i = cursor->inner;
       for (; r < n; ++r, i = 0) {
         uint64_t p = rows[r];
         auto v = static_cast<uint64_t>(from.int_at(p));
-        graph::AdjacencyList adj =
-            ctx->index().Neighbors(op_.edge_label, op_.dir, v);
-        for (; i < adj.size; ++i) {
-          uint64_t nbr = adj.neighbors[i];
-          if (!pass[nbr]) continue;
+        if (!from_key_col_->is_valid(v)) continue;  // NULL matches no FK
+        edges.size = 0;
+        fk_edges_.ForEachMatch(&from_keys, v,
+                               [&edges](uint64_t e) { edges.Add(e); });
+        for (; i < edges.size; ++i) {
+          uint64_t e = edges.rows[i];
+          auto to_it = to_key_index_->find(to_fk_col_->int_at(e));
+          if (to_it == to_key_index_->end()) continue;
+          uint64_t nbr = to_it->second;
+          if (pass != nullptr && !pass[nbr]) continue;
           if (o == sel.size()) {
             if (o == kBatchRows) return Cursor{r, i, 0};
-            uint64_t size = std::min(kBatchRows, 2 * o);
-            sel.resize(size);
-            to_vals.resize(size);
-            if (want_edge) edge_vals.resize(size);
-            s = sel.data();
-            t = to_vals.data();
-            e = edge_vals.data();
+            sel.resize(GrownCapacity(o));
+            to_vals.resize(sel.size());
+            if (want_edge) edge_vals.resize(sel.size());
           }
-          s[o] = p;
-          t[o] = static_cast<int64_t>(nbr);
-          if (want_edge) e[o] = static_cast<int64_t>(adj.edges[i]);
+          sel[o] = p;
+          to_vals[o] = static_cast<int64_t>(nbr);
+          if (want_edge) edge_vals[o] = static_cast<int64_t>(e);
           ++o;
         }
       }
@@ -747,35 +1031,6 @@ Status ExpandOp::Process(const Batch& in, Cursor* cursor, Batch* out,
     sel.resize(o);
     to_vals.resize(o);
     if (want_edge) edge_vals.resize(o);
-  } else {
-    const uint64_t capacity = OutputCapacity(in, *cursor);
-    sel.reserve(capacity);
-    to_vals.reserve(capacity);
-    if (want_edge) edge_vals.reserve(capacity);
-    const int64_t* from_keys = from_key_col_->data_int64();
-    std::vector<uint64_t> edges;
-    *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
-      uint64_t r = cursor->row, i = cursor->inner;
-      for (; r < n; ++r, i = 0) {
-        uint64_t p = rows[r];
-        auto v = static_cast<uint64_t>(from.int_at(p));
-        if (!from_key_col_->is_valid(v)) continue;  // NULL matches no FK
-        edges.clear();
-        fk_edges_.Probe(&from_keys, v, &edges);
-        for (; i < edges.size(); ++i) {
-          uint64_t e = edges[i];
-          auto to_it = to_key_index_->find(to_fk_col_->int_at(e));
-          if (to_it == to_key_index_->end()) continue;
-          uint64_t nbr = to_it->second;
-          if (pass != nullptr && !pass[nbr]) continue;
-          if (sel.size() == kBatchRows) return Cursor{r, i, 0};
-          sel.push_back(p);
-          to_vals.push_back(static_cast<int64_t>(nbr));
-          if (want_edge) edge_vals.push_back(static_cast<int64_t>(e));
-        }
-      }
-      return Cursor{n, 0, 0};
-    }();
   }
 
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
@@ -827,20 +1082,18 @@ Status ExpandIntersectOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                                   ExecutionContext* ctx) const {
   const uint8_t* pass = bitmap_.bits();
   size_t k = from_cols_.size();
-  const uint64_t capacity = OutputCapacity(in, *cursor);
-  std::vector<uint64_t> sel;
-  std::vector<int64_t> to_vals;
-  sel.reserve(capacity);
-  to_vals.reserve(capacity);
+  std::vector<uint64_t> sel(OutputCapacity(in, *cursor));
+  std::vector<int64_t> to_vals(sel.size());
+  uint64_t o = 0;
   // Only bound (non-trimmed) edge vars accumulate values; the others stay
-  // empty and are skipped at emit, saving k push_backs per output row on
-  // the common fully-trimmed cyclic queries.
+  // empty and are skipped at emit, saving k stores per output row on the
+  // common fully-trimmed cyclic queries.
   std::vector<std::vector<int64_t>> edge_vals(k);
   std::vector<uint8_t> keep_edge(k, 0);
   if (want_edges_) {
     for (size_t i = 0; i < k; ++i) {
       keep_edge[i] = !op_.edge_vars[i].empty();
-      if (keep_edge[i]) edge_vals[i].reserve(capacity);
+      if (keep_edge[i]) edge_vals[i].resize(sel.size());
     }
   }
 
@@ -911,16 +1164,21 @@ Status ExpandIntersectOp::Process(const Batch& in, Cursor* cursor, Batch* out,
         for (size_t i = 0; i < k; ++i) digit[i] = runs[i].first;
         for (uint64_t combo = 0;; ++combo) {
           if (combo >= skip) {
-            if (sel.size() == kBatchRows) {
-              return Cursor{r, runs[0].first, combo};
+            if (o == sel.size()) {
+              if (o == kBatchRows) return Cursor{r, runs[0].first, combo};
+              sel.resize(GrownCapacity(o));
+              to_vals.resize(sel.size());
+              for (size_t i = 0; i < k; ++i) {
+                if (keep_edge[i]) edge_vals[i].resize(sel.size());
+              }
             }
-            sel.push_back(p);
-            to_vals.push_back(static_cast<int64_t>(candidate));
+            sel[o] = p;
+            to_vals[o] = static_cast<int64_t>(candidate);
             for (size_t i = 0; i < k; ++i) {
               if (!keep_edge[i]) continue;
-              edge_vals[i].push_back(
-                  static_cast<int64_t>(lists[i].edges[digit[i]]));
+              edge_vals[i][o] = static_cast<int64_t>(lists[i].edges[digit[i]]);
             }
+            ++o;
           }
           // Advance the mixed-radix digits.
           size_t i = 0;
@@ -936,9 +1194,13 @@ Status ExpandIntersectOp::Process(const Batch& in, Cursor* cursor, Batch* out,
     return Cursor{n, 0, 0};
   }();
 
+  sel.resize(o);
+  to_vals.resize(o);
   std::vector<std::vector<int64_t>*> cols = {&to_vals};
   for (size_t i = 0; i < k; ++i) {
-    if (keep_edge[i]) cols.push_back(&edge_vals[i]);
+    if (!keep_edge[i]) continue;
+    edge_vals[i].resize(o);
+    cols.push_back(&edge_vals[i]);
   }
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
   Emit(in, std::move(sel), cols.data(), cols.size(), out);
@@ -991,11 +1253,22 @@ Status EdgeVerifyOp::Prepare(const Schema& input, ExecutionContext* ctx) {
 Status EdgeVerifyOp::Process(const Batch& in, Cursor* cursor, Batch* out,
                              ExecutionContext* ctx) const {
   bool want_edge = !op_.edge_var.empty();
-  const uint64_t capacity = OutputCapacity(in, *cursor);
-  std::vector<uint64_t> sel;
-  std::vector<int64_t> edge_vals;
-  sel.reserve(capacity);
-  if (want_edge) edge_vals.reserve(capacity);
+  std::vector<uint64_t> sel(OutputCapacity(in, *cursor));
+  std::vector<int64_t> edge_vals(want_edge ? sel.size() : 0);
+  uint64_t o = 0;
+  // Stores output row `o`: input row `p` bound to edge `e`. False, storing
+  // nothing, when the output already holds kBatchRows rows.
+  auto add = [&](uint64_t p, uint64_t e) {
+    if (o == sel.size()) {
+      if (o == kBatchRows) return false;
+      sel.resize(GrownCapacity(o));
+      if (want_edge) edge_vals.resize(sel.size());
+    }
+    sel[o] = p;
+    if (want_edge) edge_vals[o] = static_cast<int64_t>(e);
+    ++o;
+    return true;
+  };
   const Column& src = in.column(src_col_);
   const Column& dst = in.column(dst_col_);
 
@@ -1015,18 +1288,13 @@ Status EdgeVerifyOp::Process(const Batch& in, Cursor* cursor, Batch* out,
         const uint64_t* end = adj.neighbors + adj.size;
         const uint64_t* lo = std::lower_bound(begin, end, d);
         for (; lo + j != end && lo[j] == d; ++j) {
-          if (sel.size() == kBatchRows) return Cursor{r, j, 0};
-          sel.push_back(p);
-          if (want_edge) {
-            edge_vals.push_back(
-                static_cast<int64_t>(adj.edges[lo + j - begin]));
-          }
+          if (!add(p, adj.edges[lo + j - begin])) return Cursor{r, j, 0};
         }
       }
       return Cursor{n, 0, 0};
     }();
   } else {
-    std::vector<uint64_t> edges;
+    MatchList edges;
     *cursor = [&, rows = RowMap(in), n = in.num_rows()]() -> Cursor {
       uint64_t r = cursor->row, j = cursor->inner;
       for (; r < n; ++r, j = 0) {
@@ -1038,18 +1306,19 @@ Status EdgeVerifyOp::Process(const Batch& in, Cursor* cursor, Batch* out,
         // its own row and probe row 0.
         const int64_t* keys[2] = {skey_->data_int64() + s,
                                   dkey_->data_int64() + d};
-        edges.clear();
-        key_edges_.Probe(keys, 0, &edges);
-        for (; j < edges.size(); ++j) {
-          if (sel.size() == kBatchRows) return Cursor{r, j, 0};
-          sel.push_back(p);
-          if (want_edge) edge_vals.push_back(static_cast<int64_t>(edges[j]));
+        edges.size = 0;
+        key_edges_.ForEachMatch(keys, 0,
+                                [&edges](uint64_t e) { edges.Add(e); });
+        for (; j < edges.size; ++j) {
+          if (!add(p, edges.rows[j])) return Cursor{r, j, 0};
         }
       }
       return Cursor{n, 0, 0};
     }();
   }
 
+  sel.resize(o);
+  if (want_edge) edge_vals.resize(o);
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
   std::vector<int64_t>* cols[] = {&edge_vals};
   Emit(in, std::move(sel), cols, want_edge ? 1 : 0, out);

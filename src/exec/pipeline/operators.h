@@ -125,7 +125,8 @@ class TopKFence {
 
 /// Where a streaming operator resumes over its current input batch.
 /// `row` is the next logical input row; `inner` the position inside that
-/// row's output run (adjacency entry, hash-match index, edge-run offset;
+/// row's output run (adjacency entry; a filtered ExpandOp: entry of the
+/// source's filtered run; hash-match index, edge-run offset;
 /// ExpandIntersectOp: the start of the current candidate's run in its
 /// first list), and `product` ExpandIntersectOp's index into that
 /// candidate's cross product of parallel edges. A fresh cursor starts at
@@ -134,6 +135,13 @@ struct Cursor {
   uint64_t row = 0;
   uint64_t inner = 0;
   uint64_t product = 0;
+};
+
+/// State that one worker keeps for one operator across its calls in one
+/// pipeline run (see StreamingOp::MakeScratch). It is never shared between
+/// workers, operators or executions, so it needs no lock.
+struct OpScratch {
+  virtual ~OpScratch() = default;
 };
 
 /// A non-blocking operator of a pipeline: consumes one batch, produces
@@ -165,6 +173,19 @@ class StreamingOp {
                          ExecutionContext* ctx) = 0;
   const storage::Schema& output_schema() const { return output_schema_; }
 
+  /// A fresh per-worker scratch for this operator, or null when it keeps
+  /// none (the default). After Prepare, each worker makes one on its first
+  /// morsel of the pipeline run, keeps it on its level stack across its
+  /// morsels, and hands it to every Process call it makes on this operator.
+  virtual std::unique_ptr<OpScratch> MakeScratch() const { return nullptr; }
+
+  /// Process() with the calling worker's scratch from MakeScratch(). The
+  /// default ignores it.
+  virtual Status Process(const Batch& in, Cursor* cursor, OpScratch* scratch,
+                         Batch* out, ExecutionContext* ctx) const {
+    (void)scratch;
+    return Process(in, cursor, out, ctx);
+  }
   virtual Status Process(const Batch& in, Cursor* cursor, Batch* out,
                          ExecutionContext* ctx) const = 0;
 
@@ -342,14 +363,22 @@ class GetVertexOp : public BinderOp {
 
 /// Fused EXPAND (PhysExpand). With the graph index, streams the VE-index
 /// adjacency: without a vertex filter it sizes each call's output from the
-/// degrees and copies whole adjacency runs; with one it tests the filter
-/// bitmap per neighbor. Without the index (RelGoHash), probes an FK hash
-/// table over the edge relation built once during Prepare (Case II
-/// reduction).
+/// degrees and copies whole adjacency runs. With one, each worker filters
+/// a source vertex's adjacency once into its memo (MakeScratch) and copies
+/// the filtered run in bulk for every row with that source; a functional
+/// hop (index max degree <= 1) tests its one neighbor per row instead.
+/// Without the index (RelGoHash), probes an FK hash table over the edge
+/// relation built once during Prepare (Case II reduction).
 class ExpandOp : public BinderOp {
  public:
   explicit ExpandOp(const plan::PhysExpand& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
+  /// The filtered-adjacency memo when this EXPAND filters over a
+  /// non-functional index hop; null otherwise.
+  std::unique_ptr<OpScratch> MakeScratch() const override;
+  Status Process(const Batch& in, Cursor* cursor, OpScratch* scratch,
+                 Batch* out, ExecutionContext* ctx) const override;
+  /// Runs with a scratch of its own (one call's memo).
   Status Process(const Batch& in, Cursor* cursor, Batch* out,
                  ExecutionContext* ctx) const override;
 
@@ -357,6 +386,8 @@ class ExpandOp : public BinderOp {
   const plan::PhysExpand& op_;
   size_t from_col_ = 0;
   bool use_index_ = false;
+  bool functional_ = false;  ///< index max degree <= 1 along the hop
+  const graph::GraphIndex* index_ = nullptr;  ///< set when use_index_
   SharedBitmap bitmap_;
   // Index-free fallback state (all read-only after Prepare). The TablePtrs
   // keep the borrowed column/index pointers alive.

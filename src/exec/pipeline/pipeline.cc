@@ -125,11 +125,14 @@ Status ScanVertexSource::Emit(uint64_t begin, uint64_t count, Batch* out,
 namespace {
 
 /// One level of a worker's depth-first drive through a pipeline: the input
-/// batch of ops[i] and how far ops[i] got through it. Level ops.size()
-/// holds the batch bound for the sink.
+/// batch of ops[i], how far ops[i] got through it, and the worker's
+/// scratch for ops[i] (null when the operator keeps none), which lives as
+/// long as the stack: one pipeline run. Level ops.size() holds the batch
+/// bound for the sink.
 struct Level {
   Batch batch;
   Cursor cursor;
+  std::unique_ptr<OpScratch> scratch;
 };
 
 /// Runs source rows [begin, begin + count) — morsel `morsel` — through the
@@ -137,10 +140,10 @@ struct Level {
 /// through the remaining operators into the sink before that operator
 /// resumes from its cursor, so each level holds at most one live batch and
 /// the only per-batch allocations are the batches themselves. `levels` is
-/// the worker's reusable stack (ops.size() + 1 entries). The profiled
-/// instantiation accumulates into `slots` (source, ops..., sink); the
-/// plain one carries no profiling code. Returns the rows the morsel handed
-/// the sink in `*sink_rows`.
+/// the worker's reusable stack (ops.size() + 1 entries, with the
+/// operators' scratch). The profiled instantiation accumulates into
+/// `slots` (source, ops..., sink); the plain one carries no profiling
+/// code. Returns the rows the morsel handed the sink in `*sink_rows`.
 template <bool kProfiled>
 Status DriveMorsel(const Pipeline& pipeline, Sink* sink, SinkState* state,
                    uint64_t morsel, uint64_t begin, uint64_t count,
@@ -201,7 +204,8 @@ Status DriveMorsel(const Pipeline& pipeline, Sink* sink, SinkState* state,
     if constexpr (kProfiled) timer.Restart();
     [[maybe_unused]] uint64_t row_before = cur.cursor.row;
     RELGO_RETURN_NOT_OK(
-        pipeline.ops[d]->Process(cur.batch, &cur.cursor, &next, ctx));
+        pipeline.ops[d]->Process(cur.batch, &cur.cursor, cur.scratch.get(),
+                                 &next, ctx));
     if constexpr (kProfiled) {
       OperatorProfile& slot = slots[d + 1];
       slot.wall_ms += timer.ElapsedMillis();
@@ -254,10 +258,9 @@ Result<storage::TablePtr> RunPipeline(Pipeline* pipeline, Sink* sink,
     states.push_back(sink->MakeState());
   }
 
-  // Per-worker DriveMorsel level stacks, reused across its morsels.
-  std::vector<std::vector<Level>> stacks(
-      static_cast<size_t>(max_workers),
-      std::vector<Level>(pipeline->ops.size() + 1));
+  // Per-worker DriveMorsel level stacks, built on the worker's first
+  // morsel (with the operators' scratch) and reused across its morsels.
+  std::vector<std::vector<Level>> stacks(static_cast<size_t>(max_workers));
 
   // Profiled runs accumulate rows in/out, calls and stage timings into
   // per-worker slot vectors — no shared state, so profiling never
@@ -285,12 +288,19 @@ Result<storage::TablePtr> RunPipeline(Pipeline* pipeline, Sink* sink,
         sink->MorselFinished(morsel, 0);
         return Status::OK();
       }
+      std::vector<Level>& stack = stacks[worker_id];
+      if (stack.empty()) {
+        stack.resize(pipeline->ops.size() + 1);
+        for (size_t d = 0; d < pipeline->ops.size(); ++d) {
+          stack[d].scratch = pipeline->ops[d]->MakeScratch();
+        }
+      }
       uint64_t begin = morsel * kBatchRows;
       uint64_t count = std::min(kBatchRows, total_rows - begin);
       uint64_t rows = 0;
       RELGO_RETURN_NOT_OK(DriveMorsel<decltype(profiled)::value>(
           *pipeline, sink, states[worker_id].get(), morsel, begin, count,
-          &stacks[worker_id],
+          &stack,
           profiled ? worker_profs[worker_id].data() : nullptr, &rows, ctx));
       sink->MorselFinished(morsel, rows);
       return Status::OK();

@@ -63,7 +63,9 @@ void GraphIndex::BuildCsr(const std::vector<uint64_t>& from,
   uint64_t m = from.size();
   csr->offsets.assign(num_vertices + 1, 0);
   for (uint64_t i = 0; i < m; ++i) csr->offsets[from[i] + 1]++;
+  csr->max_degree = 0;
   for (uint64_t v = 0; v < num_vertices; ++v) {
+    csr->max_degree = std::max(csr->max_degree, csr->offsets[v + 1]);
     csr->offsets[v + 1] += csr->offsets[v];
   }
   csr->neighbors.resize(m);

@@ -70,6 +70,14 @@ class GraphIndex {
     return csr.offsets[vertex_row + 1] - csr.offsets[vertex_row];
   }
 
+  /// The largest degree of any vertex along `edge_label` in direction
+  /// `dir`, recorded at Build. At most 1 means the hop is functional (a
+  /// foreign key): every vertex has at most one neighbor.
+  uint64_t MaxDegree(int edge_label, Direction dir) const {
+    return dir == Direction::kOut ? edges_[edge_label].out.max_degree
+                                  : edges_[edge_label].in.max_degree;
+  }
+
   uint64_t NumEdges(int edge_label) const {
     return edges_[edge_label].src_rowids.size();
   }
@@ -85,6 +93,7 @@ class GraphIndex {
     std::vector<uint64_t> offsets;  // size = |V| + 1
     std::vector<uint64_t> neighbors;
     std::vector<uint64_t> edges;
+    uint64_t max_degree = 0;
   };
   struct EdgeIndexData {
     std::vector<uint64_t> src_rowids;  // EV-index

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <new>
 #include <numeric>
 #include <set>
@@ -1197,6 +1198,59 @@ class BoundedBatchTest : public ::testing::Test {
     return op;
   }
 
+  /// Expand() with the target filter `filter`: over the graph index and a
+  /// hop whose max degree exceeds 1, the memoized filtered path.
+  std::unique_ptr<plan::PhysicalOp> FilteredExpand(
+      std::unique_ptr<plan::PhysicalOp> child, int label, std::string from,
+      std::string to, storage::ExprPtr filter, std::string edge = "") {
+    auto op = Expand(std::move(child), label, std::move(from), std::move(to),
+                     std::move(edge));
+    static_cast<plan::PhysExpand&>(*op).vertex_filter = std::move(filter);
+    return op;
+  }
+
+  /// SCAN_VERTEX `var` over the persons whose `column` compares `cmp`
+  /// against `value`.
+  std::unique_ptr<plan::PhysicalOp> Persons(const std::string& var,
+                                            const std::string& column,
+                                            storage::CompareOp cmp,
+                                            int64_t value) {
+    auto scan = std::make_unique<plan::PhysScanVertex>();
+    scan->vertex_label = person_;
+    scan->var = var;
+    scan->filter = Where(column, cmp, value);
+    return scan;
+  }
+
+  /// The Person predicate `column` `cmp` `value`.
+  static storage::ExprPtr Where(const std::string& column,
+                              storage::CompareOp cmp, int64_t value) {
+    return Expr::Compare(cmp, Expr::Column(column),
+                         Expr::Constant(Value::Int(value)));
+  }
+
+  /// The calls an operator makes when every source morsel reaches it as
+  /// one input batch: per morsel, ceil(rows / kBatchRows) of the oracle's
+  /// rows whose source row id `var` lies in it, and at least one.
+  uint64_t CallsPerMorsel(const plan::PhysicalOp& op, const std::string& var) {
+    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+    auto result = Executor::Run(op, &ctx);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return 0;
+    const Column* source = (*result)->FindColumn(var);
+    EXPECT_NE(source, nullptr);
+    if (source == nullptr) return 0;
+    std::map<int64_t, uint64_t> rows;  // morsel -> rows
+    for (uint64_t r = 0; r < source->size(); ++r) {
+      rows[source->int_at(r) / static_cast<int64_t>(kBatchRows)]++;
+    }
+    uint64_t calls = 0;
+    for (int64_t m = 0; m * static_cast<int64_t>(kBatchRows) < kPeople; ++m) {
+      calls += std::max<uint64_t>(1, (rows[m] + kBatchRows - 1) / kBatchRows);
+    }
+    return calls;
+  }
+
   /// pi-hat COLUMNS(var.column AS var.column, ...) over Person vars.
   std::unique_ptr<plan::PhysicalOp> Bridge(
       std::unique_ptr<plan::PhysicalOp> child,
@@ -1363,6 +1417,136 @@ TEST_F(BoundedBatchTest, ExpansionFillsABatchAtTheEndOfARun) {
     EXPECT_GT(rows.size(), 2 * kBatchRows);
     EXPECT_EQ(Calls(*filtered, *filtered),
               (rows.size() + kBatchRows - 1) / kBatchRows);
+  }
+}
+
+TEST_F(BoundedBatchTest, MemoizedExpansionOfAHubAcrossRowsCallsAndMorsels) {
+  // The age-0 persons (every 7th, over three source morsels) all follow
+  // person 0, so 0 is the source of the filtered Likes hop in 642 rows,
+  // spread over every morsel and over several calls of each: each copies
+  // the same memoized run (0's age-1 likes). Each morsel reaches the hop as
+  // one batch.
+  using storage::CompareOp;
+  for (const char* edge : {"", "l"}) {
+    SCOPED_TRACE(std::string("edge=") + edge);
+    auto plan = FilteredExpand(
+        Expand(Persons("p", "age", CompareOp::kEq, 0), follows_, "p", "h"),
+        likes_, "h", "q", Where("age", CompareOp::kEq, 1), edge);
+    auto rows = ExpectBoundedParity(*plan);
+    EXPECT_GT(rows.size(), 4 * kBatchRows);
+    EXPECT_EQ(Calls(*plan, *plan), CallsPerMorsel(*plan, "p"));
+  }
+}
+
+TEST_F(BoundedBatchTest, MemoizedExpansionResumesInsideAFilteredRun) {
+  // Persons 0-2 follow 1; 0 and 2; 0 and 3: source 0 of the filtered Knows
+  // hop repeats. Its filtered run (kParallel + 1 edges to person 1, then
+  // every person whose age is not 3) is longer than a batch, so calls stop
+  // and resume inside it, where a position in the run is not an index
+  // into the raw adjacency. Source 2's run is empty (3 fails the filter).
+  using storage::CompareOp;
+  for (const char* edge : {"", "k"}) {
+    SCOPED_TRACE(std::string("edge=") + edge);
+    auto plan = FilteredExpand(
+        Expand(Persons("p", "person_id", CompareOp::kLt, 3), follows_, "p",
+               "h"),
+        knows_, "h", "q", Where("age", CompareOp::kNe, 3), edge);
+    auto rows = ExpectBoundedParity(*plan);
+    EXPECT_GT(rows.size(), 2 * static_cast<size_t>(kParallel));
+    EXPECT_EQ(Calls(*plan, *plan), (rows.size() + kBatchRows - 1) / kBatchRows);
+  }
+}
+
+TEST_F(BoundedBatchTest, MemoizedExpansionOfASourceWithNoPassingNeighbor) {
+  // Person 1 reaches person 2 over three parallel Knows edges, and 2 knows
+  // only 3, whose age (3) fails the filter: the empty run of 2 is looked up
+  // three times and the one call emits nothing.
+  using storage::CompareOp;
+  auto none = FilteredExpand(
+      FilteredExpand(Person("p", 1), knows_, "p", "h",
+                     Where("person_id", CompareOp::kEq, 2)),
+      knows_, "h", "q", Where("age", CompareOp::kNe, 3));
+  EXPECT_TRUE(ExpectBoundedParity(*none).empty());
+  EXPECT_EQ(Calls(*none, *none), 1u);
+
+  // Unfiltered, the first hop binds h = 2, 2, 2, 3, 3, 3, ... in full
+  // batches; each h knows only h + 1, so one call per input batch, in
+  // which every third source triple (h + 1 of age 3) has an empty run.
+  auto some = FilteredExpand(Expand(Person("p", 1), knows_, "p", "h"),
+                             knows_, "h", "q", Where("age", CompareOp::kNe, 3));
+  auto rows = ExpectBoundedParity(*some);
+  EXPECT_GT(rows.size(), 2 * kBatchRows);
+  EXPECT_EQ(Calls(*some, *some),
+            (3 * (kPeople - 2) + kBatchRows - 1) / kBatchRows);
+}
+
+TEST_F(BoundedBatchTest, TwoMemoizedExpansionsInOnePipeline) {
+  // Filtered Knows from persons 0-2, then filtered Follows from its
+  // targets, which include persons 1 and 2 again: each hop filters its own
+  // adjacency with its own filter, so each keeps its own memo. Each h
+  // follows h + 1 and 0, and the second filter drops 0: one output row per
+  // input row at most, so the second hop makes one call per batch of the
+  // first.
+  using storage::CompareOp;
+  for (const char* edge : {"", "e"}) {
+    SCOPED_TRACE(std::string("edge=") + edge);
+    auto first = FilteredExpand(Persons("p", "person_id", CompareOp::kLt, 3),
+                                knows_, "p", "h",
+                                Where("age", CompareOp::kNe, 3), edge);
+    const plan::PhysicalOp* first_op = first.get();
+    auto plan = FilteredExpand(std::move(first), follows_, "h", "q",
+                               Where("age", CompareOp::kNe, 0),
+                               *edge == 0 ? "" : "f");
+    auto rows = ExpectBoundedParity(*plan);
+    EXPECT_GT(rows.size(), 4 * kBatchRows);
+    const uint64_t first_calls = Calls(*plan, *first_op);
+    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+    auto h_rows = Executor::Run(*first_op, &ctx);
+    ASSERT_TRUE(h_rows.ok());
+    EXPECT_EQ(first_calls,
+              ((*h_rows)->num_rows() + kBatchRows - 1) / kBatchRows);
+    EXPECT_EQ(Calls(*plan, *plan), first_calls);
+  }
+}
+
+TEST_F(BoundedBatchTest, MemoizedRunsDoNotOutliveTheirExecution) {
+  // Back-to-back executions of one plan shape whose filters differ, on one
+  // thread and on four: every execution filters afresh.
+  using storage::CompareOp;
+  for (int64_t age : {1, 2, 1}) {
+    SCOPED_TRACE("age=" + std::to_string(age));
+    auto plan = FilteredExpand(
+        Expand(Persons("p", "person_id", CompareOp::kLt, 3), follows_, "p",
+               "h"),
+        knows_, "h", "q", Where("age", CompareOp::kEq, age));
+    EXPECT_FALSE(ExpectBoundedParity(*plan).empty());
+  }
+}
+
+TEST_F(BoundedBatchTest, FencedMemoizedExpansion) {
+  // IC9-2's shape: sources repeat (the age-0 persons all follow person 0),
+  // the memoized hop binds q, and ORDER BY q.person_id DESC LIMIT 20 fences
+  // it: rows are pruned after they are charged, and parity holds.
+  using storage::CompareOp;
+  for (const char* edge : {"", "l"}) {
+    SCOPED_TRACE(std::string("edge=") + edge);
+    auto graph = FilteredExpand(
+        Expand(Persons("p", "age", CompareOp::kEq, 0), follows_, "p", "h"),
+        likes_, "h", "q", Where("age", CompareOp::kEq, 1), edge);
+    const plan::PhysicalOp* hop = graph.get();
+    auto plan =
+        OrderLimit(Bridge(std::move(graph), {{"q", "person_id"}, {"p", "name"}}),
+                   {plan::SortKey{"q.person_id", false}}, 20);
+    EXPECT_EQ(ExpectBoundedParity(*plan, /*prunes=*/true).size(), 20u);
+    EXPECT_EQ(Calls(*plan, *hop), CallsPerMorsel(*hop, "p"));
+    ExecutionContext oracle_ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+    ASSERT_TRUE(Executor::Run(*plan, &oracle_ctx).ok());
+    ExecutionOptions options;
+    options.num_threads = 1;
+    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                         options);
+    ASSERT_TRUE(exec::pipeline::Run(*plan, &ctx).ok());
+    EXPECT_LT(ctx.rows_produced(), oracle_ctx.rows_produced());
   }
 }
 
