@@ -620,13 +620,10 @@ void DictJoinProbeString(benchmark::State& state, bool dict) {
     state.SkipWithError(st.ToString().c_str());
     return;
   }
-  std::vector<uint64_t> matches;
   for (auto _ : state) {
     uint64_t hits = 0;
     for (uint64_t r = 0; r < kMicroRows; ++r) {
-      matches.clear();
-      ht.Probe(view, r, &matches);
-      hits += matches.size();
+      ht.ForEachMatch(view, r, [&hits](uint64_t) { ++hits; });
     }
     benchmark::DoNotOptimize(hits);
   }
@@ -726,6 +723,50 @@ BENCHMARK(BM_HashBuild)
     ->Args({1 << 20, 4})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// ORDER BY k, s DESC LIMIT n over 100k rows, single-threaded: `k` is an
+/// int64 drawn from [0, 1000) (about 100 rows per value, so the cut falls
+/// inside ties) and `s` a string with a sorted dictionary of 64 values.
+/// Every key streams eagerly from the table scan into TopKSink. Arg: n.
+void BM_TopKSink(benchmark::State& state) {
+  static Database* db = [] {
+    auto* d = new Database();
+    auto table = d->CreateTable(
+        "TopK", storage::Schema({{"id", LogicalType::kInt64},
+                                 {"k", LogicalType::kInt64},
+                                 {"s", LogicalType::kString}}));
+    if (!table.ok()) std::abort();
+    std::mt19937 rng(31);
+    storage::Table& t = **table;
+    for (int64_t r = 0; r < 100'000; ++r) {
+      t.column(0).AppendInt(r);
+      t.column(1).AppendInt(static_cast<int64_t>(rng() % 1000));
+      t.column(2).AppendString("tag_" + std::to_string(rng() % 64));
+    }
+    t.FinishBulkAppend();
+    t.column(2).BuildDictionary();
+    return d;
+  }();
+  auto scan = std::make_unique<plan::PhysScanTable>();
+  scan->table = "TopK";
+  scan->alias = "t";
+  auto order = std::make_unique<plan::PhysOrderBy>();
+  order->keys = {{"t.k", true}, {"t.s", false}};
+  order->children.push_back(std::move(scan));
+  plan::PhysLimit limit;
+  limit.limit = state.range(0);
+  limit.children.push_back(std::move(order));
+  for (auto _ : state) {
+    auto ctx = MakeContext(db);
+    auto result = exec::pipeline::Run(limit, &ctx);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize((*result)->num_rows());
+  }
+}
+BENCHMARK(BM_TopKSink)->Arg(20)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 /// Forwards finished kernel-vs-row runs into BENCH_pipeline.json (bench
 /// "operators_kernel") and remembers per-benchmark timings so main() can

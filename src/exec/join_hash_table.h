@@ -28,7 +28,7 @@ namespace exec {
 /// the number of distinct keys.
 ///
 /// Construction is two-phase so the pipeline engine can build in parallel,
-/// while Probe stays const and safe to call concurrently:
+/// while ForEachMatch stays const and safe to call concurrently:
 ///
 ///  1. BeginBuild() resolves the key columns and sizes every array.
 ///  2. PartitionRows(m) hashes morsel `m` (build rows [m * kBatchRows,
@@ -175,7 +175,7 @@ class JoinHashTable {
   }
 
   /// Per-probe-table resolved key spans: bind once per table / batch,
-  /// then Probe per row. For a string key, `shared` marks a probe
+  /// then ForEachMatch per row. For a string key, `shared` marks a probe
   /// column carrying the exact build dictionary (codes compare
   /// directly); otherwise the probe string translates through the build
   /// dictionary per row — a miss proves no build row can match.
@@ -229,13 +229,6 @@ class JoinHashTable {
     return Status::OK();
   }
 
-  /// Appends matching build-side rows for probe row `row` of a bound
-  /// probe view into `out`, in ascending build-row order.
-  void Probe(const ProbeView& view, uint64_t row,
-             std::vector<uint64_t>* out) const {
-    ForEachMatch(view, row, [out](uint64_t r) { out->push_back(r); });
-  }
-
   /// Calls emit(build_row) for each build-side row matching probe row
   /// `row` of a bound probe view, in ascending build-row order. The
   /// pipeline's probe loops store the rows themselves (see
@@ -280,35 +273,11 @@ class JoinHashTable {
         emit);
   }
 
-  /// Appends matching build-side rows for probe row (cols `probe_cols` of
-  /// `probe`) into `out`. Per-row convenience for int64 keys
-  /// (bit-identical to the typed-span overload below).
-  void Probe(const storage::Table& probe,
-             const std::vector<size_t>& probe_cols, uint64_t row,
-             std::vector<uint64_t>* out) const {
-    size_t h = kHashSeed;
-    for (size_t c : probe_cols) {
-      const storage::Column& col = probe.column(c);
-      if (!col.is_valid(row)) return;
-      h = HashCombine(h, static_cast<size_t>(col.int_at(row)));
-    }
-    ProbeInt64(
-        h, [&](size_t i) { return probe.column(probe_cols[i]).int_at(row); },
-        [out](uint64_t r) { out->push_back(r); });
-  }
-
   /// Typed-span probe: `keys[i]` is the raw int64 payload of the i-th
   /// probe key column, hoisted once per table / batch by the caller (the
-  /// pipeline's hot probe loop). Bit-identical to the overloads
-  /// above — int_at reads the same payload the spans expose. The spans
-  /// carry no validity: the caller skips probe rows with a NULL key.
-  void Probe(const int64_t* const* keys, uint64_t row,
-             std::vector<uint64_t>* out) const {
-    ForEachMatch(keys, row, [out](uint64_t r) { out->push_back(r); });
-  }
-
-  /// The typed-span probe's matches, one emit(build_row) call each (see
-  /// the ProbeView overload).
+  /// pipeline's hot probe loop); one emit(build_row) call per match, like
+  /// the ProbeView overload. The spans carry no validity: the caller
+  /// skips probe rows with a NULL key.
   template <typename Emit>
   void ForEachMatch(const int64_t* const* keys, uint64_t row,
                     const Emit& emit) const {

@@ -1742,26 +1742,6 @@ Result<TablePtr> HashBuildSink::Finish(
 
 namespace {
 
-/// Group-by key wrapper with Value-based equality (mirrors the seed
-/// executor's aggregate).
-struct GroupKey {
-  std::vector<Value> values;
-  bool operator==(const GroupKey& other) const {
-    if (values.size() != other.values.size()) return false;
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (!(values[i] == other.values[i])) return false;
-    }
-    return true;
-  }
-};
-struct GroupKeyHash {
-  size_t operator()(const GroupKey& k) const {
-    size_t h = 0xcbf29ce484222325ULL;
-    for (const auto& v : k.values) h = HashCombine(h, v.Hash());
-    return h;
-  }
-};
-
 struct AggState {
   int64_t count = 0;
   Value min, max;
@@ -1791,14 +1771,13 @@ struct PartialGroup {
   uint64_t first_row = 0;
 };
 
+/// Groups keyed on byte-encoded group keys read from payload spans
+/// (exec/vector/typed_keys.h).
+using GroupMap = std::unordered_map<vector::EncodedGroupKey, PartialGroup,
+                                    vector::EncodedGroupKeyHash>;
+
 struct AggregatePartial : SinkState {
-  std::unordered_map<GroupKey, PartialGroup, GroupKeyHash> groups;
-  /// Typed-path twin of `groups` (exec/vector/typed_keys.h): keyed on
-  /// byte-encoded group keys read from payload spans. A run populates
-  /// exactly one of the two maps (all workers share the sink's encoder).
-  std::unordered_map<vector::EncodedGroupKey, PartialGroup,
-                     vector::EncodedGroupKeyHash>
-      egroups;
+  GroupMap groups;
 };
 
 }  // namespace
@@ -1834,70 +1813,40 @@ Status AggregateSink::Consume(SinkState* state, const Batch& in,
                               BatchPosition pos, ExecutionContext* ctx) const {
   (void)ctx;
   auto* partial = static_cast<AggregatePartial*>(state);
-  if (encoder_ != nullptr) {
-    // Typed path: encoded keys + span-read aggregate inputs; a Value is
-    // only boxed when a running MIN/MAX improves.
-    std::vector<const Column*> key_cols;
-    key_cols.reserve(group_cols_.size());
-    for (size_t c : group_cols_) key_cols.push_back(&in.column(c));
-    std::vector<vector::AggColumnView> views(op_.aggregates.size());
-    for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-      if (agg_cols_[a] >= 0) {
-        views[a] = vector::AggColumnView(
-            &in.column(static_cast<size_t>(agg_cols_[a])));
-      }
+  // Encoded keys and span-read aggregate inputs; a Value is only boxed
+  // when a running MIN/MAX improves.
+  std::vector<const Column*> key_cols;
+  key_cols.reserve(group_cols_.size());
+  for (size_t c : group_cols_) key_cols.push_back(&in.column(c));
+  std::vector<vector::AggColumnView> views(op_.aggregates.size());
+  for (size_t a = 0; a < op_.aggregates.size(); ++a) {
+    if (agg_cols_[a] >= 0) {
+      views[a] =
+          vector::AggColumnView(&in.column(static_cast<size_t>(agg_cols_[a])));
     }
-    vector::EncodedGroupKey key;
-    auto group_of = [&](uint64_t r) {
-      encoder_->Encode(key_cols.data(), r, &key);
-      auto it = partial->egroups.find(key);
-      if (it == partial->egroups.end()) {
-        PartialGroup group;
-        group.states.resize(op_.aggregates.size());
-        group.first_morsel = pos.morsel;
-        group.first_row = pos.offset + r;
-        it = partial->egroups.emplace(key, std::move(group)).first;
-      }
-      return &it->second.states;
-    };
-    // Without GROUP BY every row lands in the one group: look it up once
-    // per batch instead of once per row.
-    std::vector<AggState>* states =
-        group_cols_.empty() ? group_of(0) : nullptr;
-    for (uint64_t r = 0; r < in.num_rows(); ++r) {
-      if (!group_cols_.empty()) states = group_of(r);
-      for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-        AggState& st = (*states)[a];
-        st.count += 1;
-        if (agg_cols_[a] >= 0) views[a].Update(r, &st);
-      }
-    }
-    return Status::OK();
   }
-  for (uint64_t r = 0; r < in.num_rows(); ++r) {
-    GroupKey key;
-    key.values.reserve(group_cols_.size());
-    for (size_t c : group_cols_) key.values.push_back(in.column(c).GetValue(r));
+  vector::EncodedGroupKey key;
+  auto group_of = [&](uint64_t r) {
+    encoder_->Encode(key_cols.data(), r, &key);
     auto it = partial->groups.find(key);
     if (it == partial->groups.end()) {
       PartialGroup group;
       group.states.resize(op_.aggregates.size());
       group.first_morsel = pos.morsel;
       group.first_row = pos.offset + r;
-      it = partial->groups.emplace(std::move(key), std::move(group)).first;
+      it = partial->groups.emplace(key, std::move(group)).first;
     }
+    return &it->second.states;
+  };
+  // Without GROUP BY every row lands in the one group: look it up once
+  // per batch instead of once per row.
+  std::vector<AggState>* states = group_cols_.empty() ? group_of(0) : nullptr;
+  for (uint64_t r = 0; r < in.num_rows(); ++r) {
+    if (!group_cols_.empty()) states = group_of(r);
     for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-      AggState& st = it->second.states[a];
+      AggState& st = (*states)[a];
       st.count += 1;
-      if (agg_cols_[a] >= 0) {
-        Value v = in.column(static_cast<size_t>(agg_cols_[a])).GetValue(r);
-        if (!v.is_null()) {
-          if (st.min.is_null() || v < st.min) st.min = v;
-          if (st.max.is_null() || st.max < v) st.max = v;
-          if (v.type() == LogicalType::kInt64) st.isum += v.int_value();
-          if (v.type() == LogicalType::kDouble) st.sum += v.double_value();
-        }
-      }
+      if (agg_cols_[a] >= 0) views[a].Update(r, &st);
     }
   }
   return Status::OK();
@@ -1910,50 +1859,34 @@ Result<TablePtr> AggregateSink::Finish(
   // Merge thread-local partials; a group's position is its globally
   // earliest first-seen (morsel, offset + row), so the output order
   // matches the sequential scan regardless of which worker saw which
-  // morsel. The boxed and typed (encoder_) paths share the merge/order
-  // logic — a run only ever populates one of the two partial maps.
-  auto merge_one = [](PartialGroup* dst, PartialGroup* src) {
-    for (size_t a = 0; a < dst->states.size(); ++a) {
-      dst->states[a].MergeFrom(src->states[a]);
-    }
-    if (std::make_pair(src->first_morsel, src->first_row) <
-        std::make_pair(dst->first_morsel, dst->first_row)) {
-      dst->first_morsel = src->first_morsel;
-      dst->first_row = src->first_row;
-    }
-  };
-  auto merge_map = [&](auto* dst_map, auto* src_map) {
-    for (auto& [key, src] : *src_map) {
-      auto it = dst_map->find(key);
-      if (it == dst_map->end()) {
-        dst_map->emplace(key, std::move(src));
-      } else {
-        merge_one(&it->second, &src);
-      }
-    }
-  };
-  auto sorted_entries = [](const auto& map) {
-    std::vector<const typename std::decay_t<decltype(map)>::value_type*>
-        order;
-    order.reserve(map.size());
-    for (const auto& entry : map) order.push_back(&entry);
-    std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
-      return std::make_pair(a->second.first_morsel, a->second.first_row) <
-             std::make_pair(b->second.first_morsel, b->second.first_row);
-    });
-    return order;
-  };
-  std::unordered_map<GroupKey, PartialGroup, GroupKeyHash> groups;
-  std::unordered_map<vector::EncodedGroupKey, PartialGroup,
-                     vector::EncodedGroupKeyHash>
-      egroups;
+  // morsel.
+  GroupMap groups;
   for (const auto& state : states) {
     auto* partial = static_cast<AggregatePartial*>(state.get());
-    merge_map(&groups, &partial->groups);
-    merge_map(&egroups, &partial->egroups);
+    for (auto& [key, src] : partial->groups) {
+      auto it = groups.find(key);
+      if (it == groups.end()) {
+        groups.emplace(key, std::move(src));
+        continue;
+      }
+      PartialGroup& dst = it->second;
+      for (size_t a = 0; a < dst.states.size(); ++a) {
+        dst.states[a].MergeFrom(src.states[a]);
+      }
+      if (std::make_pair(src.first_morsel, src.first_row) <
+          std::make_pair(dst.first_morsel, dst.first_row)) {
+        dst.first_morsel = src.first_morsel;
+        dst.first_row = src.first_row;
+      }
+    }
   }
-  auto order = sorted_entries(groups);
-  auto eorder = sorted_entries(egroups);
+  std::vector<const GroupMap::value_type*> order;
+  order.reserve(groups.size());
+  for (const auto& entry : groups) order.push_back(&entry);
+  std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
+    return std::make_pair(a->second.first_morsel, a->second.first_row) <
+           std::make_pair(b->second.first_morsel, b->second.first_row);
+  });
 
   Schema schema;
   for (size_t g = 0; g < op_.group_by.size(); ++g) {
@@ -1972,7 +1905,7 @@ Result<TablePtr> AggregateSink::Finish(
   auto out = std::make_shared<Table>("aggregate", schema);
   // SQL semantics: a global aggregate (no GROUP BY) over empty input still
   // yields one row (COUNT = 0, MIN/MAX/SUM = NULL).
-  if (op_.group_by.empty() && order.empty() && eorder.empty()) {
+  if (op_.group_by.empty() && order.empty()) {
     std::vector<Value> row;
     for (const auto& a : op_.aggregates) {
       row.push_back(a.func == plan::AggFunc::kCount ? Value::Int(0)
@@ -1982,10 +1915,11 @@ Result<TablePtr> AggregateSink::Finish(
     RELGO_RETURN_NOT_OK(ctx->ChargeRows(1));
     return TablePtr(out);
   }
-  auto emit = [&](std::vector<Value> row,
-                  const std::vector<AggState>& agg_states) -> Status {
+  std::vector<Value> row;
+  for (const auto* entry : order) {
+    encoder_->Decode(entry->first, &row);
     for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-      const AggState& st = agg_states[a];
+      const AggState& st = entry->second.states[a];
       switch (op_.aggregates[a].func) {
         case plan::AggFunc::kCount:
           row.push_back(Value::Int(st.count));
@@ -2004,18 +1938,7 @@ Result<TablePtr> AggregateSink::Finish(
         }
       }
     }
-    return out->AppendRow(row);
-  };
-  if (encoder_ != nullptr) {
-    std::vector<Value> key_vals;
-    for (const auto* entry : eorder) {
-      encoder_->Decode(entry->first, &key_vals);
-      RELGO_RETURN_NOT_OK(emit(key_vals, entry->second.states));
-    }
-  } else {
-    for (const auto* entry : order) {
-      RELGO_RETURN_NOT_OK(emit(entry->first.values, entry->second.states));
-    }
+    RELGO_RETURN_NOT_OK(out->AppendRow(row));
   }
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(out->num_rows()));
   return TablePtr(out);
@@ -2025,70 +1948,68 @@ Result<TablePtr> AggregateSink::Finish(
 // TopKSink
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// One kept candidate row in heap mode: the full row as Values plus its
-/// global (morsel, offset + row) sequence coordinate for stable
-/// tie-breaking.
-struct HeapRow {
-  std::vector<Value> vals;
-  uint64_t morsel = 0;
-  uint64_t row = 0;  ///< offset + row within the morsel's output
+struct RowRef {
+  const Column* const* cols;  ///< the row's columns, in schema order
+  uint64_t row;
+  uint64_t morsel;
+  uint64_t seq;  ///< offset + row within the morsel's output
 };
 
+namespace {
+
 struct TopKState : BatchListState {  // batches used by sort / limit modes
-  std::vector<HeapRow> heap;         // heap mode
+  // Heap mode: typed copies of the rows that entered this worker's heap,
+  // `heap` ranking the live ones (worst on top). `dead` counts rows popped
+  // from the heap and not yet compacted away.
+  std::vector<Column> store;
+  std::vector<const Column*> store_cols;  // &store[c]
+  std::vector<RowRef> heap;
+  uint64_t dead = 0;
   uint64_t rows_seen = 0;
 };
 
-/// Three-way comparison of one sort key between two rows, signed by the
-/// key's direction; ties are the caller's to break. A deferred key
-/// (`base` non-null) holds row ids and compares `base` at them, so a
-/// sorted-dictionary string compares int32 codes (TypedColumnCompare).
-/// The overloads read boxed heap values or batch columns; all are
-/// sign-identical to Value::Compare on the key values themselves.
-int CompareKey(const plan::SortKey& key, const Column* base, const Value& a,
-               const Value& b) {
-  int c = base != nullptr
-              ? vector::TypedColumnCompare(
-                    *base, static_cast<uint64_t>(a.int_value()), *base,
-                    static_cast<uint64_t>(b.int_value()))
-              : a.Compare(b);
-  return key.ascending ? c : -c;
-}
-
-int CompareKey(const plan::SortKey& key, const Column* base, const Column& a,
-               uint64_t ar, const Value& b) {
-  int c = base != nullptr
-              ? vector::TypedColumnCompare(
-                    *base, static_cast<uint64_t>(a.int_at(ar)), *base,
-                    static_cast<uint64_t>(b.int_value()))
-              : vector::TypedColumnValueCompare(a, ar, b);
-  return key.ascending ? c : -c;
-}
-
 }  // namespace
+
+bool TopKSink::Before(const RowRef& a, const RowRef& b) const {
+  for (const SortColumn& key : keys_) {
+    const Column& ac = *a.cols[key.col];
+    const Column& bc = *b.cols[key.col];
+    int c = key.base != nullptr
+                ? key.compare(*key.base,
+                              static_cast<uint64_t>(ac.int_at(a.row)),
+                              *key.base,
+                              static_cast<uint64_t>(bc.int_at(b.row)))
+                : key.compare(ac, a.row, bc, b.row);
+    if (c != 0) return key.ascending ? c < 0 : c > 0;
+  }
+  return std::make_pair(a.morsel, a.seq) < std::make_pair(b.morsel, b.seq);
+}
 
 Status TopKSink::Prepare(const Schema& input, ExecutionContext* ctx) {
   schema_ = input;
-  key_cols_.clear();
-  key_bases_.clear();
+  keys_.clear();
   if (order_ != nullptr) {
     for (size_t i = 0; i < order_->keys.size(); ++i) {
-      RELGO_ASSIGN_OR_RETURN(size_t idx,
+      SortColumn key{};
+      RELGO_ASSIGN_OR_RETURN(key.col,
                              input.GetColumnIndex(order_->keys[i].column));
-      key_cols_.push_back(idx);
-      key_bases_.push_back(pi_hat_ != nullptr && i < pi_hat_names_.size()
-                               ? pi_hat_->DeferredColumn(pi_hat_names_[i])
-                               : nullptr);
+      key.base = pi_hat_ != nullptr && i < pi_hat_names_.size()
+                     ? pi_hat_->DeferredColumn(pi_hat_names_[i])
+                     : nullptr;
+      LogicalType type = key.base != nullptr ? key.base->type()
+                                             : input.column(key.col).type;
+      key.compare = vector::DispatchLogicalType(type, [](auto t) {
+        return &vector::TypedColumnCompareAs<decltype(t)::value>;
+      });
+      key.ascending = order_->keys[i].ascending;
+      keys_.push_back(key);
     }
   }
   // The fence prunes rows upstream, so like early-exit it stays off while
   // profiling: EXPLAIN ANALYZE's actual counts must stay cardinalities.
-  bool fenced = HeapMode() && limit_ > 0 && !key_bases_.empty() &&
+  bool fenced = HeapMode() && limit_ > 0 && !keys_.empty() &&
                 ctx->profile() == nullptr;
-  fence_.Arm(fenced ? key_bases_[0] : nullptr,
-             fenced && order_->keys[0].ascending);
+  fence_.Arm(fenced ? keys_[0].base : nullptr, fenced && keys_[0].ascending);
   // Early-exit is exact but consumes fewer upstream rows than the oracle;
   // profiled runs keep it off so per-node actual counts stay
   // engine-invariant (profile_test's parity grids).
@@ -2118,7 +2039,14 @@ void TopKSink::MorselFinished(uint64_t morsel, uint64_t rows) const {
 }
 
 std::unique_ptr<SinkState> TopKSink::MakeState() const {
-  return std::make_unique<TopKState>();
+  auto state = std::make_unique<TopKState>();
+  if (HeapMode()) {
+    for (const auto& def : schema_.columns()) {
+      state->store.emplace_back(def.type);
+    }
+    for (const Column& col : state->store) state->store_cols.push_back(&col);
+  }
+  return state;
 }
 
 Status TopKSink::Consume(SinkState* state, const Batch& in, BatchPosition pos,
@@ -2136,52 +2064,46 @@ Status TopKSink::Consume(SinkState* state, const Batch& in, BatchPosition pos,
 
   if (limit_ == 0) return Status::OK();
   auto k = static_cast<size_t>(limit_);
-  std::vector<HeapRow>& heap = s->heap;
+  std::vector<RowRef>& heap = s->heap;
   // Max-heap under the sort order: the worst kept row sits on top and
-  // fences off non-qualifying candidates without materializing them.
-  auto heap_cmp = [&](const HeapRow& a, const HeapRow& b) {
-    for (size_t i = 0; i < key_cols_.size(); ++i) {
-      int c = CompareKey(order_->keys[i], key_bases_[i], a.vals[key_cols_[i]],
-                         b.vals[key_cols_[i]]);
-      if (c != 0) return c < 0;
-    }
-    return std::make_pair(a.morsel, a.row) < std::make_pair(b.morsel, b.row);
+  // fences off non-qualifying rows before they are copied.
+  auto heap_cmp = [this](const RowRef& a, const RowRef& b) {
+    return Before(a, b);
   };
-  // The fence test reads the incoming batch through typed spans;
-  // retained heap rows stay boxed.
-  auto fence_cmp = [&](uint64_t r, const HeapRow& worst) {
-    for (size_t i = 0; i < key_cols_.size(); ++i) {
-      int c = CompareKey(order_->keys[i], key_bases_[i],
-                         in.column(key_cols_[i]), r, worst.vals[key_cols_[i]]);
-      if (c != 0) return c;
-    }
-    return 0;
-  };
+  std::vector<const Column*> in_cols = in.ColumnPointers();
   for (uint64_t r = 0; r < in.num_rows(); ++r) {
     if (heap.size() == k) {
-      const HeapRow& worst = heap.front();
-      int c = fence_cmp(r, worst);
-      bool before_worst =
-          c != 0 ? c < 0
-                 : std::make_pair(pos.morsel, pos.offset + r) <
-                       std::make_pair(worst.morsel, worst.row);
-      if (!before_worst) continue;
+      if (!Before(RowRef{in_cols.data(), r, pos.morsel, pos.offset + r},
+                  heap.front())) {
+        continue;
+      }
       std::pop_heap(heap.begin(), heap.end(), heap_cmp);
       heap.pop_back();
+      ++s->dead;
     }
-    HeapRow candidate;
-    candidate.vals.reserve(in.num_columns());
-    for (size_t c = 0; c < in.num_columns(); ++c) {
-      candidate.vals.push_back(in.column(c).GetValue(r));
+    uint64_t row = s->store.front().size();
+    for (size_t c = 0; c < s->store.size(); ++c) {
+      s->store[c].AppendFrom(in.column(c), r);
     }
-    candidate.morsel = pos.morsel;
-    candidate.row = pos.offset + r;
-    heap.push_back(std::move(candidate));
+    heap.push_back(
+        RowRef{s->store_cols.data(), row, pos.morsel, pos.offset + r});
     std::push_heap(heap.begin(), heap.end(), heap_cmp);
+    if (s->dead == k) {
+      // Compact: keep the live rows only, in heap order, so the heap
+      // stays a heap over rows 0..k-1.
+      std::vector<uint64_t> live(heap.size());
+      for (size_t i = 0; i < heap.size(); ++i) {
+        live[i] = heap[i].row;
+        heap[i].row = i;
+      }
+      for (Column& col : s->store) col = col.Gather(live);
+      s->dead = 0;
+    }
   }
   if (fence_.armed() && heap.size() == k) {
+    const RowRef& worst = heap.front();
     fence_.Tighten(
-        static_cast<uint64_t>(heap.front().vals[key_cols_[0]].int_value()));
+        static_cast<uint64_t>(worst.cols[keys_[0].col]->int_at(worst.row)));
   }
   return Status::OK();
 }
@@ -2196,107 +2118,89 @@ Result<TablePtr> TopKSink::Finish(
   Timer timer;
   auto out = std::make_shared<Table>("result", schema_);
 
-  if (HeapMode()) {
-    // Merge the per-worker top-k candidates (<= workers * k rows) and sort
-    // them once; the (morsel, row) tie-break reproduces the oracle's
-    // stable sort over the sequential row order.
-    std::vector<HeapRow> candidates;
-    for (auto& state : states) {
-      auto& heap = static_cast<TopKState*>(state.get())->heap;
-      std::move(heap.begin(), heap.end(), std::back_inserter(candidates));
-      heap.clear();
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [&](const HeapRow& a, const HeapRow& b) {
-                for (size_t i = 0; i < key_cols_.size(); ++i) {
-                  int c = CompareKey(order_->keys[i], key_bases_[i],
-                                     a.vals[key_cols_[i]],
-                                     b.vals[key_cols_[i]]);
-                  if (c != 0) return c < 0;
-                }
-                return std::make_pair(a.morsel, a.row) <
-                       std::make_pair(b.morsel, b.row);
-              });
-    if (candidates.size() > static_cast<size_t>(limit_)) {
-      candidates.resize(static_cast<size_t>(limit_));
-    }
-    for (const HeapRow& row : candidates) {
-      RELGO_RETURN_NOT_OK(out->AppendRow(row.vals));
-    }
-  } else if (order_ != nullptr) {
-    // Parallel merge sort over the position-ordered row space: chunk-sort on
-    // the scheduler, then k-way merge the sorted runs.
-    auto ordered = OrderedBatches(states);
-    struct RowRef {
-      const Batch* batch;
-      uint64_t row;
-    };
+  if (order_ != nullptr) {
+    // The result rows in order, emitted below; sort mode's rows live in
+    // `refs`, over the collected batches' `batch_cols`.
+    std::vector<const RowRef*> sorted;
+    std::vector<std::vector<const Column*>> batch_cols;
     std::vector<RowRef> refs;
-    refs.reserve(total);
-    for (const auto* entry : ordered) {
-      for (uint64_t r = 0; r < entry->second.num_rows(); ++r) {
-        refs.push_back(RowRef{&entry->second, r});
+    if (HeapMode()) {
+      // Merge the per-worker top-k candidates (<= workers * k rows) and
+      // sort them once; the (morsel, row) tie-break reproduces the
+      // oracle's stable sort over the sequential row order.
+      for (const auto& state : states) {
+        for (const RowRef& row : static_cast<TopKState*>(state.get())->heap) {
+          sorted.push_back(&row);
+        }
       }
-    }
-    uint64_t n = refs.size();
-    // Position in `refs` IS the global sequence number, so index order is
-    // the stable-sort tie-break. The O(n log n) comparisons read payload
-    // spans (string keys sharing a sorted dictionary compare int32 codes)
-    // instead of boxing two Values each.
-    auto before = [&](uint64_t i, uint64_t j) {
-      for (size_t k = 0; k < order_->keys.size(); ++k) {
-        int c = vector::TypedColumnCompare(
-            refs[i].batch->column(key_cols_[k]), refs[i].row,
-            refs[j].batch->column(key_cols_[k]), refs[j].row);
-        if (c != 0) return order_->keys[k].ascending ? c < 0 : c > 0;
-      }
-      return i < j;
-    };
-    std::vector<uint64_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    int max_workers = ResolveNumThreads(ctx->options());
-    uint64_t chunks = static_cast<uint64_t>(max_workers) * 2;
-    if (n < 4096 || chunks < 2) chunks = 1;
-    std::vector<std::pair<uint64_t, uint64_t>> runs;  // [begin, end)
-    for (uint64_t c = 0; c < chunks; ++c) {
-      uint64_t lo = n * c / chunks, hi = n * (c + 1) / chunks;
-      if (lo < hi) runs.emplace_back(lo, hi);
-    }
-    RELGO_RETURN_NOT_OK(scheduler->Run(
-        runs.size(), max_workers, [&](int, uint64_t run) -> Status {
-          RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
-          std::sort(order.begin() + runs[run].first,
-                    order.begin() + runs[run].second, before);
-          return Status::OK();
-        }));
-    std::vector<uint64_t> merged;
-    merged.reserve(n);
-    if (runs.size() <= 1) {
-      merged = std::move(order);
+      std::sort(sorted.begin(), sorted.end(),
+                [this](const RowRef* a, const RowRef* b) {
+                  return Before(*a, *b);
+                });
     } else {
-      std::vector<uint64_t> cursor(runs.size());
-      auto run_after = [&](size_t a, size_t b) {  // min-heap on run heads
-        return before(order[runs[b].first + cursor[b]],
-                      order[runs[a].first + cursor[a]]);
+      // Parallel merge sort over the position-ordered row space:
+      // chunk-sort on the scheduler, then k-way merge the sorted runs.
+      auto ordered = OrderedBatches(states);
+      batch_cols.reserve(ordered.size());
+      refs.reserve(total);
+      for (const auto* entry : ordered) {
+        batch_cols.push_back(entry->second.ColumnPointers());
+        for (uint64_t r = 0; r < entry->second.num_rows(); ++r) {
+          refs.push_back(RowRef{batch_cols.back().data(), r,
+                                entry->first.morsel, entry->first.offset + r});
+        }
+      }
+      uint64_t n = refs.size();
+      // Position in `refs` is the global sequence, so sorting indexes by
+      // Before is the stable sort.
+      auto before = [&](uint64_t i, uint64_t j) {
+        return Before(refs[i], refs[j]);
       };
-      std::priority_queue<size_t, std::vector<size_t>, decltype(run_after)>
-          heads(run_after);
-      for (size_t r = 0; r < runs.size(); ++r) heads.push(r);
-      while (!heads.empty()) {
-        size_t r = heads.top();
-        heads.pop();
-        merged.push_back(order[runs[r].first + cursor[r]]);
-        if (runs[r].first + ++cursor[r] < runs[r].second) heads.push(r);
+      std::vector<uint64_t> order(n);
+      std::iota(order.begin(), order.end(), 0);
+      int max_workers = ResolveNumThreads(ctx->options());
+      uint64_t chunks = static_cast<uint64_t>(max_workers) * 2;
+      if (n < 4096 || chunks < 2) chunks = 1;
+      std::vector<std::pair<uint64_t, uint64_t>> runs;  // [begin, end)
+      for (uint64_t c = 0; c < chunks; ++c) {
+        uint64_t lo = n * c / chunks, hi = n * (c + 1) / chunks;
+        if (lo < hi) runs.emplace_back(lo, hi);
+      }
+      RELGO_RETURN_NOT_OK(scheduler->Run(
+          runs.size(), max_workers, [&](int, uint64_t run) -> Status {
+            RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
+            std::sort(order.begin() + runs[run].first,
+                      order.begin() + runs[run].second, before);
+            return Status::OK();
+          }));
+      sorted.reserve(n);
+      if (runs.size() <= 1) {
+        for (uint64_t i : order) sorted.push_back(&refs[i]);
+      } else {
+        std::vector<uint64_t> cursor(runs.size());
+        auto run_after = [&](size_t a, size_t b) {  // min-heap on run heads
+          return before(order[runs[b].first + cursor[b]],
+                        order[runs[a].first + cursor[a]]);
+        };
+        std::priority_queue<size_t, std::vector<size_t>, decltype(run_after)>
+            heads(run_after);
+        for (size_t r = 0; r < runs.size(); ++r) heads.push(r);
+        while (!heads.empty()) {
+          size_t r = heads.top();
+          heads.pop();
+          sorted.push_back(&refs[order[runs[r].first + cursor[r]]]);
+          if (runs[r].first + ++cursor[r] < runs[r].second) heads.push(r);
+        }
       }
     }
-    uint64_t emit = limit_ >= 0 && static_cast<uint64_t>(limit_) < n
+    uint64_t emit = limit_ >= 0 && static_cast<uint64_t>(limit_) < sorted.size()
                         ? static_cast<uint64_t>(limit_)
-                        : n;
+                        : sorted.size();
     for (size_t c = 0; c < out->num_columns(); ++c) {
       Column& col = out->column(c);
       col.Reserve(emit);
       for (uint64_t i = 0; i < emit; ++i) {
-        col.AppendFrom(refs[merged[i]].batch->column(c), refs[merged[i]].row);
+        col.AppendFrom(*sorted[i]->cols[c], sorted[i]->row);
       }
     }
     out->FinishBulkAppend();

@@ -640,13 +640,22 @@ class HashBuildSink : public Sink {
   std::shared_ptr<JoinHashTable> ht_;
 };
 
+/// A row that TopKSink ranks: a row of a collected batch or of a worker's
+/// top-k store, with its global sequence coordinate (operators.cc).
+struct RowRef;
+
 /// In-pipeline ORDER BY / LIMIT sink replacing the old materializing
 /// post-op path: the three output-clause shapes run as one sink at the end
 /// of the probe pipeline instead of materializing between pipelines.
 ///
-///  * ORDER BY + LIMIT k (top-k): each worker keeps a bounded max-heap of
-///    its k best rows; Finish merges the <= workers*k candidates and sorts
-///    them once. Rows past a full heap's fence are discarded O(1).
+///  * ORDER BY + LIMIT k (top-k): each worker copies the rows that enter
+///    its bounded max-heap of k best rows into its own typed columns
+///    (Column::AppendFrom), and the heap holds row indexes into them.
+///    Rows past a full heap's fence are discarded before being copied.
+///    A row popped from the heap stays in the store as a dead row until
+///    dead rows reach k; then the store is compacted to its live rows
+///    (Column::Gather), so a worker's store holds at most 2k rows. Finish
+///    merges the <= workers*k candidates and sorts them once.
 ///  * ORDER BY without LIMIT: workers collect their batches; Finish sorts
 ///    per-chunk runs in parallel on the scheduler and k-way merges them —
 ///    a parallel merge sort over the position-ordered row space.
@@ -661,16 +670,20 @@ class HashBuildSink : public Sink {
 ///    disabled while profiling so per-node actual row counts stay
 ///    engine-invariant.
 ///
-/// Every comparison tie-breaks on the global (morsel, offset + row)
-/// sequence (see BatchPosition), which equals the sequential scan order —
-/// so the selected rows and their order match the reference interpreter's
-/// stable sort exactly, independent of thread count.
+/// One comparator (Before) decides every ordering question — the fence
+/// test of an incoming row, the heap order, the heap top that tightens
+/// the fence, and both Finish sorts: the sort keys in turn, then the
+/// global (morsel, offset + row) sequence (see BatchPosition), which
+/// equals the sequential scan order — so the selected rows and their
+/// order match the reference interpreter's stable sort exactly,
+/// independent of thread count. Both modes emit their sorted rows through
+/// one Column::AppendFrom loop.
 ///
 /// Sort keys read through row ids (TOP_K mode only): a key that a
 /// deferred pi-hat streams as a row id (see RankKeysThrough) compares the
 /// base column at that row id — a sorted-dictionary string as its int32
-/// code, a number or date by its payload — in the heap fence, the heap
-/// order and the Finish sort alike. Unprofiled, a deferred first key also
+/// code, a number or date by its payload; an eager key compares its own
+/// slots (TypedColumnCompare). Unprofiled, a deferred first key also
 /// arms fence(): each worker whose heap is full publishes its worst first
 /// key there after every batch.
 class TopKSink : public Sink {
@@ -689,11 +702,9 @@ class TopKSink : public Sink {
     pi_hat_ = pi_hat;
     pi_hat_names_ = std::move(pi_hat_names);
   }
-  /// True when this sink keeps bounded per-worker heaps (ORDER BY + a
-  /// LIMIT of at most kMaxHeapLimit rows), the mode that can fence.
-  bool HeapMode() const {
-    return order_ != nullptr && limit_ >= 0 && limit_ <= kMaxHeapLimit;
-  }
+  /// True when this sink keeps bounded per-worker heaps (ORDER BY with a
+  /// LIMIT), the mode that can fence.
+  bool HeapMode() const { return order_ != nullptr && limit_ >= 0; }
   /// The running k-th first key; armed by Prepare (see class comment).
   const TopKFence* fence() const { return &fence_; }
 
@@ -726,17 +737,25 @@ class TopKSink : public Sink {
   void MorselFinished(uint64_t morsel, uint64_t rows) const override;
 
  private:
-  /// Above this k, bounded per-worker heaps of Value rows cost more memory
-  /// than collecting batches; fall back to sort-then-truncate.
-  static constexpr int64_t kMaxHeapLimit = 1 << 14;
+  /// True when row `a` sorts before row `b`.
+  bool Before(const RowRef& a, const RowRef& b) const;
 
   const plan::PhysOrderBy* order_;
   const plan::PhysLimit* limit_node_;
   int64_t limit_;
   storage::Schema schema_;
-  std::vector<size_t> key_cols_;
-  /// Per key, the base column its row ids index; null for an eager key.
-  std::vector<const storage::Column*> key_bases_;
+  /// A sort key resolved against the input schema.
+  struct SortColumn {
+    size_t col;
+    /// The base column its row ids index; null for an eager key.
+    const storage::Column* base;
+    /// TypedColumnCompareAs for the type of the values compared, chosen
+    /// once in Prepare instead of once per comparison.
+    int (*compare)(const storage::Column&, uint64_t, const storage::Column&,
+                   uint64_t);
+    bool ascending;
+  };
+  std::vector<SortColumn> keys_;
   const ScanGraphTableOp* pi_hat_ = nullptr;
   std::vector<std::string> pi_hat_names_;
   mutable TopKFence fence_;  // workers tighten it from Consume
@@ -753,11 +772,12 @@ class TopKSink : public Sink {
 };
 
 /// Parallel hash aggregation (PhysHashAggregate): each worker accumulates a
-/// thread-local partial group table; Finish() merges the partials
-/// (count/sum add, min/max combine) in first-seen (morsel, offset + row)
-/// order and
-/// emits seed-identical output, including the SQL one-row global aggregate
-/// over empty input.
+/// thread-local partial group table keyed on KeyEncoder-encoded group keys
+/// (every key type encodes, so there is one key path); Finish() merges the
+/// partials (count/sum add, min/max combine) in first-seen (morsel,
+/// offset + row) order and emits the reference interpreter's rows (a ±0
+/// double key as +0.0), including the SQL one-row global aggregate over
+/// empty input.
 class AggregateSink : public Sink {
  public:
   explicit AggregateSink(const plan::PhysHashAggregate& op) : op_(op) {}
@@ -776,9 +796,9 @@ class AggregateSink : public Sink {
   storage::Schema input_schema_;
   std::vector<size_t> group_cols_;
   std::vector<int> agg_cols_;
-  /// Typed group-key codec (null on fallback): workers key their partial
-  /// maps on byte-encoded keys read from payload spans instead of boxed
-  /// Value vectors. Const + stateless, so shared across workers.
+  /// Typed group-key codec: workers key their partial maps on
+  /// byte-encoded keys read from payload spans. Const + stateless, so
+  /// shared across workers.
   std::unique_ptr<vector::KeyEncoder> encoder_;
 };
 

@@ -1,6 +1,8 @@
 #include "exec/vector/typed_keys.h"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace relgo {
 namespace exec {
@@ -66,22 +68,6 @@ KeyEncoder::KeyEncoder(std::vector<LogicalType> types)
 
 std::unique_ptr<KeyEncoder> KeyEncoder::Make(
     const std::vector<LogicalType>& types) {
-  for (LogicalType t : types) {
-    switch (t) {
-      case LogicalType::kBool:
-      case LogicalType::kInt64:
-      case LogicalType::kDate:
-      case LogicalType::kString:
-      case LogicalType::kNull:  // every row encodes as the NULL tag
-        break;
-      case LogicalType::kDouble:
-        // NaN is Compare-equal to every numeric and +0.0 == -0.0;
-        // neither survives byte encoding. Boxed fallback.
-        return nullptr;
-      default:
-        return nullptr;
-    }
-  }
   return std::unique_ptr<KeyEncoder>(new KeyEncoder(types));
 }
 
@@ -118,6 +104,17 @@ void KeyEncoder::Encode(const storage::Column* const* cols, uint64_t row,
         h = HashCombine(h, TypedHash(v));
         break;
       }
+      case LogicalType::kDouble: {
+        // One group for ±0 and one for every NaN (see KeyEncoder).
+        double v = col.double_at(row);
+        if (v == 0.0) v = 0.0;
+        if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+        int64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        AppendFixed64(&key->bytes, bits);
+        h = HashCombine(h, TypedHash(v));
+        break;
+      }
       case LogicalType::kString: {
         const std::string& s = col.string_at(row);
         std::call_once(*pin_once_[i],
@@ -141,8 +138,8 @@ void KeyEncoder::Encode(const storage::Column* const* cols, uint64_t row,
         h = HashCombine(h, TypedHash(s));
         break;
       }
-      default:
-        break;  // unreachable: Make() rejected these types
+      case LogicalType::kNull:
+        break;  // unreachable: encoded as the NULL tag above
     }
   }
   key->hash = h;
@@ -180,6 +177,14 @@ void KeyEncoder::Decode(const EncodedGroupKey& key,
         out->push_back(Value::Date(static_cast<int32_t>(ReadFixed64(p))));
         p += 8;
         break;
+      case LogicalType::kDouble: {
+        int64_t bits = ReadFixed64(p);
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof(v));
+        out->push_back(Value::Double(v));
+        p += 8;
+        break;
+      }
       case LogicalType::kString: {
         uint32_t n = ReadLength(p);
         p += 4;

@@ -23,10 +23,11 @@ namespace vector {
 /// A group-by key encoded as a byte string read straight from column
 /// payload spans: per key column one tag byte (0 = NULL, 1 = value)
 /// followed by a fixed- or length-prefixed payload. Byte equality
-/// coincides with the boxed GroupKey's Value-vector equality, so the
-/// aggregate hash maps can key on these without constructing a Value per
-/// row. The hash is chained from the typed common/hash.h overloads during
-/// encoding — no second pass over the bytes.
+/// coincides with the reference interpreter's Value-vector equality
+/// (see KeyEncoder for the double and int64 caveats), so the aggregate
+/// hash map keys on these without constructing a Value per row. The hash
+/// is chained from the typed common/hash.h overloads during encoding — no
+/// second pass over the bytes.
 struct EncodedGroupKey {
   std::string bytes;
   size_t hash = kHashSeed;
@@ -42,19 +43,20 @@ struct EncodedGroupKeyHash {
 
 /// Encodes / decodes group keys for a fixed sequence of key column types.
 ///
-/// Make() refuses (returns nullptr) when any key column is kDouble:
-/// Value equality routes through Value::Compare, under which NaN compares
-/// equal to every numeric and +0.0 == -0.0 — neither is representable as
-/// byte equality. Callers must then keep the boxed GroupKey path. The
-/// remaining types are exact, with one deliberate exception: two int64
-/// keys beyond 2^53 that alias under double promotion are distinct here
-/// but "equal" to Value::Compare — the boxed map's hash (exact
-/// std::hash<int64_t>) already disagrees with its equality for such keys,
-/// so that regime has no well-defined grouping to preserve.
+/// Every type encodes. A double key encodes its bits after making -0.0
+/// +0.0 and every NaN one canonical NaN: Value::Compare calls +0.0 and
+/// -0.0 equal and Value::Hash hashes them alike, so the reference groups
+/// them together too, and the ±0 group decodes (and is emitted) as +0.0.
+/// NaNs form one group; under Value::Compare a NaN is "equal" to every
+/// number, which no hash grouping can reproduce. The other types are
+/// exact, with one deliberate exception: two int64 keys beyond 2^53 that
+/// alias under double promotion are distinct here but "equal" to
+/// Value::Compare — the reference map's hash (exact std::hash<int64_t>)
+/// already disagrees with its equality for such keys, so that regime has
+/// no well-defined grouping to preserve.
 class KeyEncoder {
  public:
-  /// `types[i]` is the logical type of the i-th key column. Returns
-  /// nullptr when some type cannot preserve Value equality byte-for-byte.
+  /// `types[i]` is the logical type of the i-th key column. Never null.
   ///
   /// A string key column encodes through its dictionary where possible:
   /// the first row encoded pins the column's dictionary (call_once, so
@@ -78,7 +80,8 @@ class KeyEncoder {
               EncodedGroupKey* key) const;
 
   /// Reconstructs the boxed key row; each Value matches what
-  /// Column::GetValue would have produced for the encoded row.
+  /// Column::GetValue would have produced for the encoded row, except
+  /// that a double key reads back canonical (see the class comment).
   void Decode(const EncodedGroupKey& key, std::vector<Value>* out) const;
 
  private:
@@ -290,44 +293,6 @@ inline int TypedColumnCompare(const storage::Column& a, uint64_t ar,
   return DispatchLogicalType(a.type(), [&](auto type) {
     return TypedColumnCompareAs<decltype(type)::value>(a, ar, b, br);
   });
-}
-
-/// Typed twin of `a.GetValue(ar).Compare(v)` where `v` was previously
-/// boxed from the same schema position (so it is NULL or shares `a`'s
-/// type). Lets the TopK heap fence test read the incoming batch through
-/// spans while the retained heap rows stay boxed.
-inline int TypedColumnValueCompare(const storage::Column& a, uint64_t ar,
-                                   const Value& v) {
-  bool an = !a.is_valid(ar), bn = v.is_null();
-  if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
-  switch (a.type()) {
-    case LogicalType::kInt64: {
-      auto ad = static_cast<double>(a.int_at(ar));
-      auto bd = static_cast<double>(v.int_value());
-      return ad < bd ? -1 : (bd < ad ? 1 : 0);
-    }
-    case LogicalType::kDate: {
-      auto ad = static_cast<double>(static_cast<int32_t>(a.int_at(ar)));
-      auto bd = static_cast<double>(v.int_value());
-      return ad < bd ? -1 : (bd < ad ? 1 : 0);
-    }
-    case LogicalType::kBool: {
-      double ad = a.int_at(ar) != 0 ? 1.0 : 0.0;
-      double bd = v.bool_value() ? 1.0 : 0.0;
-      return ad < bd ? -1 : (bd < ad ? 1 : 0);
-    }
-    case LogicalType::kDouble: {
-      double ad = a.double_at(ar), bd = v.double_value();
-      return ad < bd ? -1 : (bd < ad ? 1 : 0);
-    }
-    case LogicalType::kString: {
-      int c = a.string_at(ar).compare(v.string_value());
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
-    case LogicalType::kNull:
-      return 0;
-  }
-  return 0;
 }
 
 }  // namespace vector

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <map>
@@ -142,6 +143,34 @@ class BreakerTest : public ::testing::Test {
     return scan;
   }
 
+  /// "Wide": kWideRows rows (20 morsels) in ascending `id`, with `grp`
+  /// (13 values, ~3.2k rows each), `step` = id / 3 and a string `tag`
+  /// (50 values).
+  static constexpr int64_t kWideRows = 20 * exec::pipeline::kBatchRows;
+
+  std::unique_ptr<plan::PhysScanTable> ScanWide() {
+    if (!db_.catalog().GetTable("Wide").ok()) {
+      auto wide = db_.CreateTable(
+          "Wide", Schema({ColumnDef{"id", LogicalType::kInt64},
+                          ColumnDef{"grp", LogicalType::kInt64},
+                          ColumnDef{"step", LogicalType::kInt64},
+                          ColumnDef{"tag", LogicalType::kString}}));
+      EXPECT_TRUE(wide.ok());
+      for (int64_t i = 0; i < kWideRows; ++i) {
+        EXPECT_TRUE((*wide)
+                        ->AppendRow({Value::Int(i), Value::Int(i % 13),
+                                     Value::Int(i / 3),
+                                     Value::String(
+                                         "t" + std::to_string(i * 7 % 50))})
+                        .ok());
+      }
+    }
+    auto scan = std::make_unique<plan::PhysScanTable>();
+    scan->table = "Wide";
+    scan->alias = "w";
+    return scan;
+  }
+
   static std::unique_ptr<plan::PhysOrderBy> OrderBy(
       plan::PhysicalOpPtr child, std::vector<plan::SortKey> keys) {
     auto order = std::make_unique<plan::PhysOrderBy>();
@@ -226,6 +255,85 @@ TEST_F(BreakerTest, TopKOverEmptyInput) {
   ExpectExactParity(*plan);
 }
 
+TEST_F(BreakerTest, TopKWithALimitOfTwentyThousand) {
+  // k = 20000 over 40960 rows: the cut falls inside grp 6 (~3.2k tied
+  // rows) and, on two keys, inside a run of ~63 rows tied on both.
+  ExpectExactParity(*Limit(OrderBy(ScanWide(), {{"w.grp", true}}), 20000));
+  ExpectExactParity(*Limit(
+      OrderBy(ScanWide(), {{"w.grp", false}, {"w.tag", true}}), 20000));
+}
+
+TEST_F(BreakerTest, TopKStoreCompactsUnderAnAscendingInput) {
+  // id ascends with the scan, so under id DESC every row enters its
+  // worker's heap and pops the worst one: dead rows reach k after every k
+  // entrants and each worker's store compacts many times, for k below,
+  // and above, one batch. step DESC ties three rows at a time.
+  for (int64_t k : {int64_t{1}, int64_t{7}, int64_t{100},
+                    static_cast<int64_t>(exec::pipeline::kBatchRows) + 500}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    ExpectExactParity(*Limit(OrderBy(ScanWide(), {{"w.id", false}}), k));
+    ExpectExactParity(*Limit(
+        OrderBy(ScanWide(), {{"w.step", false}, {"w.tag", false}}), k));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// AggregateSink
+// ---------------------------------------------------------------------------
+
+TEST_F(BreakerTest, GroupByADoubleKeyGroupsSignedZerosTogether) {
+  // A double key over three morsels holding -0.0 (seen first), 0.0, NULL
+  // and repeated values. Value::Hash and Value::Compare put ±0 in one
+  // group; the reference emits its first-seen -0.0 and the pipeline +0.0,
+  // so keys are compared with Value::Compare.
+  auto dbl = db_.CreateTable(
+      "Dbl", Schema({ColumnDef{"x", LogicalType::kDouble},
+                     ColumnDef{"v", LogicalType::kInt64}}));
+  ASSERT_TRUE(dbl.ok());
+  const std::vector<Value> xs = {Value::Double(-0.0), Value::Double(1.5),
+                                 Value::Null(),       Value::Double(0.0),
+                                 Value::Double(-2.5), Value::Double(1.5),
+                                 Value::Double(7.25)};
+  for (int64_t i = 0; i < 5000; ++i) {
+    ASSERT_TRUE((*dbl)->AppendRow({xs[i % xs.size()], Value::Int(i)}).ok());
+  }
+  auto scan = std::make_unique<plan::PhysScanTable>();
+  scan->table = "Dbl";
+  scan->alias = "d";
+  plan::PhysHashAggregate agg;
+  agg.group_by = {"d.x"};
+  agg.aggregates = {{plan::AggFunc::kCount, "", "cnt"},
+                    {plan::AggFunc::kSum, "d.v", "total"}};
+  agg.children.push_back(std::move(scan));
+
+  ExecutionContext oracle_ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+  auto oracle = Executor::Run(agg, &oracle_ctx);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_EQ((*oracle)->num_rows(), 5u);  // ±0, 1.5, NULL, -2.5, 7.25
+  for (int threads : {1, 4}) {
+    ExecutionOptions options;
+    options.num_threads = threads;
+    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                         options);
+    auto piped = exec::pipeline::Run(agg, &ctx);
+    ASSERT_TRUE(piped.ok()) << piped.status().ToString();
+    ASSERT_EQ((*piped)->num_rows(), (*oracle)->num_rows())
+        << "threads=" << threads;
+    for (uint64_t r = 0; r < (*oracle)->num_rows(); ++r) {
+      Value key = (*piped)->GetValue(r, 0);
+      EXPECT_EQ(key.Compare((*oracle)->GetValue(r, 0)), 0)
+          << "row " << r << " threads=" << threads;
+      EXPECT_EQ((*piped)->GetValue(r, 1), (*oracle)->GetValue(r, 1))
+          << "row " << r << " threads=" << threads;
+      EXPECT_EQ((*piped)->GetValue(r, 2), (*oracle)->GetValue(r, 2))
+          << "row " << r << " threads=" << threads;
+    }
+    Value zero = (*piped)->GetValue(0, 0);
+    EXPECT_EQ(zero, Value::Double(0.0));
+    EXPECT_FALSE(std::signbit(zero.double_value())) << "threads=" << threads;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Partition-parallel hash-join build
 // ---------------------------------------------------------------------------
@@ -242,13 +350,16 @@ TEST_F(BreakerTest, TwoPhaseBuildMatchesSerialBuild) {
   // the phases were spread across workers.
   auto probe_keys = *db_.catalog().GetTable("GrpInfo");
   std::vector<size_t> probe_cols = {0};  // gid
+  JoinHashTable::ProbeView serial_view;
+  ASSERT_TRUE(serial.BindProbe(*probe_keys, probe_cols, &serial_view).ok());
   for (int workers : {2, 4}) {
     JoinHashTable parallel;
     ASSERT_TRUE(BuildOnWorkers(*table, keys, workers, &parallel).ok());
+    JoinHashTable::ProbeView view;
+    ASSERT_TRUE(parallel.BindProbe(*probe_keys, probe_cols, &view).ok());
     for (uint64_t r = 0; r < probe_keys->num_rows(); ++r) {
-      std::vector<uint64_t> expect, actual;
-      serial.Probe(*probe_keys, probe_cols, r, &expect);
-      parallel.Probe(*probe_keys, probe_cols, r, &actual);
+      std::vector<uint64_t> expect = testing::Matches(serial, serial_view, r);
+      std::vector<uint64_t> actual = testing::Matches(parallel, view, r);
       EXPECT_EQ(actual, expect) << "probe row " << r << " workers=" << workers;
       EXPECT_FALSE(expect.empty());  // every gid exists in Item.grp
     }
@@ -363,7 +474,7 @@ std::optional<std::vector<std::string>> OracleKey(
 /// every row of `probe` against a multimap built here. A multimap keeps
 /// equal keys in insertion order, so its matches are in ascending build
 /// row order — the order the chains must reproduce. All-int64 key sets
-/// also go through the Table and typed-span Probe overloads.
+/// also go through the typed-span ForEachMatch overload.
 void ExpectProbesMatchOracle(const storage::Table& build,
                              const std::vector<std::string>& build_keys,
                              const storage::Table& probe,
@@ -398,18 +509,12 @@ void ExpectProbesMatchOracle(const storage::Table& build,
         }
       }
       hits += expect.size();
-      std::vector<uint64_t> got;
-      ht.Probe(view, r, &got);
-      EXPECT_EQ(got, expect) << "view probe row " << r
-                             << " workers=" << workers;
-      if (!all_int64) continue;
-      got.clear();
-      ht.Probe(probe, probe_cols, r, &got);
-      EXPECT_EQ(got, expect) << "table probe row " << r;
-      if (!key) continue;  // the span overload leaves NULLs to the caller
-      got.clear();
-      ht.Probe(spans.data(), r, &got);
-      EXPECT_EQ(got, expect) << "span probe row " << r;
+      EXPECT_EQ(testing::Matches(ht, view, r), expect)
+          << "view probe row " << r << " workers=" << workers;
+      // The span overload leaves NULLs to the caller.
+      if (!all_int64 || !key) continue;
+      EXPECT_EQ(testing::Matches(ht, spans.data(), r), expect)
+          << "span probe row " << r;
     }
     if (build.num_rows() > 0) {
       EXPECT_GT(hits, 0u);
@@ -446,8 +551,9 @@ TEST(JoinHashTableTest, DuplicateKeyChainsAreAscendingAcrossMorsels) {
 
   JoinHashTable ht;
   ASSERT_TRUE(BuildOnWorkers(*build, {"k"}, 4, &ht).ok());
-  std::vector<uint64_t> rows;
-  ht.Probe(*probe, {0}, 1, &rows);
+  JoinHashTable::ProbeView view;
+  ASSERT_TRUE(ht.BindProbe(*probe, {0}, &view).ok());
+  std::vector<uint64_t> rows = testing::Matches(ht, view, 1);
   EXPECT_GT(rows.size(), 3900u);
   EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
   EXPECT_GE(rows.back(), 2 * exec::pipeline::kBatchRows);

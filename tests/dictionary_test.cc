@@ -622,11 +622,8 @@ void ExpectJoinMatchesReference(const JoinHashTable& ht, const Table& probe,
   JoinHashTable::ProbeView view;
   ASSERT_TRUE(ht.BindProbe(probe, {0}, &view).ok()) << what;
   std::vector<std::pair<uint64_t, uint64_t>> got;
-  std::vector<uint64_t> matches;
   for (uint64_t p = 0; p < probe.num_rows(); ++p) {
-    matches.clear();
-    ht.Probe(view, p, &matches);
-    for (uint64_t b : matches) got.emplace_back(p, b);
+    for (uint64_t b : testing::Matches(ht, view, p)) got.emplace_back(p, b);
   }
   EXPECT_EQ(got, ReferenceJoin(probe, 0, build, 0)) << what;
 }

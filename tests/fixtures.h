@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "exec/join_hash_table.h"
 
 namespace relgo {
 namespace testing {
@@ -127,6 +128,16 @@ inline std::vector<std::string> SortedRows(const storage::Table& table) {
   std::vector<std::string> rows = ExactRows(table);
   std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+/// The build rows that JoinHashTable::ForEachMatch reports for probe row
+/// `row` of `probe` (a bound ProbeView or int64 key spans), in its order.
+template <typename Probe>
+std::vector<uint64_t> Matches(const exec::JoinHashTable& ht,
+                              const Probe& probe, uint64_t row) {
+  std::vector<uint64_t> out;
+  ht.ForEachMatch(probe, row, [&out](uint64_t r) { out.push_back(r); });
+  return out;
 }
 
 }  // namespace testing

@@ -762,6 +762,32 @@ TEST_F(LateMaterializationTest, PlainLimitAndPlainOrderBy) {
   EXPECT_EQ(profile.late_gather_rows(), expected->num_rows());
 }
 
+TEST_F(LateMaterializationTest, EagerStringKeyNextToADeferredKey) {
+  // The filter reads q.name, so q.name streams eagerly and keeps
+  // Person.name's sorted dictionary; p.age is deferred. Either may be the
+  // first key: the heap ranks q.name by its codes, p.age through its row
+  // ids, and ties on age 0 at the cut are decided by q.name.
+  auto person = db_.catalog().GetTable("Person");
+  ASSERT_TRUE(person.ok());
+  const Column* name = (*person)->FindColumn("name");
+  ASSERT_NE(name->dictionary(), nullptr);
+  ASSERT_TRUE(name->dictionary()->sorted);
+  for (const auto& keys : std::vector<std::vector<plan::SortKey>>{
+           {{"p.age", true}, {"q.name", false}},
+           {{"q.name", false}, {"p.age", true}}}) {
+    SCOPED_TRACE(keys[0].column);
+    auto filter = std::make_unique<plan::PhysFilter>();
+    filter->predicate = Expr::StartsWith(Expr::Column("q.name"), "n");
+    filter->children.push_back(Bridge());
+    auto plan = OrderLimit(std::move(filter), keys, 30);
+    auto expected = ExpectExactParity(*plan, /*prunes=*/true);
+    ASSERT_NE(expected, nullptr);
+    EXPECT_EQ(expected->num_rows(), 30u);
+    // p.age, p.name, q.nick, q.score
+    EXPECT_EQ(Profile(*plan).late_gather_cols(), 4u);
+  }
+}
+
 TEST_F(LateMaterializationTest, OtherOperatorAboveBridgeDefersNothing) {
   // A NOT_EQUAL between pi-hat and the sink is neither Project nor
   // Filter: nothing is deferred.

@@ -5,11 +5,12 @@
 //    every LogicalType, null density and operator mix — the compiled
 //    program must select exactly the oracle's rows (and its bitmap /
 //    selection-refinement entry points must agree with it too).
-//  * KeyEncoder vs boxed GroupKey semantics: byte equality must coincide
-//    with Value-vector equality, the chained hash must equal the boxed
-//    GroupKeyHash chain, and Decode must reproduce Column::GetValue.
+//  * KeyEncoder vs boxed group-key semantics: byte equality must coincide
+//    with Value-vector equality, the chained hash must equal the chain of
+//    Value::Hash, and Decode must reproduce Column::GetValue (a double
+//    key reads back canonical: ±0 as +0.0, one NaN).
 //  * AggColumnView vs the boxed aggregate update loop.
-//  * TypedColumnCompare / TypedColumnValueCompare vs Value::Compare.
+//  * TypedColumnCompare vs Value::Compare.
 //  * ScanCache cost-aware admission over its bitmap payloads (the cache
 //    layer the kernel-filter paths publish into).
 //
@@ -20,6 +21,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -355,14 +357,59 @@ TEST(KeyEncoderTest, EncodeMatchesBoxedGroupKeySemantics) {
   }
 }
 
-TEST(KeyEncoderTest, DoubleKeysFallBackToBoxedPath) {
-  // NaN is Compare-equal to every numeric, so double keys are not
-  // byte-encodable; Make must refuse and callers keep the boxed map.
-  EXPECT_EQ(KeyEncoder::Make({LogicalType::kDouble}), nullptr);
-  EXPECT_EQ(
-      KeyEncoder::Make({LogicalType::kInt64, LogicalType::kDouble}),
-      nullptr);
+TEST(KeyEncoderTest, DoubleKeysGroupSignedZerosTogether) {
+  // +0.0 and -0.0 are one group, as under Value::Compare and Value::Hash,
+  // and the group decodes as +0.0; every NaN payload is one group.
   EXPECT_NE(KeyEncoder::Make({}), nullptr);  // global aggregate
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> doubles = {0.0, -0.0, 1.5, 1.5, -2.25, nan, -nan};
+  Column ids(LogicalType::kInt64);
+  Column col(LogicalType::kDouble);
+  for (double d : doubles) {
+    ids.AppendInt(7);
+    col.AppendDouble(d);
+  }
+  ids.AppendInt(7);
+  col.AppendNull();
+  auto encoder = KeyEncoder::Make({LogicalType::kInt64, LogicalType::kDouble});
+  ASSERT_NE(encoder, nullptr);
+  const Column* cols[] = {&ids, &col};
+  std::vector<EncodedGroupKey> keys(col.size());
+  for (uint64_t r = 0; r < col.size(); ++r) {
+    encoder->Encode(cols, r, &keys[r]);
+  }
+  const uint64_t kNanRow = 5, kNullRow = 7;
+  for (uint64_t a = 0; a < col.size(); ++a) {
+    std::vector<Value> decoded;
+    encoder->Decode(keys[a], &decoded);
+    ASSERT_EQ(decoded.size(), 2u);
+    EXPECT_EQ(decoded[0], Value::Int(7));
+    if (a == kNullRow) {
+      EXPECT_TRUE(decoded[1].is_null());
+    } else if (a >= kNanRow) {
+      EXPECT_TRUE(std::isnan(decoded[1].double_value()));
+    } else {
+      // Hash and equality of the non-NaN keys are the boxed key's.
+      std::vector<Value> boxed = {ids.GetValue(a), col.GetValue(a)};
+      EXPECT_EQ(decoded[1].Compare(boxed[1]), 0) << "row " << a;
+      if (boxed[1].double_value() == 0.0) {
+        EXPECT_FALSE(std::signbit(decoded[1].double_value())) << "row " << a;
+      }
+      size_t h = kHashSeed;
+      for (const Value& v : boxed) h = HashCombine(h, v.Hash());
+      EXPECT_EQ(keys[a].hash, h) << "row " << a;
+      for (uint64_t b = 0; b < kNanRow; ++b) {
+        bool boxed_eq = col.GetValue(a) == col.GetValue(b);
+        EXPECT_EQ(keys[a] == keys[b], boxed_eq) << a << " vs " << b;
+      }
+    }
+  }
+  EXPECT_TRUE(keys[0] == keys[1]);
+  EXPECT_EQ(keys[0].hash, keys[1].hash);
+  EXPECT_TRUE(keys[kNanRow] == keys[kNanRow + 1]);
+  EXPECT_EQ(keys[kNanRow].hash, keys[kNanRow + 1].hash);
+  EXPECT_FALSE(keys[0] == keys[kNullRow]);
+  EXPECT_FALSE(keys[0] == keys[kNanRow]);
 }
 
 // ---------------------------------------------------------------------------
@@ -429,8 +476,6 @@ TEST(TypedColumnCompareTest, SignMatchesValueCompare) {
           Value va = col.GetValue(a), vb = col.GetValue(b);
           int expect = Sign(va.Compare(vb));
           EXPECT_EQ(Sign(TypedColumnCompare(col, a, col, b)), expect)
-              << "col " << c << " rows " << a << "," << b;
-          EXPECT_EQ(Sign(TypedColumnValueCompare(col, a, vb)), expect)
               << "col " << c << " rows " << a << "," << b;
         }
       }
