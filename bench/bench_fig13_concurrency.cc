@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   // Hot-template sweep: the parameterized-query steady state. Every
   // interactive template runs once cold (plan cache cleared), then warm
   // rounds replay the set — with the cache on, warm optimization_ms
-  // collapses to a lookup + rebind while execution stays bit-identical.
+  // collapses to a lookup while execution stays bit-identical.
   // A cache-off sweep records the re-optimization baseline next to it.
   std::printf("\nhot templates (%zu templates, cold + %d warm rounds):\n",
               mix.size(), 3);

@@ -1,13 +1,11 @@
 #include "core/database.h"
 
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "exec/pipeline/engine.h"
-#include "plan/plan_clone.h"
 
 namespace relgo {
 
@@ -165,16 +163,9 @@ Result<Database::PlannedQuery> Database::PlanQuery(
   std::shared_ptr<const plan::PhysicalOp> cached =
       plan_cache_.Get(out.cache_key, out.cache_data_version);
   if (cached != nullptr) {
-    // Hit: re-bind the cached template plan against this call's constants
-    // (clone-before-Bind — the cached tree is shared and never mutated).
-    // For an unparameterized query the slot map is empty and this is a
-    // plain deep copy.
-    std::unordered_map<int, Value> params =
-        optimizer::CollectBoundParams(query);
-    out.plan = plan::ClonePlan(
-        *cached, [&params](const storage::ExprPtr& e) {
-          return optimizer::RebindExpr(e, params);
-        });
+    // Hit: run the cached template plan itself. It is shared read-only;
+    // the call's constants bind where execution clones each expression.
+    out.plan = std::move(cached);
     out.optimization_ms = timer.ElapsedMillis();
     out.cache_status = exec::QueryProfile::PlanCacheStatus::kHit;
     return out;
@@ -188,14 +179,12 @@ Result<Database::PlannedQuery> Database::PlanQuery(
   return out;
 }
 
-void Database::PublishPlan(
-    const PlannedQuery& planned,
-    std::shared_ptr<const plan::PhysicalOp> plan) const {
+void Database::PublishPlan(const PlannedQuery& planned) const {
   if (planned.cache_status != exec::QueryProfile::PlanCacheStatus::kMiss) {
     return;
   }
   plan_cache_.Put(planned.cache_key, planned.cache_data_version,
-                  std::move(plan));
+                  planned.plan);
 }
 
 Result<optimizer::OptimizeResult> Database::Optimize(
@@ -394,8 +383,10 @@ Result<QueryRunResult> Database::RunQuery(const plan::SpjmQuery& query,
 
   exec::ExecutionContext ctx(&catalog_, &mapping_, &index_, options);
   ctx.SetQueryId(query_id);
+  ctx.SetParams(optimizer::CollectBoundParams(query));
   if (profiled != nullptr) {
     profiled->profile.SetPlanCacheStatus(planned->cache_status);
+    profiled->profile.SetParams(ctx.params());
     ctx.EnableProfiling(&profiled->profile);
   }
   ctx.SetTrace(trace.recorder());
@@ -424,18 +415,9 @@ Result<QueryRunResult> Database::RunQuery(const plan::SpjmQuery& query,
   // Publish only now — after the plan executed to completion — so a
   // cancelled, timed-out, or faulted query never seeds the plan cache
   // (the scan cache's commit-on-success chokepoint, applied to plans).
-  if (profiled == nullptr) {
-    PublishPlan(*planned, std::shared_ptr<const plan::PhysicalOp>(
-                              std::move(planned->plan)));
-  } else {
+  PublishPlan(*planned);
+  if (profiled != nullptr) {
     profiled->profile.SetScanCacheHits(ctx.scan_cache_hits());
-    // The caller keeps the plan, so the cache stores its own deep copy
-    // (cloned only on an actual miss).
-    if (planned->cache_status ==
-        exec::QueryProfile::PlanCacheStatus::kMiss) {
-      PublishPlan(*planned, std::shared_ptr<const plan::PhysicalOp>(
-                                plan::ClonePlan(*planned->plan)));
-    }
     profiled->plan = std::move(planned->plan);
   }
   ObserveQuery(query, mode, options, obs);

@@ -36,11 +36,12 @@ struct QueryRunResult {
 };
 
 /// Result of Database::RunProfiled — one profiled execution: the result
-/// table, the optimized plan (owned, so estimates can be compared against
-/// the profile), and the per-operator QueryProfile both engines feed.
+/// table, the plan it ran (shared with the plan cache, read-only; kept so
+/// estimates can be compared against the profile), and the per-operator
+/// QueryProfile both engines feed.
 struct ProfiledRunResult {
   storage::TablePtr table;
-  plan::PhysicalOpPtr plan;
+  std::shared_ptr<const plan::PhysicalOp> plan;
   exec::QueryProfile profile;
   double optimization_ms = 0.0;
   double execution_ms = 0.0;
@@ -273,8 +274,8 @@ class Database {
   /// The body Run and RunProfiled share: trace scope, plan acquisition
   /// (PlanQuery), the optimize/execute trace spans, execution and
   /// ObserveQuery, then plan-cache publication on success. `profiled` is
-  /// null for Run; for RunProfiled it receives the profile and keeps the
-  /// plan, so a miss publishes a clone of it.
+  /// null for Run; for RunProfiled it receives the profile and shares the
+  /// plan with the cache.
   Result<QueryRunResult> RunQuery(const plan::SpjmQuery& query,
                                   optimizer::OptimizerMode mode,
                                   const exec::ExecutionOptions& options,
@@ -290,7 +291,7 @@ class Database {
   /// execute plus the plan-cache bookkeeping needed to report the outcome
   /// and publish the plan after a successful run.
   struct PlannedQuery {
-    plan::PhysicalOpPtr plan;
+    std::shared_ptr<const plan::PhysicalOp> plan;
     double optimization_ms = 0.0;
     exec::QueryProfile::PlanCacheStatus cache_status =
         exec::QueryProfile::PlanCacheStatus::kOff;
@@ -299,9 +300,10 @@ class Database {
   };
 
   /// The plan-acquisition chokepoint of Run/RunProfiled: consults the
-  /// plan cache (unless off or pre-Finalize), re-binding a hit
-  /// against the call's constants via ClonePlan, or falls through to a
-  /// fresh optimization whose plan the caller publishes after successful
+  /// plan cache (unless off or pre-Finalize) and returns a hit's cached
+  /// plan itself, uncopied — the call's constants bind at execution
+  /// (ExecutionContext::params) — or falls through to a fresh
+  /// optimization whose plan the caller publishes after successful
   /// execution (PublishPlan).
   Result<PlannedQuery> PlanQuery(const plan::SpjmQuery& query,
                                  optimizer::OptimizerMode mode,
@@ -310,8 +312,7 @@ class Database {
   /// Publishes a freshly optimized plan to the plan cache — called only
   /// after the plan executed successfully, the same no-publish-on-failure
   /// chokepoint the scan cache uses. No-op for hits and bypassed runs.
-  void PublishPlan(const PlannedQuery& planned,
-                   std::shared_ptr<const plan::PhysicalOp> plan) const;
+  void PublishPlan(const PlannedQuery& planned) const;
 
   /// Sum of all base tables' version counters: the data component of
   /// plan-cache validation. Any append to any table changes it.

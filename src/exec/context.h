@@ -16,6 +16,7 @@
 #include "graph/graph_index.h"
 #include "graph/rg_mapping.h"
 #include "storage/catalog.h"
+#include "storage/expression.h"
 
 namespace relgo {
 
@@ -114,11 +115,13 @@ struct ExecutionOptions {
   /// so a hit skips optimization entirely and an entry is invalidated
   /// exactly when a table changed. Statistics are fixed after
   /// Database::Finalize, so nothing else can make a cached plan stale.
-  /// The cached plan is re-bound against the call's constants via
-  /// clone-before-Bind, and parameterized predicates are estimated
-  /// value-insensitively, so cached and fresh runs are bit-identical; on
-  /// by default, with the off switch for A/B measurement and the
-  /// differential suite (plan_cache_test).
+  /// A hit runs the cached plan itself, shared read-only with every
+  /// other execution of the template; each call's constants bind where
+  /// the engines clone the plan's expressions (ExecutionContext::params).
+  /// Parameterized predicates are estimated value-insensitively, so
+  /// cached and fresh runs are bit-identical; on by default, with the off
+  /// switch for A/B measurement and the differential suite
+  /// (plan_cache_test).
   bool plan_cache = true;
   /// Record this query into the Database's process-wide MetricsRegistry
   /// (query/failure counters, optimization/execution latency
@@ -222,6 +225,14 @@ class ExecutionContext {
   }
   double elapsed_ms() const { return timer_.ElapsedMillis(); }
 
+  /// The values this call binds to the plan's parameter slots
+  /// (optimizer::CollectBoundParams of the query; empty for
+  /// Database::Execute). A cached plan is shared by every binding of its
+  /// template and must not be written, so every exec site that binds a
+  /// plan expression binds Expr::CloneWithParams(params()) of it.
+  void SetParams(storage::ParamValues params) { params_ = std::move(params); }
+  const storage::ParamValues& params() const { return params_; }
+
   /// Enables per-operator profiling; measurements land in `profile`.
   void EnableProfiling(QueryProfile* profile) { profile_ = profile; }
   QueryProfile* profile() const { return profile_; }
@@ -304,6 +315,7 @@ class ExecutionContext {
   const graph::RgMapping* mapping_;
   const graph::GraphIndex* index_;
   ExecutionOptions options_;
+  storage::ParamValues params_;
   Timer timer_;
   std::atomic<uint64_t> rows_produced_{0};
   QueryProfile* profile_ = nullptr;

@@ -89,13 +89,14 @@ bool HasNull(const GroupKey& key) {
   return false;
 }
 
-/// Binds a clone of `filter` to `table`: the plan may share the tree with
-/// its query, and concurrent executions must not race on Bind's resolved
-/// indexes.
+/// Binds a clone of `filter` holding this call's parameter values to
+/// `table`: the plan may be a cached one shared by concurrent executions,
+/// and Bind writes the indexes it resolves.
 Result<storage::ExprPtr> BindClone(const storage::ExprPtr& filter,
-                                   const Table& table) {
+                                   const Table& table,
+                                   const ExecutionContext& ctx) {
   if (!filter) return storage::ExprPtr();
-  storage::ExprPtr bound = filter->Clone();
+  storage::ExprPtr bound = filter->CloneWithParams(ctx.params());
   RELGO_RETURN_NOT_OK(bound->Bind(table.schema()));
   return bound;
 }
@@ -103,8 +104,9 @@ Result<storage::ExprPtr> BindClone(const storage::ExprPtr& filter,
 /// Rows of `table` passing `filter` (all rows without one), evaluated row
 /// at a time.
 Result<std::vector<uint64_t>> FilteredSelection(
-    const Table& table, const storage::ExprPtr& filter) {
-  RELGO_ASSIGN_OR_RETURN(auto bound, BindClone(filter, table));
+    const Table& table, const storage::ExprPtr& filter,
+    const ExecutionContext& ctx) {
+  RELGO_ASSIGN_OR_RETURN(auto bound, BindClone(filter, table, ctx));
   std::vector<uint64_t> sel;
   for (uint64_t r = 0; r < table.num_rows(); ++r) {
     if (!bound || bound->EvaluateBool(table, r)) sel.push_back(r);
@@ -115,8 +117,9 @@ Result<std::vector<uint64_t>> FilteredSelection(
 /// One byte per row of `table` (1 == passes `filter`); empty when there is
 /// no filter, meaning every row passes.
 Result<std::vector<uint8_t>> RowBitmap(const Table& table,
-                                       const storage::ExprPtr& filter) {
-  RELGO_ASSIGN_OR_RETURN(auto bound, BindClone(filter, table));
+                                       const storage::ExprPtr& filter,
+                                       const ExecutionContext& ctx) {
+  RELGO_ASSIGN_OR_RETURN(auto bound, BindClone(filter, table, ctx));
   std::vector<uint8_t> bitmap;
   if (!bound) return bitmap;
   bitmap.resize(table.num_rows());
@@ -138,7 +141,7 @@ Result<TablePtr> ExecScanTable(const plan::PhysScanTable& op,
                              op.emit_rowid, &raw_indexes);
   auto out = std::make_shared<Table>(op.alias, schema);
 
-  RELGO_ASSIGN_OR_RETURN(auto sel, FilteredSelection(*table, op.filter));
+  RELGO_ASSIGN_OR_RETURN(auto sel, FilteredSelection(*table, op.filter, *ctx));
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
 
   size_t out_col = 0;
@@ -157,7 +160,8 @@ Result<TablePtr> ExecScanTable(const plan::PhysScanTable& op,
 Result<TablePtr> ExecFilter(const plan::PhysFilter& op, TablePtr child,
                             ExecutionContext* ctx) {
   if (!op.predicate) return child;
-  RELGO_ASSIGN_OR_RETURN(auto sel, FilteredSelection(*child, op.predicate));
+  RELGO_ASSIGN_OR_RETURN(auto sel,
+                         FilteredSelection(*child, op.predicate, *ctx));
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
   return GatherTable(*child, sel, child->name());
 }
@@ -270,7 +274,7 @@ Result<TablePtr> ExecRidLookupJoin(const plan::PhysRidLookupJoin& op,
                    : ctx->mapping().FindVertexLabel(em.dst_label);
   RELGO_ASSIGN_OR_RETURN(auto vtable, ctx->VertexTable(vlabel));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         RowBitmap(*vtable, op.vertex_filter));
+                         RowBitmap(*vtable, op.vertex_filter, *ctx));
 
   std::vector<int> raw_indexes;
   Schema vschema = ScanSchema(*vtable, op.vertex_alias, op.vertex_columns,
@@ -322,7 +326,7 @@ Result<TablePtr> ExecRidExpandJoin(const plan::PhysRidExpandJoin& op,
                          ColumnIndex(*child, op.vertex_rowid_column));
   RELGO_ASSIGN_OR_RETURN(auto etable, ctx->EdgeTable(op.edge_label));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         RowBitmap(*etable, op.edge_filter));
+                         RowBitmap(*etable, op.edge_filter, *ctx));
 
   std::vector<int> raw_indexes;
   Schema eschema = ScanSchema(*etable, op.edge_alias, op.edge_columns,
@@ -515,7 +519,7 @@ Result<TablePtr> ExecScanVertex(const plan::PhysScanVertex& op,
                                 ExecutionContext* ctx) {
   RELGO_ASSIGN_OR_RETURN(auto vtable, ctx->VertexTable(op.vertex_label));
   auto out = std::make_shared<Table>("match", BindingSchema({op.var}));
-  RELGO_ASSIGN_OR_RETURN(auto sel, FilteredSelection(*vtable, op.filter));
+  RELGO_ASSIGN_OR_RETURN(auto sel, FilteredSelection(*vtable, op.filter, *ctx));
   Column& col = out->column(0);
   col.Reserve(sel.size());
   for (uint64_t r : sel) col.AppendInt(static_cast<int64_t>(r));
@@ -560,7 +564,7 @@ Result<TablePtr> ExecExpandEdge(const plan::PhysExpandEdge& op, TablePtr child,
   RELGO_ASSIGN_OR_RETURN(size_t from_col, ColumnIndex(*child, op.from_var));
   RELGO_ASSIGN_OR_RETURN(auto etable, ctx->EdgeTable(op.edge_label));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         RowBitmap(*etable, op.edge_filter));
+                         RowBitmap(*etable, op.edge_filter, *ctx));
   std::vector<uint64_t> child_sel;
   std::vector<int64_t> edge_vals;
   for (uint64_t r = 0; r < child->num_rows(); ++r) {
@@ -592,7 +596,7 @@ Result<TablePtr> ExecGetVertex(const plan::PhysGetVertex& op, TablePtr child,
                    : ctx->mapping().FindVertexLabel(em.src_label);
   RELGO_ASSIGN_OR_RETURN(auto vtable, ctx->VertexTable(vlabel));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         RowBitmap(*vtable, op.vertex_filter));
+                         RowBitmap(*vtable, op.vertex_filter, *ctx));
   std::vector<uint64_t> child_sel;
   std::vector<int64_t> vertex_vals;
   for (uint64_t r = 0; r < child->num_rows(); ++r) {
@@ -617,7 +621,7 @@ Result<TablePtr> ExecExpand(const plan::PhysExpand& op, TablePtr child,
                      : ctx->mapping().FindVertexLabel(em.src_label);
   RELGO_ASSIGN_OR_RETURN(auto to_table, ctx->VertexTable(to_label));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         RowBitmap(*to_table, op.vertex_filter));
+                         RowBitmap(*to_table, op.vertex_filter, *ctx));
 
   std::vector<uint64_t> child_sel;
   std::vector<int64_t> to_vals;
@@ -721,7 +725,7 @@ Result<TablePtr> ExecExpandIntersect(const plan::PhysExpandIntersect& op,
                      : ctx->mapping().FindVertexLabel(em0.src_label);
   RELGO_ASSIGN_OR_RETURN(auto to_table, ctx->VertexTable(to_label));
   RELGO_ASSIGN_OR_RETURN(auto bitmap,
-                         RowBitmap(*to_table, op.vertex_filter));
+                         RowBitmap(*to_table, op.vertex_filter, *ctx));
   bool want_edges = false;
   for (const auto& ev : op.edge_vars) want_edges |= !ev.empty();
 
@@ -911,7 +915,7 @@ Result<TablePtr> ExecVertexFilter(const plan::PhysVertexFilter& op,
   } else {
     RELGO_ASSIGN_OR_RETURN(base, ctx->VertexTable(op.label));
   }
-  RELGO_ASSIGN_OR_RETURN(auto bitmap, RowBitmap(*base, op.predicate));
+  RELGO_ASSIGN_OR_RETURN(auto bitmap, RowBitmap(*base, op.predicate, *ctx));
   std::vector<uint64_t> sel;
   for (uint64_t r = 0; r < child->num_rows(); ++r) {
     auto rid = static_cast<uint64_t>(child->column(var_col).int_at(r));

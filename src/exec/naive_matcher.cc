@@ -18,16 +18,18 @@ class Backtracker {
       : p_(p), ctx_(ctx) {}
 
   Result<TablePtr> Run() {
-    // Bind clones of the pattern predicates to their tables once (clones
-    // because the pattern shares expression trees with the plan/query and
-    // Bind mutates — concurrent executions each bind their own copy).
+    // Bind clones of the pattern predicates, holding this call's
+    // parameter values, to their tables once (clones because the pattern
+    // belongs to a plan that concurrent executions may share, and Bind
+    // mutates — each execution binds its own copy).
     vertex_tables_.resize(p_.num_vertices());
     vertex_preds_.resize(p_.num_vertices());
     for (int v = 0; v < p_.num_vertices(); ++v) {
       RELGO_ASSIGN_OR_RETURN(vertex_tables_[v],
                              ctx_->VertexTable(p_.vertex(v).label));
       if (p_.vertex(v).predicate) {
-        vertex_preds_[v] = p_.vertex(v).predicate->Clone();
+        vertex_preds_[v] =
+            p_.vertex(v).predicate->CloneWithParams(ctx_->params());
         RELGO_RETURN_NOT_OK(
             vertex_preds_[v]->Bind(vertex_tables_[v]->schema()));
       }
@@ -38,7 +40,7 @@ class Backtracker {
       RELGO_ASSIGN_OR_RETURN(edge_tables_[e],
                              ctx_->EdgeTable(p_.edge(e).label));
       if (p_.edge(e).predicate) {
-        edge_preds_[e] = p_.edge(e).predicate->Clone();
+        edge_preds_[e] = p_.edge(e).predicate->CloneWithParams(ctx_->params());
         RELGO_RETURN_NOT_OK(edge_preds_[e]->Bind(edge_tables_[e]->schema()));
       }
     }

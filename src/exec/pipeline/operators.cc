@@ -25,14 +25,18 @@ Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
                                   const storage::ExprPtr& filter,
                                   ExecutionContext* ctx) {
   if (!filter) return SharedBitmap();
+  // A clone holding this call's parameter values: the plan may be a
+  // cached one shared by concurrent executions, and Bind writes the
+  // column indexes it resolves.
+  storage::ExprPtr bound = filter->CloneWithParams(ctx->params());
 
   // Replay an earlier query's bitmap for the same (table, predicate)
-  // signature and table version.
+  // signature and table version, keyed on this call's values.
   ScanCache* cache = ctx->scan_cache();
   std::string key;
   uint64_t version = 0;
   if (cache != nullptr) {
-    key = ScanCache::Key(table->name(), filter);
+    key = ScanCache::Key(table->name(), bound);
     version = table->version();
     if (ScanCache::BitmapPtr hit = cache->Get(key, version)) {
       ctx->CountScanCacheHit();
@@ -40,10 +44,6 @@ Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
     }
   }
 
-  // Bind a clone: the plan may share this expression tree with the query
-  // it was optimized from, and concurrent executions of the same query
-  // must not race on the column indexes Bind resolves.
-  storage::ExprPtr bound = filter->Clone();
   RELGO_RETURN_NOT_OK(bound->Bind(table->schema()));
 
   auto bitmap = std::make_shared<std::vector<uint8_t>>();
@@ -227,13 +227,14 @@ void BinderOp::Emit(const Batch& in, std::vector<uint64_t> rows,
 // ---------------------------------------------------------------------------
 
 Status FilterOp::Prepare(const Schema& input, ExecutionContext* ctx) {
-  (void)ctx;
   output_schema_ = input;
-  // Bind a clone: the plan may share the predicate tree with the query it
-  // was optimized from, and concurrent executions must not race on the
-  // resolved column indexes Bind writes.
-  predicate_ = op_.predicate ? op_.predicate->Clone() : nullptr;
-  if (predicate_) RELGO_RETURN_NOT_OK(predicate_->Bind(input));
+  // Bind a clone holding this call's parameter values: the plan may be a
+  // cached one shared by concurrent executions, and Bind writes the
+  // resolved column indexes.
+  if (op_.predicate) {
+    predicate_ = op_.predicate->CloneWithParams(ctx->params());
+    RELGO_RETURN_NOT_OK(predicate_->Bind(input));
+  }
   // Lower once per execution; workers evaluate the compiled program
   // (bit-identical to EvaluateBool) instead of walking the tree per row.
   // Schema-only compile: a mid-pipeline filter sees no stable source

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 
 #include "plan/physical_plan.h"
 
@@ -119,6 +120,22 @@ std::string PlanCacheFooter(const QueryProfile& profile) {
   return "";
 }
 
+/// Footer line listing this call's parameter values in slot order, e.g.
+/// "params: $0 = 'Jose', $1 = 42"; empty for unparameterized queries.
+std::string ParamsFooter(const QueryProfile& profile) {
+  if (profile.params().empty()) return "";
+  std::map<int, Value> by_slot(profile.params().begin(),
+                               profile.params().end());
+  std::string out = "params:";
+  const char* sep = " $";
+  for (const auto& [slot, value] : by_slot) {
+    out += sep + std::to_string(slot) + " = " +
+           storage::Expr::Constant(value)->ToString();
+    sep = ", $";
+  }
+  return out + "\n";
+}
+
 }  // namespace
 
 std::string RenderAnalyzedTree(const plan::PhysicalOp& root,
@@ -127,6 +144,7 @@ std::string RenderAnalyzedTree(const plan::PhysicalOp& root,
   RenderTree(root, profile, 0, &out);
   out += ScanCacheFooter(profile);
   out += PlanCacheFooter(profile);
+  out += ParamsFooter(profile);
   out += RenderQErrorFooter(root, profile);
   return out;
 }
@@ -186,6 +204,7 @@ std::string RenderAnalyzedPipelines(const plan::PhysicalOp& root,
   }
   out += ScanCacheFooter(profile);
   out += PlanCacheFooter(profile);
+  out += ParamsFooter(profile);
   out += RenderQErrorFooter(root, profile);
   return out;
 }

@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "storage/expression.h"
+
 namespace relgo {
 
 namespace plan {
@@ -124,12 +126,18 @@ class QueryProfile {
   uint64_t scan_cache_hits() const { return scan_cache_hits_; }
 
   /// Whether this execution's plan came from the Database's cross-query
-  /// plan cache (kHit: optimization skipped, cached template plan re-bound
-  /// to this call's constants), was freshly optimized with the cache
+  /// plan cache (kHit: optimization skipped, the cached template plan run
+  /// with this call's constants), was freshly optimized with the cache
   /// consulted (kMiss), or ran with the cache off / bypassed (kOff).
   enum class PlanCacheStatus { kOff, kMiss, kHit };
   void SetPlanCacheStatus(PlanCacheStatus s) { plan_cache_status_ = s; }
   PlanCacheStatus plan_cache_status() const { return plan_cache_status_; }
+
+  /// The values this call bound to the plan's parameter slots, which the
+  /// plan itself renders as "$<slot>"; EXPLAIN ANALYZE lists them in a
+  /// "params:" footer. Empty for unparameterized queries.
+  void SetParams(storage::ParamValues params) { params_ = std::move(params); }
+  const storage::ParamValues& params() const { return params_; }
 
   const std::vector<PipelineTrace>& pipelines() const { return pipelines_; }
   size_t num_profiled_ops() const { return ops_.size(); }
@@ -145,6 +153,7 @@ class QueryProfile {
   double late_gather_ms_ = 0.0;
   uint64_t scan_cache_hits_ = 0;
   PlanCacheStatus plan_cache_status_ = PlanCacheStatus::kOff;
+  storage::ParamValues params_;
 };
 
 /// Q-error of one estimate against the measured cardinality (Sec 5 style

@@ -2,13 +2,11 @@
 #define RELGO_EXEC_SCAN_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/versioned_lru.h"
 #include "storage/expression.h"
 
 namespace relgo {
@@ -29,36 +27,19 @@ namespace exec {
 /// Correctness: a hit returns exactly the bytes the filter pass would
 /// have produced, and callers keep charging the same row budget — results
 /// and resource accounting are bit-identical with the cache on or off.
-/// Staleness is handled by the owning table's version counter
-/// (storage::Table::version): every entry records the version it was
-/// computed against, and a lookup under a different version drops the
-/// entry and reports a miss.
+/// Staleness: each entry records the version of its table
+/// (storage::Table::version) it was computed at, and a lookup under
+/// another version drops it (VersionedLru).
 ///
-/// Thread-safety: fully synchronized; Get/Put/Clear/stats may be called
-/// from any number of concurrent queries. Eviction is LRU under a byte
-/// budget (1 byte per bitmap byte plus key overhead). Admission is
-/// cost-aware: one entry may occupy at most kAdmitCapNum/kAdmitCapDen of
-/// the budget, so a single huge bitmap can never wipe out many
-/// colder-but-still-hot entries; those under the cap are admitted by
-/// evicting from the cold (LRU tail) end first.
-class ScanCache {
+/// Eviction is LRU under a byte budget (1 byte per bitmap byte plus key
+/// overhead). Admission is cost-aware: one entry may occupy at most
+/// kAdmitCapNum/kAdmitCapDen of the budget, so a single huge bitmap can
+/// never wipe out many colder-but-still-hot entries. Re-storing a live
+/// key counts as an insertion.
+class ScanCache
+    : public VersionedLru<std::shared_ptr<const std::vector<uint8_t>>> {
  public:
   using BitmapPtr = std::shared_ptr<const std::vector<uint8_t>>;
-
-  /// Monotonic counters (lifetime totals; never reset by eviction).
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;         ///< lookups that found nothing usable
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;      ///< LRU evictions under the byte budget
-    uint64_t invalidations = 0;  ///< entries dropped on version mismatch
-    uint64_t rejections = 0;     ///< entries refused by the admission cap
-    uint64_t Lookups() const { return hits + misses; }
-    double HitRate() const {
-      uint64_t n = Lookups();
-      return n == 0 ? 0.0 : static_cast<double>(hits) / n;
-    }
-  };
 
   static constexpr size_t kDefaultMaxBytes = 64ull << 20;  // 64 MiB
 
@@ -70,57 +51,31 @@ class ScanCache {
   static constexpr size_t kAdmitCapDen = 2;
 
   explicit ScanCache(size_t max_bytes = kDefaultMaxBytes)
-      : max_bytes_(max_bytes) {}
-
-  ScanCache(const ScanCache&) = delete;
-  ScanCache& operator=(const ScanCache&) = delete;
+      : VersionedLru(max_bytes, max_bytes / kAdmitCapDen * kAdmitCapNum,
+                     /*count_replacements=*/true) {}
 
   /// Cache key of a filter over a base table: "<table>|<pred>", with the
   /// predicate rendered by value and doubles at round-trip precision
   /// (Expr::ToKeyString), so distinct constants never share a key.
   static std::string Key(const std::string& table,
-                         const storage::ExprPtr& filter);
-
-  /// The bitmap cached under `key` if present and computed at
-  /// `table_version`; null on miss. A version mismatch invalidates the
-  /// entry. A hit refreshes LRU recency.
-  BitmapPtr Get(const std::string& key, uint64_t table_version);
-
-  /// Stores `bitmap` under `key` at `table_version`, evicting LRU entries
-  /// (coldest first) until the byte budget holds. An entry larger than
-  /// the admission cap (kAdmitCapNum/kAdmitCapDen of the budget) is not
-  /// stored. Replaces an existing entry for `key`.
-  void Put(const std::string& key, uint64_t table_version, BitmapPtr bitmap);
-
-  void Clear();
-
-  Stats stats() const;
-  size_t entries() const;
-  size_t bytes() const;
-  size_t max_bytes() const { return max_bytes_; }
-  size_t admit_cap_bytes() const {
-    return max_bytes_ / kAdmitCapDen * kAdmitCapNum;
+                         const storage::ExprPtr& filter) {
+    return table + "|" + (filter ? filter->ToKeyString() : "");
   }
 
+  /// Stores `bitmap` under `key` at `table_version`, charged its bytes
+  /// plus the key and a node overhead.
+  void Put(const std::string& key, uint64_t table_version, BitmapPtr bitmap) {
+    if (bitmap == nullptr) return;
+    size_t bytes = key.size() + bitmap->size() + kEntryOverhead;
+    VersionedLru::Put(key, table_version, std::move(bitmap), bytes);
+  }
+
+  size_t bytes() const { return total_cost(); }
+  size_t max_bytes() const { return budget(); }
+  size_t admit_cap_bytes() const { return max_entry_cost(); }
+
  private:
-  struct Entry {
-    std::string key;
-    uint64_t version = 0;
-    BitmapPtr bitmap;
-    size_t bytes = 0;
-  };
-
   static constexpr size_t kEntryOverhead = 64;  // list/map node estimate
-
-  /// Drops `it` (must be valid) and its index entry. Caller holds mu_.
-  void EraseLocked(std::list<Entry>::iterator it);
-
-  const size_t max_bytes_;
-  mutable std::mutex mu_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  size_t bytes_ = 0;
-  Stats stats_;
 };
 
 }  // namespace exec

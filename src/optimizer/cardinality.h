@@ -41,10 +41,6 @@ class CardinalityEstimator {
   /// Logically read-only; the memo caches are mutable.
   double Estimate(pattern::VSet mask) const;
 
-  /// Sampled selectivity of vertex `v`'s predicate (1.0 if none).
-  double VertexSelectivity(int v) const { return vertex_sel_[v]; }
-  double EdgeSelectivity(int e) const { return edge_sel_[e]; }
-
  private:
   double Structural(pattern::VSet mask) const;
 

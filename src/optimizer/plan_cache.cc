@@ -68,8 +68,7 @@ void TransformQueryExprs(plan::SpjmQuery* q,
   if (q->where) q->where = fn(q->where);
 }
 
-void CollectExprParams(const ExprPtr& e,
-                       std::unordered_map<int, Value>* out) {
+void CollectExprParams(const ExprPtr& e, storage::ParamValues* out) {
   if (!e) return;
   if (e->kind() == Expr::Kind::kConstant && e->param_slot() >= 0) {
     (*out)[e->param_slot()] = e->constant();
@@ -180,9 +179,8 @@ std::string TemplateSignature(const plan::SpjmQuery& query,
   return sig;
 }
 
-std::unordered_map<int, Value> CollectBoundParams(
-    const plan::SpjmQuery& query) {
-  std::unordered_map<int, Value> out;
+storage::ParamValues CollectBoundParams(const plan::SpjmQuery& query) {
+  storage::ParamValues out;
   const pattern::PatternGraph& p = query.pattern;
   for (int i = 0; i < p.num_vertices(); ++i) {
     CollectExprParams(p.vertex(i).predicate, &out);
@@ -193,76 +191,6 @@ std::unordered_map<int, Value> CollectBoundParams(
   for (const auto& j : query.joins) CollectExprParams(j.scan_filter, &out);
   CollectExprParams(query.where, &out);
   return out;
-}
-
-storage::ExprPtr RebindExpr(const storage::ExprPtr& e,
-                            const std::unordered_map<int, Value>& params) {
-  if (!e) return nullptr;
-  return RebuildExpr(e, [&params](const Expr& c) -> ExprPtr {
-    if (c.param_slot() >= 0) {
-      auto it = params.find(c.param_slot());
-      if (it != params.end()) return Expr::Param(c.param_slot(), it->second);
-    }
-    return c.param_slot() >= 0 ? Expr::Param(c.param_slot(), c.constant())
-                               : Expr::Constant(c.constant());
-  });
-}
-
-std::shared_ptr<const plan::PhysicalOp> PlanCache::Get(const std::string& key,
-                                                       uint64_t data_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  if (it->second->data_version != data_version) {
-    lru_.erase(it->second);
-    index_.erase(it);
-    ++stats_.invalidations;
-    ++stats_.misses;
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
-  return it->second->plan;
-}
-
-void PlanCache::Put(const std::string& key, uint64_t data_version,
-                    std::shared_ptr<const plan::PhysicalOp> plan) {
-  if (capacity_ == 0 || !plan) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->data_version = data_version;
-    it->second->plan = std::move(plan);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Entry{key, data_version, std::move(plan)});
-  index_[key] = lru_.begin();
-  ++stats_.insertions;
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-}
-
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-size_t PlanCache::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
 }
 
 }  // namespace optimizer

@@ -47,6 +47,13 @@ const char* OpKindName(OpKind kind);
 /// Base class of the physical plan tree. Plans are pure data; execution
 /// lives in exec/executor.*, which keeps the optimizer and the plan
 /// printer free of engine dependencies.
+///
+/// Plans are read-only once optimized: the plan cache shares one plan
+/// across concurrent executions of every binding of its template, so
+/// nothing in exec may write to a plan node or its expressions. The
+/// engines bind clones of plan expressions carrying the call's parameter
+/// values (Expr::CloneWithParams), and per-execution state (the top-k
+/// fence, late materialization) lives on operator instances.
 struct PhysicalOp {
   explicit PhysicalOp(OpKind k) : kind(k) {}
   virtual ~PhysicalOp() = default;

@@ -14,15 +14,6 @@ Result<TablePtr> Catalog::CreateTable(const std::string& name, Schema schema) {
   return table;
 }
 
-Status Catalog::RegisterTable(TablePtr table) {
-  if (!table) return Status::InvalidArgument("null table");
-  if (tables_.count(table->name())) {
-    return Status::AlreadyExists("table '" + table->name() + "' exists");
-  }
-  tables_[table->name()] = std::move(table);
-  return Status::OK();
-}
-
 Result<TablePtr> Catalog::GetTable(const std::string& name) const {
   auto it = tables_.find(name);
   if (it == tables_.end()) {

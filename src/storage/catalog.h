@@ -17,9 +17,6 @@ class Catalog {
   /// Creates and registers an empty table; fails if the name exists.
   Result<TablePtr> CreateTable(const std::string& name, Schema schema);
 
-  /// Registers an existing table object.
-  Status RegisterTable(TablePtr table);
-
   Result<TablePtr> GetTable(const std::string& name) const;
   bool HasTable(const std::string& name) const { return tables_.count(name); }
   Status DropTable(const std::string& name);

@@ -239,33 +239,37 @@ bool Expr::HasParam() const {
   return false;
 }
 
-ExprPtr Expr::Clone() const {
-  auto e = ExprPtr(new Expr(kind_));
-  e->name_ = name_;
-  e->value_ = value_;
-  e->param_slot_ = param_slot_;
-  e->compare_op_ = compare_op_;
-  e->string_arg_ = string_arg_;
-  e->in_list_ = in_list_;
-  for (const auto& child : children_) e->children_.push_back(child->Clone());
-  return e;
-}
+ExprPtr Expr::Clone() const { return CloneImpl(nullptr, nullptr); }
 
 ExprPtr Expr::CloneRenamed(
     const std::unordered_map<std::string, std::string>& rename) const {
+  return CloneImpl(&rename, nullptr);
+}
+
+ExprPtr Expr::CloneWithParams(const ParamValues& params) const {
+  return CloneImpl(nullptr, &params);
+}
+
+ExprPtr Expr::CloneImpl(
+    const std::unordered_map<std::string, std::string>* rename,
+    const ParamValues* params) const {
   auto e = ExprPtr(new Expr(kind_));
   e->name_ = name_;
-  if (kind_ == Kind::kColumnRef) {
-    auto it = rename.find(name_);
-    if (it != rename.end()) e->name_ = it->second;
+  if (rename != nullptr && kind_ == Kind::kColumnRef) {
+    auto it = rename->find(name_);
+    if (it != rename->end()) e->name_ = it->second;
   }
   e->value_ = value_;
   e->param_slot_ = param_slot_;
+  if (params != nullptr && param_slot_ >= 0) {
+    auto it = params->find(param_slot_);
+    if (it != params->end()) e->value_ = it->second;
+  }
   e->compare_op_ = compare_op_;
   e->string_arg_ = string_arg_;
   e->in_list_ = in_list_;
   for (const auto& child : children_) {
-    e->children_.push_back(child->CloneRenamed(rename));
+    e->children_.push_back(child->CloneImpl(rename, params));
   }
   return e;
 }
@@ -309,7 +313,7 @@ std::string Expr::ToStringImpl(Render mode) const {
     case Kind::kColumnRef:
       return name_;
     case Kind::kConstant:
-      if (mode == Render::kTemplate && param_slot_ >= 0) {
+      if (mode != Render::kKey && param_slot_ >= 0) {
         return "$" + std::to_string(param_slot_);
       }
       return value_.type() == LogicalType::kString

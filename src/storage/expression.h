@@ -15,6 +15,10 @@ namespace storage {
 class Expr;
 using ExprPtr = std::shared_ptr<Expr>;
 
+/// The values one call binds to a query template's parameter slots, keyed
+/// by slot (optimizer::CollectBoundParams).
+using ParamValues = std::unordered_map<int, Value>;
+
 /// Comparison operators for scalar predicates.
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
@@ -47,8 +51,9 @@ class Expr {
   /// A constant annotated as parameter slot `slot` of a query template
   /// (optimizer/plan_cache.h): evaluation treats it as an ordinary
   /// constant holding the currently bound value, but the optimizer
-  /// estimates it value-insensitively and template signatures render it
-  /// as "$<slot>", so every binding of one template plans identically.
+  /// estimates it value-insensitively and template signatures and plan
+  /// renderings show it as "$<slot>", so every binding of one template
+  /// plans identically.
   static ExprPtr Param(int slot, Value v);
   static ExprPtr Compare(CompareOp op, ExprPtr lhs, ExprPtr rhs);
   static ExprPtr And(ExprPtr lhs, ExprPtr rhs);
@@ -127,12 +132,21 @@ class Expr {
   ExprPtr CloneRenamed(
       const std::unordered_map<std::string, std::string>& rename) const;
 
+  /// Deep copy in which each parameter-slotted constant holds
+  /// `params[slot]` (slots absent from `params` keep their value). The
+  /// plan cache shares one plan across a template's bindings, so the
+  /// execution engines bind this clone of a plan expression, carrying the
+  /// call's values, instead of the expression itself.
+  ExprPtr CloneWithParams(const ParamValues& params) const;
+
   /// Flattens a conjunction into its leaves ((a AND b) AND c -> [a,b,c]).
   static void SplitConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out);
 
+  /// Display rendering (EXPLAIN): a parameter-slotted constant shows as
+  /// "$<slot>", the template form under which its plan is cached.
   std::string ToString() const;
 
-  /// Like ToString, but renders double constants at round-trip precision
+  /// Renders every constant by value, doubles at round-trip precision
   /// (ToString's "%.6g" prints 199.9999999 and 200.0000001 both as "200").
   /// Cache keys are built from it, so distinct constants never share one.
   std::string ToKeyString() const;
@@ -145,6 +159,11 @@ class Expr {
 
  private:
   explicit Expr(Kind kind) : kind_(kind) {}
+
+  /// Clone, CloneRenamed and CloneWithParams; null maps change nothing.
+  ExprPtr CloneImpl(
+      const std::unordered_map<std::string, std::string>* rename,
+      const ParamValues* params) const;
 
   enum class Render { kDisplay, kKey, kTemplate };
   std::string ToStringImpl(Render mode) const;

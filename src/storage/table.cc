@@ -78,20 +78,5 @@ std::string Table::ToString(uint64_t max_rows) const {
   return os.str();
 }
 
-size_t Table::EstimatedRowBytes() const {
-  size_t bytes = 0;
-  for (const auto& def : schema_.columns()) {
-    switch (def.type) {
-      case LogicalType::kString:
-        bytes += 24;
-        break;
-      default:
-        bytes += 8;
-        break;
-    }
-  }
-  return bytes == 0 ? 8 : bytes;
-}
-
 }  // namespace storage
 }  // namespace relgo

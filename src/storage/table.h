@@ -63,9 +63,6 @@ class Table {
   /// Renders up to `max_rows` rows for debugging/examples.
   std::string ToString(uint64_t max_rows = 10) const;
 
-  /// Rough per-row footprint in bytes, for memory accounting.
-  size_t EstimatedRowBytes() const;
-
  private:
   std::string name_;
   Schema schema_;

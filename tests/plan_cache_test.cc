@@ -2,9 +2,10 @@
 // under test: binding constants into a template and running with the
 // plan cache ON is byte-identical to running with the cache OFF — over
 // every LDBC/IMDB template, every optimizer mode, both engines, with
-// randomized constants — because cached template plans are rebound
-// against each call's constants (clone-before-Bind) and the optimizer
-// estimates slotted constants value-insensitively. Invalidation is
+// randomized constants — because a hit runs the cached template plan
+// with each call's constants bound where the engines clone its
+// expressions, and the optimizer estimates slotted constants
+// value-insensitively. Invalidation is
 // exact, never timed: statistics are fixed after Finalize, so only a
 // table append (which bumps the catalog data version) kills an entry on
 // its next lookup (counted once). A cancelled, faulted, timed
@@ -13,7 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -416,6 +420,85 @@ TEST_F(PlanCacheTest, HarnessHotTemplateSweepHitsEveryWarmRun) {
   EXPECT_GE(m.plan_cache_hit_rate, 0.9);
 }
 
+// A hit runs the cached plan with this call's values at every site that
+// binds a plan expression: the scan filter and its scan-cache key
+// (FilterBitmap), a WHERE across two vertices that stays a FILTER
+// (FilterOp), the reference interpreter's BindClone and the naive
+// matcher (kGdbmsSim) — every mode, both engines, both caches on.
+TEST_F(PlanCacheTest, AHitBindsThisCallsValuesAtEverySite) {
+  auto pattern = db_.ParsePattern("(a:Person)-[:Knows]->(b:Person)");
+  ASSERT_TRUE(pattern.ok());
+  pattern->vertex(0).predicate = storage::Expr::Compare(
+      storage::CompareOp::kNe, storage::Expr::Column("name"),
+      storage::Expr::Constant(Value::String("Tom")));
+  optimizer::ParameterizedQuery t = optimizer::ParameterizeQuery(
+      plan::SpjmQueryBuilder("knows_named")
+          .Match(std::move(*pattern))
+          .Column("a", "name")
+          .Column("b", "name")
+          .Where(storage::Expr::Or(
+              storage::Expr::Eq("a.name", Value::String("David")),
+              storage::Expr::Eq("b.name", Value::String("David"))))
+          .Select("a.name", "a_name")
+          .Select("b.name", "b_name")
+          .Build());
+  ASSERT_EQ(t.defaults.size(), 3u);
+  auto warm = optimizer::BindTemplate(t, t.defaults);
+  auto other = optimizer::BindTemplate(
+      t, {Value::String("David"), Value::String("Tom"), Value::String("Tom")});
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(other.ok());
+
+  for (OptimizerMode mode : kAllModes) {
+    for (EngineKind engine : kBothEngines) {
+      std::string label =
+          std::string(optimizer::ModeName(mode)) + " / " + EngineName(engine);
+      SCOPED_TRACE(label);
+      db_.ClearPlanCache();
+      db_.ClearScanCache();
+      exec::ExecutionOptions off = Options(engine);
+      off.plan_cache = false;
+      off.scan_cache = false;
+      auto expect_warm = db_.Run(*warm, mode, off);
+      auto expect = db_.Run(*other, mode, off);
+      ASSERT_TRUE(expect_warm.ok()) << expect_warm.status().ToString();
+      ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+      ASSERT_NE(testing::SortedRows(*expect->table),
+                testing::SortedRows(*expect_warm->table))
+          << "the two bindings must select different rows";
+
+      auto first = db_.Run(*warm, mode, Options(engine));
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      ASSERT_EQ(first->plan_cache, PlanCacheStatus::kMiss);
+      auto hit = db_.Run(*other, mode, Options(engine));
+      ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+      EXPECT_EQ(hit->plan_cache, PlanCacheStatus::kHit);
+      ExpectSameRows(testing::SortedRows(*expect->table),
+                     testing::SortedRows(*hit->table), label);
+    }
+  }
+
+  // EXPLAIN ANALYZE of the hit shows the cached template, with "$<slot>"
+  // where the constants were, and this call's values in the footer.
+  db_.ClearPlanCache();
+  ASSERT_TRUE(db_.Run(*warm, OptimizerMode::kRelGo).ok());
+  for (EngineKind engine : kBothEngines) {
+    SCOPED_TRACE(EngineName(engine));
+    auto text = db_.ExplainAnalyze(*other, OptimizerMode::kRelGo,
+                                   Options(engine));
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    EXPECT_NE(text->find("plan cache: hit\n"), std::string::npos) << *text;
+    EXPECT_NE(text->find("name <> $0"), std::string::npos) << *text;
+    EXPECT_NE(text->find("name = $1"), std::string::npos) << *text;
+    EXPECT_NE(text->find("name = $2"), std::string::npos) << *text;
+    const std::string footer =
+        "\nparams: $0 = 'David', $1 = 'Tom', $2 = 'Tom'\n";
+    EXPECT_NE(text->find(footer), std::string::npos) << *text;
+    EXPECT_EQ(text->find("'Tom'"), text->find("$1 = 'Tom'") + 5)
+        << "the plan must not show the warm-up binding's constants";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The randomized differential suites: cache-on == cache-off, byte for
 // byte, over every workload template x optimizer mode x engine.
@@ -526,6 +609,96 @@ TEST_F(LdbcPlanCacheTest, SecondBindingHitsFirstBindingsPlan) {
     EXPECT_EQ(db_->plan_cache().entries(), 1u);
   }
   EXPECT_GT(exercised, 0) << "LDBC templates must carry parameter slots";
+}
+
+// Six bindings of one LDBC template share the plan the warm-up call
+// published: 4 clients run them concurrently through RunProfiled with both
+// caches on, and every call is a hit on that very plan object whose rows
+// equal the binding's caches-off run, row for row. Under TSan this is the
+// interleaving of concurrent executions reading one cached plan tree.
+TEST_F(LdbcPlanCacheTest, ConcurrentBindingsShareTheWarmUpPlan) {
+  auto templates = workload::LdbcInteractiveQueries(*db_);
+  const workload::WorkloadQuery* ic = nullptr;
+  for (const workload::WorkloadQuery& wq : templates) {
+    if (wq.query.name == "IC1-2") ic = &wq;
+  }
+  ASSERT_NE(ic, nullptr);
+  optimizer::ParameterizedQuery t = optimizer::ParameterizeQuery(ic->query);
+
+  // The six most frequent first names (ties by name) replace the
+  // template's own.
+  auto person = db_->catalog().GetTable("Person");
+  ASSERT_TRUE(person.ok());
+  const storage::Column* first = (*person)->FindColumn("firstName");
+  ASSERT_NE(first, nullptr);
+  std::map<std::string, int64_t> counts;
+  for (uint64_t row = 0; row < (*person)->num_rows(); ++row) {
+    ++counts[first->GetValue(row).string_value()];
+  }
+  std::vector<std::pair<int64_t, std::string>> by_count;
+  for (const auto& [name, count] : counts) by_count.emplace_back(-count, name);
+  std::sort(by_count.begin(), by_count.end());
+  ASSERT_GE(by_count.size(), 6u);
+  std::vector<plan::SpjmQuery> bindings;
+  for (size_t i = 0; i < 6; ++i) {
+    std::vector<Value> params = t.defaults;
+    for (Value& v : params) {
+      if (v.type() == LogicalType::kString && v.string_value() == "Jose") {
+        v = Value::String(by_count[i].second);
+      }
+    }
+    auto bound = optimizer::BindTemplate(t, params);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    bindings.push_back(std::move(*bound));
+  }
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    exec::ExecutionOptions on = Options(EngineKind::kPipeline, threads);
+    exec::ExecutionOptions off = on;
+    off.plan_cache = false;
+    off.scan_cache = false;
+    std::vector<std::vector<std::string>> expect;
+    for (const plan::SpjmQuery& q : bindings) {
+      auto reference = db_->Run(q, OptimizerMode::kRelGo, off);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      expect.push_back(testing::ExactRows(*reference->table));
+    }
+    std::set<std::vector<std::string>> distinct(expect.begin(), expect.end());
+    ASSERT_GT(distinct.size(), 1u)
+        << "the bindings must select different rows";
+
+    db_->ClearPlanCache();
+    db_->ClearScanCache();
+    auto warm = db_->RunProfiled(bindings[0], OptimizerMode::kRelGo, on);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    ASSERT_EQ(warm->profile.plan_cache_status(), PlanCacheStatus::kMiss);
+    const plan::PhysicalOp* shared = warm->plan.get();
+    optimizer::PlanCache::Stats before = db_->plan_cache().stats();
+
+    constexpr int kClients = 4;
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (size_t i = 0; i < bindings.size(); ++i) {
+          size_t b = (c + i) % bindings.size();
+          auto result =
+              db_->RunProfiled(bindings[b], OptimizerMode::kRelGo, on);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_EQ(result->profile.plan_cache_status(),
+                    PlanCacheStatus::kHit);
+          EXPECT_EQ(result->plan.get(), shared)
+              << "a hit must run the warm-up's plan object";
+          ExpectSameRows(expect[b], testing::ExactRows(*result->table),
+                         "binding " + std::to_string(b));
+        }
+      });
+    }
+    for (auto& client : clients) client.join();
+    optimizer::PlanCache::Stats after = db_->plan_cache().stats();
+    EXPECT_EQ(after.hits - before.hits, kClients * bindings.size());
+    EXPECT_EQ(after.misses, before.misses);
+  }
 }
 
 class ImdbPlanCacheTest : public ::testing::Test {
