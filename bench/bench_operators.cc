@@ -19,6 +19,7 @@
 #include "exec/join_hash_table.h"
 #include "exec/naive_matcher.h"
 #include "exec/pipeline/engine.h"
+#include "exec/pipeline/operators.h"
 #include "exec/pipeline/scheduler.h"
 #include "exec/vector/compiled_expr.h"
 #include "exec/vector/typed_keys.h"
@@ -437,8 +438,47 @@ void BM_JoinKeyHashTyped(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinKeyHashTyped)->Unit(benchmark::kMillisecond);
 
+/// The rows of `cols` cut into kBatchRows-row batches (Column::Slice),
+/// the shape a pipeline hands its sink.
+std::vector<std::vector<storage::Column>> Batches(
+    const std::vector<const storage::Column*>& cols) {
+  std::vector<std::vector<storage::Column>> out;
+  const uint64_t n = cols[0]->size();
+  for (uint64_t begin = 0; begin < n; begin += exec::pipeline::kBatchRows) {
+    uint64_t count = std::min(exec::pipeline::kBatchRows, n - begin);
+    out.emplace_back();
+    for (const auto* c : cols) out.back().push_back(c->Slice(begin, count));
+  }
+  return out;
+}
+
+/// Encodes every batch into group-key words the way AggregateSink does
+/// (one fresh encoder and string table, as per query) and returns the XOR
+/// of the key hashes.
+size_t EncodeBatches(const std::vector<LogicalType>& types,
+                     const std::vector<std::vector<storage::Column>>& batches) {
+  auto encoder = exec::vector::KeyEncoder::Make(types);
+  exec::vector::KeyStrings strings;
+  std::vector<uint64_t> words, hashes;
+  std::vector<const storage::Column*> cols;
+  size_t acc = 0;
+  for (const auto& batch : batches) {
+    const uint64_t n = batch[0].size();
+    cols.clear();
+    for (const auto& c : batch) cols.push_back(&c);
+    words.resize(n * encoder->width());
+    hashes.resize(n);
+    encoder->Encode(cols.data(), nullptr, n, &strings, words.data(),
+                    hashes.data());
+    for (uint64_t h : hashes) acc ^= h;
+  }
+  return acc;
+}
+
 /// GROUP BY key build over (int64, string): boxed Value-vector key + hash
-/// chain vs KeyEncoder's byte-encoded key (same hash, no boxing).
+/// chain, row at a time, vs KeyEncoder's fixed-width words, a batch at a
+/// time (the string column has no dictionary, so its strings are
+/// interned).
 void BM_GroupKeyBuildBoxed(benchmark::State& state) {
   const storage::Table& t = MicroTable();
   for (auto _ : state) {
@@ -459,21 +499,10 @@ BENCHMARK(BM_GroupKeyBuildBoxed)->Unit(benchmark::kMillisecond);
 
 void BM_GroupKeyBuildEncoded(benchmark::State& state) {
   const storage::Table& t = MicroTable();
-  auto encoder = exec::vector::KeyEncoder::Make(
-      {LogicalType::kInt64, LogicalType::kString});
-  if (encoder == nullptr) {
-    state.SkipWithError("encoder unavailable");
-    return;
-  }
-  const storage::Column* cols[2] = {&t.column(0), &t.column(2)};
-  exec::vector::EncodedGroupKey key;
+  static const auto batches = Batches({&t.column(0), &t.column(2)});
   for (auto _ : state) {
-    size_t acc = 0;
-    for (uint64_t r = 0; r < kMicroRows; ++r) {
-      encoder->Encode(cols, r, &key);
-      acc ^= key.hash;
-    }
-    benchmark::DoNotOptimize(acc);
+    benchmark::DoNotOptimize(
+        EncodeBatches({LogicalType::kInt64, LogicalType::kString}, batches));
   }
 }
 BENCHMARK(BM_GroupKeyBuildEncoded)->Unit(benchmark::kMillisecond);
@@ -637,24 +666,15 @@ void BM_DictJoinProbeStringDict(benchmark::State& state) {
 BENCHMARK(BM_DictJoinProbeStringPayload)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DictJoinProbeStringDict)->Unit(benchmark::kMillisecond);
 
-/// GROUP BY key build over a dictionary string column: length-prefixed
-/// byte append + byte hash vs fixed32 code append + int64 hash.
+/// GROUP BY key build over the dictionary string column, a batch at a
+/// time: strings interned into the partial's string table (no
+/// dictionary) vs int32 codes copied from the pinned dictionary.
 void DictGroupKeyString(benchmark::State& state, bool dict) {
-  const storage::Table& t = DictMicroTable(dict);
-  auto encoder = exec::vector::KeyEncoder::Make({LogicalType::kString});
-  if (encoder == nullptr) {
-    state.SkipWithError("encoder unavailable");
-    return;
-  }
-  const storage::Column* cols[1] = {&t.column(0)};
-  exec::vector::EncodedGroupKey key;
+  static const auto plain = Batches({&DictMicroTable(false).column(0)});
+  static const auto coded = Batches({&DictMicroTable(true).column(0)});
+  const auto& batches = dict ? coded : plain;
   for (auto _ : state) {
-    size_t acc = 0;
-    for (uint64_t r = 0; r < kMicroRows; ++r) {
-      encoder->Encode(cols, r, &key);
-      acc ^= key.hash;
-    }
-    benchmark::DoNotOptimize(acc);
+    benchmark::DoNotOptimize(EncodeBatches({LogicalType::kString}, batches));
   }
 }
 void BM_DictGroupKeyStringPayload(benchmark::State& state) {
@@ -767,6 +787,99 @@ void BM_TopKSink(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopKSink)->Arg(20)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+/// The real AggregateSink (Prepare / MakeState / Consume / Finish, one
+/// worker) over the group-key shapes of the LDBC pool's aggregates, with
+/// eager keys in kBatchRows-row batches that share their base column's
+/// dictionary, as pi-hat's gathers hand them over. Arg: shape
+///  0: IC3-2's COUNT(*) GROUP BY f.id, f.firstName — 12.4k rows, 92
+///     groups, an int64 and a dictionary string key;
+///  1: IC6-2's COUNT(*) GROUP BY t.name — 7.3k rows, 146 groups;
+///  2: IC4's COUNT(*) GROUP BY t.name — 1.2k rows, 231 groups;
+///  3: a JOB-style global MIN over a dictionary string column, 12.4k rows.
+void BM_AggregateSink(benchmark::State& state) {
+  struct Shape {
+    uint64_t rows, groups;
+    bool id_key;  // group by (id, name) instead of name
+    bool global_min;
+  };
+  static const Shape kShapes[] = {{12400, 92, true, false},
+                                  {7300, 146, false, false},
+                                  {1200, 231, false, false},
+                                  {12400, 0, false, true}};
+  const Shape& shape = kShapes[state.range(0)];
+  // The base table: `id`, and a dictionary `name` drawn from 4x as many
+  // values as there are groups (a key column's dictionary holds every
+  // value of the base table, not just the ones that group).
+  std::mt19937 rng(41);
+  auto base = std::make_shared<storage::Table>(
+      "base", storage::Schema({{"x.id", LogicalType::kInt64},
+                               {"x.name", LogicalType::kString}}));
+  const uint64_t domain = shape.global_min ? 500 : shape.groups;
+  for (uint64_t r = 0; r < shape.rows; ++r) {
+    uint64_t g = r < domain ? r : rng() % domain;  // every group occurs
+    base->column(0).AppendInt(static_cast<int64_t>(g));
+    base->column(1).AppendString("name_" + std::to_string(g * 4 % 997));
+  }
+  for (uint64_t v = 0; v < 4 * domain; ++v) {
+    base->column(1).AppendString("name_" + std::to_string(v % 997));
+    base->column(0).AppendInt(-1);
+  }
+  base->FinishBulkAppend();
+  base->column(1).BuildDictionary();
+  const auto batches = Batches({&base->column(0), &base->column(1)});
+  std::vector<exec::pipeline::Batch> inputs;
+  uint64_t left = shape.rows;  // the extra dictionary rows stay out
+  for (const auto& cols : batches) {
+    if (left == 0) break;
+    uint64_t n = std::min<uint64_t>(left, cols[0].size());
+    exec::pipeline::Batch b;
+    for (const auto& c : cols) b.AddOwned(c.Slice(0, n));
+    b.SetNumRows(n);
+    inputs.push_back(std::move(b));
+    left -= n;
+  }
+
+  plan::PhysHashAggregate agg;
+  if (shape.global_min) {
+    agg.aggregates = {{plan::AggFunc::kMin, "x.name", "first_name"}};
+  } else {
+    if (shape.id_key) agg.group_by.push_back("x.id");
+    agg.group_by.push_back("x.name");
+    agg.aggregates = {{plan::AggFunc::kCount, "", "cnt"}};
+  }
+  static Database db;
+  exec::pipeline::TaskScheduler scheduler;
+  uint64_t groups = 0;
+  for (auto _ : state) {
+    auto ctx = MakeContext(&db);
+    exec::pipeline::AggregateSink sink(agg);
+    Status st = sink.Prepare(base->schema(), &ctx);
+    std::vector<std::unique_ptr<exec::pipeline::SinkState>> partials;
+    partials.push_back(sink.MakeState());
+    for (size_t m = 0; st.ok() && m < inputs.size(); ++m) {
+      st = sink.Consume(partials[0].get(), inputs[m], {m, 0}, &ctx);
+    }
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      return;
+    }
+    auto result = sink.Finish(std::move(partials), &scheduler, &ctx);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    groups = (*result)->num_rows();
+  }
+  state.counters["rows"] = static_cast<double>(shape.rows);
+  state.counters["groups"] = static_cast<double>(groups);
+}
+BENCHMARK(BM_AggregateSink)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Forwards finished kernel-vs-row runs into BENCH_pipeline.json (bench
 /// "operators_kernel") and remembers per-benchmark timings so main() can

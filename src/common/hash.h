@@ -15,9 +15,6 @@ namespace relgo {
 /// chains from the same seed so both land keys in the same buckets.
 constexpr size_t kHashSeed = 0xcbf29ce484222325ULL;
 
-/// What Value::Hash returns for a NULL (common/value.cc).
-constexpr size_t kNullHash = 0x9e3779b97f4a7c15ULL;
-
 /// Mixes `v` into seed `h` (boost::hash_combine variant with 64-bit avalanche).
 inline size_t HashCombine(size_t h, size_t v) {
   v *= 0xff51afd7ed558ccdULL;
@@ -33,13 +30,8 @@ inline size_t HashSpan(const uint64_t* data, size_t n) {
   return h;
 }
 
-/// Typed twins of Value::Hash: each overload hashes exactly what
-/// Value::Hash would hash for a boxed value of that payload type, so key
-/// hashes computed from raw column spans (exec/vector typed key
-/// extraction) equal the hashes of the equivalent boxed rows.
-inline size_t TypedHash(int64_t v) { return std::hash<int64_t>()(v); }
-inline size_t TypedHash(bool v) { return std::hash<bool>()(v); }
-inline size_t TypedHash(double v) { return std::hash<double>()(v); }
+/// Typed twin of Value::Hash for a string payload: a string key hashed
+/// from a raw column span (JoinHashTable) hashes as its boxed Value does.
 inline size_t TypedHash(const std::string& v) {
   return std::hash<std::string>()(v);
 }

@@ -194,23 +194,23 @@ Result<Pipeline> BuildPipeline(const PhysicalOp& op, ExecutionContext* ctx,
 // their row ids (RankSortKeys), and its running k-th key fences rows off
 // upstream. A full sort keeps its keys eager, since its merge compares
 // every key O(log n) times and random row-id reads would cost more than
-// gathering each key once. All of it acts on this execution's operator
-// instances only: the plan, the plan cache and the reference interpreter
-// never see the deferral or the fence.
+// gathering each key once. A pipeline ending in an AggregateSink defers
+// its group keys as well: the sink encodes each one from the base column
+// at the row id (AggregateSink::GroupKeysThrough), so no key property is
+// gathered at all, while MIN/MAX/SUM inputs stay eager. All of it acts on
+// this execution's operator instances only: the plan, the plan cache and
+// the reference interpreter never see the deferral or the fence.
 
 /// Defers every projected property of the pipeline's SCAN_GRAPH_TABLE that
-/// neither `eager_keys` (null when the sink reads its sort keys through
-/// row ids) nor an operator between pi-hat and the sink reads (filter
-/// inputs, followed through PhysProject renames). Only Project and Filter
-/// may sit between the two; any other operator, or no pi-hat at all,
-/// defers nothing. Returns the pi-hat's index in pipeline->ops, or -1 when
-/// nothing was deferred.
+/// neither the sink reads from its own slots (`eager`: a full sort's keys,
+/// an aggregate's MIN/MAX/SUM inputs) nor an operator between pi-hat and
+/// the sink reads (filter inputs, followed through PhysProject renames).
+/// Only Project and Filter may sit between the two; any other operator, or
+/// no pi-hat at all, defers nothing. Returns the pi-hat's index in
+/// pipeline->ops, or -1 when nothing was deferred.
 int DeferBridgeColumns(Pipeline* pipeline,
-                       const plan::PhysOrderBy* eager_keys) {
-  std::set<std::string> read;  // names read above the current operator
-  if (eager_keys != nullptr) {
-    for (const auto& key : eager_keys->keys) read.insert(key.column);
-  }
+                       const std::vector<std::string>& eager) {
+  std::set<std::string> read(eager.begin(), eager.end());
   for (size_t i = pipeline->ops.size(); i-- > 0;) {
     const PhysicalOp& node = *pipeline->op_nodes[i];
     switch (node.kind) {
@@ -395,7 +395,11 @@ Result<TablePtr> RunTopK(Pipeline* pipeline, TopKSink* sink,
                          const plan::PhysOrderBy* order,
                          ExecutionContext* ctx, TaskScheduler* scheduler) {
   const bool top_k = sink->HeapMode();
-  int deferred = DeferBridgeColumns(pipeline, top_k ? nullptr : order);
+  std::vector<std::string> eager;
+  if (!top_k && order != nullptr) {
+    for (const auto& key : order->keys) eager.push_back(key.column);
+  }
+  int deferred = DeferBridgeColumns(pipeline, eager);
   if (deferred < 0) return RunPipeline(pipeline, sink, scheduler, ctx);
   const auto bridge = static_cast<size_t>(deferred);
   if (top_k && !order->keys.empty()) {
@@ -447,6 +451,22 @@ Result<TablePtr> ExecNode(const PhysicalOp& op, ExecutionContext* ctx,
       RELGO_ASSIGN_OR_RETURN(auto pipeline,
                              BuildPipeline(*op.children[0], ctx, scheduler));
       AggregateSink sink(agg);
+      // Group keys may stream as row ids; MIN/MAX/SUM inputs stay eager.
+      std::vector<std::string> inputs;
+      for (const auto& a : agg.aggregates) {
+        if (a.func != plan::AggFunc::kCount) inputs.push_back(a.input_column);
+      }
+      int bridge = DeferBridgeColumns(&pipeline, inputs);
+      if (bridge >= 0) {
+        std::vector<std::string> names;
+        for (const auto& key : agg.group_by) {
+          names.push_back(
+              PiHatName(pipeline, static_cast<size_t>(bridge), key));
+        }
+        sink.GroupKeysThrough(
+            static_cast<const ScanGraphTableOp*>(pipeline.ops[bridge].get()),
+            std::move(names));
+      }
       return RunPipeline(&pipeline, &sink, scheduler, ctx);
     }
     case OpKind::kOrderBy: {

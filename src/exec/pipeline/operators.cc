@@ -1744,13 +1744,11 @@ Result<TablePtr> HashBuildSink::Finish(
 namespace {
 
 struct AggState {
-  int64_t count = 0;
   Value min, max;
   double sum = 0;
   int64_t isum = 0;
 
   void MergeFrom(const AggState& other) {
-    count += other.count;
     if (!other.min.is_null() && (min.is_null() || other.min < min)) {
       min = other.min;
     }
@@ -1762,94 +1760,119 @@ struct AggState {
   }
 };
 
-/// One group's partial aggregate plus where it was first seen. The
-/// (morsel, offset + row) coordinate orders merged groups identically to a
-/// sequential first-seen scan, making group output order independent of
-/// thread count (and equal to the reference interpreter's).
-struct PartialGroup {
-  std::vector<AggState> states;
-  uint64_t first_morsel = 0;
-  uint64_t first_row = 0;
-};
-
-/// Groups keyed on byte-encoded group keys read from payload spans
-/// (exec/vector/typed_keys.h).
-using GroupMap = std::unordered_map<vector::EncodedGroupKey, PartialGroup,
-                                    vector::EncodedGroupKeyHash>;
-
+/// One worker's groups: their keys, row counts, MIN/MAX/SUM states and
+/// first-seen (morsel, offset + row) coordinates, all indexed by group id.
+/// The coordinate orders merged groups identically to a sequential
+/// first-seen scan, making group output order independent of thread count
+/// (and equal to the reference interpreter's).
 struct AggregatePartial : SinkState {
-  GroupMap groups;
+  AggregatePartial(size_t width, size_t num_aggs)
+      : table(width), aggs(num_aggs) {}
+
+  uint32_t Group(const uint64_t* key, uint64_t hash,
+                 std::pair<uint64_t, uint64_t> seen) {
+    bool inserted = false;
+    uint32_t g = table.FindOrInsert(key, hash, &inserted);
+    if (inserted) {
+      counts.push_back(0);
+      for (auto& states : aggs) states.emplace_back();
+      first_seen.push_back(seen);
+    }
+    return g;
+  }
+
+  vector::GroupTable table;
+  vector::KeyStrings strings;
+  std::vector<int64_t> counts;
+  std::vector<std::vector<AggState>> aggs;  // [aggregate][group]
+  std::vector<std::pair<uint64_t, uint64_t>> first_seen;
+  // Per-batch scratch, kept to reuse its allocations.
+  std::vector<const Column*> key_cols;
+  std::vector<uint64_t> words, hashes;
+  std::vector<uint32_t> groups;
 };
 
 }  // namespace
 
 Status AggregateSink::Prepare(const Schema& input, ExecutionContext* ctx) {
   (void)ctx;
+  output_schema_ = Schema();
   group_cols_.clear();
-  for (const auto& g : op_.group_by) {
-    RELGO_ASSIGN_OR_RETURN(size_t idx, input.GetColumnIndex(g));
+  group_bases_.clear();
+  std::vector<LogicalType> key_types;
+  for (size_t g = 0; g < op_.group_by.size(); ++g) {
+    RELGO_ASSIGN_OR_RETURN(size_t idx, input.GetColumnIndex(op_.group_by[g]));
+    const Column* base = pi_hat_ != nullptr && g < pi_hat_names_.size()
+                             ? pi_hat_->DeferredColumn(pi_hat_names_[g])
+                             : nullptr;
+    LogicalType type = base != nullptr ? base->type() : input.column(idx).type;
     group_cols_.push_back(idx);
+    group_bases_.push_back(base);
+    key_types.push_back(type);
+    RELGO_RETURN_NOT_OK(output_schema_.AddColumn({op_.group_by[g], type}));
   }
   agg_cols_.clear();
   for (const auto& a : op_.aggregates) {
-    if (a.input_column.empty()) {
-      agg_cols_.push_back(-1);
-    } else {
+    LogicalType type = LogicalType::kInt64;
+    int col = -1;
+    if (!a.input_column.empty()) {
       RELGO_ASSIGN_OR_RETURN(size_t idx, input.GetColumnIndex(a.input_column));
-      agg_cols_.push_back(static_cast<int>(idx));
+      if (a.func != plan::AggFunc::kCount) {
+        col = static_cast<int>(idx);
+        type = input.column(idx).type;
+      }
     }
+    agg_cols_.push_back(col);
+    RELGO_RETURN_NOT_OK(output_schema_.AddColumn({a.output_name, type}));
   }
-  input_schema_ = input;
-  std::vector<LogicalType> key_types;
-  for (size_t c : group_cols_) key_types.push_back(input.column(c).type);
   encoder_ = vector::KeyEncoder::Make(key_types);
   return Status::OK();
 }
 
 std::unique_ptr<SinkState> AggregateSink::MakeState() const {
-  return std::make_unique<AggregatePartial>();
+  return std::make_unique<AggregatePartial>(encoder_->width(),
+                                            op_.aggregates.size());
 }
 
 Status AggregateSink::Consume(SinkState* state, const Batch& in,
                               BatchPosition pos, ExecutionContext* ctx) const {
   (void)ctx;
   auto* partial = static_cast<AggregatePartial*>(state);
-  // Encoded keys and span-read aggregate inputs; a Value is only boxed
-  // when a running MIN/MAX improves.
-  std::vector<const Column*> key_cols;
-  key_cols.reserve(group_cols_.size());
-  for (size_t c : group_cols_) key_cols.push_back(&in.column(c));
-  std::vector<vector::AggColumnView> views(op_.aggregates.size());
-  for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-    if (agg_cols_[a] >= 0) {
-      views[a] =
-          vector::AggColumnView(&in.column(static_cast<size_t>(agg_cols_[a])));
+  const uint64_t n = in.num_rows();
+  // Span-read aggregate inputs; a Value is only boxed when a running
+  // MIN/MAX improves. `state_of(a, r)` is row r's state of aggregate a.
+  auto update = [&](auto state_of) {
+    for (size_t a = 0; a < agg_cols_.size(); ++a) {
+      if (agg_cols_[a] < 0) continue;
+      vector::AggColumnView view(
+          &in.column(static_cast<size_t>(agg_cols_[a])));
+      for (uint64_t r = 0; r < n; ++r) view.Update(r, state_of(a, r));
     }
-  }
-  vector::EncodedGroupKey key;
-  auto group_of = [&](uint64_t r) {
-    encoder_->Encode(key_cols.data(), r, &key);
-    auto it = partial->groups.find(key);
-    if (it == partial->groups.end()) {
-      PartialGroup group;
-      group.states.resize(op_.aggregates.size());
-      group.first_morsel = pos.morsel;
-      group.first_row = pos.offset + r;
-      it = partial->groups.emplace(key, std::move(group)).first;
-    }
-    return &it->second.states;
   };
-  // Without GROUP BY every row lands in the one group: look it up once
-  // per batch instead of once per row.
-  std::vector<AggState>* states = group_cols_.empty() ? group_of(0) : nullptr;
-  for (uint64_t r = 0; r < in.num_rows(); ++r) {
-    if (!group_cols_.empty()) states = group_of(r);
-    for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-      AggState& st = (*states)[a];
-      st.count += 1;
-      if (agg_cols_[a] >= 0) views[a].Update(r, &st);
-    }
+  if (group_cols_.empty()) {
+    // Every row lands in the one group: look it up once per batch.
+    uint32_t g = partial->Group(nullptr, encoder_->Hash(nullptr),
+                                {pos.morsel, pos.offset});
+    partial->counts[g] += static_cast<int64_t>(n);
+    update([&](size_t a, uint64_t) { return &partial->aggs[a][g]; });
+    return Status::OK();
   }
+  const size_t width = encoder_->width();
+  partial->key_cols.clear();
+  for (size_t c : group_cols_) partial->key_cols.push_back(&in.column(c));
+  partial->words.resize(n * width);
+  partial->hashes.resize(n);
+  encoder_->Encode(partial->key_cols.data(), group_bases_.data(), n,
+                   &partial->strings, partial->words.data(),
+                   partial->hashes.data());
+  std::vector<uint32_t>& groups = partial->groups;
+  groups.resize(n);
+  for (uint64_t r = 0; r < n; ++r) {
+    groups[r] = partial->Group(&partial->words[r * width], partial->hashes[r],
+                               {pos.morsel, pos.offset + r});
+    partial->counts[groups[r]] += 1;
+  }
+  update([&](size_t a, uint64_t r) { return &partial->aggs[a][groups[r]]; });
   return Status::OK();
 }
 
@@ -1857,90 +1880,80 @@ Result<TablePtr> AggregateSink::Finish(
     std::vector<std::unique_ptr<SinkState>> states, TaskScheduler* scheduler,
     ExecutionContext* ctx) {
   (void)scheduler;
-  // Merge thread-local partials; a group's position is its globally
-  // earliest first-seen (morsel, offset + row), so the output order
-  // matches the sequential scan regardless of which worker saw which
-  // morsel.
-  GroupMap groups;
-  for (const auto& state : states) {
-    auto* partial = static_cast<AggregatePartial*>(state.get());
-    for (auto& [key, src] : partial->groups) {
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        groups.emplace(key, std::move(src));
-        continue;
+  // Merge the partials into the first by their key words, renumbering
+  // interned strings by text; a group's position is its globally earliest
+  // first-seen (morsel, offset + row), so the output order matches the
+  // sequential scan regardless of which worker saw which morsel.
+  if (states.empty()) states.push_back(MakeState());
+  auto* into = static_cast<AggregatePartial*>(states[0].get());
+  std::vector<uint64_t> key(encoder_->width());
+  for (size_t s = 1; s < states.size(); ++s) {
+    const auto* from = static_cast<const AggregatePartial*>(states[s].get());
+    for (uint32_t g = 0; g < from->table.size(); ++g) {
+      uint64_t hash = from->table.hash(g);
+      if (encoder_->Translate(from->table.key(g), from->strings,
+                              &into->strings, key.data())) {
+        hash = encoder_->Hash(key.data());
       }
-      PartialGroup& dst = it->second;
-      for (size_t a = 0; a < dst.states.size(); ++a) {
-        dst.states[a].MergeFrom(src.states[a]);
-      }
-      if (std::make_pair(src.first_morsel, src.first_row) <
-          std::make_pair(dst.first_morsel, dst.first_row)) {
-        dst.first_morsel = src.first_morsel;
-        dst.first_row = src.first_row;
+      uint32_t d = into->Group(key.data(), hash, from->first_seen[g]);
+      into->first_seen[d] = std::min(into->first_seen[d], from->first_seen[g]);
+      into->counts[d] += from->counts[g];
+      for (size_t a = 0; a < into->aggs.size(); ++a) {
+        if (agg_cols_[a] >= 0) into->aggs[a][d].MergeFrom(from->aggs[a][g]);
       }
     }
   }
-  std::vector<const GroupMap::value_type*> order;
-  order.reserve(groups.size());
-  for (const auto& entry : groups) order.push_back(&entry);
-  std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
-    return std::make_pair(a->second.first_morsel, a->second.first_row) <
-           std::make_pair(b->second.first_morsel, b->second.first_row);
+  std::vector<uint32_t> order(into->table.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [into](uint32_t a, uint32_t b) {
+    return into->first_seen[a] < into->first_seen[b];
   });
 
-  Schema schema;
-  for (size_t g = 0; g < op_.group_by.size(); ++g) {
-    RELGO_RETURN_NOT_OK(schema.AddColumn(
-        {op_.group_by[g], input_schema_.column(group_cols_[g]).type}));
-  }
-  for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-    LogicalType type = LogicalType::kInt64;
-    if (op_.aggregates[a].func != plan::AggFunc::kCount && agg_cols_[a] >= 0) {
-      type = input_schema_.column(static_cast<size_t>(agg_cols_[a])).type;
-    }
-    RELGO_RETURN_NOT_OK(
-        schema.AddColumn({op_.aggregates[a].output_name, type}));
-  }
-
-  auto out = std::make_shared<Table>("aggregate", schema);
-  // SQL semantics: a global aggregate (no GROUP BY) over empty input still
-  // yields one row (COUNT = 0, MIN/MAX/SUM = NULL).
-  if (op_.group_by.empty() && order.empty()) {
-    std::vector<Value> row;
-    for (const auto& a : op_.aggregates) {
-      row.push_back(a.func == plan::AggFunc::kCount ? Value::Int(0)
-                                                    : Value::Null());
-    }
-    RELGO_RETURN_NOT_OK(out->AppendRow(row));
-    RELGO_RETURN_NOT_OK(ctx->ChargeRows(1));
-    return TablePtr(out);
-  }
-  std::vector<Value> row;
-  for (const auto* entry : order) {
-    encoder_->Decode(entry->first, &row);
+  auto out = std::make_shared<Table>("aggregate", output_schema_);
+  const size_t num_keys = group_cols_.size();
+  if (num_keys == 0 && order.empty()) {
+    // SQL semantics: a global aggregate over empty input still yields one
+    // row (COUNT = 0, MIN/MAX/SUM = NULL).
     for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-      const AggState& st = entry->second.states[a];
-      switch (op_.aggregates[a].func) {
-        case plan::AggFunc::kCount:
-          row.push_back(Value::Int(st.count));
-          break;
-        case plan::AggFunc::kMin:
-          row.push_back(st.min);
-          break;
-        case plan::AggFunc::kMax:
-          row.push_back(st.max);
-          break;
-        case plan::AggFunc::kSum: {
-          LogicalType type = schema.column(op_.group_by.size() + a).type;
-          row.push_back(type == LogicalType::kDouble ? Value::Double(st.sum)
-                                                     : Value::Int(st.isum));
-          break;
-        }
+      if (op_.aggregates[a].func == plan::AggFunc::kCount) {
+        out->column(a).AppendInt(0);
+      } else {
+        out->column(a).AppendNull();
       }
     }
-    RELGO_RETURN_NOT_OK(out->AppendRow(row));
   }
+  for (size_t c = 0; c < num_keys; ++c) {
+    encoder_->Decode(c, into->table.keys(), order, into->strings,
+                     &out->column(c));
+  }
+  const AggState none;  // MIN/MAX/SUM without an input column
+  for (size_t a = 0; a < op_.aggregates.size(); ++a) {
+    Column& col = out->column(num_keys + a);
+    for (uint32_t g : order) {
+      const AggState& st = agg_cols_[a] >= 0 ? into->aggs[a][g] : none;
+      switch (op_.aggregates[a].func) {
+        case plan::AggFunc::kCount:
+          col.AppendInt(into->counts[g]);
+          break;
+        case plan::AggFunc::kMin:
+          RELGO_RETURN_NOT_OK(col.AppendValue(st.min));
+          break;
+        case plan::AggFunc::kMax:
+          RELGO_RETURN_NOT_OK(col.AppendValue(st.max));
+          break;
+        case plan::AggFunc::kSum:
+          // An integer sum into a non-integer column fails as the
+          // reference interpreter's boxed append does.
+          if (col.type() == LogicalType::kDouble) {
+            col.AppendDouble(st.sum);
+          } else {
+            RELGO_RETURN_NOT_OK(col.AppendValue(Value::Int(st.isum)));
+          }
+          break;
+      }
+    }
+  }
+  out->FinishBulkAppend();
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(out->num_rows()));
   return TablePtr(out);
 }

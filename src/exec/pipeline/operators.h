@@ -771,16 +771,34 @@ class TopKSink : public Sink {
   mutable std::atomic<uint64_t> prefix_rows_{0};
 };
 
-/// Parallel hash aggregation (PhysHashAggregate): each worker accumulates a
-/// thread-local partial group table keyed on KeyEncoder-encoded group keys
-/// (every key type encodes, so there is one key path); Finish() merges the
-/// partials (count/sum add, min/max combine) in first-seen (morsel,
-/// offset + row) order and emits the reference interpreter's rows (a ±0
-/// double key as +0.0), including the SQL one-row global aggregate over
-/// empty input.
+/// Parallel hash aggregation (PhysHashAggregate). Each worker keeps a
+/// partial flat group table: KeyEncoder turns a batch's group keys into
+/// fixed-width words a column at a time, an open-addressing table of group
+/// ids finds each row's group, and per-aggregate state arrays, indexed by
+/// group id, take the batch's inputs. Finish merges the partials by their
+/// words (interned strings by their text), orders the groups by their
+/// first-seen (morsel, offset + row), which is the sequential scan order
+/// whatever the thread count, and decodes the words straight into typed
+/// output columns: the reference interpreter's rows (a ±0 double key as
+/// +0.0), including the SQL one-row global aggregate over empty input.
+///
+/// Group keys read through row ids: a key that a deferred pi-hat streams
+/// as a row id (see GroupKeysThrough) is encoded from the base column at
+/// that row id — its payload, or its owner dictionary's code — so its
+/// property is never gathered per row.
 class AggregateSink : public Sink {
  public:
   explicit AggregateSink(const plan::PhysHashAggregate& op) : op_(op) {}
+
+  /// Group key i streams from `pi_hat` as the row id of its output
+  /// `pi_hat_names[i]` when pi-hat defers that output; Prepare resolves
+  /// the base columns. Call before Prepare.
+  void GroupKeysThrough(const ScanGraphTableOp* pi_hat,
+                        std::vector<std::string> pi_hat_names) {
+    pi_hat_ = pi_hat;
+    pi_hat_names_ = std::move(pi_hat_names);
+  }
+
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
   std::unique_ptr<SinkState> MakeState() const override;
   Status Consume(SinkState* state, const Batch& in, BatchPosition pos,
@@ -793,13 +811,19 @@ class AggregateSink : public Sink {
 
  private:
   const plan::PhysHashAggregate& op_;
-  storage::Schema input_schema_;
   std::vector<size_t> group_cols_;
+  /// Per group key: the base column its row ids index; null for an eager
+  /// key.
+  std::vector<const storage::Column*> group_bases_;
+  /// Per aggregate: the input column MIN/MAX/SUM read, or -1 (COUNT
+  /// counts rows, NULLs included, so it reads no input).
   std::vector<int> agg_cols_;
-  /// Typed group-key codec: workers key their partial maps on
-  /// byte-encoded keys read from payload spans. Const + stateless, so
-  /// shared across workers.
+  storage::Schema output_schema_;
+  /// Group-key codec shared by every worker (its dictionary pins are
+  /// call_once).
   std::unique_ptr<vector::KeyEncoder> encoder_;
+  const ScanGraphTableOp* pi_hat_ = nullptr;
+  std::vector<std::string> pi_hat_names_;
 };
 
 }  // namespace pipeline

@@ -1,5 +1,6 @@
 #include "exec/vector/typed_keys.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -10,53 +11,61 @@ namespace vector {
 
 namespace {
 
-constexpr char kTagNull = 0;
-constexpr char kTagValue = 1;
-/// Dictionary-coded string value: 4-byte int32 code into the pinned
-/// dictionary. Disjoint from kTagValue, so a coded string can never
-/// byte-collide with a payload-encoded one.
-constexpr char kTagCode = 2;
-
-void AppendFixed64(std::string* out, int64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, sizeof(buf));
-  out->append(buf, sizeof(buf));
+/// SplitMix64's finalizer: every output bit depends on every input bit.
+uint64_t Avalanche(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
 }
 
-int64_t ReadFixed64(const char* p) {
-  int64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
+uint64_t CanonicalDoubleBits(double v) {
+  // One group for ±0 and one for every NaN (see KeyEncoder).
+  if (v == 0.0) v = 0.0;
+  if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
 }
 
-void AppendLength(std::string* out, uint32_t n) {
-  char buf[4];
-  std::memcpy(buf, &n, sizeof(buf));
-  out->append(buf, sizeof(buf));
-}
-
-uint32_t ReadLength(const char* p) {
-  uint32_t n;
-  std::memcpy(&n, p, sizeof(n));
-  return n;
-}
-
-void AppendFixed32(std::string* out, int32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, sizeof(buf));
-  out->append(buf, sizeof(buf));
-}
-
-int32_t ReadFixed32(const char* p) {
-  int32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
+/// Writes key column `col` of rows [0, n) and chains it into their
+/// hashes. Row r reads physical row rids[r] of `src` when kDeferred, row r
+/// otherwise; `word_of` maps a valid physical row to its word. The first
+/// column of each null word (col % 64 == 0) initializes that word.
+template <bool kDeferred, typename WordOf>
+void EncodeWords(const storage::Column& src, const int64_t* rids, uint64_t n,
+                 size_t col, size_t num_cols, size_t width, WordOf word_of,
+                 uint64_t* words, uint64_t* hashes) {
+  const uint8_t* valid = src.validity_data();
+  const size_t null_word = num_cols + col / 64 - col;  // relative to `out`
+  const uint64_t null_bit = uint64_t{1} << (col % 64);
+  const bool first = col % 64 == 0;
+  uint64_t* out = words + col;
+  for (uint64_t r = 0; r < n; ++r, out += width) {
+    uint64_t p = kDeferred ? static_cast<uint64_t>(rids[r]) : r;
+    bool is_null = valid != nullptr && valid[p] == 0;
+    uint64_t w = is_null ? 0 : word_of(p);
+    uint64_t bit = is_null ? null_bit : 0;
+    out[null_word] = first ? bit : out[null_word] | bit;
+    *out = w;
+    hashes[r] = HashCombine(hashes[r], w);
+  }
 }
 
 }  // namespace
 
+uint32_t KeyStrings::Intern(const std::string& s) {
+  auto [it, added] =
+      ids_.try_emplace(s, static_cast<uint32_t>(by_id_.size()));
+  if (added) by_id_.push_back(&it->first);
+  return it->second;
+}
+
 KeyEncoder::KeyEncoder(std::vector<LogicalType> types)
-    : types_(std::move(types)) {
+    : types_(std::move(types)),
+      width_(types_.size() + (types_.size() + 63) / 64) {
   pinned_.assign(types_.size(), nullptr);
   pin_once_.resize(types_.size());
   for (size_t i = 0; i < types_.size(); ++i) {
@@ -71,131 +80,156 @@ std::unique_ptr<KeyEncoder> KeyEncoder::Make(
   return std::unique_ptr<KeyEncoder>(new KeyEncoder(types));
 }
 
-void KeyEncoder::Encode(const storage::Column* const* cols, uint64_t row,
-                        EncodedGroupKey* key) const {
-  key->bytes.clear();
-  size_t h = kHashSeed;
-  for (size_t i = 0; i < types_.size(); ++i) {
-    const storage::Column& col = *cols[i];
-    if (types_[i] == LogicalType::kNull || !col.is_valid(row)) {
-      key->bytes.push_back(kTagNull);
-      h = HashCombine(h, kNullHash);
-      continue;
-    }
-    key->bytes.push_back(kTagValue);
-    switch (types_[i]) {
-      case LogicalType::kBool: {
-        bool v = col.int_at(row) != 0;
-        key->bytes.push_back(v ? 1 : 0);
-        h = HashCombine(h, TypedHash(v));
-        break;
+void KeyEncoder::Encode(const storage::Column* const* cols,
+                        const storage::Column* const* bases, uint64_t n,
+                        KeyStrings* strings, uint64_t* words,
+                        uint64_t* hashes) const {
+  const size_t num_cols = types_.size();
+  std::fill(hashes, hashes + n, kHashSeed);
+  for (size_t i = 0; i < num_cols; ++i) {
+    const storage::Column* base = bases != nullptr ? bases[i] : nullptr;
+    const storage::Column& src = base != nullptr ? *base : *cols[i];
+    const int64_t* rids = base != nullptr ? cols[i]->data_int64() : nullptr;
+    auto run = [&](auto word_of) {
+      if (rids != nullptr) {
+        EncodeWords<true>(src, rids, n, i, num_cols, width_, word_of, words,
+                          hashes);
+      } else {
+        EncodeWords<false>(src, rids, n, i, num_cols, width_, word_of,
+                           words, hashes);
       }
+    };
+    switch (types_[i]) {
       case LogicalType::kInt64: {
-        int64_t v = col.int_at(row);
-        AppendFixed64(&key->bytes, v);
-        h = HashCombine(h, TypedHash(v));
+        const int64_t* v = src.data_int64();
+        run([v](uint64_t p) { return static_cast<uint64_t>(v[p]); });
         break;
       }
       case LogicalType::kDate: {
-        // Mirror GetValue's boxing: truncate to the 32-bit day number,
-        // then hash the widened int64 exactly as Value::Hash does.
-        auto v = static_cast<int64_t>(static_cast<int32_t>(col.int_at(row)));
-        AppendFixed64(&key->bytes, v);
-        h = HashCombine(h, TypedHash(v));
+        // Mirror GetValue's boxing: truncate to the 32-bit day number.
+        const int64_t* v = src.data_int64();
+        run([v](uint64_t p) {
+          return static_cast<uint64_t>(
+              static_cast<int64_t>(static_cast<int32_t>(v[p])));
+        });
+        break;
+      }
+      case LogicalType::kBool: {
+        const int64_t* v = src.data_int64();
+        run([v](uint64_t p) { return uint64_t{v[p] != 0}; });
         break;
       }
       case LogicalType::kDouble: {
-        // One group for ±0 and one for every NaN (see KeyEncoder).
-        double v = col.double_at(row);
-        if (v == 0.0) v = 0.0;
-        if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
-        int64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof(bits));
-        AppendFixed64(&key->bytes, bits);
-        h = HashCombine(h, TypedHash(v));
+        const double* v = src.data_double();
+        run([v](uint64_t p) { return CanonicalDoubleBits(v[p]); });
         break;
       }
       case LogicalType::kString: {
-        const std::string& s = col.string_at(row);
-        std::call_once(*pin_once_[i],
-                       [&] { pinned_[i] = col.dictionary(); });
+        std::call_once(*pin_once_[i], [&] { pinned_[i] = src.dictionary(); });
         const storage::StringDictionary* dict = pinned_[i];
-        if (dict != nullptr) {
-          // Same dictionary: read the row's code straight off the
-          // column; foreign/no dictionary: translate through the
-          // pinned one (absent strings keep the byte encoding below).
-          int32_t code = col.dictionary() == dict ? col.code_at(row)
-                                                  : dict->Find(s);
-          if (code >= 0) {
-            key->bytes.back() = kTagCode;
-            AppendFixed32(&key->bytes, code);
-            h = HashCombine(h, TypedHash(static_cast<int64_t>(code)));
-            break;
-          }
+        if (dict != nullptr && src.dictionary() == dict) {
+          const int32_t* codes = src.data_codes();
+          run([codes](uint64_t p) { return static_cast<uint64_t>(codes[p]); });
+          break;
         }
-        AppendLength(&key->bytes, static_cast<uint32_t>(s.size()));
-        key->bytes.append(s);
-        h = HashCombine(h, TypedHash(s));
+        // Foreign or no dictionary: translate through the pinned one and
+        // intern what it lacks.
+        const std::string* v = src.data_string();
+        run([v, dict, strings](uint64_t p) {
+          int32_t code = dict != nullptr ? dict->Find(v[p]) : -1;
+          return code >= 0 ? static_cast<uint64_t>(code)
+                           : kInternedString | strings->Intern(v[p]);
+        });
         break;
       }
-      case LogicalType::kNull:
-        break;  // unreachable: encoded as the NULL tag above
+      case LogicalType::kNull: {
+        // Every row is NULL.
+        const size_t null_word = num_cols + i / 64;
+        const uint64_t null_bit = uint64_t{1} << (i % 64);
+        for (uint64_t r = 0; r < n; ++r) {
+          uint64_t* key = words + r * width_;
+          key[i] = 0;
+          key[null_word] = i % 64 == 0 ? null_bit : key[null_word] | null_bit;
+          hashes[r] = HashCombine(hashes[r], 0);
+        }
+        break;
+      }
     }
   }
-  key->hash = h;
+  for (uint64_t r = 0; r < n; ++r) {
+    uint64_t h = hashes[r];
+    for (size_t k = num_cols; k < width_; ++k) {
+      h = HashCombine(h, words[r * width_ + k]);
+    }
+    hashes[r] = Avalanche(h);
+  }
 }
 
-void KeyEncoder::Decode(const EncodedGroupKey& key,
-                        std::vector<Value>* out) const {
-  out->clear();
-  out->reserve(types_.size());
-  const char* p = key.bytes.data();
+uint64_t KeyEncoder::Hash(const uint64_t* key) const {
+  uint64_t h = kHashSeed;
+  for (size_t k = 0; k < width_; ++k) h = HashCombine(h, key[k]);
+  return Avalanche(h);
+}
+
+bool KeyEncoder::Translate(const uint64_t* key, const KeyStrings& from,
+                           KeyStrings* to, uint64_t* out) const {
+  std::copy(key, key + width_, out);
+  bool changed = false;
   for (size_t i = 0; i < types_.size(); ++i) {
-    LogicalType t = types_[i];
-    char tag = *p++;
-    if (tag == kTagNull) {
-      out->push_back(Value::Null());
+    bool is_null = (key[types_.size() + i / 64] >> (i % 64)) & 1;
+    if (types_[i] != LogicalType::kString || is_null ||
+        (key[i] & kInternedString) == 0) {
       continue;
     }
-    if (tag == kTagCode) {
-      // Dictionary-coded string: resolve against the pinned dictionary
-      // (the encoder that produced this key pinned it before encoding).
-      int32_t code = ReadFixed32(p);
-      p += 4;
-      out->push_back(Value::String(pinned_[i]->values[code]));
-      continue;
+    out[i] = kInternedString |
+             to->Intern(from.at(static_cast<uint32_t>(key[i])));
+    changed |= out[i] != key[i];
+  }
+  return changed;
+}
+
+void KeyEncoder::Decode(size_t i, const uint64_t* keys,
+                        const std::vector<uint32_t>& groups,
+                        const KeyStrings& strings,
+                        storage::Column* out) const {
+  const size_t null_word = types_.size() + i / 64;
+  const uint64_t null_bit = uint64_t{1} << (i % 64);
+  out->Reserve(out->size() + groups.size());
+  auto each = [&](auto append) {
+    for (uint32_t g : groups) {
+      const uint64_t* key = keys + static_cast<size_t>(g) * width_;
+      if ((key[null_word] & null_bit) != 0) {
+        out->AppendNull();
+      } else {
+        append(key[i]);
+      }
     }
-    switch (t) {
-      case LogicalType::kBool:
-        out->push_back(Value::Bool(*p++ != 0));
-        break;
-      case LogicalType::kInt64:
-        out->push_back(Value::Int(ReadFixed64(p)));
-        p += 8;
-        break;
-      case LogicalType::kDate:
-        out->push_back(Value::Date(static_cast<int32_t>(ReadFixed64(p))));
-        p += 8;
-        break;
-      case LogicalType::kDouble: {
-        int64_t bits = ReadFixed64(p);
+  };
+  switch (types_[i]) {
+    case LogicalType::kInt64:
+    case LogicalType::kDate:
+    case LogicalType::kBool:
+      each([out](uint64_t w) { out->AppendInt(static_cast<int64_t>(w)); });
+      break;
+    case LogicalType::kDouble:
+      each([out](uint64_t w) {
         double v = 0.0;
-        std::memcpy(&v, &bits, sizeof(v));
-        out->push_back(Value::Double(v));
-        p += 8;
-        break;
-      }
-      case LogicalType::kString: {
-        uint32_t n = ReadLength(p);
-        p += 4;
-        out->push_back(Value::String(std::string(p, n)));
-        p += n;
-        break;
-      }
-      default:
-        out->push_back(Value::Null());
-        break;
+        std::memcpy(&v, &w, sizeof(v));
+        out->AppendDouble(v);
+      });
+      break;
+    case LogicalType::kString: {
+      const storage::StringDictionary* dict = pinned_[i];
+      each([&](uint64_t w) {
+        out->AppendString((w & kInternedString) != 0
+                              ? strings.at(static_cast<uint32_t>(w))
+                              : dict->values[w]);
+      });
+      break;
     }
+    case LogicalType::kNull:
+      for (size_t g = 0; g < groups.size(); ++g) out->AppendNull();
+      break;
   }
 }
 

@@ -1,11 +1,13 @@
 #ifndef RELGO_EXEC_VECTOR_TYPED_KEYS_H_
 #define RELGO_EXEC_VECTOR_TYPED_KEYS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "common/hash.h"
@@ -17,83 +19,179 @@ namespace exec {
 namespace vector {
 
 // ---------------------------------------------------------------------------
-// Encoded group keys
+// Group keys as fixed-width words
 // ---------------------------------------------------------------------------
 
-/// A group-by key encoded as a byte string read straight from column
-/// payload spans: per key column one tag byte (0 = NULL, 1 = value)
-/// followed by a fixed- or length-prefixed payload. Byte equality
-/// coincides with the reference interpreter's Value-vector equality
-/// (see KeyEncoder for the double and int64 caveats), so the aggregate
-/// hash map keys on these without constructing a Value per row. The hash
-/// is chained from the typed common/hash.h overloads during encoding — no
-/// second pass over the bytes.
-struct EncodedGroupKey {
-  std::string bytes;
-  size_t hash = kHashSeed;
+/// The strings of one aggregate partial that no pinned dictionary codes,
+/// numbered in first-sight order. A key word refers to them by number, so
+/// a word is only meaningful next to the KeyStrings it was encoded with.
+class KeyStrings {
+ public:
+  /// Number of `s`, adding it when absent.
+  uint32_t Intern(const std::string& s);
+  const std::string& at(uint32_t id) const { return *by_id_[id]; }
 
-  bool operator==(const EncodedGroupKey& other) const {
-    return bytes == other.bytes;
-  }
+ private:
+  std::unordered_map<std::string, uint32_t> ids_;
+  std::vector<const std::string*> by_id_;  // keys of ids_ (node-stable)
 };
 
-struct EncodedGroupKeyHash {
-  size_t operator()(const EncodedGroupKey& k) const { return k.hash; }
-};
-
-/// Encodes / decodes group keys for a fixed sequence of key column types.
+/// Encodes group keys, a batch at a time, as fixed-width words for a fixed
+/// sequence of key column types, and decodes them back into typed columns.
 ///
-/// Every type encodes. A double key encodes its bits after making -0.0
-/// +0.0 and every NaN one canonical NaN: Value::Compare calls +0.0 and
-/// -0.0 equal and Value::Hash hashes them alike, so the reference groups
-/// them together too, and the ±0 group decodes (and is emitted) as +0.0.
-/// NaNs form one group; under Value::Compare a NaN is "equal" to every
-/// number, which no hash grouping can reproduce. The other types are
-/// exact, with one deliberate exception: two int64 keys beyond 2^53 that
-/// alias under double promotion are distinct here but "equal" to
-/// Value::Compare — the reference map's hash (exact std::hash<int64_t>)
-/// already disagrees with its equality for such keys, so that regime has
-/// no well-defined grouping to preserve.
+/// A key is width() words: one 64-bit word per key column, then one null
+/// word per 64 key columns whose bit i % 64 is set when column i is NULL
+/// (a NULL column's word is 0). Two keys are equal exactly when their
+/// words are, and the reference interpreter's Value-vector equality
+/// coincides with that:
+///  * int64, date and bool store their payload (a date truncated to its
+///    int32 day number, a bool as 0 or 1, as GetValue boxes them);
+///  * a double stores its bits after making -0.0 +0.0 and every NaN one
+///    canonical NaN: Value::Compare calls ±0 equal and Value::Hash hashes
+///    them alike, so the ±0 group decodes (and is emitted) as +0.0. NaNs
+///    form one group; under Value::Compare a NaN is "equal" to every
+///    number, which no hash grouping can reproduce;
+///  * a string stores its code in the column's pinned dictionary (see
+///    Make), or, when that dictionary does not hold it, kInternedString
+///    plus its number in the partial's KeyStrings. Codes are non-negative
+///    int32, so the two never collide, and each string has one word.
+/// The one deliberate exception: two int64 keys beyond 2^53 that alias
+/// under double promotion are distinct here but "equal" to Value::Compare
+/// — the reference map's hash (exact std::hash<int64_t>) already disagrees
+/// with its equality for such keys, so that regime has no well-defined
+/// grouping to preserve.
 class KeyEncoder {
  public:
+  /// Tag of a string word that numbers a KeyStrings entry.
+  static constexpr uint64_t kInternedString = uint64_t{1} << 63;
+
   /// `types[i]` is the logical type of the i-th key column. Never null.
   ///
   /// A string key column encodes through its dictionary where possible:
-  /// the first row encoded pins the column's dictionary (call_once, so
-  /// concurrent pipeline workers agree), and every string present in
-  /// the pinned dictionary encodes as a fixed 4-byte code under its own
-  /// tag — constant-size bytes and an int32 hash instead of
-  /// length-prefixed payload bytes. Strings outside the pinned
-  /// dictionary (foreign batch, dropped encoding) keep the byte
-  /// encoding; the two tag spaces are disjoint, so byte equality still
-  /// coincides with string equality and Decode reconstructs the exact
-  /// GetValue boxing either way.
+  /// the first batch encoded pins the column's dictionary (call_once, so
+  /// concurrent pipeline workers agree). Each batch then checks once
+  /// whether its column uses the pinned dictionary and, if so, copies the
+  /// codes; a foreign or missing dictionary translates each string
+  /// through the pinned one (StringDictionary::Find), interning only the
+  /// strings it lacks.
   static std::unique_ptr<KeyEncoder> Make(
       const std::vector<LogicalType>& types);
 
   size_t num_cols() const { return types_.size(); }
+  /// Words per key: one per column plus the null words.
+  size_t width() const { return width_; }
 
-  /// Encodes row `row` of the key columns `cols` (cols[i] must have type
-  /// types_[i]) into `*key`, overwriting it. Thread-safe (const,
-  /// stateless).
-  void Encode(const storage::Column* const* cols, uint64_t row,
-              EncodedGroupKey* key) const;
+  /// Encodes rows [0, n) of a batch: row r's key goes to
+  /// words[r * width(), (r + 1) * width()) and its hash to hashes[r].
+  /// cols[i] holds key column i (type types_[i]); when bases[i] is set,
+  /// cols[i] instead holds row ids into bases[i] (a key that a deferred
+  /// pi-hat streams as row ids), and the key is the base column's value
+  /// at them. `bases` may be null when no key is deferred. Strings that no
+  /// pinned dictionary codes are interned into `strings`. Dispatches on
+  /// each key column's type once per batch. Thread-safe for distinct
+  /// `strings`, `words` and `hashes`.
+  void Encode(const storage::Column* const* cols,
+              const storage::Column* const* bases, uint64_t n,
+              KeyStrings* strings, uint64_t* words, uint64_t* hashes) const;
 
-  /// Reconstructs the boxed key row; each Value matches what
-  /// Column::GetValue would have produced for the encoded row, except
-  /// that a double key reads back canonical (see the class comment).
-  void Decode(const EncodedGroupKey& key, std::vector<Value>* out) const;
+  /// The hash Encode writes for the key at `key`: the words chained
+  /// through HashCombine in order, then avalanched, so that the low bits
+  /// an open-addressing table masks depend on every word.
+  uint64_t Hash(const uint64_t* key) const;
+
+  /// Copies `key`, encoded against `from`, to `out`, renumbering its
+  /// interned strings into `to` (by text). Returns whether any word
+  /// changed (and with it the hash).
+  bool Translate(const uint64_t* key, const KeyStrings& from, KeyStrings* to,
+                 uint64_t* out) const;
+
+  /// Appends key column i of the keys keys[g * width()] for every g in
+  /// `groups` to `out` (type types_[i]): each value is what
+  /// Column::GetValue boxed for the encoded row, except that a double key
+  /// reads back canonical (see the class comment).
+  void Decode(size_t i, const uint64_t* keys,
+              const std::vector<uint32_t>& groups, const KeyStrings& strings,
+              storage::Column* out) const;
 
  private:
   explicit KeyEncoder(std::vector<LogicalType> types);
 
   std::vector<LogicalType> types_;
+  size_t width_;
   /// Per key column: the dictionary pinned by the first Encode of that
   /// column (nullptr until pinned, or when the column has none).
-  /// Encoding is a pure function of (pinned dictionary, string), so
-  /// whichever worker pins first, every row encodes consistently.
+  /// Encoding is a pure function of (pinned dictionary, string,
+  /// KeyStrings), so whichever worker pins first, every row of a partial
+  /// encodes consistently.
   mutable std::vector<const storage::StringDictionary*> pinned_;
   mutable std::vector<std::unique_ptr<std::once_flag>> pin_once_;
+};
+
+/// Open-addressing (linear probing) table of group ids over fixed-width
+/// key words (KeyEncoder): group g's key is the `width` words at key(g),
+/// and ids are dense, in insertion order, so per-group state lives in
+/// plain arrays indexed by id. A slot holds the high half of its group's
+/// hash above group id + 1 (0 == empty), so most probes that miss never
+/// touch the key words; the low half picks the slot. The table doubles
+/// once it is half full.
+class GroupTable {
+ public:
+  /// Slots of a new table.
+  static constexpr size_t kFirstSlots = 64;
+
+  explicit GroupTable(size_t width) : width_(width), slots_(kFirstSlots, 0) {}
+
+  uint32_t size() const { return static_cast<uint32_t>(hashes_.size()); }
+  const uint64_t* keys() const { return keys_.data(); }
+  const uint64_t* key(uint32_t g) const {
+    return keys_.data() + static_cast<size_t>(g) * width_;
+  }
+  uint64_t hash(uint32_t g) const { return hashes_[g]; }
+
+  /// The id of the group keyed by the words at `key`; a key seen for the
+  /// first time gets the next id and sets *inserted.
+  uint32_t FindOrInsert(const uint64_t* key, uint64_t hash, bool* inserted) {
+    const size_t mask = slots_.size() - 1;
+    const uint64_t tag = hash & kTagMask;
+    size_t i = hash & mask;
+    for (; slots_[i] != 0; i = (i + 1) & mask) {
+      if ((slots_[i] & kTagMask) != tag) continue;
+      auto g = static_cast<uint32_t>(slots_[i] - 1);
+      if (std::equal(key, key + width_, this->key(g))) {
+        *inserted = false;
+        return g;
+      }
+    }
+    const uint32_t g = size();
+    keys_.insert(keys_.end(), key, key + width_);
+    hashes_.push_back(hash);
+    if (2 * hashes_.size() > slots_.size()) {
+      Grow();
+    } else {
+      slots_[i] = tag | (g + 1);
+    }
+    *inserted = true;
+    return g;
+  }
+
+ private:
+  static constexpr uint64_t kTagMask = ~uint64_t{0xffffffff};
+
+  /// Doubles the slots and re-places every group from its stored hash.
+  void Grow() {
+    slots_.assign(2 * slots_.size(), 0);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t g = 0; g < size(); ++g) {
+      size_t i = hashes_[g] & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = (hashes_[g] & kTagMask) | (g + 1);
+    }
+  }
+
+  size_t width_;
+  std::vector<uint64_t> slots_;  // size is a power of two
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> hashes_;
 };
 
 // ---------------------------------------------------------------------------

@@ -12,25 +12,34 @@ using storage::Expr;
 using storage::ExprPtr;
 
 /// Structurally rebuilds an expression tree, delegating every constant
-/// leaf to `on_constant`. Column references are rebuilt unbound (callers
-/// re-Bind), every other node keeps its shape and arguments.
+/// leaf to `on_constant` in written (left-to-right) order. Column
+/// references are rebuilt unbound (callers re-Bind), every other node
+/// keeps its shape and arguments.
 ExprPtr RebuildExpr(const ExprPtr& e,
                     const std::function<ExprPtr(const Expr&)>& on_constant) {
+  // The left child is rebuilt into a local first: the evaluation order of
+  // function arguments is unspecified, and slot numbers follow it.
+  auto binary = [&](auto make) {
+    ExprPtr left = RebuildExpr(e->children()[0], on_constant);
+    return make(std::move(left), RebuildExpr(e->children()[1], on_constant));
+  };
   switch (e->kind()) {
     case Expr::Kind::kColumnRef:
       return Expr::Column(e->column_name());
     case Expr::Kind::kConstant:
       return on_constant(*e);
     case Expr::Kind::kCompare:
-      return Expr::Compare(e->compare_op(),
-                           RebuildExpr(e->children()[0], on_constant),
-                           RebuildExpr(e->children()[1], on_constant));
+      return binary([&](ExprPtr l, ExprPtr r) {
+        return Expr::Compare(e->compare_op(), std::move(l), std::move(r));
+      });
     case Expr::Kind::kAnd:
-      return Expr::And(RebuildExpr(e->children()[0], on_constant),
-                       RebuildExpr(e->children()[1], on_constant));
+      return binary([](ExprPtr l, ExprPtr r) {
+        return Expr::And(std::move(l), std::move(r));
+      });
     case Expr::Kind::kOr:
-      return Expr::Or(RebuildExpr(e->children()[0], on_constant),
-                      RebuildExpr(e->children()[1], on_constant));
+      return binary([](ExprPtr l, ExprPtr r) {
+        return Expr::Or(std::move(l), std::move(r));
+      });
     case Expr::Kind::kNot:
       return Expr::Not(RebuildExpr(e->children()[0], on_constant));
     case Expr::Kind::kStartsWith:

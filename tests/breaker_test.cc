@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <new>
@@ -23,6 +24,8 @@
 #include "exec/executor.h"
 #include "exec/join_hash_table.h"
 #include "exec/pipeline/engine.h"
+#include "exec/pipeline/operators.h"
+#include "exec/pipeline/scheduler.h"
 #include "fixtures.h"
 
 namespace relgo {
@@ -331,6 +334,347 @@ TEST_F(BreakerTest, GroupByADoubleKeyGroupsSignedZerosTogether) {
     Value zero = (*piped)->GetValue(0, 0);
     EXPECT_EQ(zero, Value::Double(0.0));
     EXPECT_FALSE(std::signbit(zero.double_value())) << "threads=" << threads;
+  }
+}
+
+/// COUNT(*), MIN(k.v), SUM(k.v) over table "Keys" (alias k) grouped by
+/// `group_by`.
+std::unique_ptr<plan::PhysHashAggregate> AggregateKeys(
+    std::vector<std::string> group_by) {
+  auto scan = std::make_unique<plan::PhysScanTable>();
+  scan->table = "Keys";
+  scan->alias = "k";
+  auto agg = std::make_unique<plan::PhysHashAggregate>();
+  agg->group_by = std::move(group_by);
+  agg->aggregates = {{plan::AggFunc::kCount, "", "cnt"},
+                     {plan::AggFunc::kMin, "k.v", "lo"},
+                     {plan::AggFunc::kSum, "k.v", "total"}};
+  agg->children.push_back(std::move(scan));
+  return agg;
+}
+
+TEST_F(BreakerTest, GroupTableGrowsInsideABatchAndAcrossMorsels) {
+  // 3 morsels. `wide` has 1500 values, all in the first batch, so the
+  // table grows many times inside one batch; `fresh` = i / 4 brings 512
+  // new groups with every batch, so it grows again in every morsel (and
+  // every worker's partial holds groups the others also hold at the
+  // morsel borders).
+  auto keys = db_.CreateTable(
+      "Keys", Schema({ColumnDef{"wide", LogicalType::kInt64},
+                      ColumnDef{"fresh", LogicalType::kInt64},
+                      ColumnDef{"name", LogicalType::kString},
+                      ColumnDef{"v", LogicalType::kInt64}}));
+  ASSERT_TRUE(keys.ok());
+  const int64_t rows = 3 * exec::pipeline::kBatchRows;
+  for (int64_t i = 0; i < rows; ++i) {
+    int64_t wide = (i * 7919) % 1500;
+    ASSERT_TRUE((*keys)
+                    ->AppendRow({Value::Int(wide), Value::Int(i / 4),
+                                 Value::String("n" + std::to_string(wide)),
+                                 Value::Int(i % 101)})
+                    .ok());
+  }
+  ExpectExactParity(*AggregateKeys({"k.wide"}));
+  ExpectExactParity(*AggregateKeys({"k.fresh"}));
+  ExpectExactParity(*AggregateKeys({"k.name", "k.fresh"}));
+  ExpectExactParity(*AggregateKeys({"k.wide", "k.name"}));
+}
+
+TEST_F(BreakerTest, GroupKeysWithANullInEachKeyColumn) {
+  // Every key column has NULLs, at rates that put a NULL in each column
+  // with and without NULLs in the others; a NULL key never equals the
+  // 0 / "" payload a NULL slot carries.
+  auto keys = db_.CreateTable(
+      "Keys", Schema({ColumnDef{"i", LogicalType::kInt64},
+                      ColumnDef{"s", LogicalType::kString},
+                      ColumnDef{"d", LogicalType::kDate},
+                      ColumnDef{"b", LogicalType::kBool},
+                      ColumnDef{"x", LogicalType::kDouble},
+                      ColumnDef{"v", LogicalType::kInt64}}));
+  ASSERT_TRUE(keys.ok());
+  const auto num_rows =
+      static_cast<int64_t>(2 * exec::pipeline::kBatchRows + 300);
+  for (int64_t r = 0; r < num_rows; ++r) {
+    auto or_null = [r](int64_t every, Value v) {
+      return r % every == 0 ? Value::Null() : std::move(v);
+    };
+    ASSERT_TRUE(
+        (*keys)
+            ->AppendRow({or_null(3, Value::Int(r % 2)),
+                         or_null(5, Value::String(r % 3 == 0 ? "" : "s")),
+                         or_null(7, Value::Date(static_cast<int32_t>(r % 2))),
+                         or_null(4, Value::Bool(r % 2 == 0)),
+                         or_null(6, Value::Double(r % 2 == 0 ? 0.0 : 1.0)),
+                         Value::Int(r)})
+            .ok());
+  }
+  for (const char* key : {"k.i", "k.s", "k.d", "k.b", "k.x"}) {
+    SCOPED_TRACE(key);
+    ExpectExactParity(*AggregateKeys({key}));
+  }
+  ExpectExactParity(*AggregateKeys({"k.i", "k.s", "k.d", "k.b", "k.x"}));
+}
+
+TEST_F(BreakerTest, Int64KeysBeyondTwoToTheFiftyThreeStayExact) {
+  // Keys that need all 64 bits; each is a distinct double too, so the
+  // reference groups them exactly and the output shows every digit.
+  const int64_t big = int64_t{1} << 53;
+  const std::vector<int64_t> values = {
+      big,       big + 2,   -big - 2, big * 2 + 4, int64_t{1} << 62,
+      (int64_t{1} << 62) + 1024,     std::numeric_limits<int64_t>::max(),
+      std::numeric_limits<int64_t>::min(), 7};
+  auto keys = db_.CreateTable(
+      "Keys", Schema({ColumnDef{"big", LogicalType::kInt64},
+                      ColumnDef{"v", LogicalType::kInt64}}));
+  ASSERT_TRUE(keys.ok());
+  const auto num_rows =
+      static_cast<int64_t>(2 * exec::pipeline::kBatchRows + 11);
+  for (int64_t r = 0; r < num_rows; ++r) {
+    ASSERT_TRUE((*keys)
+                    ->AppendRow({Value::Int(values[(r * 5) % values.size()]),
+                                 Value::Int(r)})
+                    .ok());
+  }
+  ExpectExactParity(*AggregateKeys({"k.big"}));
+  ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+  auto piped = exec::pipeline::Run(*AggregateKeys({"k.big"}), &ctx);
+  ASSERT_TRUE(piped.ok()) << piped.status().ToString();
+  ASSERT_EQ((*piped)->num_rows(), values.size());
+  for (uint64_t r = 0; r < values.size(); ++r) {
+    EXPECT_EQ((*piped)->column(0).int_at(r), values[(r * 5) % values.size()]);
+  }
+}
+
+TEST_F(BreakerTest, StringKeysFromPinnedForeignAndNoDictionaryBatches) {
+  // One string key fed to the real sink in three kinds of batches: sharing
+  // the base column's dictionary (the pin, when consumed first), with a
+  // foreign dictionary, and with none (DropDictionary). Strings outside
+  // the base dictionary are interned per worker and merged by text. Every
+  // string must land in exactly one group, in first-seen order, whichever
+  // batch pins and however the batches spread over the workers.
+  const std::vector<std::string> pool = {"ant", "bee", "cat", "dog", "eel",
+                                         "fox", "gnu", "hen"};
+  storage::Column base(LogicalType::kString);
+  for (size_t i = 0; i < 4; ++i) base.AppendString(pool[i]);  // ant..dog
+  base.BuildDictionary();
+  auto batch_of = [&](int kind, uint64_t seed) {
+    if (kind == 0) {
+      // Rows of the base column: shares its dictionary.
+      std::vector<uint64_t> rows;
+      for (uint64_t r = 0; r < 300; ++r) rows.push_back((r * 3 + seed) % 4);
+      return base.Gather(rows);
+    }
+    storage::Column col(LogicalType::kString);
+    for (uint64_t r = 0; r < 300; ++r) {
+      col.AppendString(pool[(r * 3 + seed) % pool.size()]);
+    }
+    col.BuildDictionary();                 // a foreign dictionary,
+    if (kind == 2) col.DropDictionary();   // or none
+    return col;
+  };
+  const Schema input({ColumnDef{"m.s", LogicalType::kString},
+                      ColumnDef{"m.v", LogicalType::kInt64}});
+  exec::pipeline::TaskScheduler scheduler;
+  // Morsel m has kind (m + first) % 3, so each kind appears at several
+  // positions and `first` picks the kind of morsel 0.
+  for (int first : {0, 1, 2}) {
+    std::vector<storage::Column> strings;
+    for (uint64_t m = 0; m < 9; ++m) {
+      strings.push_back(batch_of((static_cast<int>(m) + first) % 3, m));
+    }
+    // The oracle table holds the same rows in (morsel, row) order.
+    const std::string table = "Mixed" + std::to_string(first);
+    auto mixed = db_.CreateTable(
+        table, Schema({ColumnDef{"s", LogicalType::kString},
+                       ColumnDef{"v", LogicalType::kInt64}}));
+    ASSERT_TRUE(mixed.ok());
+    std::vector<exec::pipeline::Batch> batches;
+    for (uint64_t m = 0; m < strings.size(); ++m) {
+      storage::Column v(LogicalType::kInt64);
+      for (uint64_t r = 0; r < strings[m].size(); ++r) {
+        int64_t value = static_cast<int64_t>(m * 1000 + r);
+        v.AppendInt(value);
+        ASSERT_TRUE(
+            (*mixed)->AppendRow({strings[m].GetValue(r), Value::Int(value)})
+                .ok());
+      }
+      exec::pipeline::Batch b;
+      b.AddOwned(strings[m]);
+      b.AddOwned(std::move(v));
+      b.SetNumRows(strings[m].size());
+      batches.push_back(std::move(b));
+    }
+    const storage::StringDictionary* dicts[] = {
+        base.dictionary(), strings[(4 - first) % 3].dictionary(), nullptr};
+    ASSERT_NE(dicts[1], nullptr);
+    ASSERT_NE(dicts[1], dicts[0]);
+    for (uint64_t m = 0; m < strings.size(); ++m) {
+      ASSERT_EQ(strings[m].dictionary() == dicts[0],
+                (m + first) % 3 == 0);
+      ASSERT_EQ(strings[m].dictionary() == nullptr, (m + first) % 3 == 2);
+    }
+
+    auto scan = std::make_unique<plan::PhysScanTable>();
+    scan->table = table;
+    scan->alias = "m";
+    plan::PhysHashAggregate agg;
+    agg.group_by = {"m.s"};
+    agg.aggregates = {{plan::AggFunc::kCount, "", "cnt"},
+                      {plan::AggFunc::kMin, "m.v", "lo"},
+                      {plan::AggFunc::kMax, "m.v", "hi"}};
+    agg.children.push_back(std::move(scan));
+    ExecutionContext oracle_ctx(&db_.catalog(), &db_.mapping(),
+                                &db_.index());
+    auto oracle = Executor::Run(agg, &oracle_ctx);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    ASSERT_EQ((*oracle)->num_rows(), pool.size());
+
+    for (int workers : {1, 4}) {
+      SCOPED_TRACE("first kind " + std::to_string(first) +
+                   ", workers=" + std::to_string(workers));
+      // Worker w takes morsels w, w + workers, ... in ascending order, as
+      // the scheduler hands them out; the last worker consumes first, so
+      // with 4 workers morsel 3 pins the dictionary.
+      ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+      exec::pipeline::AggregateSink sink(agg);
+      ASSERT_TRUE(sink.Prepare(input, &ctx).ok());
+      std::vector<std::unique_ptr<exec::pipeline::SinkState>> partials;
+      for (int w = 0; w < workers; ++w) partials.push_back(sink.MakeState());
+      for (uint64_t round = 0; round * workers < batches.size(); ++round) {
+        for (int w = workers - 1; w >= 0; --w) {
+          uint64_t m = round * workers + static_cast<uint64_t>(w);
+          if (m >= batches.size()) continue;
+          ASSERT_TRUE(
+              sink.Consume(partials[w].get(), batches[m], {m, 0}, &ctx).ok());
+        }
+      }
+      auto piped = sink.Finish(std::move(partials), &scheduler, &ctx);
+      ASSERT_TRUE(piped.ok()) << piped.status().ToString();
+      EXPECT_EQ(RowsInOrder(**piped), RowsInOrder(**oracle));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Group keys read through row ids at the graph->relational bridge
+// ---------------------------------------------------------------------------
+
+/// Person vertices (dictionary-coded `name` with 40 values, `nick` NULL
+/// for every third person, `born` NULL for every seventh) and two Knows
+/// edges per person, over several source morsels.
+class DeferredGroupKeyTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kPeople = 3 * exec::pipeline::kBatchRows + 100;
+
+  void SetUp() override {
+    auto person = db_.CreateTable(
+        "Person", Schema({ColumnDef{"person_id", LogicalType::kInt64},
+                          ColumnDef{"name", LogicalType::kString},
+                          ColumnDef{"nick", LogicalType::kString},
+                          ColumnDef{"age", LogicalType::kInt64},
+                          ColumnDef{"born", LogicalType::kDate}}));
+    ASSERT_TRUE(person.ok());
+    auto knows = db_.CreateTable(
+        "Knows", Schema({ColumnDef{"pid1", LogicalType::kInt64},
+                         ColumnDef{"pid2", LogicalType::kInt64}}));
+    ASSERT_TRUE(knows.ok());
+    for (int64_t i = 0; i < kPeople; ++i) {
+      Value nick = i % 3 == 0 ? Value::Null()
+                              : Value::String("nick" + std::to_string(i % 9));
+      Value born = i % 7 == 0 ? Value::Null()
+                              : Value::Date(static_cast<int32_t>(i % 5));
+      ASSERT_TRUE((*person)
+                      ->AppendRow({Value::Int(i),
+                                   Value::String("n" + std::to_string(i % 40)),
+                                   nick, Value::Int(i % 97), born})
+                      .ok());
+      for (int64_t step : {1, 7}) {
+        ASSERT_TRUE((*knows)
+                        ->AppendRow({Value::Int(i),
+                                     Value::Int((i + step) % kPeople)})
+                        .ok());
+      }
+    }
+    ASSERT_TRUE(db_.AddVertexTable("Person", "person_id").ok());
+    ASSERT_TRUE(
+        db_.AddEdgeTable("Knows", "Person", "pid1", "Person", "pid2").ok());
+    ASSERT_TRUE(db_.Finalize().ok());
+  }
+
+  /// MATCH (p:Person)-[:Knows]->(q:Person), pi-hat COLUMNS(p.name, q.nick,
+  /// q.born, q.age, p_rid, q_rid), GROUP BY `group_by` with COUNT(*) and
+  /// MIN(q.age). With `eager`, a NOT_EQUAL p_rid <> q_rid (true for every
+  /// row) sits between pi-hat and the sink, so nothing is deferred.
+  std::unique_ptr<plan::PhysHashAggregate> Plan(
+      std::vector<std::string> group_by, bool eager) {
+    int person = db_.mapping().FindVertexLabel("Person");
+    auto scan = std::make_unique<plan::PhysScanVertex>();
+    scan->vertex_label = person;
+    scan->var = "p";
+    auto expand = std::make_unique<plan::PhysExpand>();
+    expand->edge_label = db_.mapping().FindEdgeLabel("Knows");
+    expand->dir = graph::Direction::kOut;
+    expand->from_var = "p";
+    expand->to_var = "q";
+    expand->children.push_back(std::move(scan));
+    auto sgt = std::make_unique<plan::PhysScanGraphTable>();
+    sgt->projections = {{"p", "name", "p.name"},   {"q", "nick", "q.nick"},
+                        {"q", "born", "q.born"},   {"q", "age", "q.age"},
+                        {"p", "$rid", "p_rid"},    {"q", "$rid", "q_rid"}};
+    sgt->vertex_var_labels = {{"p", person}, {"q", person}};
+    sgt->children.push_back(std::move(expand));
+    plan::PhysicalOpPtr top = std::move(sgt);
+    if (eager) {
+      auto ne = std::make_unique<plan::PhysNotEqual>();
+      ne->var_a = "p_rid";
+      ne->var_b = "q_rid";
+      ne->children.push_back(std::move(top));
+      top = std::move(ne);
+    }
+    auto agg = std::make_unique<plan::PhysHashAggregate>();
+    agg->group_by = std::move(group_by);
+    agg->aggregates = {{plan::AggFunc::kCount, "", "cnt"},
+                       {plan::AggFunc::kMin, "q.age", "youngest"}};
+    agg->children.push_back(std::move(top));
+    return agg;
+  }
+
+  /// The pipeline engine's rows at `threads` workers, asserting parity with
+  /// the reference interpreter (rows, order, schema, row-budget charge).
+  std::vector<std::string> ExpectParity(const plan::PhysicalOp& op,
+                                        int threads) {
+    ExecutionContext oracle_ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+    auto oracle = Executor::Run(op, &oracle_ctx);
+    EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+    ExecutionOptions options;
+    options.num_threads = threads;
+    ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                         options);
+    auto piped = exec::pipeline::Run(op, &ctx);
+    EXPECT_TRUE(piped.ok()) << piped.status().ToString();
+    if (!oracle.ok() || !piped.ok()) return {};
+    EXPECT_EQ(RowsInOrder(**piped), RowsInOrder(**oracle));
+    EXPECT_EQ((*piped)->schema().ToString(), (*oracle)->schema().ToString());
+    EXPECT_EQ(ctx.rows_produced(), oracle_ctx.rows_produced());
+    return RowsInOrder(**piped);
+  }
+
+  Database db_;
+};
+
+TEST_F(DeferredGroupKeyTest, DeferredAndEagerKeysGiveIdenticalTables) {
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"p.name"}, {"q.nick"}, {"q.born", "p.name"}, {"p.name", "q.age"}};
+  for (const auto& keys : key_sets) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(keys[0] + " threads=" + std::to_string(threads));
+      std::vector<std::string> deferred =
+          ExpectParity(*Plan(keys, /*eager=*/false), threads);
+      std::vector<std::string> eager =
+          ExpectParity(*Plan(keys, /*eager=*/true), threads);
+      EXPECT_FALSE(deferred.empty());
+      EXPECT_EQ(deferred, eager);
+    }
   }
 }
 

@@ -10,7 +10,7 @@
 //    oracle (selection, bitmap and refinement entry points), compile-time
 //    folds for constants absent from the dictionary, and the per-batch
 //    fallback when a batch no longer carries the compile-time dictionary.
-//  * KeyEncoder dictionary mode: byte equality still coincides with
+//  * KeyEncoder dictionary mode: word equality still coincides with
 //    Value equality across mixed dict/payload batches, Decode still
 //    reproduces Column::GetValue.
 //  * JoinHashTable string keys: dictionary codes vs payload bytes vs a
@@ -48,8 +48,8 @@ namespace {
 
 using exec::JoinHashTable;
 using exec::vector::CompiledPredicate;
-using exec::vector::EncodedGroupKey;
 using exec::vector::KeyEncoder;
+using exec::vector::KeyStrings;
 using exec::vector::TypedColumnCompare;
 using storage::Column;
 using storage::ColumnDef;
@@ -485,6 +485,26 @@ bool BoxedKeysEqual(const std::vector<Value>& a,
   return true;
 }
 
+/// Key words and hashes of rows [0, n) of `cols`, encoded as one batch
+/// into `strings`.
+struct EncodedBatch {
+  std::vector<uint64_t> words;
+  std::vector<uint64_t> hashes;
+
+  EncodedBatch(const KeyEncoder& enc, const std::vector<const Column*>& cols,
+               KeyStrings* strings) {
+    const uint64_t n = cols[0]->size();
+    words.resize(n * enc.width());
+    hashes.resize(n);
+    enc.Encode(cols.data(), nullptr, n, strings, words.data(),
+               hashes.data());
+  }
+  std::vector<uint64_t> key(const KeyEncoder& enc, uint64_t r) const {
+    return {words.begin() + r * enc.width(),
+            words.begin() + (r + 1) * enc.width()};
+  }
+};
+
 TEST(DictionaryKeyEncoderTest, DictModePreservesEqualityAndDecode) {
   std::mt19937 rng(515);
   TablePtr table = MakeDictTable(256, 25, &rng);
@@ -496,31 +516,42 @@ TEST(DictionaryKeyEncoderTest, DictModePreservesEqualityAndDecode) {
   auto encoder = KeyEncoder::Make(types);
   ASSERT_NE(encoder, nullptr);
 
-  std::vector<EncodedGroupKey> keys(table->num_rows());
+  KeyStrings strings;
+  EncodedBatch keys(*encoder, cols, &strings);
+  // Both string columns use their pinned dictionary: every string word
+  // is a code, nothing is interned.
   for (uint64_t r = 0; r < table->num_rows(); ++r) {
-    encoder->Encode(cols.data(), r, &keys[r]);
-    // Decode reproduces GetValue boxing exactly, resolving codes
-    // through the pinned dictionary.
-    std::vector<Value> boxed = BoxedKey(cols, r);
-    std::vector<Value> decoded;
-    encoder->Decode(keys[r], &decoded);
-    ASSERT_EQ(decoded.size(), boxed.size());
-    for (size_t i = 0; i < boxed.size(); ++i) {
-      EXPECT_EQ(decoded[i].type(), boxed[i].type()) << "row " << r;
-      EXPECT_EQ(decoded[i].ToString(), boxed[i].ToString()) << "row " << r;
+    for (size_t i : {0u, 2u}) {
+      EXPECT_EQ(keys.key(*encoder, r)[i] & KeyEncoder::kInternedString, 0u);
     }
   }
-  // Byte equality coincides with boxed Value equality, and equal keys
-  // hash equally (the group-map correctness contract; the hash VALUE may
-  // differ from payload mode — group emission is first-seen order, so
-  // bucketing is invisible to results).
+  // Decode reproduces GetValue boxing exactly, resolving codes through
+  // the pinned dictionary.
+  std::vector<uint32_t> all(table->num_rows());
+  for (uint32_t r = 0; r < all.size(); ++r) all[r] = r;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    Column decoded(types[i]);
+    encoder->Decode(i, keys.words.data(), all, strings, &decoded);
+    ASSERT_EQ(decoded.size(), table->num_rows());
+    for (uint64_t r = 0; r < table->num_rows(); ++r) {
+      Value boxed = cols[i]->GetValue(r);
+      EXPECT_EQ(decoded.GetValue(r).type(), boxed.type()) << "row " << r;
+      EXPECT_EQ(decoded.GetValue(r).ToString(), boxed.ToString())
+          << "row " << r;
+    }
+  }
+  // Word equality coincides with boxed Value equality, and equal keys
+  // hash equally (the group-table correctness contract; the hash VALUE
+  // may differ from payload mode — group emission is first-seen order,
+  // so bucketing is invisible to results).
   for (uint64_t a = 0; a < table->num_rows(); a += 3) {
     std::vector<Value> ka = BoxedKey(cols, a);
     for (uint64_t b = a; b < table->num_rows(); b += 5) {
       bool boxed_eq = BoxedKeysEqual(ka, BoxedKey(cols, b));
-      EXPECT_EQ(keys[a] == keys[b], boxed_eq) << a << " vs " << b;
+      EXPECT_EQ(keys.key(*encoder, a) == keys.key(*encoder, b), boxed_eq)
+          << a << " vs " << b;
       if (boxed_eq) {
-        EXPECT_EQ(keys[a].hash, keys[b].hash);
+        EXPECT_EQ(keys.hashes[a], keys.hashes[b]);
       }
     }
   }
@@ -532,45 +563,40 @@ TEST(DictionaryKeyEncoderTest, MixedDictAndPayloadBatchesStayConsistent) {
   std::vector<LogicalType> types = {LogicalType::kString};
   auto encoder = KeyEncoder::Make(types);
   ASSERT_NE(encoder, nullptr);
+  KeyStrings strings;
 
   // First batch pins the base dictionary.
-  const Column* base_col[] = {&table->column(1)};
-  std::vector<EncodedGroupKey> base_keys(table->num_rows());
-  for (uint64_t r = 0; r < table->num_rows(); ++r) {
-    encoder->Encode(base_col, r, &base_keys[r]);
-  }
+  EncodedBatch base_keys(*encoder, {&table->column(1)}, &strings);
 
   // Second batch: same strings, dictionary dropped — the encoder must
-  // translate through the pinned dictionary and produce byte-identical
-  // keys for equal values.
+  // translate through the pinned dictionary and produce identical words
+  // and hashes for equal values.
   Column plain = table->column(1).Gather([&] {
     std::vector<uint64_t> all(table->num_rows());
     for (uint64_t r = 0; r < all.size(); ++r) all[r] = r;
     return all;
   }());
   plain.DropDictionary();
-  const Column* plain_col[] = {&plain};
+  EncodedBatch plain_keys(*encoder, {&plain}, &strings);
   for (uint64_t r = 0; r < plain.size(); ++r) {
-    EncodedGroupKey key;
-    encoder->Encode(plain_col, r, &key);
-    EXPECT_EQ(key == base_keys[r], true) << "row " << r;
-    EXPECT_EQ(key.hash, base_keys[r].hash) << "row " << r;
+    EXPECT_EQ(plain_keys.key(*encoder, r), base_keys.key(*encoder, r))
+        << "row " << r;
+    EXPECT_EQ(plain_keys.hashes[r], base_keys.hashes[r]) << "row " << r;
   }
 
-  // Third batch: a string absent from the pinned dictionary encodes via
-  // payload bytes and equals no dict-coded key (disjoint tag spaces).
+  // Third batch: a string absent from the pinned dictionary is interned
+  // and equals no dictionary-coded key (disjoint word spaces).
   Column foreign(LogicalType::kString);
   foreign.AppendString("not-in-any-dictionary");
-  const Column* foreign_col[] = {&foreign};
-  EncodedGroupKey fkey;
-  encoder->Encode(foreign_col, 0, &fkey);
-  for (const EncodedGroupKey& k : base_keys) {
-    EXPECT_FALSE(fkey == k);
+  EncodedBatch fkey(*encoder, {&foreign}, &strings);
+  EXPECT_NE(fkey.words[0] & KeyEncoder::kInternedString, 0u);
+  for (uint64_t r = 0; r < table->num_rows(); ++r) {
+    EXPECT_NE(fkey.key(*encoder, 0), base_keys.key(*encoder, r));
   }
-  std::vector<Value> decoded;
-  encoder->Decode(fkey, &decoded);
+  Column decoded(LogicalType::kString);
+  encoder->Decode(0, fkey.words.data(), {0}, strings, &decoded);
   ASSERT_EQ(decoded.size(), 1u);
-  EXPECT_EQ(decoded[0].ToString(), "not-in-any-dictionary");
+  EXPECT_EQ(decoded.GetValue(0).ToString(), "not-in-any-dictionary");
 }
 
 // ---------------------------------------------------------------------------

@@ -499,6 +499,57 @@ TEST_F(PlanCacheTest, AHitBindsThisCallsValuesAtEverySite) {
   }
 }
 
+// Slots are numbered in written order, left to right within each
+// expression: a caller of BindTemplate passes values in the order the
+// constants appear in the query.
+TEST_F(PlanCacheTest, SlotsFollowWrittenOrderAcrossAnOr) {
+  auto either = [this](const char* a, const char* b) {
+    auto pattern = db_.ParsePattern("(a:Person)-[:Knows]->(b:Person)");
+    EXPECT_TRUE(pattern.ok());
+    return plan::SpjmQueryBuilder("either_named")
+        .Match(std::move(*pattern))
+        .Column("a", "name")
+        .Column("b", "name")
+        .Where(storage::Expr::Or(
+            storage::Expr::Eq("a.name", Value::String(a)),
+            storage::Expr::Eq("b.name", Value::String(b))))
+        .Select("a.name", "a_name")
+        .Select("b.name", "b_name")
+        .Build();
+  };
+  optimizer::ParameterizedQuery t =
+      optimizer::ParameterizeQuery(either("David", "David"));
+  ASSERT_EQ(t.defaults.size(), 2u);
+  auto bound = optimizer::BindTemplate(
+      t, {Value::String("Tom"), Value::String("David")});
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+
+  exec::ExecutionOptions off = Options(EngineKind::kPipeline);
+  off.plan_cache = false;
+  auto expect = db_.Run(either("Tom", "David"), OptimizerMode::kRelGo, off);
+  auto swapped = db_.Run(either("David", "Tom"), OptimizerMode::kRelGo, off);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  ASSERT_NE(testing::SortedRows(*expect->table),
+            testing::SortedRows(*swapped->table))
+      << "the two orders must select different rows";
+  for (EngineKind engine : kBothEngines) {
+    SCOPED_TRACE(EngineName(engine));
+    auto actual = db_.Run(*bound, OptimizerMode::kRelGo, Options(engine));
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    ExpectSameRows(testing::SortedRows(*expect->table),
+                   testing::SortedRows(*actual->table), EngineName(engine));
+    auto text =
+        db_.ExplainAnalyze(*bound, OptimizerMode::kRelGo, Options(engine));
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    EXPECT_NE(text->find("a.name = $0 OR b.name = $1"), std::string::npos)
+        << *text;
+    EXPECT_NE(text->find("\nparams: $0 = 'Tom', $1 = 'David'\n"),
+              std::string::npos)
+        << *text;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The randomized differential suites: cache-on == cache-off, byte for
 // byte, over every workload template x optimizer mode x engine.
@@ -609,6 +660,91 @@ TEST_F(LdbcPlanCacheTest, SecondBindingHitsFirstBindingsPlan) {
     EXPECT_EQ(db_->plan_cache().entries(), 1u);
   }
   EXPECT_GT(exercised, 0) << "LDBC templates must carry parameter slots";
+}
+
+/// `e` rebuilt with every constant equal to a key of `values` replaced by
+/// its mapped value (matched by value, not by slot).
+storage::ExprPtr ReplaceConstants(
+    const storage::ExprPtr& e, const std::map<std::string, Value>& values) {
+  using storage::Expr;
+  switch (e->kind()) {
+    case Expr::Kind::kConstant: {
+      auto it = values.find(e->constant().ToString());
+      return it == values.end() ? e->Clone() : Expr::Constant(it->second);
+    }
+    case Expr::Kind::kCompare: {
+      auto lhs = ReplaceConstants(e->children()[0], values);
+      return Expr::Compare(e->compare_op(), std::move(lhs),
+                           ReplaceConstants(e->children()[1], values));
+    }
+    case Expr::Kind::kAnd: {
+      auto lhs = ReplaceConstants(e->children()[0], values);
+      return Expr::And(std::move(lhs),
+                       ReplaceConstants(e->children()[1], values));
+    }
+    default:
+      return e->Clone();
+  }
+}
+
+TEST_F(LdbcPlanCacheTest, IC3DateWindowSlotsFollowWrittenOrder) {
+  auto templates = workload::LdbcInteractiveQueries(*db_);
+  const workload::WorkloadQuery* ic = nullptr;
+  for (const workload::WorkloadQuery& wq : templates) {
+    if (wq.query.name == "IC3-2") ic = &wq;
+  }
+  ASSERT_NE(ic, nullptr);
+  optimizer::ParameterizedQuery t = optimizer::ParameterizeQuery(ic->query);
+  // WHERE p.firstName = $0 AND country.name = $1 AND po.creationDate >= $2
+  // AND po.creationDate <= $3, in written order.
+  ASSERT_EQ(t.defaults.size(), 4u);
+  EXPECT_EQ(t.defaults[0].ToString(), "Jose");
+  EXPECT_EQ(t.defaults[1].ToString(), "country_3");
+  EXPECT_EQ(t.defaults[2].ToString(), "2011-01-01");
+  EXPECT_EQ(t.defaults[3].ToString(), "2012-12-31");
+
+  // A narrower window, bound in written order, must select what the same
+  // query written with those dates selects.
+  std::vector<Value> params = t.defaults;
+  params[2] = Value::Date(*ParseDate("2011-06-01"));
+  params[3] = Value::Date(*ParseDate("2012-06-30"));
+  auto bound = optimizer::BindTemplate(t, params);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  plan::SpjmQuery written = ic->query;
+  ASSERT_NE(written.where, nullptr);
+  written.where = ReplaceConstants(
+      written.where,
+      {{"2011-01-01", params[2]}, {"2012-12-31", params[3]}});
+
+  exec::ExecutionOptions on = Options(EngineKind::kPipeline, 1);
+  exec::ExecutionOptions off = on;
+  off.plan_cache = false;
+  auto expect = db_->Run(written, OptimizerMode::kRelGo, off);
+  auto wide = db_->Run(ic->query, OptimizerMode::kRelGo, off);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  ASSERT_NE(testing::ExactRows(*expect->table),
+            testing::ExactRows(*wide->table))
+      << "the narrower window must change the result";
+  db_->ClearPlanCache();
+  auto warm = optimizer::BindTemplate(t, t.defaults);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE(db_->Run(*warm, OptimizerMode::kRelGo, on).ok());
+  auto actual = db_->Run(*bound, OptimizerMode::kRelGo, on);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  EXPECT_EQ(actual->plan_cache, PlanCacheStatus::kHit);
+  EXPECT_EQ(testing::ExactRows(*actual->table),
+            testing::ExactRows(*expect->table));
+
+  auto text = db_->ExplainAnalyze(*bound, OptimizerMode::kRelGo, on);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("creationDate >= $2 AND creationDate <= $3"),
+            std::string::npos)
+      << *text;
+  EXPECT_NE(text->find("\nparams: $0 = 'Jose', $1 = 'country_3', "
+                       "$2 = 2011-06-01, $3 = 2012-06-30\n"),
+            std::string::npos)
+      << *text;
 }
 
 // Six bindings of one LDBC template share the plan the warm-up call

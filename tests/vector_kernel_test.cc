@@ -5,10 +5,13 @@
 //    every LogicalType, null density and operator mix — the compiled
 //    program must select exactly the oracle's rows (and its bitmap /
 //    selection-refinement entry points must agree with it too).
-//  * KeyEncoder vs boxed group-key semantics: byte equality must coincide
-//    with Value-vector equality, the chained hash must equal the chain of
-//    Value::Hash, and Decode must reproduce Column::GetValue (a double
-//    key reads back canonical: ±0 as +0.0, one NaN).
+//  * KeyEncoder vs boxed group-key semantics: word equality must coincide
+//    with Value-vector equality, equal keys must hash equally (the batch's
+//    column-by-column hash is the hash of the row's words), and Decode
+//    must reproduce Column::GetValue (a double key reads back canonical:
+//    ±0 as +0.0, one NaN).
+//  * GroupTable: keys that share a hash stay distinct, and every group
+//    survives the table's growth.
 //  * AggColumnView vs the boxed aggregate update loop.
 //  * TypedColumnCompare vs Value::Compare.
 //  * ScanCache cost-aware admission over its bitmap payloads (the cache
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -293,7 +297,7 @@ TEST(CompiledPredicateDifferential, RandomizedAgainstEvaluateBoolOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// KeyEncoder: byte equality == Value equality, hash == GroupKeyHash chain
+// KeyEncoder: word equality == Value equality, one hash per key
 // ---------------------------------------------------------------------------
 
 std::vector<Value> BoxedKey(const Table& table,
@@ -311,11 +315,55 @@ bool BoxedKeysEqual(const std::vector<Value>& a,
   return true;
 }
 
+/// Every row's key words and hash, encoded batch by batch: the rows of
+/// `cols` are cut into batches of `batch_rows` (Column::Slice), so keys
+/// are encoded from several batches into one KeyStrings.
+struct EncodedRows {
+  std::vector<uint64_t> words;
+  std::vector<uint64_t> hashes;
+  KeyStrings strings;
+
+  const uint64_t* key(const KeyEncoder& enc, uint64_t r) const {
+    return words.data() + r * enc.width();
+  }
+  bool Equal(const KeyEncoder& enc, uint64_t a, uint64_t b) const {
+    return std::equal(key(enc, a), key(enc, a) + enc.width(), key(enc, b));
+  }
+};
+
+void EncodeInBatches(const KeyEncoder& enc,
+                     const std::vector<const Column*>& cols,
+                     uint64_t batch_rows, EncodedRows* out) {
+  const uint64_t n = cols.empty() ? 0 : cols[0]->size();
+  out->words.assign(n * enc.width(), 0);
+  out->hashes.assign(n, 0);
+  for (uint64_t begin = 0; begin < n; begin += batch_rows) {
+    uint64_t count = std::min(batch_rows, n - begin);
+    std::vector<Column> slices;
+    for (const Column* c : cols) slices.push_back(c->Slice(begin, count));
+    std::vector<const Column*> batch;
+    for (const Column& c : slices) batch.push_back(&c);
+    enc.Encode(batch.data(), nullptr, count, &out->strings,
+               out->words.data() + begin * enc.width(),
+               out->hashes.data() + begin);
+  }
+}
+
+/// Decodes key column i of every row's key into a fresh column.
+Column DecodeAll(const KeyEncoder& enc, const EncodedRows& rows, size_t i,
+                 LogicalType type) {
+  std::vector<uint32_t> all(rows.hashes.size());
+  for (uint32_t r = 0; r < all.size(); ++r) all[r] = r;
+  Column out(type);
+  enc.Decode(i, rows.words.data(), all, rows.strings, &out);
+  return out;
+}
+
 TEST(KeyEncoderTest, EncodeMatchesBoxedGroupKeySemantics) {
   std::mt19937 rng(4242);
   TablePtr table = MakeRandomTable(256, 25, &rng);
-  // Every byte-encodable type: int64, bool, date, string (and a second
-  // string to get length-prefix boundaries in the middle of a key).
+  // Every key type: int64, bool, date, string (and a second string, so
+  // two interned columns share one KeyStrings).
   std::vector<size_t> key_cols = {0, 3, 4, 5, 6};
   std::vector<LogicalType> types;
   std::vector<const Column*> cols;
@@ -326,33 +374,36 @@ TEST(KeyEncoderTest, EncodeMatchesBoxedGroupKeySemantics) {
   auto encoder = KeyEncoder::Make(types);
   ASSERT_NE(encoder, nullptr);
   ASSERT_EQ(encoder->num_cols(), key_cols.size());
+  ASSERT_EQ(encoder->width(), key_cols.size() + 1);  // + one null word
 
-  std::vector<EncodedGroupKey> keys(table->num_rows());
+  EncodedRows rows;
+  EncodeInBatches(*encoder, cols, 100, &rows);
   for (uint64_t r = 0; r < table->num_rows(); ++r) {
-    encoder->Encode(cols.data(), r, &keys[r]);
-    std::vector<Value> boxed = BoxedKey(*table, key_cols, r);
-
-    // Hash equals the boxed GroupKeyHash chain (same seed, Value::Hash
-    // per key), so typed and boxed maps bucket identically.
-    size_t h = kHashSeed;
-    for (const Value& v : boxed) h = HashCombine(h, v.Hash());
-    EXPECT_EQ(keys[r].hash, h) << "row " << r;
-
-    // Decode reproduces Column::GetValue boxing exactly (type + value).
-    std::vector<Value> decoded;
-    encoder->Decode(keys[r], &decoded);
-    ASSERT_EQ(decoded.size(), boxed.size());
-    for (size_t i = 0; i < boxed.size(); ++i) {
-      EXPECT_EQ(decoded[i].type(), boxed[i].type()) << "row " << r;
-      EXPECT_EQ(decoded[i].ToString(), boxed[i].ToString()) << "row " << r;
+    // The batch's column-by-column hash is the hash of the row's words.
+    EXPECT_EQ(rows.hashes[r], encoder->Hash(rows.key(*encoder, r)))
+        << "row " << r;
+  }
+  // Decode reproduces Column::GetValue boxing exactly (type + value).
+  for (size_t i = 0; i < key_cols.size(); ++i) {
+    Column decoded = DecodeAll(*encoder, rows, i, types[i]);
+    ASSERT_EQ(decoded.size(), table->num_rows());
+    for (uint64_t r = 0; r < table->num_rows(); ++r) {
+      Value boxed = table->column(key_cols[i]).GetValue(r);
+      EXPECT_EQ(decoded.GetValue(r).type(), boxed.type()) << "row " << r;
+      EXPECT_EQ(decoded.GetValue(r).ToString(), boxed.ToString())
+          << "row " << r;
     }
   }
-  // Byte equality coincides with boxed Value-vector equality.
+  // Word equality coincides with boxed Value-vector equality, and equal
+  // keys hash equally.
   for (uint64_t a = 0; a < table->num_rows(); a += 3) {
     std::vector<Value> ka = BoxedKey(*table, key_cols, a);
     for (uint64_t b = a; b < table->num_rows(); b += 7) {
       bool boxed_eq = BoxedKeysEqual(ka, BoxedKey(*table, key_cols, b));
-      EXPECT_EQ(keys[a] == keys[b], boxed_eq) << a << " vs " << b;
+      EXPECT_EQ(rows.Equal(*encoder, a, b), boxed_eq) << a << " vs " << b;
+      if (boxed_eq) {
+        EXPECT_EQ(rows.hashes[a], rows.hashes[b]);
+      }
     }
   }
 }
@@ -360,7 +411,9 @@ TEST(KeyEncoderTest, EncodeMatchesBoxedGroupKeySemantics) {
 TEST(KeyEncoderTest, DoubleKeysGroupSignedZerosTogether) {
   // +0.0 and -0.0 are one group, as under Value::Compare and Value::Hash,
   // and the group decodes as +0.0; every NaN payload is one group.
-  EXPECT_NE(KeyEncoder::Make({}), nullptr);  // global aggregate
+  auto global = KeyEncoder::Make({});  // global aggregate: no key words
+  ASSERT_NE(global, nullptr);
+  EXPECT_EQ(global->width(), 0u);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::vector<double> doubles = {0.0, -0.0, 1.5, 1.5, -2.25, nan, -nan};
   Column ids(LogicalType::kInt64);
@@ -373,43 +426,76 @@ TEST(KeyEncoderTest, DoubleKeysGroupSignedZerosTogether) {
   col.AppendNull();
   auto encoder = KeyEncoder::Make({LogicalType::kInt64, LogicalType::kDouble});
   ASSERT_NE(encoder, nullptr);
-  const Column* cols[] = {&ids, &col};
-  std::vector<EncodedGroupKey> keys(col.size());
-  for (uint64_t r = 0; r < col.size(); ++r) {
-    encoder->Encode(cols, r, &keys[r]);
-  }
+  EncodedRows rows;
+  EncodeInBatches(*encoder, {&ids, &col}, 3, &rows);
+  Column decoded_ids = DecodeAll(*encoder, rows, 0, LogicalType::kInt64);
+  Column decoded = DecodeAll(*encoder, rows, 1, LogicalType::kDouble);
   const uint64_t kNanRow = 5, kNullRow = 7;
   for (uint64_t a = 0; a < col.size(); ++a) {
-    std::vector<Value> decoded;
-    encoder->Decode(keys[a], &decoded);
-    ASSERT_EQ(decoded.size(), 2u);
-    EXPECT_EQ(decoded[0], Value::Int(7));
+    EXPECT_EQ(decoded_ids.GetValue(a), Value::Int(7));
+    EXPECT_EQ(rows.hashes[a], encoder->Hash(rows.key(*encoder, a)));
     if (a == kNullRow) {
-      EXPECT_TRUE(decoded[1].is_null());
+      EXPECT_TRUE(decoded.GetValue(a).is_null());
     } else if (a >= kNanRow) {
-      EXPECT_TRUE(std::isnan(decoded[1].double_value()));
+      EXPECT_TRUE(std::isnan(decoded.double_at(a)));
     } else {
-      // Hash and equality of the non-NaN keys are the boxed key's.
-      std::vector<Value> boxed = {ids.GetValue(a), col.GetValue(a)};
-      EXPECT_EQ(decoded[1].Compare(boxed[1]), 0) << "row " << a;
-      if (boxed[1].double_value() == 0.0) {
-        EXPECT_FALSE(std::signbit(decoded[1].double_value())) << "row " << a;
+      // Equality of the non-NaN keys is the boxed key's; equal keys hash
+      // equally.
+      EXPECT_EQ(decoded.GetValue(a).Compare(col.GetValue(a)), 0)
+          << "row " << a;
+      if (col.double_at(a) == 0.0) {
+        EXPECT_FALSE(std::signbit(decoded.double_at(a))) << "row " << a;
       }
-      size_t h = kHashSeed;
-      for (const Value& v : boxed) h = HashCombine(h, v.Hash());
-      EXPECT_EQ(keys[a].hash, h) << "row " << a;
       for (uint64_t b = 0; b < kNanRow; ++b) {
         bool boxed_eq = col.GetValue(a) == col.GetValue(b);
-        EXPECT_EQ(keys[a] == keys[b], boxed_eq) << a << " vs " << b;
+        EXPECT_EQ(rows.Equal(*encoder, a, b), boxed_eq) << a << " vs " << b;
+        if (boxed_eq) {
+        EXPECT_EQ(rows.hashes[a], rows.hashes[b]);
+      }
       }
     }
   }
-  EXPECT_TRUE(keys[0] == keys[1]);
-  EXPECT_EQ(keys[0].hash, keys[1].hash);
-  EXPECT_TRUE(keys[kNanRow] == keys[kNanRow + 1]);
-  EXPECT_EQ(keys[kNanRow].hash, keys[kNanRow + 1].hash);
-  EXPECT_FALSE(keys[0] == keys[kNullRow]);
-  EXPECT_FALSE(keys[0] == keys[kNanRow]);
+  EXPECT_TRUE(rows.Equal(*encoder, 0, 1));
+  EXPECT_EQ(rows.hashes[0], rows.hashes[1]);
+  EXPECT_TRUE(rows.Equal(*encoder, kNanRow, kNanRow + 1));
+  EXPECT_EQ(rows.hashes[kNanRow], rows.hashes[kNanRow + 1]);
+  EXPECT_FALSE(rows.Equal(*encoder, 0, kNullRow));
+  EXPECT_FALSE(rows.Equal(*encoder, 0, kNanRow));
+  EXPECT_FALSE(rows.Equal(*encoder, kNanRow, kNullRow));
+}
+
+TEST(GroupTableTest, KeysSharingAHashStayDistinctThroughGrowth) {
+  // Every key has the same hash, so each lookup walks one probe chain
+  // and decides by the key words alone; the keys differ only in their
+  // last word. Five times the first capacity forces several doublings.
+  const uint64_t kHash = 0x9e3779b97f4a7c15ULL;
+  const uint32_t kGroups = 5 * GroupTable::kFirstSlots;
+  GroupTable table(3);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint32_t g = 0; g < kGroups; ++g) {
+      const uint64_t key[3] = {7, 0, g};
+      bool inserted = false;
+      EXPECT_EQ(table.FindOrInsert(key, kHash, &inserted), g);
+      EXPECT_EQ(inserted, pass == 0) << "group " << g;
+    }
+  }
+  ASSERT_EQ(table.size(), kGroups);
+  for (uint32_t g = 0; g < kGroups; ++g) {
+    EXPECT_EQ(table.key(g)[2], g);
+    EXPECT_EQ(table.hash(g), kHash);
+  }
+  // Well-spread hashes: every group is still found after the growth.
+  GroupTable spread(1);
+  auto hash_of = [](uint64_t g) { return HashCombine(kHashSeed, g); };
+  for (uint64_t g = 0; g < kGroups; ++g) {
+    bool inserted = false;
+    spread.FindOrInsert(&g, hash_of(g), &inserted);
+  }
+  for (uint64_t g = 0; g < kGroups; ++g) {
+    bool inserted = true;
+    EXPECT_EQ(spread.FindOrInsert(&g, hash_of(g), &inserted), g);
+    EXPECT_FALSE(inserted) << "group " << g;
+  }
 }
 
 // ---------------------------------------------------------------------------
