@@ -161,6 +161,43 @@ void BM_ExpandIndexedFilteredTwoHop(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpandIndexedFilteredTwoHop)->Unit(benchmark::kMillisecond);
 
+/// SCAN_VERTEX a, EXPAND a -> b, then b -> c, both unfiltered, under a
+/// pi-hat and ORDER BY c.birthday DESC LIMIT 20: the top-k fence sits on
+/// the second hop, whose sources repeat once per knows edge into them.
+/// Once the sink's heap is full the fence engages and the hop narrows each
+/// source's run in its memo, once per bound, instead of writing every
+/// neighbor.
+void BM_ExpandIndexedFenced(benchmark::State& state) {
+  Database* db = SharedDb();
+  const int person = db->mapping().FindVertexLabel("Person");
+  auto hop = std::make_unique<plan::PhysExpand>();
+  hop->edge_label = db->mapping().FindEdgeLabel("knows");
+  hop->dir = graph::Direction::kOut;
+  hop->from_var = "b";
+  hop->to_var = "c";
+  hop->children.push_back(KnowsExpandPlan(db, true));
+  auto sgt = std::make_unique<plan::PhysScanGraphTable>();
+  sgt->projections = {{"a", "id", "a.id"}, {"c", "birthday", "c.birthday"}};
+  sgt->vertex_var_labels = {{"a", person}, {"c", person}};
+  sgt->children.push_back(std::move(hop));
+  auto order = std::make_unique<plan::PhysOrderBy>();
+  order->keys = {{"c.birthday", false}};
+  order->children.push_back(std::move(sgt));
+  plan::PhysLimit limit;
+  limit.limit = 20;
+  limit.children.push_back(std::move(order));
+  for (auto _ : state) {
+    auto ctx = MakeContext(db);
+    auto result = exec::pipeline::Run(limit, &ctx);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize((*result)->num_rows());
+  }
+}
+BENCHMARK(BM_ExpandIndexedFenced)->Unit(benchmark::kMillisecond);
+
 void BM_ExpandHash(benchmark::State& state) {
   Database* db = SharedDb();
   auto plan = KnowsExpandPlan(db, false);

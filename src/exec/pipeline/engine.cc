@@ -271,16 +271,19 @@ std::string PiHatName(const Pipeline& pipeline, size_t bridge,
 
 /// Sets the top-k `fence` on the stage below `bridge` that binds `var`:
 /// the ScanVertex source, or an EXPAND, GET_VERTEX or EXPAND_INTERSECT
-/// with `var` as its target, or any binder with `var` as its edge. Leaves
-/// the pipeline unfenced when none of them binds it (a var from a
-/// materialized breaker or a join build side).
-void FenceBinder(Pipeline* pipeline, size_t bridge, const std::string& var,
+/// with `var` as its target, or any binder with `var` as its edge, and
+/// returns true. Returns false, leaving the pipeline unfenced, when none
+/// of them binds it (a var from a materialized breaker or a join build
+/// side). A null `fence` sets nothing: the call only finds the stage.
+bool FenceBinder(Pipeline* pipeline, size_t bridge, const std::string& var,
                  const TopKFence* fence) {
   const PhysicalOp* source = pipeline->source_node;
   if (source != nullptr && source->kind == OpKind::kScanVertex &&
       static_cast<const plan::PhysScanVertex&>(*source).var == var) {
-    static_cast<ScanVertexSource*>(pipeline->source.get())->SetFence(fence);
-    return;
+    if (fence != nullptr) {
+      static_cast<ScanVertexSource*>(pipeline->source.get())->SetFence(fence);
+    }
+    return true;
   }
   for (size_t i = 0; i < bridge; ++i) {
     const PhysicalOp& node = *pipeline->op_nodes[i];
@@ -311,16 +314,20 @@ void FenceBinder(Pipeline* pipeline, size_t bridge, const std::string& var,
         break;
     }
     if (binds) {
-      static_cast<BinderOp*>(pipeline->ops[i].get())->SetFence(fence, var);
-      return;
+      if (fence != nullptr) {
+        static_cast<BinderOp*>(pipeline->ops[i].get())->SetFence(fence, var);
+      }
+      return true;
     }
   }
+  return false;
 }
 
 /// Lets the top-k `sink` rank the sort keys that the deferred pi-hat at
 /// pipeline->ops[bridge] streams as row ids, and, when the run is not
 /// profiled, sets the sink's fence on the stage that binds the first key's
-/// variable (the fence arms itself in the sink's Prepare).
+/// variable (the fence arms itself in the sink's Prepare). A profiled run
+/// sets none and notes on the profile that a stage would have been fenced.
 void RankSortKeys(Pipeline* pipeline, size_t bridge,
                   const plan::PhysOrderBy& order, TopKSink* sink,
                   ExecutionContext* ctx) {
@@ -332,12 +339,17 @@ void RankSortKeys(Pipeline* pipeline, size_t bridge,
   }
   std::string first = names[0];
   sink->RankKeysThrough(pi_hat, std::move(names));
-  if (ctx->profile() != nullptr || !pi_hat->Defers(first)) return;
+  if (!pi_hat->Defers(first)) return;
   const auto& node =
       static_cast<const plan::PhysScanGraphTable&>(*pipeline->op_nodes[bridge]);
+  QueryProfile* profile = ctx->profile();
   for (const auto& proj : node.projections) {
     if (proj.output_name == first) {
-      FenceBinder(pipeline, bridge, proj.var, sink->fence());
+      if (FenceBinder(pipeline, bridge, proj.var,
+                      profile == nullptr ? sink->fence() : nullptr) &&
+          profile != nullptr) {
+        profile->NoteUnfencedTopK();
+      }
       return;
     }
   }

@@ -648,12 +648,19 @@ Status GetVertexOp::Process(const Batch& in, Cursor* cursor, Batch* out,
 
 namespace {
 
-/// One worker's filtered-adjacency memo for one filtered EXPAND in one
+/// One worker's adjacency memo for one filtered or fenced EXPAND in one
 /// pipeline run, and the expansion loop that reads it. The first time a
 /// source vertex's run is needed, its adjacency is filtered once: the
 /// passing neighbors (and their edges, when the edge is bound) are
 /// appended, in adjacency order, to an arena. Every later row with that
 /// source copies the same run in bulk.
+///
+/// With a top-k fence, each run also keeps the bound it was last narrowed
+/// under (its stamp; kNone: never). A row that starts a run (inner == 0)
+/// under a newer bound first narrows the run in place to the entries the
+/// bound admits, in adjacency order, ties kept; a row resumed inside a run
+/// copies the rest of it as it was, so Cursor::inner stays a position in
+/// the run. Runs only shrink, once per source and bound.
 ///
 /// An open-addressing table maps vertex + 1 (0 marks an empty key) to its
 /// run. The first input batch sizes it (two slots per row), and it doubles
@@ -664,28 +671,38 @@ namespace {
 /// per run.
 class FilteredRuns : public OpScratch {
  public:
+  /// `pass` is the target filter's bitmap, or null for an unfiltered hop,
+  /// which is memoized only with a `fence`; the fence keys on the edge
+  /// when `fence_on_edge`, else on the target.
   FilteredRuns(const graph::GraphIndex& index, int label,
-               graph::Direction dir, const uint8_t* pass, bool want_edge)
+               graph::Direction dir, const uint8_t* pass, bool want_edge,
+               const TopKFence* fence, bool fence_on_edge)
       : index_(index),
         label_(label),
         dir_(dir),
         pass_(pass),
-        want_edge_(want_edge) {}
+        want_edge_(want_edge),
+        fence_(fence),
+        fence_on_edge_(fence_on_edge) {}
 
   /// Expands the rows of `in` from `cursor` on into the output vectors
   /// (source row, target, edge when bound): at most kBatchRows rows, in
   /// adjacency order. Returns the cursor of the first row not emitted,
-  /// whose `inner` is a position in its source's filtered run.
+  /// whose `inner` is a position in its source's run. Unless `bound` (the
+  /// fence's, read once by the caller) is TopKFence::kNone, the runs that
+  /// rows start in this call are narrowed to it first.
   ///
   /// A source is filtered only when its run is next to emit, so the arena
   /// holds at most the rows this operator charged plus one run per call:
   /// the run found after an exactly full output, which tells the call that
   /// output is pending. A run seen first with the whole raw adjacency
   /// fitting the output is filtered into the output and the arena in one
-  /// pass, so a source seen once costs one filter loop, as without a memo.
+  /// pass, so a source seen once costs one filter loop, as without a memo;
+  /// under an engaged fence it is filtered into the arena, narrowed there
+  /// and copied, so fenced-off entries never reach the output.
   Cursor Expand(const Batch& in, const Column& from, Cursor cursor,
-                std::vector<uint64_t>* sel, std::vector<int64_t>* to,
-                std::vector<int64_t>* edge);
+                uint64_t bound, std::vector<uint64_t>* sel,
+                std::vector<int64_t>* to, std::vector<int64_t>* edge);
 
  private:
   static constexpr uint64_t kInitialSlots = 16;
@@ -698,7 +715,8 @@ class FilteredRuns : public OpScratch {
   /// Sizes an empty table for `rows` sources (at most one per input row),
   /// so the common single-batch input never rehashes. Only the keys are
   /// cleared: a run is read only under its key, and an execution touches
-  /// no more of the table than its sources need.
+  /// no more of the table than its sources need. A fenced memo's stamps
+  /// start at kNone, so a run is stamped when it is filled.
   void Expect(uint64_t rows) {
     if (used_ > 0) return;
     uint64_t size = kInitialSlots;
@@ -706,6 +724,7 @@ class FilteredRuns : public OpScratch {
     if (size > keys_.size()) {
       keys_.assign(size, 0);
       runs_.reset(new Run[size]);
+      if (fence_ != nullptr) stamps_.assign(size, TopKFence::kNone);
     }
   }
 
@@ -720,14 +739,16 @@ class FilteredRuns : public OpScratch {
   }
 
   /// Filters `adj` into the arena as the run of `v`, whose empty slot Find
-  /// returned. With kEmit, the i-th passing entry is also written to
-  /// sel/to/edge[i] as an output row of input row `row`, in the same pass.
+  /// returned into *slot (moved when the table rehashes). With kEmit, the
+  /// i-th passing entry is also written to sel/to/edge[i] as an output row
+  /// of input row `row`, in the same pass. An unfiltered (fenced) hop
+  /// copies the whole adjacency; it never emits from here.
   template <bool kEmit>
-  Run Fill(uint64_t slot, uint64_t v, const graph::AdjacencyList& adj,
+  Run Fill(uint64_t* slot, uint64_t v, const graph::AdjacencyList& adj,
            uint64_t row, uint64_t* sel, int64_t* to, int64_t* edge) {
     if (2 * (used_ + 1) > keys_.size()) {
       Rehash();
-      slot = Find(v);
+      *slot = Find(v);
     }
     ++used_;
     Run run{arena_size_, 0};
@@ -737,34 +758,71 @@ class FilteredRuns : public OpScratch {
     }
     int64_t* n = neighbors_.data() + run.begin;
     int64_t* e = want_edge_ ? edges_.data() + run.begin : nullptr;
-    for (size_t i = 0; i < adj.size; ++i) {
-      uint64_t nbr = adj.neighbors[i];
-      if (!pass_[nbr]) continue;
-      n[run.size] = static_cast<int64_t>(nbr);
-      if (want_edge_) e[run.size] = static_cast<int64_t>(adj.edges[i]);
-      if constexpr (kEmit) {
-        sel[run.size] = row;
-        to[run.size] = static_cast<int64_t>(nbr);
-        if (want_edge_) edge[run.size] = static_cast<int64_t>(adj.edges[i]);
+    if (!kEmit && pass_ == nullptr) {
+      std::copy_n(adj.neighbors, adj.size, n);
+      if (want_edge_) std::copy_n(adj.edges, adj.size, e);
+      run.size = adj.size;
+    } else {
+      for (size_t i = 0; i < adj.size; ++i) {
+        uint64_t nbr = adj.neighbors[i];
+        if (!pass_[nbr]) continue;
+        n[run.size] = static_cast<int64_t>(nbr);
+        if (want_edge_) e[run.size] = static_cast<int64_t>(adj.edges[i]);
+        if constexpr (kEmit) {
+          sel[run.size] = row;
+          to[run.size] = static_cast<int64_t>(nbr);
+          if (want_edge_) edge[run.size] = static_cast<int64_t>(adj.edges[i]);
+        }
+        ++run.size;
       }
-      ++run.size;
     }
     arena_size_ += run.size;
-    keys_[slot] = v + 1;
-    runs_[slot] = run;
+    keys_[*slot] = v + 1;
+    runs_[*slot] = run;
+    return run;
+  }
+
+  /// Narrows the run in `slot` in place to the entries whose fence key
+  /// keys no worse than `bound`, and stamps it. A run at the arena's end
+  /// (one just filled) gives the space it frees back. Returns the run.
+  Run Narrow(uint64_t slot, uint64_t bound) {
+    Run& run = runs_[slot];
+    int64_t* n = neighbors_.data() + run.begin;
+    int64_t* e = want_edge_ ? edges_.data() + run.begin : nullptr;
+    const int64_t* key = fence_on_edge_ ? e : n;
+    uint32_t keep[kBatchRows];
+    uint64_t kept = 0;
+    // keep[j] >= j and each chunk is read before it is compacted into
+    // positions below it, so no unread entry is overwritten.
+    for (uint64_t at = 0; at < run.size; at += kBatchRows) {
+      const uint64_t len = std::min(kBatchRows, run.size - at);
+      const uint64_t k = fence_->Keep(bound, key + at, len, keep);
+      for (uint64_t j = 0; j < k; ++j) n[kept + j] = n[at + keep[j]];
+      if (want_edge_) {
+        for (uint64_t j = 0; j < k; ++j) e[kept + j] = e[at + keep[j]];
+      }
+      kept += k;
+    }
+    if (run.begin + run.size == arena_size_) arena_size_ = run.begin + kept;
+    run.size = kept;
+    stamps_[slot] = bound;
     return run;
   }
 
   void Rehash() {
     std::vector<uint64_t> keys(2 * keys_.size());
     std::unique_ptr<Run[]> runs(new Run[keys.size()]);
+    std::vector<uint64_t> stamps;
+    if (fence_ != nullptr) stamps.assign(keys.size(), TopKFence::kNone);
     keys.swap(keys_);
     runs.swap(runs_);
+    stamps.swap(stamps_);
     for (size_t i = 0; i < keys.size(); ++i) {
       if (keys[i] == 0) continue;
       uint64_t slot = Find(keys[i] - 1);
       keys_[slot] = keys[i];
       runs_[slot] = runs[i];
+      if (fence_ != nullptr) stamps_[slot] = stamps[i];
     }
   }
 
@@ -773,15 +831,19 @@ class FilteredRuns : public OpScratch {
   const graph::Direction dir_;
   const uint8_t* const pass_;
   const bool want_edge_;
+  const TopKFence* const fence_;
+  const bool fence_on_edge_;
   std::vector<uint64_t> keys_;  ///< vertex + 1 per slot (0: empty); 2^k
   std::unique_ptr<Run[]> runs_;  ///< the run of each filled slot
+  std::vector<uint64_t> stamps_;  ///< fenced: each run's narrowing bound
   uint64_t used_ = 0;
   std::vector<int64_t> neighbors_, edges_;  ///< the arena, at capacity
   uint64_t arena_size_ = 0;
 };
 
 Cursor FilteredRuns::Expand(const Batch& in, const Column& from,
-                            Cursor cursor, std::vector<uint64_t>* sel,
+                            Cursor cursor, uint64_t bound,
+                            std::vector<uint64_t>* sel,
                             std::vector<int64_t>* to,
                             std::vector<int64_t>* edge) {
   const uint64_t* rows = RowMap(in);
@@ -795,26 +857,28 @@ Cursor FilteredRuns::Expand(const Batch& in, const Column& from,
     to->resize(size);
     if (want_edge_) edge->resize(size);
   };
+  const bool fenced = bound != TopKFence::kNone;
   uint64_t o = 0;
   Cursor next{n, 0, 0};
   for (uint64_t r = cursor.row, i = cursor.inner; r < n; ++r, i = 0) {
     uint64_t p = rows[r];
     auto v = static_cast<uint64_t>(from.int_at(p));
-    const uint64_t slot = Find(v);
+    uint64_t slot = Find(v);
     Run run{0, 0};
     if (keys_[slot] != 0) {
       run = runs_[slot];
     } else {
       graph::AdjacencyList adj = index_.Neighbors(label_, dir_, v);
-      if (i == 0 && o + adj.size <= kBatchRows) {
+      if (!fenced && i == 0 && o + adj.size <= kBatchRows) {
         reserve(o + adj.size);
         int64_t* e = want_edge_ ? edge->data() + o : nullptr;
-        o += Fill<true>(slot, v, adj, p, sel->data() + o, to->data() + o, e)
+        o += Fill<true>(&slot, v, adj, p, sel->data() + o, to->data() + o, e)
                  .size;
         continue;
       }
-      run = Fill<false>(slot, v, adj, p, nullptr, nullptr, nullptr);
+      run = Fill<false>(&slot, v, adj, p, nullptr, nullptr, nullptr);
     }
+    if (fenced && i == 0 && stamps_[slot] != bound) run = Narrow(slot, bound);
     if (run.size == i) continue;
     if (o == kBatchRows) {
       next = Cursor{r, i, 0};
@@ -902,9 +966,13 @@ Status ExpandOp::Prepare(const Schema& input, ExecutionContext* ctx) {
 }
 
 std::unique_ptr<OpScratch> ExpandOp::MakeScratch() const {
-  if (!use_index_ || functional_ || bitmap_.bits() == nullptr) return nullptr;
-  return std::make_unique<FilteredRuns>(*index_, op_.edge_label, op_.dir,
-                                        bitmap_.bits(), !op_.edge_var.empty());
+  if (!use_index_ || functional_ ||
+      (bitmap_.bits() == nullptr && fence_ == nullptr)) {
+    return nullptr;
+  }
+  return std::make_unique<FilteredRuns>(
+      *index_, op_.edge_label, op_.dir, bitmap_.bits(), !op_.edge_var.empty(),
+      fence_, fence_col_ == 1);
 }
 
 Status ExpandOp::Process(const Batch& in, Cursor* cursor, Batch* out,
@@ -920,8 +988,16 @@ Status ExpandOp::Process(const Batch& in, Cursor* cursor, OpScratch* scratch,
   std::vector<uint64_t> sel;
   std::vector<int64_t> to_vals, edge_vals;
   const Column& from = in.column(from_col_);
+  // One read of the fence's bound per call. A non-functional index hop
+  // takes the memo when it filters or its fence is engaged; the memo's
+  // rows come out narrowed to that bound (or not at all before the fence
+  // engages) and are charged as such. Every other path narrows in Emit.
+  const uint64_t bound =
+      fence_ != nullptr ? fence_->bound() : TopKFence::kNone;
+  const bool memo = use_index_ && !functional_ &&
+                    (pass != nullptr || bound != TopKFence::kNone);
 
-  if (use_index_ && pass == nullptr) {
+  if (use_index_ && pass == nullptr && !memo) {
     // Unfiltered: every adjacency entry is an output row. The first pass
     // sums degrees to find where this call stops and sizes the outputs
     // once; the second copies each adjacency run in bulk, with no branch
@@ -984,15 +1060,17 @@ Status ExpandOp::Process(const Batch& in, Cursor* cursor, OpScratch* scratch,
     to_vals.resize(o);
     if (want_edge) edge_vals.resize(o);
     *cursor = Cursor{n, 0, 0};
-  } else if (use_index_) {
-    // Filtered: each source's adjacency is filtered once per worker into
-    // the memo, and every row copies its source's filtered run.
+  } else if (memo) {
+    // Filtered or fenced: each source's adjacency is filtered once per
+    // worker into the memo (and narrowed there once per bound), and every
+    // row copies its source's run.
     const uint64_t capacity = OutputCapacity(in, *cursor);
     sel.resize(capacity);
     to_vals.resize(capacity);
     if (want_edge) edge_vals.resize(capacity);
-    *cursor = static_cast<FilteredRuns*>(scratch)->Expand(
-        in, from, *cursor, &sel, &to_vals, &edge_vals);
+    auto* runs = static_cast<FilteredRuns*>(scratch);
+    *cursor = runs->Expand(in, from, *cursor, bound, &sel, &to_vals,
+                           &edge_vals);
   } else {
     sel.resize(OutputCapacity(in, *cursor));
     to_vals.resize(sel.size());
@@ -1036,7 +1114,11 @@ Status ExpandOp::Process(const Batch& in, Cursor* cursor, OpScratch* scratch,
 
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
   std::vector<int64_t>* cols[] = {&to_vals, &edge_vals};
-  Emit(in, std::move(sel), cols, want_edge ? 2 : 1, out);
+  if (memo) {
+    EmitExpanded(in, std::move(sel), cols, want_edge ? 2 : 1, out);
+  } else {
+    Emit(in, std::move(sel), cols, want_edge ? 2 : 1, out);
+  }
   return Status::OK();
 }
 
@@ -1515,12 +1597,11 @@ void TopKFence::Tighten(uint64_t rid) {
   }
 }
 
-uint64_t TopKFence::Keep(const int64_t* rids, uint64_t n,
+uint64_t TopKFence::Keep(uint64_t bound, const int64_t* rids, uint64_t n,
                          uint32_t* keep) const {
   // Any bound a worker reads, however stale, was published by a full heap
   // and stays valid for the rest of the run. The loops capture by value:
   // stores to `keep` could otherwise alias the bound and the row count.
-  const uint64_t bound = bound_.load();
   const Column* base = base_;
   const bool ascending = ascending_;
   // A NULL-free key: compare `key` at the row ids. The promotions match
@@ -1583,10 +1664,11 @@ void TopKFence::Narrow(size_t key, std::vector<uint64_t>* rows,
                        std::vector<int64_t>* const* cols,
                        size_t num_cols) const {
   const uint64_t n = cols[key]->size();
-  if (n == 0 || !engaged()) return;
+  const uint64_t at = bound();
+  if (n == 0 || at == kNone) return;
   assert(n <= kBatchRows);
   uint32_t keep[kBatchRows];
-  const uint64_t kept = Keep(cols[key]->data(), n, keep);
+  const uint64_t kept = Keep(at, cols[key]->data(), n, keep);
   if (kept == n) return;
   // keep[j] >= j: compacting front to back never overwrites an unread
   // entry.

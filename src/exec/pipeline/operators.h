@@ -80,14 +80,19 @@ Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
 /// worse than one worker's k-th key cannot be among the global top k.
 class TopKFence {
  public:
+  /// The bound before any full heap published one: every row is admitted.
+  static constexpr uint64_t kNone = ~uint64_t{0};
+
   /// Binds the fence to the base column the first key reads at its row
   /// ids, or turns it off when `base` is null. Single-threaded, before
   /// any Process.
   void Arm(const storage::Column* base, bool ascending);
   bool armed() const { return base_ != nullptr; }
-  /// True once some full heap published a bound: before that, every row
-  /// is admitted.
-  bool engaged() const { return base_ != nullptr && bound_.load() != kNone; }
+  /// The current bound, a row id of the base column, or kNone while the
+  /// fence is off or not engaged yet (no full heap published one). Bounds
+  /// that one thread reads in turn only tighten, so a different value
+  /// means a tighter bound.
+  uint64_t bound() const { return base_ != nullptr ? bound_.load() : kNone; }
 
   /// Moves the bound to base row `rid` unless the bound's key is already
   /// at least as good.
@@ -100,14 +105,14 @@ class TopKFence {
   void Narrow(size_t key, std::vector<uint64_t>* rows,
               std::vector<int64_t>* const* cols, size_t num_cols) const;
 
+  /// Writes to keep[0..) the positions i of rids[0..n) (n <= kBatchRows)
+  /// whose base row keys no worse than `bound`, a value bound() returned
+  /// other than kNone, ascending, and returns their count. One type
+  /// dispatch per call.
+  uint64_t Keep(uint64_t bound, const int64_t* rids, uint64_t n,
+                uint32_t* keep) const;
+
  private:
-  static constexpr uint64_t kNone = ~uint64_t{0};
-
-  /// Writes to keep[0..) the positions i of rids[0..n) whose base row keys
-  /// no worse than the bound, ascending, and returns their count. One type
-  /// dispatch and one bound read per call.
-  uint64_t Keep(const int64_t* rids, uint64_t n, uint32_t* keep) const;
-
   /// Sign of base[a] against base[b] in the key's order (< 0: a is better).
   int Compare(uint64_t a, uint64_t b) const {
     int c = vector::TypedColumnCompare(*base_, a, *base_, b);
@@ -303,7 +308,9 @@ class RidExpandJoinOp : public StreamingOp {
 /// there, keyed on the row ids bound to one of its variables: rows whose
 /// key is strictly worse than the fence's bound are dropped after they are
 /// charged (so the row-budget charge is the unfenced one) and before any
-/// input column is gathered for them.
+/// input column is gathered for them. A memoized EXPAND instead narrows
+/// each source's run inside its memo, so the rows it fences off are never
+/// written or charged (see ExpandOp).
 class BinderOp : public StreamingOp {
  public:
   /// Prunes this operator's output with `fence`, keyed on the row ids it
@@ -327,10 +334,11 @@ class BinderOp : public StreamingOp {
             std::vector<int64_t>* const* cols, size_t num_cols,
             Batch* out) const;
 
- private:
   const TopKFence* fence_ = nullptr;
-  std::string fence_var_;
   size_t fence_col_ = 0;  ///< index of fence_var_ among the new columns
+
+ private:
+  std::string fence_var_;
 };
 
 /// EXPAND_EDGE (PhysExpandEdge): one output row per incident edge.
@@ -367,13 +375,16 @@ class GetVertexOp : public BinderOp {
 /// a source vertex's adjacency once into its memo (MakeScratch) and copies
 /// the filtered run in bulk for every row with that source; a functional
 /// hop (index max degree <= 1) tests its one neighbor per row instead.
-/// Without the index (RelGoHash), probes an FK hash table over the edge
-/// relation built once during Prepare (Case II reduction).
+/// A non-functional hop with a top-k fence takes the memo too, filtered or
+/// not, once the fence is engaged: each run is narrowed in the memo to the
+/// rows the bound admits, once per bound, and only those are written and
+/// charged. Without the index (RelGoHash), probes an FK hash table over
+/// the edge relation built once during Prepare (Case II reduction).
 class ExpandOp : public BinderOp {
  public:
   explicit ExpandOp(const plan::PhysExpand& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
-  /// The filtered-adjacency memo when this EXPAND filters over a
+  /// The adjacency memo when this EXPAND filters or is fenced over a
   /// non-functional index hop; null otherwise.
   std::unique_ptr<OpScratch> MakeScratch() const override;
   Status Process(const Batch& in, Cursor* cursor, OpScratch* scratch,

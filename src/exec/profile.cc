@@ -202,6 +202,7 @@ std::string RenderAnalyzedPipelines(const plan::PhysicalOp& root,
                   profile.late_gather_ms());
     out += buf;
   }
+  if (profile.unfenced_top_k()) out += "top-k fence: off (profiled run)\n";
   out += ScanCacheFooter(profile);
   out += PlanCacheFooter(profile);
   out += ParamsFooter(profile);

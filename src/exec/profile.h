@@ -139,6 +139,13 @@ class QueryProfile {
   void SetParams(storage::ParamValues params) { params_ = std::move(params); }
   const storage::ParamValues& params() const { return params_; }
 
+  /// Set when profiling left a top-k pipeline unfenced that an unprofiled
+  /// run would fence (see RankSortKeys in the pipeline engine), so this
+  /// profile's counts and times are those of the unfenced execution.
+  /// Rendered as the "top-k fence: off (profiled run)" footer.
+  void NoteUnfencedTopK() { unfenced_top_k_ = true; }
+  bool unfenced_top_k() const { return unfenced_top_k_; }
+
   const std::vector<PipelineTrace>& pipelines() const { return pipelines_; }
   size_t num_profiled_ops() const { return ops_.size(); }
 
@@ -154,6 +161,7 @@ class QueryProfile {
   uint64_t scan_cache_hits_ = 0;
   PlanCacheStatus plan_cache_status_ = PlanCacheStatus::kOff;
   storage::ParamValues params_;
+  bool unfenced_top_k_ = false;
 };
 
 /// Q-error of one estimate against the measured cardinality (Sec 5 style

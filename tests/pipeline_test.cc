@@ -1552,7 +1552,8 @@ TEST_F(BoundedBatchTest, MemoizedRunsDoNotOutliveTheirExecution) {
 TEST_F(BoundedBatchTest, FencedMemoizedExpansion) {
   // IC9-2's shape: sources repeat (the age-0 persons all follow person 0),
   // the memoized hop binds q, and ORDER BY q.person_id DESC LIMIT 20 fences
-  // it: rows are pruned after they are charged, and parity holds.
+  // it: once the fence engages, each source's run is narrowed inside the
+  // memo, so the fenced-off rows are never charged, and parity holds.
   using storage::CompareOp;
   for (const char* edge : {"", "l"}) {
     SCOPED_TRACE(std::string("edge=") + edge);
@@ -1573,6 +1574,264 @@ TEST_F(BoundedBatchTest, FencedMemoizedExpansion) {
                          options);
     ASSERT_TRUE(exec::pipeline::Run(*plan, &ctx).ok());
     EXPECT_LT(ctx.rows_produced(), oracle_ctx.rows_produced());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The top-k fence inside the expansion memo
+// ---------------------------------------------------------------------------
+
+/// A graph whose call boundaries are known exactly, for a fenced EXPAND
+/// h -> q over Link (or the edge-keyed Wlink) under ORDER BY ... DESC
+/// LIMIT 5. Lead persons 0-5 each reach one source over Seq, so the
+/// scan `p IN (...)` then Seq hands the fenced hop its sources in lead
+/// order. Source runs (targets at even person ids, ascending, so in
+/// adjacency order):
+///  * A (10, 13): 2096 targets ranked 1000 + j. The first call stops at
+///    position 2048 and the sink's heap engages the fence at rank 3043.
+///  * B (11): 500 targets ranked 5000 + j.
+///  * C (12): 2000 targets, the first five ranked 900000 - j, the rest
+///    6000 + j: once they reach the sink, every B entry is fenced off.
+///  * D (14): 4000 targets, ranked 10000 + j for j < 2000 and 800000 - j
+///    after, so the top five follow position 2000.
+/// Wlink gives sources 10-12 runs of the same sizes over persons 100 +
+/// 2j, with the ranks above as edge weights. LinkF and WlinkF add to
+/// every edge a twin to the next, odd person, whose flag fails the
+/// filter `flag = 0`: a filtered hop over them sees the same runs.
+class FencedMemoTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kPeople = 18000;
+  static constexpr int64_t kLimit = 5;
+
+  void SetUp() override {
+    using storage::ColumnDef;
+    using storage::Schema;
+    std::vector<int64_t> rank(kPeople, 0);
+    auto person = db_.CreateTable(
+        "Person", Schema({ColumnDef{"person_id", LogicalType::kInt64},
+                          ColumnDef{"rank", LogicalType::kInt64},
+                          ColumnDef{"flag", LogicalType::kInt64}}));
+    ASSERT_TRUE(person.ok());
+    for (const char* name : {"Seq", "Link", "LinkF", "Wlink", "WlinkF"}) {
+      ASSERT_TRUE(db_.CreateTable(
+                         name, Schema({ColumnDef{"eid", LogicalType::kInt64},
+                                       ColumnDef{"pid1", LogicalType::kInt64},
+                                       ColumnDef{"pid2", LogicalType::kInt64},
+                                       ColumnDef{"weight",
+                                                 LogicalType::kInt64}}))
+                      .ok());
+    }
+    auto add = [this](const char* table, int64_t from, int64_t to,
+                      int64_t weight) {
+      auto t = *db_.catalog().GetTable(table);
+      ASSERT_TRUE(t->AppendRow({Value::Int(static_cast<int64_t>(t->num_rows())),
+                                Value::Int(from), Value::Int(to),
+                                Value::Int(weight)})
+                      .ok());
+    };
+    // Adds source -> first + 2j for every j < ranks.size(), to the plain
+    // table and, with its failing twin, to the filtered one.
+    auto link = [&](const char* plain, const char* filtered, int64_t source,
+                    int64_t first, const std::vector<int64_t>& ranks,
+                    bool weighted) {
+      for (size_t j = 0; j < ranks.size(); ++j) {
+        int64_t target = first + 2 * static_cast<int64_t>(j);
+        int64_t weight = weighted ? ranks[j] : 0;
+        if (!weighted) rank[target] = ranks[j];
+        add(plain, source, target, weight);
+        add(filtered, source, target, weight);
+        add(filtered, source, target + 1, 0);
+      }
+    };
+    auto ranks = [](int64_t n, auto f) {
+      std::vector<int64_t> out;
+      for (int64_t j = 0; j < n; ++j) out.push_back(f(j));
+      return out;
+    };
+    const auto a = ranks(2096, [](int64_t j) { return 1000 + j; });
+    const auto b = ranks(500, [](int64_t j) { return 5000 + j; });
+    const auto c = ranks(2000, [](int64_t j) {
+      return j < 5 ? 900000 - j : 6000 + j;
+    });
+    const auto d = ranks(4000, [](int64_t j) {
+      return j < 2000 ? 10000 + j : 800000 - j;
+    });
+    const int64_t seq[] = {10, 11, 12, 11, 13, 14};
+    for (int64_t lead = 0; lead < 6; ++lead) {
+      add("Seq", lead, seq[lead], 0);
+    }
+    link("Link", "LinkF", 10, 100, a, false);
+    link("Link", "LinkF", 11, 5000, b, false);
+    link("Link", "LinkF", 12, 6000, c, false);
+    link("Link", "LinkF", 13, 100, a, false);
+    link("Link", "LinkF", 14, 10000, d, false);
+    link("Wlink", "WlinkF", 10, 100, a, true);
+    link("Wlink", "WlinkF", 11, 100, b, true);
+    link("Wlink", "WlinkF", 12, 100, c, true);
+    for (int64_t i = 0; i < kPeople; ++i) {
+      ASSERT_TRUE((*person)
+                      ->AppendRow({Value::Int(i), Value::Int(rank[i]),
+                                   Value::Int(i % 2 == 1 && i >= 100)})
+                      .ok());
+    }
+    ASSERT_TRUE(db_.AddVertexTable("Person", "person_id").ok());
+    for (const char* name : {"Seq", "Link", "LinkF", "Wlink", "WlinkF"}) {
+      ASSERT_TRUE(db_.AddEdgeTable(name, "Person", "pid1", "Person", "pid2")
+                      .ok());
+    }
+    ASSERT_TRUE(db_.Finalize().ok());
+  }
+
+  /// The leads `leads`, Seq to h, then the fenced hop h -> q over
+  /// `edges` (with "F" appended and the filter flag = 0 when `filtered`),
+  /// binding k when `edge_key`, under ORDER BY q.rank (or k.weight) DESC
+  /// LIMIT `limit`.
+  std::unique_ptr<plan::PhysicalOp> Plan(std::vector<int64_t> leads,
+                                         std::string edges, bool filtered,
+                                         bool edge_key,
+                                         int64_t limit = kLimit) {
+    const int person = db_.mapping().FindVertexLabel("Person");
+    std::vector<Value> ids;
+    for (int64_t l : leads) ids.push_back(Value::Int(l));
+    auto scan = std::make_unique<plan::PhysScanVertex>();
+    scan->vertex_label = person;
+    scan->var = "p";
+    scan->filter = Expr::InList(Expr::Column("person_id"), std::move(ids));
+    auto hop = [&](std::unique_ptr<plan::PhysicalOp> child,
+                   const std::string& label, std::string from,
+                   std::string to) {
+      auto op = std::make_unique<plan::PhysExpand>();
+      op->edge_label = db_.mapping().FindEdgeLabel(label);
+      op->dir = graph::Direction::kOut;
+      op->from_var = std::move(from);
+      op->to_var = std::move(to);
+      op->children.push_back(std::move(child));
+      return op;
+    };
+    auto fenced = hop(hop(std::move(scan), "Seq", "p", "h"),
+                      edges + (filtered ? "F" : ""), "h", "q");
+    if (filtered) {
+      fenced->vertex_filter = Expr::Eq("flag", Value::Int(0));
+    }
+    if (!edge_key) {
+      return FencedPlan(std::move(fenced), {{"h", "person_id"}, {"q", "rank"}},
+                        {{"h", person}, {"q", person}}, {},
+                        {"q.rank", false}, limit);
+    }
+    fenced->edge_var = "k";
+    const int label = fenced->edge_label;
+    return FencedPlan(std::move(fenced), {{"h", "person_id"}, {"k", "weight"}},
+                      {{"h", person}}, {{"k", label}}, {"k.weight", false},
+                      limit);
+  }
+
+  /// Asserts row-for-row parity with the reference interpreter at 1 and 4
+  /// threads, with the reference's exact charge unless the plan `prunes`
+  /// (then at most it). Returns the reference's charge and the 1-thread
+  /// run's, or {0, 0} when the reference failed.
+  std::pair<uint64_t, uint64_t> Charges(const plan::PhysicalOp& op,
+                                        bool prunes = true) {
+    ExecutionContext oracle_ctx(&db_.catalog(), &db_.mapping(), &db_.index());
+    auto expected = Executor::Run(op, &oracle_ctx);
+    EXPECT_TRUE(expected.ok()) << expected.status().ToString();
+    if (!expected.ok()) return {0, 0};
+    EXPECT_EQ((*expected)->num_rows(), static_cast<uint64_t>(kLimit));
+    uint64_t one_thread = 0;
+    for (int threads : {1, 4}) {
+      ExecutionOptions options;
+      options.num_threads = threads;
+      ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                           options);
+      auto actual = exec::pipeline::Run(op, &ctx);
+      EXPECT_TRUE(actual.ok())
+          << "threads=" << threads << ": " << actual.status().ToString();
+      if (!actual.ok()) continue;
+      EXPECT_EQ(testing::ExactRows(**actual), testing::ExactRows(**expected))
+          << "threads=" << threads;
+      if (prunes) {
+        EXPECT_LE(ctx.rows_produced(), oracle_ctx.rows_produced())
+            << "threads=" << threads;
+      } else {
+        EXPECT_EQ(ctx.rows_produced(), oracle_ctx.rows_produced())
+            << "threads=" << threads;
+      }
+      if (threads == 1) one_thread = ctx.rows_produced();
+    }
+    return {oracle_ctx.rows_produced(), one_thread};
+  }
+
+  Database db_;
+};
+
+TEST_F(FencedMemoTest, BoundTightensBetweenTwoRowsOfOneSource) {
+  // h = A, B, C, B. The first call stops inside A, and the fence engages.
+  // The second copies A's rest as it was, narrows B's run (all of it
+  // passes) and C's, and stops inside C with C's top five emitted. The
+  // third meets B again under that tighter bound: B's stamp is older, so
+  // its run is narrowed again, to nothing, and its 500 rows are never
+  // charged.
+  for (bool filtered : {false, true}) {
+    SCOPED_TRACE(filtered ? "filtered" : "unfiltered");
+    auto [oracle, fenced] = Charges(*Plan({0, 1, 2, 3}, "Link", filtered,
+                                          /*edge_key=*/false));
+    EXPECT_LE(fenced + 500, oracle);
+  }
+}
+
+TEST_F(FencedMemoTest, RowResumesInsideAFencedRunAcrossATightening) {
+  // h = A, D. The second call narrows D's run under A's bound (all 4000
+  // entries pass) and stops at position 2000 of it; the sink then tightens
+  // the bound past D's first 2000 entries. The third call resumes at
+  // position 2000 and must copy the rest of the run as it was: narrowed
+  // there, the run would shift, and D's top five, right after position
+  // 2000, would be skipped.
+  for (bool filtered : {false, true}) {
+    SCOPED_TRACE(filtered ? "filtered" : "unfiltered");
+    Charges(*Plan({4, 5}, "Link", filtered, /*edge_key=*/false));
+  }
+}
+
+TEST_F(FencedMemoTest, EdgeVariableKeyThroughTheMemo) {
+  // The shape of BoundTightensBetweenTwoRowsOfOneSource keyed on the edge
+  // weight: the memo narrows on its edge column. The targets' person row
+  // ids index rows of Wlink too, so a memo that keyed on them would drop
+  // C's top five.
+  for (bool filtered : {false, true}) {
+    SCOPED_TRACE(filtered ? "filtered" : "unfiltered");
+    auto [oracle, fenced] = Charges(*Plan({0, 1, 2, 3}, "Wlink", filtered,
+                                          /*edge_key=*/true));
+    EXPECT_LE(fenced + 500, oracle);
+  }
+}
+
+TEST_F(FencedMemoTest, FenceThatNeverEngagesChargesTheReferenceRows) {
+  // LIMIT 10000 exceeds every row the hop binds, so no heap fills and no
+  // bound is published: the fenced hop charges exactly the reference's
+  // rows, keyed on the target or on the edge.
+  for (bool filtered : {false, true}) {
+    for (bool edge_key : {false, true}) {
+      SCOPED_TRACE(std::string(filtered ? "filtered" : "unfiltered") +
+                   (edge_key ? " edge key" : " target key"));
+      auto plan = Plan({0, 1, 2, 3}, edge_key ? "Wlink" : "Link", filtered,
+                       edge_key, /*limit=*/10000);
+      ExecutionContext oracle_ctx(&db_.catalog(), &db_.mapping(),
+                                  &db_.index());
+      auto expected = Executor::Run(*plan, &oracle_ctx);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      for (int threads : {1, 4}) {
+        ExecutionOptions options;
+        options.num_threads = threads;
+        ExecutionContext ctx(&db_.catalog(), &db_.mapping(), &db_.index(),
+                             options);
+        auto actual = exec::pipeline::Run(*plan, &ctx);
+        ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+        EXPECT_EQ(testing::ExactRows(**actual),
+                  testing::ExactRows(**expected))
+            << "threads=" << threads;
+        EXPECT_EQ(ctx.rows_produced(), oracle_ctx.rows_produced())
+            << "threads=" << threads;
+      }
+    }
   }
 }
 

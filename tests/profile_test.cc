@@ -212,6 +212,39 @@ TEST_F(Figure2ProfileTest, TopKSinkReplacesPostOpBreakers) {
   EXPECT_EQ(analyzed->find("BREAKER LIMIT"), std::string::npos) << *analyzed;
 }
 
+TEST_F(Figure2ProfileTest, ProfiledTopKSaysItsFenceIsOff) {
+  // ORDER BY a property of a pattern vertex + LIMIT: pi-hat defers the key,
+  // and an unprofiled run would fence the stage that binds m. EXPLAIN
+  // ANALYZE runs profiled and unfenced, and says so in a footer. An
+  // aggregate's top-k has no deferred key and no fence to turn off, and
+  // the reference interpreter never fences.
+  auto pattern = db_.ParsePattern("(p:Person)-[:Likes]->(m:Message)");
+  ASSERT_TRUE(pattern.ok());
+  plan::SpjmQuery top = plan::SpjmQueryBuilder("fenced")
+                            .Match(std::move(*pattern))
+                            .Column("p", "name")
+                            .Column("m", "content")
+                            .OrderBy("m.content", true)
+                            .Limit(2)
+                            .Build();
+  const std::string footer = "top-k fence: off (profiled run)\n";
+  for (int threads : {1, 4}) {
+    auto analyzed =
+        db_.ExplainAnalyze(top, OptimizerMode::kRelGo, PipelineOptions(threads));
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    EXPECT_NE(analyzed->find("-> TOP_K"), std::string::npos) << *analyzed;
+    EXPECT_NE(analyzed->find(footer), std::string::npos) << *analyzed;
+  }
+  auto aggregate = db_.ExplainAnalyze(PostOpQuery(), OptimizerMode::kRelGo,
+                                      PipelineOptions(2));
+  ASSERT_TRUE(aggregate.ok()) << aggregate.status().ToString();
+  EXPECT_EQ(aggregate->find("top-k fence"), std::string::npos) << *aggregate;
+  auto oracle = db_.ExplainAnalyze(top, OptimizerMode::kRelGo,
+                                   testing::OracleOptions());
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(oracle->find("top-k fence"), std::string::npos) << *oracle;
+}
+
 TEST_F(Figure2ProfileTest, EnginesAgreePerNodeOnFigure2) {
   for (OptimizerMode mode : kAllModes) {
     auto oracle =
